@@ -17,14 +17,14 @@ from .kernel import (
     tail_antiderivatives,
 )
 from .grid_ops import (
-    BandedMatrix,
     Grid,
-    assemble_biharmonic,
     fourth_difference,
     inner,
     max_norm,
     norm,
     second_difference,
+    second_difference_eigenvalues,
+    sine_transform,
 )
 from .model import (
     DampingFunction,
@@ -35,6 +35,7 @@ from .model import (
 )
 from .stepper import (
     NonConvergenceError,
+    NumericalError,
     SolverConfig,
     SolverState,
     TimeSeries,
@@ -64,16 +65,17 @@ from .studies import (
 from .presets import example1_problem, example2_problem, preset_config
 
 __all__ = [
-    "BandedMatrix", "ConfigurationError", "ConvergenceReport",
-    "DampingFunction", "EnergyRecord", "Grid", "KernelSpec", "KernelTables",
-    "NO_MEMORY", "NON_OSCILLATORY", "NonConvergenceError", "OSCILLATORY",
+    "ConfigurationError", "ConvergenceReport", "DampingFunction",
+    "EnergyRecord", "Grid", "KernelSpec", "KernelTables", "NO_MEMORY",
+    "NON_OSCILLATORY", "NonConvergenceError", "NumericalError", "OSCILLATORY",
     "ProblemSpec", "SolverConfig", "SolverState", "StabilityVerdict",
-    "StudyCell", "StudySpec", "TimeSeries", "assemble_biharmonic",
-    "assemble_step_system", "beta_eval", "damping_coefficient",
-    "data_functional", "energy", "example1_problem", "example2_problem",
-    "forcing_l1_norm", "fourth_difference", "initialize", "inner",
-    "kernel_tail", "max_norm", "mu0", "norm", "preset_config",
-    "quadrature_weights", "rate", "require_valid", "run", "run_study",
-    "second_difference", "spatial_error", "stability_monitor", "step",
-    "tail_antiderivatives", "temporal_error", "validate", "write_solution_csv",
+    "StudyCell", "StudySpec", "TimeSeries", "assemble_step_system",
+    "beta_eval", "damping_coefficient", "data_functional", "energy",
+    "example1_problem", "example2_problem", "forcing_l1_norm",
+    "fourth_difference", "initialize", "inner", "kernel_tail", "max_norm",
+    "mu0", "norm", "preset_config", "quadrature_weights", "rate",
+    "require_valid", "run", "run_study", "second_difference",
+    "second_difference_eigenvalues", "sine_transform", "spatial_error",
+    "stability_monitor", "step", "tail_antiderivatives", "temporal_error",
+    "validate", "write_solution_csv",
 ]

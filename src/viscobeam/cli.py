@@ -21,7 +21,7 @@ from .diagnostics import data_functional, stability_monitor, EnergyRecord
 from .kernel import ConfigurationError, KernelTables
 from .model import require_valid
 from .presets import preset_config
-from .stepper import NonConvergenceError, run, write_solution_csv
+from .stepper import NumericalError, run, write_solution_csv
 from .studies import run_study
 
 EXIT_OK = 0
@@ -160,11 +160,11 @@ def main(argv=None) -> int:
         print(json.dumps({"category": "config", "message": str(exc)}),
               file=sys.stderr)
         return EXIT_CONFIG
-    except NonConvergenceError as exc:
+    except NumericalError as exc:
         print(json.dumps({"category": "numerical", "message": str(exc)}),
               file=sys.stderr)
         return EXIT_NUMERICAL
-    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+    except FloatingPointError as exc:
         print(json.dumps({"category": "numerical",
                           "message": f"{type(exc).__name__}: {exc}"}),
               file=sys.stderr)

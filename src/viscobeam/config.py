@@ -30,17 +30,18 @@ def load_config(path) -> dict:
 
 
 def apply_overrides(config: dict, assignments) -> dict:
-    """Apply ``section.key=value`` strings; values parse as JSON when possible."""
+    """Return a copy of ``config`` with dotted-path entries overridden.
+
+    ``assignments`` is either a sequence of ``section.key=value`` strings,
+    whose values parse as JSON when possible, or a mapping of dotted paths
+    to values (a study sweep entry).
+    """
+    if isinstance(assignments, dict):
+        items = assignments.items()
+    else:
+        items = map(_parse_assignment, assignments or ())
     out = copy.deepcopy(config)
-    for item in assignments or ():
-        if "=" not in item:
-            raise ConfigurationError(
-                f"override {item!r} is not of the form section.key=value")
-        path, _, raw = item.partition("=")
-        try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw
+    for path, value in items:
         keys = path.strip().split(".")
         node = out
         for key in keys[:-1]:
@@ -51,17 +52,15 @@ def apply_overrides(config: dict, assignments) -> dict:
     return out
 
 
-def _apply_sweep_overrides(config: dict, overrides: dict) -> dict:
-    out = copy.deepcopy(config)
-    for path, value in overrides.items():
-        if path == "label":
-            continue
-        keys = path.split(".")
-        node = out
-        for key in keys[:-1]:
-            node = node.setdefault(key, {})
-        node[keys[-1]] = value
-    return out
+def _parse_assignment(item: str) -> tuple[str, object]:
+    if "=" not in item:
+        raise ConfigurationError(
+            f"override {item!r} is not of the form section.key=value")
+    path, _, raw = item.partition("=")
+    try:
+        return path, json.loads(raw)
+    except json.JSONDecodeError:
+        return path, raw
 
 
 def _build_damping(section: dict) -> DampingFunction:
@@ -133,7 +132,8 @@ def build_study(config: dict) -> StudySpec:
     cells = []
     for i, overrides in enumerate(sweep):
         label = str(overrides.get("label", f"cell{i}"))
-        cell_cfg = _apply_sweep_overrides(config, overrides)
+        cell_cfg = apply_overrides(
+            config, {k: v for k, v in overrides.items() if k != "label"})
         cells.append(StudyCell(label=label, problem=build_problem(cell_cfg)))
     J = build_grid(config).J
     N = build_steps(config)

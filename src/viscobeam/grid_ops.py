@@ -7,6 +7,11 @@ W_{J+1} = -W_{J-1}.  Under that closure the 5-point fourth difference is
 exactly the square of the Dirichlet second difference, which is what makes
 the discrete energy argument (summation by parts) work.  Ghost values are
 never materialized.
+
+The Dirichlet second difference is diagonalized by the orthonormal
+DST-I: D2 = S diag(lambda) S with S = :func:`sine_transform` (its own
+inverse) and lambda from :func:`second_difference_eigenvalues`, so the
+hinged D4 = S diag(lambda^2) S.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solveh_banded
+from scipy.fft import dst
 
 
 @dataclass(frozen=True)
@@ -98,72 +103,21 @@ def max_norm(W) -> float:
     return float(np.max(np.abs(W))) if W.size else 0.0
 
 
-class BandedMatrix:
-    """Symmetric pentadiagonal matrix in upper banded storage.
+def sine_transform(W) -> np.ndarray:
+    """Orthonormal DST-I along the last axis; symmetric and its own inverse.
 
-    Row layout follows LAPACK upper-band convention: ``ab[0]`` is the
-    second superdiagonal (padded left), ``ab[1]`` the first, ``ab[2]`` the
-    main diagonal.  Solves use a banded Cholesky factorization, so the
-    matrix must be positive definite.
+    Maps interior values to coefficients in the sine eigenbasis of the
+    hinged difference operators and back.  Orthonormality makes
+    ``norm(W) == sqrt(h) * ||sine_transform(W)||``.
     """
-
-    def __init__(self, ab: np.ndarray):
-        ab = np.asarray(ab, dtype=float)
-        if ab.ndim != 2 or ab.shape[0] != 3:
-            raise ValueError("expected banded storage of shape (3, m)")
-        self.ab = ab
-
-    @property
-    def size(self) -> int:
-        return self.ab.shape[1]
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Matrix-vector product."""
-        x = np.asarray(x, dtype=float)
-        sup2, sup1, diag = self.ab
-        y = diag * x
-        y[:-1] += sup1[1:] * x[1:]
-        y[1:] += sup1[1:] * x[:-1]
-        y[:-2] += sup2[2:] * x[2:]
-        y[2:] += sup2[2:] * x[:-2]
-        return y
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve self @ x = rhs via banded Cholesky."""
-        return solveh_banded(self.ab, rhs)
-
-    def scaled_plus_identity(self, scale: float, shift: float) -> "BandedMatrix":
-        """Return scale * self + shift * I."""
-        ab = scale * self.ab
-        ab[2] += shift
-        return BandedMatrix(ab)
-
-    def dense(self) -> np.ndarray:
-        """Dense copy (test oracles only)."""
-        m = self.size
-        out = np.zeros((m, m))
-        sup2, sup1, diag = self.ab
-        out[np.arange(m), np.arange(m)] = diag
-        idx = np.arange(m - 1)
-        out[idx, idx + 1] = sup1[1:]
-        out[idx + 1, idx] = sup1[1:]
-        idx = np.arange(m - 2)
-        out[idx, idx + 2] = sup2[2:]
-        out[idx + 2, idx] = sup2[2:]
-        return out
+    return dst(np.asarray(W, dtype=float), type=1, norm="ortho")
 
 
-def assemble_biharmonic(grid: Grid) -> BandedMatrix:
-    """Banded matrix of the fourth difference under the hinged closure.
+def second_difference_eigenvalues(grid: Grid) -> np.ndarray:
+    """Eigenvalues lambda_k = -(4/h^2) sin^2(k pi / 2J), k = 1..J-1, of D2.
 
-    Pentadiagonal (1, -4, 6, -4, 1)/h^4 with the first and last diagonal
-    entries reduced to 5/h^4 by the odd ghost extension; symmetric positive
-    definite.
+    Mode k is the sine_transform basis vector k; squaring gives the
+    eigenvalues of the hinged fourth difference.
     """
-    m = grid.n_interior
-    ab = np.zeros((3, m))
-    ab[0, 2:] = 1.0
-    ab[1, 1:] = -4.0
-    ab[2, :] = 6.0
-    ab[2, 0] = ab[2, -1] = 5.0
-    return BandedMatrix(ab / grid.h**4)
+    k = np.arange(1, grid.J)
+    return -4.0 / grid.h**2 * np.sin(0.5 * np.pi * k / grid.J) ** 2

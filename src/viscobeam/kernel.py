@@ -287,15 +287,22 @@ def quadrature_weights(spec: KernelSpec, dt: float, n_steps: int) -> np.ndarray:
     tail crosses zero inside the horizon, far weights inherit the sign of
     the local tail average and may be (slightly) negative.
     """
+    ts = _time_grid(spec, dt, n_steps)
+    return _weights_from_moments(ts, dt, *_grid_moments(spec, ts))
+
+
+def _time_grid(spec: KernelSpec, dt: float, n_steps: int) -> np.ndarray:
+    """Validated nodes k * dt, k = 0..n_steps."""
     spec.require_valid()
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if n_steps < 1:
         raise ValueError("need at least one step")
-    if spec.family == NO_MEMORY:
-        return np.zeros(n_steps)
-    ts = dt * np.arange(n_steps + 1)
-    tail, m1, m2 = _grid_moments(spec, ts)
+    return dt * np.arange(n_steps + 1)
+
+
+def _weights_from_moments(ts: np.ndarray, dt: float, tail, m1, m2) -> np.ndarray:
+    """Weights from the moments (K, M1, M2) on the time grid ts = dt * (0..n)."""
     j2 = ts * m1 - 0.5 * m2 + 0.5 * ts * ts * tail
     return weights_from_second_antiderivative(j2, dt)
 
@@ -321,12 +328,9 @@ class KernelTables:
 
     @classmethod
     def build(cls, spec: KernelSpec, dt: float, n_steps: int) -> "KernelTables":
-        spec.require_valid()
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
-        ts = dt * np.arange(n_steps + 1)
-        tail, _, _ = _grid_moments(spec, ts)
-        weights = quadrature_weights(spec, dt, n_steps)
+        ts = _time_grid(spec, dt, n_steps)
+        tail, m1, m2 = _grid_moments(spec, ts)
+        weights = _weights_from_moments(ts, dt, tail, m1, m2)
         k0 = _tail_mass(spec)
         if spec.has_memory:
             if not 0.0 < k0 < 1.0:

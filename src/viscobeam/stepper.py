@@ -8,37 +8,49 @@ Each step n >= 2 solves the nonlinear system
 
 where D2/D4 are the hinged difference operators, dU^p the stored velocity
 differences (U^p - U^{p-1})/dt and w the product-integration weights of the
-kernel tail.  Only the scalar damping coefficient is nonlinear, so the
-step is solved by fixed-point iteration: freeze G at the current iterate,
-solve the resulting symmetric positive definite pentadiagonal system, and
-repeat until the iterate stops moving.  The p = n weight splits off the
-unknown, shifting the system matrix by w[0]/dt * D4.
+kernel tail.  The p = n weight splits off the unknown, shifting the D4
+coefficient to mu0 + w[0]/dt.  Under the hinged closure D4 = D2^2, and D2
+is diagonal in the orthonormal sine basis, so with the damping
+coefficient frozen the system is one division per sine mode.  Only that
+scalar is nonlinear; it is resolved by fixed-point iteration on the
+modal coefficients, with G evaluated from the modes.
 
 History is kept as raw velocity vectors; the weighted sum is accumulated
-first and D4 applied once, so each step costs one O(n * J) convolution and
-O(J) per inner iteration.
+first and transformed once with the rest of the right-hand side, so each
+step costs one O(n * J) convolution, two sine transforms and O(J) per
+inner iteration.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid_ops import BandedMatrix, Grid, assemble_biharmonic, norm, second_difference
+from .grid_ops import (Grid, norm, second_difference, second_difference_eigenvalues,
+                       sine_transform)
 from .kernel import KernelTables
 from .model import ProblemSpec, damping_coefficient, require_valid
 
 
-class NonConvergenceError(RuntimeError):
+class NumericalError(RuntimeError):
+    """A step failed numerically; ``step_index`` is the level being solved."""
+
+    def __init__(self, step_index: int, message: str):
+        super().__init__(message)
+        self.step_index = step_index
+
+
+class NonConvergenceError(NumericalError):
     """Fixed-point iteration exhausted its budget at some step."""
 
     def __init__(self, step_index: int, last_increment: float, max_iters: int):
         super().__init__(
+            step_index,
             f"fixed-point iteration did not converge at step {step_index}: "
             f"increment {last_increment:.3e} after {max_iters} iterations")
-        self.step_index = step_index
         self.last_increment = last_increment
         self.max_iters = max_iters
 
@@ -66,7 +78,7 @@ class SolverState:
     ``n`` is the index of the next level to solve; ``U_prev``/``U_prev2``
     hold the two newest levels.  The velocity history lives in a
     preallocated buffer, row p-1 storing dU^p.  Confine a state to one
-    thread; the shared tables and operators are read-only.
+    thread; the shared tables are read-only.
     """
 
     problem: ProblemSpec
@@ -78,10 +90,8 @@ class SolverState:
     U_prev: np.ndarray
     U_prev2: np.ndarray
     tables: KernelTables
-    D4: BandedMatrix
     _history: np.ndarray = field(repr=False)
-    _D4U0: np.ndarray = field(repr=False)
-    _rhs_base: tuple[int, np.ndarray] | None = field(default=None, repr=False)
+    _eigs: np.ndarray = field(repr=False)  # of D2, in sine_transform order
 
     @property
     def velocity_history(self) -> np.ndarray:
@@ -158,7 +168,7 @@ def write_solution_csv(path, grid: Grid, U: np.ndarray) -> None:
 
 
 def initialize(problem: ProblemSpec, grid: Grid, dt: float) -> SolverState:
-    """Set up levels 0 and 1 and precompute kernel tables and operators.
+    """Set up levels 0 and 1 and precompute kernel tables and eigenvalues.
 
     The first level is the explicit start U^1 = U^0 + dt * u1, which pins
     the discrete initial velocity dU^1 to the samples of u1 exactly.
@@ -174,71 +184,80 @@ def initialize(problem: ProblemSpec, grid: Grid, dt: float) -> SolverState:
     u1_samples = np.asarray(problem.u1(x), dtype=float)
     U1 = U0 + dt * u1_samples
     tables = KernelTables.build(problem.kernel, dt, n_steps)
-    D4 = assemble_biharmonic(grid)
     history = np.zeros((n_steps, grid.n_interior))
     history[0] = (U1 - U0) / dt
     return SolverState(problem=problem, grid=grid, dt=dt, n_steps=n_steps,
                        n=2, U0=U0, U_prev=U1, U_prev2=U0, tables=tables,
-                       D4=D4, _history=history, _D4U0=D4.apply(U0))
+                       _history=history,
+                       _eigs=second_difference_eigenvalues(grid))
 
 
-def assemble_step_system(state: SolverState, G_val: float) -> tuple[BandedMatrix, np.ndarray]:
-    """Linear system (A, b) for level n with the damping coefficient frozen.
+def assemble_step_system(state: SolverState) -> tuple[np.ndarray, ...]:
+    """Level n's step system in the sine basis, with G left free.
 
-    A = (1/dt^2 + G/dt) I + (mu0 + w0/dt) D4 is symmetric positive
-    definite.  The G-independent part of b (forcing, initial-load source,
-    inertia terms and the history convolution) is cached per step so inner
-    iterations only refresh the damping contribution.
+    Returns sine coefficients ``(b, d, V, U)``: for a frozen damping
+    coefficient G the coefficients of U^n solve, mode by mode,
+    (d + G/dt) * U^n = b + (G/dt) * V, where V belongs to U^{n-1} and
+    d = 1/dt^2 + (mu0 + w[0]/dt) * lambda^2 > 0.  ``b`` collects the
+    forcing, the initial-load source, the inertia terms, the w[0] split
+    and the history convolution; ``U`` is the start iterate
+    2 U^{n-1} - U^{n-2}.
     """
     n, dt = state.n, state.dt
     w = state.tables.weights
-    D4 = state.D4
-    if state._rhs_base is None or state._rhs_base[0] != n:
-        f_n = np.asarray(state.problem.forcing(state.grid.x, n * dt), dtype=float)
-        mem = w[n - 1:0:-1] @ state._history[: n - 1]
-        base = (f_n - state.tables.tail[n] * state._D4U0
-                + (2.0 * state.U_prev - state.U_prev2) / dt**2
-                + (w[0] / dt) * D4.apply(state.U_prev)
-                - D4.apply(mem))
-        state._rhs_base = (n, base)
-    A = D4.scaled_plus_identity(state.tables.mu0 + w[0] / dt,
-                                1.0 / dt**2 + G_val / dt)
-    b = state._rhs_base[1] + (G_val / dt) * state.U_prev
-    return A, b
+    lam2 = state._eigs ** 2
+    U1, U2 = state.U_prev, state.U_prev2
+    f_n = np.asarray(state.problem.forcing(state.grid.x, n * dt), dtype=float)
+    mem = w[n - 1:0:-1] @ state._history[: n - 1]
+    # Rows: the right-hand side without D4, the field D4 acts on in it, the
+    # newest level, and the start iterate; one transform for all four.
+    free, bent, V, U = sine_transform(np.stack([
+        f_n + (2.0 * U1 - U2) / dt**2,
+        (w[0] / dt) * U1 - mem - state.tables.tail[n] * state.U0,
+        U1,
+        2.0 * U1 - U2]))
+    return (free + lam2 * bent,
+            1.0 / dt**2 + (state.tables.mu0 + w[0] / dt) * lam2, V, U)
 
 
 def step(state: SolverState, config: SolverConfig) -> StepInfo:
     """Advance the state by one level via fixed-point iteration.
 
-    Starts from the linear extrapolation of the last two levels, lags the
-    damping coefficient one iterate behind, and stops when the iterate
-    moves by at most ``fp_tol`` in the discrete L2 norm.
+    The G-free step system is assembled and transformed once.  Starting
+    from the linear extrapolation of the last two levels, each iterate
+    freezes G at the previous one and divides mode by mode; the iteration
+    stops when the iterate moves by at most ``fp_tol`` in the discrete L2
+    norm, which the orthonormal transform preserves.  A non-finite G or
+    iterate raises :class:`NumericalError` at once.
     """
     if state.n > state.n_steps:
         raise ValueError(f"run is complete (n={state.n} > N={state.n_steps})")
-    grid = state.grid
+    n, dt, grid = state.n, state.dt, state.grid
+    lam = state._eigs
+    b_hat, diag, U1_hat, U_hat = assemble_step_system(state)
     damping = state.problem.damping
-    U_k = 2.0 * state.U_prev - state.U_prev2
-    G_val = 0.0
-    increment = np.inf
     for it in range(1, config.fp_max_iters + 1):
-        G_val = damping_coefficient(damping, U_k, grid)
-        A, b = assemble_step_system(state, G_val)
-        U_next = A.solve(b)
-        increment = norm(U_next - U_k, grid)
-        U_k = U_next
+        curv_hat = lam * U_hat
+        G_val = damping(grid.h * (curv_hat @ curv_hat))
+        if not math.isfinite(G_val):
+            raise NumericalError(
+                n, f"damping coefficient G = {G_val!r} at step {n} is not finite")
+        U_next = (b_hat + (G_val / dt) * U1_hat) / (diag + G_val / dt)
+        increment = norm(U_next - U_hat, grid)
+        if not math.isfinite(increment):
+            raise NumericalError(n, f"non-finite iterate at step {n}")
+        U_hat = U_next
         if increment <= config.fp_tol:
             break
     else:
-        raise NonConvergenceError(state.n, increment, config.fp_max_iters)
+        raise NonConvergenceError(n, increment, config.fp_max_iters)
 
-    n = state.n
-    state._history[n - 1] = (U_k - state.U_prev) / state.dt
+    U_k = sine_transform(U_hat)
+    state._history[n - 1] = (U_k - state.U_prev) / dt
     state.U_prev2 = state.U_prev
     state.U_prev = U_k
     state.n = n + 1
-    state._rhs_base = None
-    return StepInfo(n=n, t=n * state.dt,
+    return StepInfo(n=n, t=n * dt,
                     vel_norm=norm(state._history[n - 1], grid),
                     curv_norm=norm(second_difference(U_k, grid), grid),
                     damping=G_val, fp_iters=it)

@@ -4,7 +4,9 @@ The oracles deliberately avoid the implementation paths under test: the
 kernel density is re-evaluated from its formula, tails come from direct
 adaptive quadrature of the density (QAGS handles the integrable endpoint
 singularity), antiderivatives from single-fold quadrature of the oracle
-tail, and convolution weights from brute-force double integration.
+tail, and convolution weights from brute-force double integration.  The
+dense fourth-difference oracle is built column by column from the stencil
+itself, never from the sine eigen-decomposition the stepper uses.
 """
 
 import math
@@ -15,12 +17,18 @@ import pytest
 from scipy.integrate import IntegrationWarning, dblquad, quad
 from scipy.special import gamma as gamma_fn
 
-from viscobeam import KernelSpec, NO_MEMORY, OSCILLATORY
+from viscobeam import KernelSpec, NO_MEMORY, OSCILLATORY, fourth_difference
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def dense_fourth_difference(grid) -> np.ndarray:
+    """Dense hinged D4: fourth_difference applied to the identity's columns."""
+    return np.column_stack([fourth_difference(e, grid)
+                            for e in np.eye(grid.n_interior)])
 
 
 def oracle_beta(spec: KernelSpec, s: float) -> float:

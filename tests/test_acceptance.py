@@ -30,7 +30,6 @@ from viscobeam import (
     DampingFunction,
     ProblemSpec,
     SolverConfig,
-    assemble_biharmonic,
     data_functional,
     fourth_difference,
     inner,
@@ -40,6 +39,8 @@ from viscobeam import (
     quadrature_weights,
     run,
     second_difference,
+    second_difference_eigenvalues,
+    sine_transform,
     stability_monitor,
     tail_antiderivatives,
 )
@@ -48,7 +49,7 @@ from viscobeam.diagnostics import EnergyRecord
 from viscobeam.presets import example2_problem, preset_config
 from viscobeam.studies import run_study
 
-from conftest import oracle_tail
+from conftest import dense_fourth_difference, oracle_tail
 from reference_tables import TABLE1, TABLE2, TABLE3, TABLE4
 
 ERROR_BAND = 0.10
@@ -205,9 +206,17 @@ def test_criterion6_operator_properties():
         composed = second_difference(second_difference(w, g), g)
         assert np.allclose(fourth_difference(w, g), composed,
                            rtol=1e-13, atol=1e-13 * g.h**-4)
-    for J in (4, 8, 16):
-        dense = assemble_biharmonic(Grid(J)).dense()
-        assert np.linalg.eigvalsh(dense).min() > 0.0
+    # The stepper solves with D4 = S diag(lambda^2) S; certify it against
+    # the dense stencil oracle and its eigensolve.
+    for J in range(4, 65):
+        g = Grid(J)
+        dense = dense_fourth_difference(g)
+        lam2 = second_difference_eigenvalues(g) ** 2
+        S = sine_transform(np.eye(g.n_interior))
+        assert np.max(np.abs(S @ np.diag(lam2) @ S - dense)) <= 1e-13 * lam2.max()
+        eigs = np.linalg.eigvalsh(dense)
+        assert np.allclose(eigs, np.sort(lam2), rtol=0, atol=1e-12 * lam2.max())
+        assert eigs.min() > 0.0
 
 
 @criterion("criterion 7 (memory-free sine-mode oracle)", budget=1)

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from viscobeam import NumericalError, cli
 from viscobeam.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 
 
@@ -42,6 +43,14 @@ class TestSolve:
         assert code == EXIT_OK
         assert "solved 8 steps" in capsys.readouterr().out
 
+    def test_fine_grid_converges(self, tmp_path, capsys):
+        # The D4 solve's roundoff once grew like cond(D4) ~ J^4 and kept the
+        # increment above fp_tol = 1e-12 at J = 256.
+        code = main(["solve", "--preset", "example1", "--set", "grid.J=256",
+                     "--set", "time.N=16", "-o", str(tmp_path)])
+        assert code == EXIT_OK
+        assert "solved 16 steps on J=256" in capsys.readouterr().out
+
     def test_set_override_changes_grid(self, tmp_path, capsys):
         cfg = write_config(tmp_path, ZERO_CONFIG)
         code = main(["solve", "--config", cfg, "--set", "grid.J=16",
@@ -73,6 +82,24 @@ class TestErrorPaths:
         assert code == EXIT_NUMERICAL
         err = json.loads(capsys.readouterr().err.strip())
         assert err["category"] == "numerical"
+
+    def test_numerical_error_is_numerical_exit(self, tmp_path, capsys,
+                                                monkeypatch):
+        def failing_run(*args, **kwargs):
+            raise NumericalError(5, "non-finite iterate at step 5")
+
+        monkeypatch.setattr(cli, "run", failing_run)
+        code = main(["solve", "--preset", "example2", "-o", str(tmp_path)])
+        assert code == EXIT_NUMERICAL
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"category": "numerical",
+                       "message": "non-finite iterate at step 5"}
+
+    def test_override_crossing_a_leaf_is_config_error(self, tmp_path, capsys):
+        code = main(["solve", "--preset", "example1", "--set",
+                     "kernel.sigma.foo=1", "-o", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "crosses a leaf" in json.loads(capsys.readouterr().err)["message"]
 
     def test_missing_config_and_preset(self, tmp_path, capsys):
         code = main(["solve", "-o", str(tmp_path)])
@@ -116,6 +143,19 @@ class TestStudy:
         cfg = write_config(tmp_path, doc)
         code = main(["study", "--config", cfg, "-o", str(tmp_path)])
         assert code == EXIT_NUMERICAL
+
+    def test_sweep_override_crossing_a_leaf_is_config_error(self, tmp_path,
+                                                             capsys):
+        doc = dict(ZERO_CONFIG)
+        doc["kernel"] = {"family": "non_oscillatory", "sigma": 1.5, "alpha": 0.5}
+        doc["study"] = {"axis": "temporal", "levels": 2,
+                        "sweep": [{"label": "bad", "kernel.sigma.foo": 1}]}
+        cfg = write_config(tmp_path, doc)
+        code = main(["study", "--config", cfg, "-o", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["category"] == "config"
+        assert "kernel.sigma.foo" in err["message"]
 
 
 class TestStabilityCommand:

@@ -3,13 +3,16 @@ import pytest
 
 from viscobeam import (
     Grid,
-    assemble_biharmonic,
     fourth_difference,
     inner,
     max_norm,
     norm,
     second_difference,
+    second_difference_eigenvalues,
+    sine_transform,
 )
+
+from conftest import dense_fourth_difference
 
 
 def sine_mode(grid, k=1):
@@ -106,37 +109,88 @@ class TestNorms:
             assert abs(inner(v, w, g)) <= norm(v, g) * norm(w, g) + 1e-14
 
 
+def sine_decomposition(grid):
+    """S diag(lambda^2) S from the sine transform and D2 eigenvalues."""
+    S = sine_transform(np.eye(grid.n_interior))
+    return S @ np.diag(second_difference_eigenvalues(grid) ** 2) @ S
+
+
+class TestSineBasis:
+    def test_transform_is_orthonormal_involution(self, rng):
+        g = Grid(24)
+        w = rng.standard_normal(g.n_interior)
+        w_hat = sine_transform(w)
+        assert np.allclose(sine_transform(w_hat), w, rtol=0, atol=1e-14)
+        assert norm(w, g) == pytest.approx(np.sqrt(g.h) * np.linalg.norm(w_hat),
+                                           rel=1e-14)
+
+    @pytest.mark.parametrize("k", [1, 5, 23])
+    def test_mode_k_is_eigenvector_k(self, k):
+        g = Grid(24)
+        mode = sine_mode(g, k)
+        expected = np.zeros(g.n_interior)
+        expected[k - 1] = np.sqrt(g.J / 2.0)
+        assert np.allclose(sine_transform(mode), expected, rtol=0, atol=1e-13)
+        lam = second_difference_eigenvalues(g)[k - 1]
+        assert lam == pytest.approx(d2_eigenvalue(g, k), rel=1e-14)
+        assert np.allclose(second_difference(mode, g), lam * mode,
+                           rtol=0, atol=1e-12 * abs(lam))
+
+
 class TestBiharmonicMatrix:
+    """The hinged D4 against its sine eigen-decomposition S diag(lambda^2) S,
+    the form the stepper solves with; the dense oracle applies
+    fourth_difference to the identity's columns."""
+
     def test_j4_dense_matrix(self):
         g = Grid(4)
-        dense = assemble_biharmonic(g).dense() * g.h**4
+        dense = dense_fourth_difference(g) * g.h**4
         expected = np.array([[5.0, -4.0, 1.0],
                              [-4.0, 6.0, -4.0],
                              [1.0, -4.0, 5.0]])
         assert np.array_equal(dense, expected)
+        assert np.allclose(sine_decomposition(g) * g.h**4, expected,
+                           rtol=0, atol=1e-13)
 
     def test_symmetry_exact(self):
-        dense = assemble_biharmonic(Grid(16)).dense()
+        dense = dense_fourth_difference(Grid(16))
         assert np.array_equal(dense, dense.T)
 
     @pytest.mark.parametrize("J", [4, 8, 16])
     def test_positive_definite_dense_oracle(self, J):
-        dense = assemble_biharmonic(Grid(J)).dense()
-        assert np.linalg.eigvalsh(dense).min() > 0.0
+        g = Grid(J)
+        eigs = np.linalg.eigvalsh(dense_fourth_difference(g))
+        assert eigs.min() > 0.0
+        lam2 = np.sort(second_difference_eigenvalues(g) ** 2)
+        assert np.allclose(eigs, lam2, rtol=0, atol=1e-12 * lam2[-1])
+
+    def test_sine_decomposition_matches_dense_oracle(self):
+        for J in range(4, 65):
+            g = Grid(J)
+            dense = dense_fourth_difference(g)
+            lam2 = second_difference_eigenvalues(g) ** 2
+            scale = lam2.max()
+            assert np.max(np.abs(sine_decomposition(g) - dense)) <= 1e-13 * scale
+            assert np.allclose(np.linalg.eigvalsh(dense), np.sort(lam2),
+                               rtol=0, atol=1e-12 * scale)
+            assert lam2.min() > 0.0
 
     def test_apply_matches_fourth_difference(self, rng):
         g = Grid(20)
-        D4 = assemble_biharmonic(g)
+        lam2 = second_difference_eigenvalues(g) ** 2
         for _ in range(10):
             w = rng.standard_normal(g.n_interior)
-            assert np.allclose(D4.apply(w), fourth_difference(w, g),
+            assert np.allclose(sine_transform(lam2 * sine_transform(w)),
+                               fourth_difference(w, g),
                                rtol=1e-13, atol=1e-13 * g.h**-4)
 
     def test_solve_roundtrip(self, rng):
+        # (D4 + 10 I) x = b solved by one division per sine mode.
         g = Grid(12)
-        A = assemble_biharmonic(g).scaled_plus_identity(1.0, 10.0)
+        lam2 = second_difference_eigenvalues(g) ** 2
         x = rng.standard_normal(g.n_interior)
-        got = A.solve(A.apply(x))
+        b = fourth_difference(x, g) + 10.0 * x
+        got = sine_transform(sine_transform(b) / (lam2 + 10.0))
         assert np.allclose(got, x, rtol=1e-10)
 
 

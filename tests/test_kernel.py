@@ -268,3 +268,11 @@ class TestKernelTables:
     def test_invalid_spec_rejected(self):
         with pytest.raises(ConfigurationError):
             KernelTables.build(OSC(0.5, 0.0, 1.0), 0.01, 4)
+
+    @pytest.mark.parametrize("spec", [NONE, OSC(1.2, 1.0, 0.5), OSC(2.0, 2.0, 1.0),
+                                      NONOSC(1.5, 0.3)])
+    def test_weights_bit_identical_to_quadrature_weights(self, spec):
+        for n in (1, 7, 64):
+            tables = KernelTables.build(spec, 1.0 / n, n)
+            assert np.array_equal(tables.weights,
+                                  quadrature_weights(spec, 1.0 / n, n))

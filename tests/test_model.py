@@ -109,6 +109,22 @@ class TestValidate:
         errs = validate(bad)
         assert any("u0" in e and "vanish" in e for e in errs)
 
+    def test_boundary_check_relative_to_scale(self):
+        # sin(pi) * 1e4 ~ 1.2e-12 is roundoff of a field of size 1e4.
+        big = make_initial("sin_mode", mode=1, amplitude=1e4)
+        assert validate(_problem(u0=big, u1=big)) == []
+        shifted = _problem(u0=lambda x: 1e4 * (np.sin(np.pi * np.asarray(x)) + 1e-6))
+        errs = validate(shifted)
+        assert any("u0" in e and "vanish" in e for e in errs)
+
+    def test_nonfinite_damping_reported(self):
+        d = DampingFunction.custom(lambda v: float("nan") if v < 40.0 else 1.0 + v,
+                                   g0=1.0, g1=1e4, lipschitz=1.0)
+        errs = validate(_problem(damping=d))
+        assert any("non-finite" in e for e in errs)
+        with pytest.raises(ConfigurationError):
+            require_valid(_problem(damping=d))
+
     def test_nonpositive_horizon(self):
         errs = validate(_problem(T=0.0))
         assert any("horizon" in e for e in errs)

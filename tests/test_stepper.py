@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import numpy as np
@@ -9,6 +10,7 @@ from viscobeam import (
     KernelSpec,
     NO_MEMORY,
     NonConvergenceError,
+    NumericalError,
     ProblemSpec,
     SolverConfig,
     assemble_step_system,
@@ -19,10 +21,13 @@ from viscobeam import (
     norm,
     run,
     second_difference,
+    sine_transform,
     step,
     write_solution_csv,
 )
 from viscobeam.presets import example1_problem, example2_problem
+
+from conftest import dense_fourth_difference
 
 
 def _zero(x):
@@ -66,37 +71,76 @@ class TestInitialize:
             initialize(zero_problem(T=1.0), Grid(8), 0.3)
 
 
+def dense_step_matrix(state, G_val):
+    """(1/dt^2 + G/dt) I + (mu0 + w[0]/dt) D4 from the dense stencil oracle."""
+    dt, m = state.dt, state.grid.n_interior
+    return ((1.0 / dt**2 + G_val / dt) * np.eye(m)
+            + (state.tables.mu0 + state.tables.weights[0] / dt)
+            * dense_fourth_difference(state.grid))
+
+
 class TestAssembleStepSystem:
+    """The step system as assembled in the sine basis, against the dense
+    stencil oracle."""
+
     def test_zero_state_gives_zero_solution(self):
         state = initialize(zero_problem(), Grid(8), 0.25)
-        A, b = assemble_step_system(state, G_val=1.0)
-        assert np.all(b == 0.0)
-        assert np.all(A.solve(b) == 0.0)
+        b, d, V, U = assemble_step_system(state)
+        assert np.all(b == 0.0) and np.all(V == 0.0) and np.all(U == 0.0)
+        assert np.all((b + V) / (d + 1.0) == 0.0)
+        info = step(state, SolverConfig())
+        assert np.all(state.U_prev == 0.0)
+        assert info.fp_iters == 1
 
     def test_matrix_positive_definite_dense_oracle(self):
-        p = example1_problem()
-        state = initialize(p, Grid(8), 1.0 / 16)
-        A, _ = assemble_step_system(state, G_val=1.3)
-        eigs = np.linalg.eigvalsh(A.dense())
-        assert eigs.min() > 0.0
+        state = initialize(example1_problem(), Grid(8), 1.0 / 16)
+        _, d, _, _ = assemble_step_system(state)
+        G_val = 1.3
+        modal = d + G_val / state.dt
+        eigs = np.linalg.eigvalsh(dense_step_matrix(state, G_val))
+        assert eigs.min() > 0.0 and modal.min() > 0.0
+        assert np.allclose(eigs, np.sort(modal), rtol=0, atol=1e-12 * modal.max())
 
     def test_matrix_symmetric(self):
-        p = example2_problem()
-        state = initialize(p, Grid(8), 1.0 / 16)
-        A, _ = assemble_step_system(state, G_val=2.0)
-        dense = A.dense()
+        state = initialize(example2_problem(), Grid(8), 1.0 / 16)
+        _, d, _, _ = assemble_step_system(state)
+        G_val = 2.0
+        dense = dense_step_matrix(state, G_val)
         assert np.array_equal(dense, dense.T)
+        S = sine_transform(np.eye(state.grid.n_interior))
+        modal = S @ np.diag(d + G_val / state.dt) @ S
+        scale = np.abs(dense).max()
+        assert np.max(np.abs(modal - modal.T)) <= 1e-14 * scale
+        assert np.max(np.abs(modal - dense)) <= 1e-13 * scale
+
+    def test_rhs_matches_dense_oracle(self):
+        p = example1_problem()
+        g = Grid(8)
+        dt = 1.0 / 16
+        state = initialize(p, g, dt)
+        for _ in range(3):
+            step(state, SolverConfig())
+        b, _, V, U = assemble_step_system(state)
+        n, w = state.n, state.tables.weights
+        mem = w[n - 1:0:-1] @ state.velocity_history
+        expected = (p.forcing(g.x, n * dt)
+                    + (2.0 * state.U_prev - state.U_prev2) / dt**2
+                    + (w[0] / dt) * fourth_difference(state.U_prev, g)
+                    - fourth_difference(mem, g)
+                    - state.tables.tail[n] * fourth_difference(state.U0, g))
+        scale = np.abs(expected).max()
+        assert np.allclose(sine_transform(b), expected, rtol=0, atol=1e-12 * scale)
+        assert np.allclose(sine_transform(V), state.U_prev, rtol=0, atol=1e-15)
+        assert np.allclose(sine_transform(U), 2.0 * state.U_prev - state.U_prev2,
+                           rtol=0, atol=1e-15)
 
     def test_history_contribution_linear(self, rng):
         p = example2_problem()
         state = initialize(p, Grid(8), 1.0 / 16)
-        G_val = 1.0
 
         def rhs_with_history(hist_row):
             state._history[0] = hist_row
-            state._rhs_base = None  # invalidate the per-step cache
-            _, b = assemble_step_system(state, G_val)
-            return b
+            return assemble_step_system(state)[0]
 
         h0 = rhs_with_history(np.zeros(7))
         h1_row = rng.standard_normal(7)
@@ -129,6 +173,34 @@ class TestStep:
         step(state, cfg)
         with pytest.raises(ValueError):
             step(state, cfg)
+
+    def test_nonfinite_damping_raises_numerical_error(self):
+        # Finite on every argument validate samples (v <= 1e4), NaN beyond;
+        # amplitude 100 puts ||D2 U||^2 near 4.9e5.
+        def fn(v):
+            return 1.0 + v if v <= 1e4 else float("nan")
+
+        p = ProblemSpec(u0=lambda x: 100.0 * np.sin(np.pi * np.asarray(x)),
+                        u1=_zero, forcing=lambda x, t: _zero(x),
+                        damping=DampingFunction.custom(fn, 1.0, 1e4 + 1.0, 1.0),
+                        kernel=KernelSpec(family=NO_MEMORY))
+        state = initialize(p, Grid(16), 1.0 / 8)
+        with pytest.raises(NumericalError, match="not finite") as exc:
+            step(state, SolverConfig())
+        assert not isinstance(exc.value, NonConvergenceError)
+        assert exc.value.step_index == 2
+        with pytest.raises(NumericalError) as exc:
+            run(p, Grid(16), 8)
+        assert exc.value.step_index == 2
+
+    def test_nonfinite_forcing_raises_numerical_error(self):
+        p = dataclasses.replace(
+            example2_problem(),
+            forcing=lambda x, t: np.full_like(np.asarray(x, dtype=float),
+                                              np.nan if t > 0.3 else 0.0))
+        with pytest.raises(NumericalError, match="non-finite iterate") as exc:
+            run(p, Grid(8), 8)
+        assert exc.value.step_index == 3
 
     def test_run_propagates_failing_step_index(self):
         p = example1_problem()
