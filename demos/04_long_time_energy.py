@@ -22,7 +22,6 @@ from viscobeam import (
     stability_monitor,
     step,
 )
-from viscobeam.diagnostics import EnergyRecord
 from viscobeam.presets import example2_problem
 
 # ----------------------------------------------------------------------
@@ -33,14 +32,10 @@ grid = Grid(64)
 N = 5000
 
 state, series = run(problem, grid, N, SolverConfig(record_energy=True))
-records = [EnergyRecord(n=int(series.n[i]), kinetic=float(series.kinetic[i]),
-                        dissipated=float(series.dissipated[i]),
-                        elastic=float(series.elastic[i]))
-           for i in range(len(series.n))]
 functional = data_functional(problem, grid, state.dt, N,
                              C0=state.tables.C0, mu0=state.tables.mu0)
 print(f"healthy run, T = {problem.T}, N = {N}:")
-print(" ", stability_monitor(records, functional))
+print(" ", stability_monitor(series.n, series.total, functional))
 print(f"  peak total energy {series.total.max():.4e} reached at "
       f"t = {series.t[np.argmax(series.total)]:.2f}; "
       f"final value {series.total[-1]:.4e}")
@@ -58,14 +53,10 @@ bad_state = initialize(bad, g8, bad.T / n_bad)
 bad_state.tables = dataclasses.replace(bad_state.tables,
                                        weights=-bad_state.tables.weights)
 cfg = SolverConfig()
-recs = []
-dissipated = 0.0
+infos = []
 try:
     while bad_state.n <= n_bad:
-        info = step(bad_state, cfg)
-        dissipated += bad.damping.g0 * bad_state.dt * info.vel_norm**2
-        recs.append(energy(bad_state, dissipated, bad.damping.g0,
-                           bad_state.tables.mu0))
+        infos.append(step(bad_state, cfg))
 except NonConvergenceError as exc:
     print(f"\nnegated-weight run: fixed point diverged at step "
           f"{exc.step_index} (expected; the iteration map is no longer "
@@ -73,4 +64,7 @@ except NonConvergenceError as exc:
 bad_functional = data_functional(bad, g8, bad_state.dt, n_bad,
                                  C0=bad_state.tables.C0,
                                  mu0=bad_state.tables.mu0)
-print(" ", stability_monitor(recs, bad_functional))
+_, _, _, bad_total = energy([i.vel_norm for i in infos],
+                            [i.curv_norm for i in infos], bad.damping.g0,
+                            bad_state.tables.mu0, bad_state.dt)
+print(" ", stability_monitor([i.n for i in infos], bad_total, bad_functional))

@@ -46,7 +46,6 @@ from .stepper import (
     write_solution_csv,
 )
 from .diagnostics import (
-    EnergyRecord,
     StabilityVerdict,
     data_functional,
     energy,
@@ -66,7 +65,7 @@ from .presets import example1_problem, example2_problem, preset_config
 
 __all__ = [
     "ConfigurationError", "ConvergenceReport", "DampingFunction",
-    "EnergyRecord", "Grid", "KernelSpec", "KernelTables", "NO_MEMORY",
+    "Grid", "KernelSpec", "KernelTables", "NO_MEMORY",
     "NON_OSCILLATORY", "NonConvergenceError", "NumericalError", "OSCILLATORY",
     "ProblemSpec", "SolverConfig", "SolverState", "StabilityVerdict",
     "StudyCell", "StudySpec", "TimeSeries", "assemble_step_system",

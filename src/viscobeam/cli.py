@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .config import (apply_overrides, build_grid, build_problem, build_solver_config,
                      build_steps, build_study, load_config)
-from .diagnostics import data_functional, stability_monitor, EnergyRecord
+from .diagnostics import data_functional, stability_monitor
 from .kernel import ConfigurationError, KernelTables
 from .model import require_valid
 from .presets import preset_config
@@ -87,13 +87,10 @@ def _cmd_stability(args) -> int:
     N = build_steps(cfg)
     solver = build_solver_config(cfg, record_energy=True)
     state, series = run(problem, grid, N, solver)
-    records = [EnergyRecord(n=int(series.n[i]), kinetic=float(series.kinetic[i]),
-                            dissipated=float(series.dissipated[i]),
-                            elastic=float(series.elastic[i]))
-               for i in range(len(series.n))]
     functional = data_functional(problem, grid, state.dt, N,
                                  C0=state.tables.C0, mu0=state.tables.mu0)
-    verdict = stability_monitor(records, functional, safety=args.safety)
+    verdict = stability_monitor(series.n, series.total, functional,
+                                 safety=args.safety)
     out = _outdir(args)
     series.to_csv(out / "timeseries.csv")
     print(verdict)

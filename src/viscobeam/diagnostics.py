@@ -1,56 +1,36 @@
 """Discrete energy functional and a long-time stability tripwire.
 
 The monitored quantity mirrors the left-hand side of the scheme's energy
-estimate: kinetic part of the newest level, the running damping
-dissipation, and the weighted bending energy.  For well-posed data it must
-stay below a data-dependent functional times a generous safety factor; the
-sharp theoretical constant is not computable, so the monitor is a
-regression tripwire rather than a proof checker.
+estimate: per level the kinetic part, the running damping dissipation and
+the weighted bending energy, all from the norms a run already records.  For
+well-posed data it must stay below a data-dependent functional times a
+generous safety factor; the sharp theoretical constant is not computable,
+so the monitor is a regression tripwire rather than a proof checker.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .grid_ops import Grid, norm, second_difference
 from .model import ProblemSpec
-from .stepper import SolverState
 
 
-@dataclass(frozen=True)
-class EnergyRecord:
-    """Energy components after level n: all non-negative, dissipated
-    non-decreasing in n."""
+def energy(vel_norm, curv_norm, g0: float, mu0: float, dt: float):
+    """Energy columns (kinetic, dissipated, elastic, total) of a run.
 
-    n: int
-    kinetic: float
-    dissipated: float
-    elastic: float
-
-    @property
-    def total(self) -> float:
-        return self.kinetic + self.dissipated + self.elastic
-
-
-def energy(state: SolverState, running_dissipation: float,
-           g0: float, mu0: float) -> EnergyRecord:
-    """Energy record of the newest computed level of ``state``.
-
-    ``running_dissipation`` is the caller-accumulated sum
-    g0 * dt * sum_m ||dU^m||^2; the kinetic part is ||dU^n||^2 / 2 and the
-    elastic part (mu0/4) ||D2 U^n||^2.
+    Built from the norms ||dU^n|| and ||D2 U^n|| a run records per level:
+    kinetic ||dU^n||^2 / 2, elastic (mu0/4) ||D2 U^n||^2 and the running
+    dissipation g0 * dt * sum of ||dU^m||^2 over the levels after the
+    first.  All are non-negative and the dissipation is non-decreasing.
     """
-    if state.n < 2:
-        raise ValueError("energy needs at least the explicit start level")
-    vel = state._history[state.n - 2]
-    kinetic = 0.5 * norm(vel, state.grid) ** 2
-    elastic = 0.25 * mu0 * norm(second_difference(state.U_prev, state.grid),
-                                state.grid) ** 2
-    return EnergyRecord(n=state.n - 1, kinetic=kinetic,
-                        dissipated=running_dissipation, elastic=elastic)
+    v = np.asarray(vel_norm, dtype=float)
+    kinetic = 0.5 * v**2
+    elastic = 0.25 * mu0 * np.asarray(curv_norm, dtype=float) ** 2
+    dissipated = np.concatenate([[0.0], np.cumsum(g0 * dt * v[1:] ** 2)])
+    return kinetic, dissipated, elastic, kinetic + dissipated + elastic
 
 
 def forcing_l1_norm(problem: ProblemSpec, grid: Grid, dt: float,
@@ -95,23 +75,20 @@ class StabilityVerdict:
                 f"{self.bound:.6e} first at step {self.first_violation}")
 
 
-def stability_monitor(records: Sequence[EnergyRecord], data_functional: float,
+def stability_monitor(steps, total, data_functional: float,
                       safety: float = 1e3) -> StabilityVerdict:
     """PASS iff the total energy never exceeds safety * data_functional.
 
-    Reports the first violating step otherwise.  ``safety`` stands in for
-    the uncomputable constant of the underlying estimate; the default 1e3
-    is deliberately loose so that only genuine blow-ups trip it.
+    ``steps`` labels the entries of ``total``; the first violating one is
+    reported otherwise.  ``safety`` stands in for the uncomputable constant
+    of the underlying estimate; the default 1e3 is deliberately loose so
+    that only genuine blow-ups trip it.
     """
     if safety < 1.0:
         raise ValueError("safety factor must be at least 1")
     bound = safety * data_functional
-    max_total = 0.0
-    first = None
-    for rec in records:
-        if rec.total > max_total:
-            max_total = rec.total
-        if first is None and rec.total > bound:
-            first = rec.n
-    return StabilityVerdict(passed=first is None, max_total=max_total,
-                            bound=bound, first_violation=first)
+    total = np.asarray(total, dtype=float)
+    over = np.flatnonzero(total > bound)
+    return StabilityVerdict(
+        passed=over.size == 0, max_total=float(np.max(total, initial=0.0)),
+        bound=bound, first_violation=int(steps[over[0]]) if over.size else None)

@@ -27,10 +27,14 @@ and uses the identities (obtained by swapping the order of integration)
     J1(t) = M_1(t) + t*K(t),
     J2(t) = t*M_1(t) - M_2(t)/2 + t**2*K(t)/2.
 
-The moments are elementary (alpha = 1), regularized incomplete gamma
-functions (non-oscillatory), or smooth one-dimensional quadratures after
-the substitution s = u**2 (oscillatory alpha = 1/2, where the incomplete
-gamma would need a complex argument).
+One vectorized evaluator, ``_grid_moments``, produces (K, M_1, M_2) on a
+whole time grid: elementary closed forms (alpha = 1), regularized
+incomplete gamma functions (non-oscillatory), or panel-wise
+Gauss-Legendre sums after the substitution s = u**2 (oscillatory
+alpha = 1/2, where the incomplete gamma would need a complex argument).
+The per-run tables use it on the time grid; the scalar ``kernel_tail``
+and ``tail_antiderivatives`` read its last entry on a short grid ending
+at the requested time.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ import math
 
 import numpy as np
 from scipy import special
-from scipy.integrate import quad
 
 OSCILLATORY = "oscillatory"
 NON_OSCILLATORY = "non_oscillatory"
@@ -49,9 +52,12 @@ NO_MEMORY = "none"
 _FAMILIES = (OSCILLATORY, NON_OSCILLATORY, NO_MEMORY)
 
 #: Gauss-Legendre order for the per-panel moment quadratures.  Panels are
-#: at most one time step wide and the substituted integrand is entire, so
-#: this is far inside the regime where the rule is exact to roundoff.
+#: at most one time step wide on the tables' grid and at most _U_PANEL wide
+#: in u = sqrt(s) for a single time, and the substituted integrand is
+#: entire, so this is far inside the regime where the rule is exact to
+#: roundoff.
 _GL_ORDER = 24
+_U_PANEL = 0.25
 
 #: Points used when certifying that the tail never exceeds its value at
 #: zero (so the running maximum C0 equals K(0)).
@@ -151,41 +157,22 @@ def _tail_mass(spec: KernelSpec) -> float:
     return float(((spec.sigma - 1j * gamma) ** -spec.alpha).real)
 
 
-def _alpha1_tail(sigma: float, gamma: float, t):
-    return (np.exp(-sigma * t) * (sigma * np.cos(gamma * t)
-                                  - gamma * np.sin(gamma * t))
-            / (sigma**2 + gamma**2))
-
-
-def _osc_half_moment(spec: KernelSpec, k: int, t: float) -> float:
-    """M_k(t) for the oscillatory alpha=1/2 kernel via the s = u**2 map."""
-    s, g = spec.sigma, spec.gamma
-    val, _ = quad(lambda u: u ** (2 * k) * np.exp(-s * u * u) * np.cos(g * u * u),
-                  0.0, math.sqrt(t), epsabs=1e-14, epsrel=1e-13, limit=200)
-    return 2.0 / math.sqrt(math.pi) * val
+def _moments_at(spec: KernelSpec, t: float):
+    """(K, M1, M2) at one time t >= 0: the last entry of _grid_moments on a
+    grid uniform in sqrt(s) with panels at most _U_PANEL wide there."""
+    panels = max(1, math.ceil(math.sqrt(t) / _U_PANEL))
+    ts = np.linspace(0.0, math.sqrt(t), panels + 1) ** 2
+    ts[-1] = t
+    tail, m1, m2 = _grid_moments(spec, ts)
+    return tail[-1], m1[-1], m2[-1]
 
 
 def kernel_tail(spec: KernelSpec, t: float) -> float:
-    """Integrated tail K(t) of the memory kernel.
-
-    Closed forms cover alpha = 1 and the non-oscillatory family; the
-    oscillatory alpha = 1/2 case subtracts a smooth substituted quadrature
-    of the head integral from the exact total mass.
-    """
+    """Integrated tail K(t) of the memory kernel."""
     spec.require_valid()
     if t < 0.0:
         raise ValueError("kernel tail is defined for t >= 0")
-    if spec.family == NO_MEMORY:
-        return 0.0
-    if spec.alpha == 1.0:
-        gamma = spec.gamma if spec.family == OSCILLATORY else 0.0
-        return float(_alpha1_tail(spec.sigma, gamma, t))
-    if spec.family == NON_OSCILLATORY:
-        return float(spec.sigma ** -spec.alpha
-                     * special.gammaincc(spec.alpha, spec.sigma * t))
-    if t == 0.0:
-        return _tail_mass(spec)
-    return _tail_mass(spec) - _osc_half_moment(spec, 0, t)
+    return float(_moments_at(spec, t)[0])
 
 
 def tail_antiderivatives(spec: KernelSpec, t: float) -> tuple[float, float]:
@@ -200,20 +187,7 @@ def tail_antiderivatives(spec: KernelSpec, t: float) -> tuple[float, float]:
         raise ValueError("antiderivatives are defined for t >= 0")
     if spec.family == NO_MEMORY or t == 0.0:
         return 0.0, 0.0
-    if spec.family == NON_OSCILLATORY:
-        a, s = spec.alpha, spec.sigma
-        m1 = a / s ** (a + 1) * special.gammainc(a + 1.0, s * t)
-        m2 = a * (a + 1) / s ** (a + 2) * special.gammainc(a + 2.0, s * t)
-    elif spec.alpha == 1.0:
-        z = spec.sigma - 1j * spec.gamma
-        zt = z * t
-        e = np.exp(-zt)
-        m1 = ((1.0 - e * (1.0 + zt)) / z**2).real
-        m2 = ((2.0 - e * (2.0 + 2.0 * zt + zt * zt)) / z**3).real
-    else:
-        m1 = _osc_half_moment(spec, 1, t)
-        m2 = _osc_half_moment(spec, 2, t)
-    tail = kernel_tail(spec, t)
+    tail, m1, m2 = _moments_at(spec, t)
     j1 = m1 + t * tail
     j2 = t * m1 - 0.5 * m2 + 0.5 * t * t * tail
     return float(j1), float(j2)
@@ -221,7 +195,7 @@ def tail_antiderivatives(spec: KernelSpec, t: float) -> tuple[float, float]:
 
 def mu0(spec: KernelSpec) -> float:
     """Elastic coefficient 1 - K(0) left after the memory transformation."""
-    return 1.0 - kernel_tail(spec, 0.0)
+    return 1.0 - _tail_mass(spec.require_valid())
 
 
 def _grid_moments(spec: KernelSpec, ts: np.ndarray):

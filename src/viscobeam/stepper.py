@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import diagnostics
 from .grid_ops import (Grid, norm, second_difference, second_difference_eigenvalues,
                        sine_transform)
 from .kernel import KernelTables
@@ -57,7 +58,12 @@ class NonConvergenceError(NumericalError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs of the per-step fixed-point solve and of run recording."""
+    """Knobs of the per-step fixed-point solve and of run recording.
+
+    ``fp_tol`` bounds the final fixed-point increment relative to the
+    iterate's discrete L2 norm, or absolutely while that norm is below 1,
+    so fields of any scale converge down to their own roundoff.
+    """
 
     fp_tol: float = 1e-12
     fp_max_iters: int = 50
@@ -226,9 +232,9 @@ def step(state: SolverState, config: SolverConfig) -> StepInfo:
     The G-free step system is assembled and transformed once.  Starting
     from the linear extrapolation of the last two levels, each iterate
     freezes G at the previous one and divides mode by mode; the iteration
-    stops when the iterate moves by at most ``fp_tol`` in the discrete L2
-    norm, which the orthonormal transform preserves.  A non-finite G or
-    iterate raises :class:`NumericalError` at once.
+    stops when the iterate moves by at most ``fp_tol * max(1, ||U^n||)`` in
+    the discrete L2 norm, which the orthonormal transform preserves.  A
+    non-finite G or iterate raises :class:`NumericalError` at once.
     """
     if state.n > state.n_steps:
         raise ValueError(f"run is complete (n={state.n} > N={state.n_steps})")
@@ -247,7 +253,7 @@ def step(state: SolverState, config: SolverConfig) -> StepInfo:
         if not math.isfinite(increment):
             raise NumericalError(n, f"non-finite iterate at step {n}")
         U_hat = U_next
-        if increment <= config.fp_tol:
+        if increment <= config.fp_tol * max(1.0, norm(U_next, grid)):
             break
     else:
         raise NonConvergenceError(n, increment, config.fp_max_iters)
@@ -270,14 +276,10 @@ def run(problem: ProblemSpec, grid: Grid, N: int,
     With N = 1 only the explicit start is performed.  Failures propagate
     with the failing step index attached.
     """
-    from .diagnostics import energy  # local import to avoid a cycle
-
     config = config or SolverConfig()
     if N < 1:
         raise ValueError("N must be at least 1")
     state = initialize(problem, grid, problem.T / N)
-    g0 = problem.damping.g0
-    mu0 = state.tables.mu0
 
     infos = [StepInfo(n=1, t=state.dt,
                       vel_norm=norm(state._history[0], grid),
@@ -288,16 +290,9 @@ def run(problem: ProblemSpec, grid: Grid, N: int,
     if config.snapshot_every:
         snapshots[0] = state.U0.copy()
         snapshots[1] = state.U_prev.copy()
-    records = []
-    dissipated = 0.0
-    if config.record_energy:
-        records.append(energy(state, dissipated, g0, mu0))
     while state.n <= N:
         info = step(state, config)
         infos.append(info)
-        if config.record_energy:
-            dissipated += g0 * state.dt * info.vel_norm**2
-            records.append(energy(state, dissipated, g0, mu0))
         if config.snapshot_every and (info.n % config.snapshot_every == 0
                                       or info.n == N):
             snapshots[info.n] = state.U_prev.copy()
@@ -312,8 +307,8 @@ def run(problem: ProblemSpec, grid: Grid, N: int,
         snapshots=snapshots,
     )
     if config.record_energy:
-        series.kinetic = np.array([r.kinetic for r in records])
-        series.dissipated = np.array([r.dissipated for r in records])
-        series.elastic = np.array([r.elastic for r in records])
-        series.total = np.array([r.total for r in records])
+        (series.kinetic, series.dissipated, series.elastic,
+         series.total) = diagnostics.energy(series.vel_norm, series.curv_norm,
+                                            problem.damping.g0,
+                                            state.tables.mu0, state.dt)
     return state, series

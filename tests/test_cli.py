@@ -51,6 +51,15 @@ class TestSolve:
         assert code == EXIT_OK
         assert "solved 16 steps on J=256" in capsys.readouterr().out
 
+    def test_large_field_converges(self, tmp_path, capsys):
+        # An absolute fp_tol = 1e-12 sits below the roundoff of a field of
+        # size 1e4; the increment once stalled near 1.3e-12 at step 3.
+        code = main(["solve", "--preset", "example1", "--set",
+                     "initial.u0.amplitude=1e4", "--set", "time.N=16",
+                     "-o", str(tmp_path)])
+        assert code == EXIT_OK
+        assert "solved 16 steps" in capsys.readouterr().out
+
     def test_set_override_changes_grid(self, tmp_path, capsys):
         cfg = write_config(tmp_path, ZERO_CONFIG)
         code = main(["solve", "--config", cfg, "--set", "grid.J=16",
@@ -195,6 +204,16 @@ class TestSubprocessEntry:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "solution.csv").exists()
+
+    def test_cli_import_skips_scipy_integrate(self):
+        # Every CLI run pays the import; scipy.integrate alone costs about a
+        # third of a second and no CLI path needs it.
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, viscobeam.cli; "
+             "assert 'scipy.integrate' not in sys.modules"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_usage_error_exit_code_distinct(self):
         proc = subprocess.run(

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from viscobeam import (
-    EnergyRecord,
     Grid,
     SolverConfig,
     data_functional,
@@ -19,29 +18,34 @@ from viscobeam import (
 from viscobeam.presets import example1_problem, example2_problem
 
 
-def _records_from_series(series):
-    return [EnergyRecord(n=int(series.n[i]), kinetic=float(series.kinetic[i]),
-                         dissipated=float(series.dissipated[i]),
-                         elastic=float(series.elastic[i]))
-            for i in range(len(series.n))]
-
-
 class TestEnergyRecord:
     def test_zero_state(self):
         p = example2_problem()
-        state = initialize(dataclasses.replace(p, u0=lambda x: 0.0 * np.asarray(x),
-                                               u1=lambda x: 0.0 * np.asarray(x)),
-                           Grid(8), 0.125)
-        rec = energy(state, 0.0, g0=1.0, mu0=0.5)
-        assert rec.kinetic == rec.elastic == rec.dissipated == rec.total == 0.0
+        zero = dataclasses.replace(p, u0=lambda x: 0.0 * np.asarray(x),
+                                   u1=lambda x: 0.0 * np.asarray(x))
+        _, series = run(zero, Grid(8), 8, SolverConfig(record_energy=True))
+        for column in (series.kinetic, series.elastic, series.dissipated,
+                       series.total):
+            assert np.all(column == 0.0)
 
     def test_stationary_step_has_zero_kinetic(self):
-        p = example2_problem()
-        state = initialize(p, Grid(8), 0.125)
-        state._history[0] = 0.0  # force dU = 0 at the newest level
-        rec = energy(state, 0.0, g0=1.0, mu0=0.5)
-        assert rec.kinetic == 0.0
-        assert rec.elastic > 0.0
+        # dU = 0 at every level, the beam bent: only elastic energy.
+        kinetic, dissipated, elastic, total = energy(
+            np.zeros(2), np.array([1.0, 2.0]), g0=1.0, mu0=0.5, dt=0.125)
+        assert np.all(kinetic == 0.0)
+        assert np.all(dissipated == 0.0)
+        assert np.all(elastic > 0.0)
+        assert np.array_equal(total, elastic)
+
+    def test_columns_from_recorded_norms(self):
+        kinetic, dissipated, elastic, total = energy(
+            np.array([1.0, 2.0, 3.0]), np.array([2.0, 0.0, 1.0]),
+            g0=0.5, mu0=0.4, dt=0.1)
+        assert np.allclose(kinetic, [0.5, 2.0, 4.5], rtol=1e-15)
+        assert np.allclose(elastic, [0.4, 0.0, 0.1], rtol=1e-15)
+        # No dissipation at the explicit start level, then g0*dt*||dU^m||^2.
+        assert np.allclose(dissipated, [0.0, 0.2, 0.65], rtol=1e-15)
+        assert np.allclose(total, [0.9, 2.2, 5.25], rtol=1e-15)
 
     def test_example2_regression_value(self):
         # Frozen baseline from the first accepted run of this configuration.
@@ -81,23 +85,20 @@ class TestForcingNorm:
 
 class TestStabilityMonitor:
     def test_zero_data_passes_trivially(self):
-        records = [EnergyRecord(n=i, kinetic=0.0, dissipated=0.0, elastic=0.0)
-                   for i in range(1, 10)]
-        verdict = stability_monitor(records, data_functional=0.0)
+        verdict = stability_monitor(np.arange(1, 10), np.zeros(9),
+                                    data_functional=0.0)
         assert verdict.passed
 
     def test_violation_reports_first_step(self):
-        records = [EnergyRecord(n=1, kinetic=0.1, dissipated=0.0, elastic=0.0),
-                   EnergyRecord(n=2, kinetic=9.0, dissipated=0.0, elastic=0.0),
-                   EnergyRecord(n=3, kinetic=12.0, dissipated=0.0, elastic=0.0)]
-        verdict = stability_monitor(records, data_functional=1.0, safety=5.0)
+        verdict = stability_monitor([1, 2, 3], [0.1, 9.0, 12.0],
+                                    data_functional=1.0, safety=5.0)
         assert not verdict.passed
         assert verdict.first_violation == 2
         assert "FAIL" in str(verdict)
 
     def test_safety_factor_must_not_shrink_the_bound(self):
         with pytest.raises(ValueError):
-            stability_monitor([], 1.0, safety=0.5)
+            stability_monitor([], [], 1.0, safety=0.5)
 
     def test_healthy_long_run_passes(self):
         p = example2_problem(T=2.0)
@@ -106,7 +107,7 @@ class TestStabilityMonitor:
         state, series = run(p, g, N, SolverConfig(record_energy=True))
         functional = data_functional(p, g, state.dt, N,
                                      C0=state.tables.C0, mu0=state.tables.mu0)
-        verdict = stability_monitor(_records_from_series(series), functional)
+        verdict = stability_monitor(series.n, series.total, functional)
         assert verdict.passed
 
     def test_negated_weights_trip_the_monitor(self):
@@ -124,19 +125,19 @@ class TestStabilityMonitor:
         state.tables = dataclasses.replace(state.tables,
                                            weights=-state.tables.weights)
         cfg = SolverConfig()
-        g0 = p.damping.g0
         mu0 = state.tables.mu0
-        records = []
-        dissipated = 0.0
+        infos = []
         try:
             while state.n <= N:
-                info = step(state, cfg)
-                dissipated += g0 * state.dt * info.vel_norm**2
-                records.append(energy(state, dissipated, g0, mu0))
+                infos.append(step(state, cfg))
         except NonConvergenceError:
             pass
+        _, _, _, total = energy([i.vel_norm for i in infos],
+                                [i.curv_norm for i in infos],
+                                p.damping.g0, mu0, state.dt)
         functional = data_functional(p, g, state.dt, N, C0=state.tables.C0,
                                      mu0=mu0)
-        verdict = stability_monitor(records, functional, safety=1e3)
+        verdict = stability_monitor([i.n for i in infos], total, functional,
+                                    safety=1e3)
         assert not verdict.passed
         assert verdict.max_total > verdict.bound

@@ -207,8 +207,8 @@ class TestQuadratureWeights:
     def test_row_sum_identity(self, n):
         # Row sums telescope to the difference quotient of the second
         # antiderivative over the last panel; the antiderivative here comes
-        # from the scalar (adaptive quadrature) path, independent of the
-        # vectorized grid evaluation behind the weights.
+        # from the scalar path, whose panels are uniform in sqrt(t) rather
+        # than the weights' uniform time grid.
         spec = OSC(1.2, 0.5, 0.5)
         dt = 1.0 / 64.0
         w = quadrature_weights(spec, dt, n)

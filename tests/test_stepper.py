@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import time
 
 import numpy as np
@@ -313,19 +314,18 @@ class TestRun:
     def test_history_cost_quadratic_contract(self):
         # Direct convolution makes a run at fixed J cost O(N^2); doubling N
         # should land near a 4x wall-time ratio once the history term
-        # dominates.  One remeasure absorbs scheduler noise.
+        # dominates.  Each N is timed as the fastest of three interleaved
+        # runs, so a burst of scheduler noise in one run does not count.
         p = example2_problem()
         g = Grid(128)
         cfg = SolverConfig()
-        for _ in range(2):
-            t0 = time.perf_counter()
-            run(p, g, 2048, cfg)
-            t1 = time.perf_counter()
-            run(p, g, 4096, cfg)
-            t2 = time.perf_counter()
-            ratio = (t2 - t1) / (t1 - t0)
-            if 3.0 <= ratio <= 5.0:
-                break
+        best = {2048: math.inf, 4096: math.inf}
+        for _ in range(3):
+            for N in best:
+                t0 = time.perf_counter()
+                run(p, g, N, cfg)
+                best[N] = min(best[N], time.perf_counter() - t0)
+        ratio = best[4096] / best[2048]
         assert 3.0 <= ratio <= 5.0
 
 
