@@ -17,6 +17,9 @@ import numpy as np
 from .grid_ops import Grid, norm, second_difference
 from .model import ProblemSpec
 
+#: Time levels of forcing samples held at once by forcing_l1_norm.
+_BLOCK_LEVELS = 128
+
 
 def energy(vel_norm, curv_norm, g0: float, mu0: float, dt: float):
     """Energy columns (kinetic, dissipated, elastic, total) of a run.
@@ -35,10 +38,21 @@ def energy(vel_norm, curv_norm, g0: float, mu0: float, dt: float):
 
 def forcing_l1_norm(problem: ProblemSpec, grid: Grid, dt: float,
                     n_steps: int) -> float:
-    """Composite-trapezoid integral of ||f(., t)|| over the run's time grid."""
-    norms = np.array([norm(np.asarray(problem.forcing(grid.x, k * dt), dtype=float),
-                           grid)
-                      for k in range(n_steps + 1)])
+    """Composite-trapezoid integral of ||f(., t)|| over the run's time grid.
+
+    The forcing is sampled one time level at a time into a block of
+    _BLOCK_LEVELS rows, and each block's norms are one row-wise
+    reduction, so the extra memory stays fixed whatever the step count.
+    """
+    x = grid.x
+    squares = np.empty(n_steps + 1)
+    block = np.empty((_BLOCK_LEVELS, grid.n_interior))
+    for first in range(0, n_steps + 1, _BLOCK_LEVELS):
+        rows = block[: min(_BLOCK_LEVELS, n_steps + 1 - first)]
+        for i in range(len(rows)):
+            rows[i] = problem.forcing(x, (first + i) * dt)
+        squares[first:first + len(rows)] = np.einsum("ij,ij->i", rows, rows)
+    norms = np.sqrt(grid.h * squares)
     return float(dt * (0.5 * norms[0] + norms[1:-1].sum() + 0.5 * norms[-1]))
 
 

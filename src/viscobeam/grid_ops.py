@@ -17,6 +17,7 @@ hinged D4 = S diag(lambda^2) S.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 from scipy.fft import dst
@@ -95,7 +96,7 @@ def inner(V, W, grid: Grid) -> float:
 def norm(W, grid: Grid) -> float:
     """Discrete L2 norm."""
     W = _check_length(W, grid)
-    return float(np.sqrt(grid.h) * np.linalg.norm(W))
+    return math.sqrt(grid.h * (W @ W))
 
 
 def max_norm(W) -> float:

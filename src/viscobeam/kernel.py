@@ -39,7 +39,8 @@ at the requested time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+import functools
 import math
 
 import numpy as np
@@ -158,9 +159,15 @@ def _tail_mass(spec: KernelSpec) -> float:
 
 
 def _moments_at(spec: KernelSpec, t: float):
-    """(K, M1, M2) at one time t >= 0: the last entry of _grid_moments on a
-    grid uniform in sqrt(s) with panels at most _U_PANEL wide there."""
-    panels = max(1, math.ceil(math.sqrt(t) / _U_PANEL))
+    """(K, M1, M2) at one time t >= 0: the last entry of _grid_moments.
+
+    Only the oscillatory alpha = 1/2 branch accumulates panels; it gets a
+    grid uniform in sqrt(s) with panels at most _U_PANEL wide there.  The
+    other branches are pointwise, so the grid is just [0, t].
+    """
+    panels = 1
+    if spec.family == OSCILLATORY and spec.alpha == 0.5:
+        panels = max(1, math.ceil(math.sqrt(t) / _U_PANEL))
     ts = np.linspace(0.0, math.sqrt(t), panels + 1) ** 2
     ts[-1] = t
     tail, m1, m2 = _grid_moments(spec, ts)
@@ -198,6 +205,16 @@ def mu0(spec: KernelSpec) -> float:
     return 1.0 - _tail_mass(spec.require_valid())
 
 
+@functools.cache
+def _gauss_legendre():
+    """Nodes and weights of the _GL_ORDER rule, computed on first use and
+    shared read-only."""
+    rule = np.polynomial.legendre.leggauss(_GL_ORDER)
+    for part in rule:
+        part.flags.writeable = False
+    return rule
+
+
 def _grid_moments(spec: KernelSpec, ts: np.ndarray):
     """(K, M1, M2) on an increasing time grid starting at ts[0] = 0."""
     if spec.family == NO_MEMORY:
@@ -220,7 +237,7 @@ def _grid_moments(spec: KernelSpec, ts: np.ndarray):
     # oscillatory alpha = 1/2: accumulate panel integrals in u = sqrt(s),
     # where the integrand is entire (no endpoint singularity left).
     s, g = spec.sigma, spec.gamma
-    nodes, wts = np.polynomial.legendre.leggauss(_GL_ORDER)
+    nodes, wts = _gauss_legendre()
     us = np.sqrt(ts)
     mid = 0.5 * (us[:-1] + us[1:])
     half = 0.5 * (us[1:] - us[:-1])
@@ -289,7 +306,9 @@ class KernelTables:
     ``tail`` holds K at the time-grid nodes (the transformed equation
     sources the initial bending load through K(t_n)), and ``C0`` is the
     certified running maximum of the tail, which for these kernels equals
-    K(0).  Immutable after construction; safe to share between runs.
+    K(0).  ``reversed_weights`` is a contiguous copy of ``weights[::-1]``,
+    derived on construction (so ``dataclasses.replace`` keeps it in step).
+    Immutable after construction; safe to share between runs.
     """
 
     spec: KernelSpec
@@ -299,6 +318,11 @@ class KernelTables:
     C0: float
     weights: np.ndarray
     tail: np.ndarray
+    reversed_weights: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "reversed_weights",
+                           np.ascontiguousarray(self.weights[::-1]))
 
     @classmethod
     def build(cls, spec: KernelSpec, dt: float, n_steps: int) -> "KernelTables":

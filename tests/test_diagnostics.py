@@ -70,17 +70,19 @@ class TestForcingNorm:
 
     def test_trapezoid_matches_analytic_factorization(self):
         # f = exp(-sigma t) t^alpha sin(pi x) factorizes, so the L1 norm is
-        # ||sin(pi x)||_h times the scalar trapezoid integral.
+        # ||sin(pi x)||_h times the scalar trapezoid integral.  N = 300
+        # samples the forcing in more than one block of time levels.
         p = example1_problem(sigma=1.2, gamma=0.0, alpha=0.5)
         g = Grid(16)
-        N = 64
-        dt = 1.0 / N
-        got = forcing_l1_norm(p, g, dt, N)
-        ts = dt * np.arange(N + 1)
-        scalar = np.exp(-1.2 * ts) * ts**0.5
-        scalar_int = dt * (0.5 * scalar[0] + scalar[1:-1].sum() + 0.5 * scalar[-1])
-        expected = norm(np.sin(np.pi * g.x), g) * scalar_int
-        assert got == pytest.approx(expected, rel=1e-12)
+        for N in (64, 300):
+            dt = 1.0 / N
+            got = forcing_l1_norm(p, g, dt, N)
+            ts = dt * np.arange(N + 1)
+            scalar = np.exp(-1.2 * ts) * ts**0.5
+            scalar_int = dt * (0.5 * scalar[0] + scalar[1:-1].sum()
+                               + 0.5 * scalar[-1])
+            expected = norm(np.sin(np.pi * g.x), g) * scalar_int
+            assert got == pytest.approx(expected, rel=1e-12)
 
 
 class TestStabilityMonitor:
