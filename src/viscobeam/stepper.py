@@ -15,13 +15,14 @@ coefficient frozen the system is one division per sine mode.  Only that
 scalar is nonlinear; it is resolved by fixed-point iteration on the
 modal coefficients, with G evaluated from the modes.
 
-History is kept as raw velocity vectors; the weighted sum is accumulated
-first and transformed once with the rest of the right-hand side, so each
-step costs one O(n * J) convolution, two sine transforms and O(J) per
-inner iteration.  The convolution is exact and runs as one BLAS
-matrix-vector product, reading the weights forward from the kernel tables'
-reversed copy: numpy keeps a negatively strided operand out of BLAS and
-loops several times slower.
+The whole state lives in the sine basis: U^0, the two newest levels and
+the velocity history are stored as coefficients, and grid values are made
+only from the initial data, the forcing sample and on output.  Each step
+therefore costs one O(n * J) convolution, one sine transform (of the
+forcing) and O(J) per inner iteration.  The convolution is exact and runs
+as one BLAS matrix-vector product, reading the weights forward from the
+kernel tables' reversed copy: numpy keeps a negatively strided operand out
+of BLAS and loops several times slower.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ from .grid_ops import (Grid, norm, second_difference, second_difference_eigenval
                        sine_transform)
 from .kernel import KernelTables
 from .model import ProblemSpec, damping_coefficient, require_valid
+
+_CSV_BLOCK_ROWS = 1024
 
 
 class NumericalError(RuntimeError):
@@ -82,12 +85,13 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
-    """Mutable state of one simulation between steps.
+    """Mutable state of one simulation between steps, in the sine basis.
 
-    ``n`` is the index of the next level to solve; ``U_prev``/``U_prev2``
-    hold the two newest levels.  The velocity history lives in a
-    preallocated buffer, row p-1 storing dU^p.  Confine a state to one
-    thread; the shared tables are read-only.
+    ``n`` is the index of the next level to solve.  ``_U0``, ``_U1`` and
+    ``_U2`` hold the sine coefficients of U^0, U^{n-1} and U^{n-2}; the
+    velocity history lives in a preallocated buffer, row p-1 storing the
+    coefficients of dU^p.  The properties return grid values.  Confine a
+    state to one thread; the shared tables are read-only.
     """
 
     problem: ProblemSpec
@@ -95,22 +99,32 @@ class SolverState:
     dt: float
     n_steps: int
     n: int
-    U0: np.ndarray
-    U_prev: np.ndarray
-    U_prev2: np.ndarray
     tables: KernelTables
+    _U0: np.ndarray = field(repr=False)
+    _U1: np.ndarray = field(repr=False)
+    _U2: np.ndarray = field(repr=False)
     _history: np.ndarray = field(repr=False)
     _eigs: np.ndarray = field(repr=False)  # of D2, in sine_transform order
 
     @property
-    def velocity_history(self) -> np.ndarray:
-        """Rows dU^1..dU^{n-1} (read-only view)."""
-        return self._history[: self.n - 1]
+    def U0(self) -> np.ndarray:
+        """The initial level U^0."""
+        return sine_transform(self._U0)
 
     @property
-    def t_prev(self) -> float:
-        """Time of the newest computed level."""
-        return (self.n - 1) * self.dt
+    def U_prev(self) -> np.ndarray:
+        """The newest computed level U^{n-1}."""
+        return sine_transform(self._U1)
+
+    @property
+    def U_prev2(self) -> np.ndarray:
+        """The level before it, U^{n-2}."""
+        return sine_transform(self._U2)
+
+    @property
+    def velocity_history(self) -> np.ndarray:
+        """Rows dU^1..dU^{n-1}."""
+        return sine_transform(self._history[: self.n - 1])
 
 
 @dataclass
@@ -155,14 +169,11 @@ class TimeSeries:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(cols)
-            for i in range(len(self.n)):
-                row = [int(self.n[i]), repr(float(self.t[i])),
-                       repr(float(self.vel_norm[i])), repr(float(self.curv_norm[i])),
-                       repr(float(self.damping[i])), int(self.fp_iters[i])]
-                if self.has_energy:
-                    row += [repr(float(c[i])) for c in
-                            (self.kinetic, self.dissipated, self.elastic, self.total)]
-                writer.writerow(row)
+            # Rows go out in blocks: whole columns as Python lists would
+            # raise the peak memory of a long run by about 1 MB.
+            for i in range(0, len(self.n), _CSV_BLOCK_ROWS):
+                block = (getattr(self, c)[i:i + _CSV_BLOCK_ROWS].tolist() for c in cols)
+                writer.writerows(zip(*block))
 
 
 def write_solution_csv(path, grid: Grid, U: np.ndarray) -> None:
@@ -172,15 +183,15 @@ def write_solution_csv(path, grid: Grid, U: np.ndarray) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "u"])
-        for x, u in zip(xs, us):
-            writer.writerow([repr(float(x)), repr(float(u))])
+        writer.writerows(zip(xs.tolist(), us.tolist()))
 
 
 def initialize(problem: ProblemSpec, grid: Grid, dt: float) -> SolverState:
     """Set up levels 0 and 1 and precompute kernel tables and eigenvalues.
 
     The first level is the explicit start U^1 = U^0 + dt * u1, which pins
-    the discrete initial velocity dU^1 to the samples of u1 exactly.
+    the discrete initial velocity dU^1 to the samples of u1 up to roundoff.
+    The samples of u0 and u1 are the only grid values transformed here.
     """
     require_valid(problem)
     if dt <= 0.0:
@@ -188,15 +199,13 @@ def initialize(problem: ProblemSpec, grid: Grid, dt: float) -> SolverState:
     n_steps = int(round(problem.T / dt))
     if n_steps < 1 or abs(n_steps * dt - problem.T) > 1e-9 * max(1.0, problem.T):
         raise ValueError(f"dt={dt} does not divide the horizon T={problem.T}")
-    x = grid.x
-    U0 = np.asarray(problem.u0(x), dtype=float)
-    u1_samples = np.asarray(problem.u1(x), dtype=float)
-    U1 = U0 + dt * u1_samples
+    U0, u1 = sine_transform(np.stack([problem.u0(grid.x), problem.u1(grid.x)]))
+    U1 = U0 + dt * u1
     tables = KernelTables.build(problem.kernel, dt, n_steps)
     history = np.zeros((n_steps, grid.n_interior))
     history[0] = (U1 - U0) / dt
     return SolverState(problem=problem, grid=grid, dt=dt, n_steps=n_steps,
-                       n=2, U0=U0, U_prev=U1, U_prev2=U0, tables=tables,
+                       n=2, tables=tables, _U0=U0, _U1=U1, _U2=U0,
                        _history=history,
                        _eigs=second_difference_eigenvalues(grid))
 
@@ -210,31 +219,28 @@ def assemble_step_system(state: SolverState) -> tuple[np.ndarray, ...]:
     d = 1/dt^2 + (mu0 + w[0]/dt) * lambda^2 > 0.  ``b`` collects the
     forcing, the initial-load source, the inertia terms, the w[0] split
     and the history convolution; ``U`` is the start iterate
-    2 U^{n-1} - U^{n-2}.
+    2 U^{n-1} - U^{n-2}.  The forcing sample, broadcast over the grid when
+    it is a scalar, is the only transform.
     """
     n, dt = state.n, state.dt
     w = state.tables.weights
     lam2 = state._eigs ** 2
-    U1, U2 = state.U_prev, state.U_prev2
-    f_n = np.asarray(state.problem.forcing(state.grid.x, n * dt), dtype=float)
+    U1, U2 = state._U1, state._U2
+    f_n = sine_transform(np.broadcast_to(
+        state.problem.forcing(state.grid.x, n * dt), U1.shape))
     # w[n-1:0:-1], read forward so that the product is a BLAS gemv.
     w_rev = state.tables.reversed_weights
     mem = w_rev[len(w_rev) - n:len(w_rev) - 1] @ state._history[: n - 1]
-    # Rows: the right-hand side without D4, the field D4 acts on in it, the
-    # newest level, and the start iterate; one transform for all four.
-    free, bent, V, U = sine_transform(np.stack([
-        f_n + (2.0 * U1 - U2) / dt**2,
-        (w[0] / dt) * U1 - mem - state.tables.tail[n] * state.U0,
-        U1,
-        2.0 * U1 - U2]))
-    return (free + lam2 * bent,
-            1.0 / dt**2 + (state.tables.mu0 + w[0] / dt) * lam2, V, U)
+    b = (f_n + (2.0 * U1 - U2) / dt**2
+         + lam2 * ((w[0] / dt) * U1 - mem - state.tables.tail[n] * state._U0))
+    return (b, 1.0 / dt**2 + (state.tables.mu0 + w[0] / dt) * lam2,
+            U1, 2.0 * U1 - U2)
 
 
 def step(state: SolverState, config: SolverConfig) -> StepInfo:
     """Advance the state by one level via fixed-point iteration.
 
-    The G-free step system is assembled and transformed once.  Starting
+    The G-free step system is assembled once, in the sine basis.  Starting
     from the linear extrapolation of the last two levels, each iterate
     freezes G at the previous one and divides mode by mode; the iteration
     stops when the iterate moves by at most ``fp_tol * max(1, ||U^n||)`` in
@@ -263,10 +269,8 @@ def step(state: SolverState, config: SolverConfig) -> StepInfo:
     else:
         raise NonConvergenceError(n, increment, config.fp_max_iters)
 
-    U_k = sine_transform(U_hat)
-    state._history[n - 1] = (U_k - state.U_prev) / dt
-    state.U_prev2 = state.U_prev
-    state.U_prev = U_k
+    state._history[n - 1] = (U_hat - state._U1) / dt
+    state._U2, state._U1 = state._U1, U_hat
     state.n = n + 1
     # ||D2 U^n|| from the modes: the transform is orthonormal.
     curv_hat = lam * U_hat
@@ -295,14 +299,14 @@ def run(problem: ProblemSpec, grid: Grid, N: int,
                       fp_iters=0)]
     snapshots: dict[int, np.ndarray] = {}
     if config.snapshot_every:
-        snapshots[0] = state.U0.copy()
-        snapshots[1] = state.U_prev.copy()
+        snapshots[0] = state.U0
+        snapshots[1] = state.U_prev
     while state.n <= N:
         info = step(state, config)
         infos.append(info)
         if config.snapshot_every and (info.n % config.snapshot_every == 0
                                       or info.n == N):
-            snapshots[info.n] = state.U_prev.copy()
+            snapshots[info.n] = state.U_prev
 
     series = TimeSeries(
         n=np.array([i.n for i in infos]),

@@ -26,6 +26,7 @@ from viscobeam import (
     step,
     write_solution_csv,
 )
+import viscobeam.stepper
 from viscobeam.presets import example1_problem, example2_problem
 
 from conftest import dense_fourth_difference
@@ -206,6 +207,31 @@ class TestStep:
             run(p, Grid(8), 8)
         assert exc.value.step_index == 3
 
+    def test_one_sine_transform_per_step(self, monkeypatch):
+        # The state stays in the sine basis, so a step transforms only its
+        # forcing sample; levels and history are never moved back to grid
+        # values between steps.
+        state = initialize(example2_problem(), Grid(16), 1.0 / 16)
+        calls = []
+
+        def counting_transform(W):
+            calls.append(np.shape(W))
+            return sine_transform(W)
+
+        monkeypatch.setattr(viscobeam.stepper, "sine_transform", counting_transform)
+        for _ in range(10):
+            step(state, SolverConfig())
+        assert len(calls) == 10
+
+    def test_scalar_forcing_broadcast_over_grid(self):
+        def problem(forcing):
+            return dataclasses.replace(example2_problem(), forcing=forcing)
+
+        g = Grid(16)
+        s_scalar, _ = run(problem(lambda x, t: 1.0), g, 16)
+        s_array, _ = run(problem(lambda x, t: np.ones_like(x)), g, 16)
+        assert np.array_equal(s_scalar.U_prev, s_array.U_prev)
+
     def test_run_propagates_failing_step_index(self):
         p = example1_problem()
         with pytest.raises(NonConvergenceError) as exc:
@@ -346,16 +372,21 @@ class TestRun:
 
 class TestSerialization:
     def test_timeseries_csv_roundtrip(self, tmp_path):
+        # N = 2500 spans several of the row blocks the writer emits.
         p = example2_problem()
-        _, series = run(p, Grid(8), 8, SolverConfig(record_energy=True))
         path = tmp_path / "ts.csv"
-        series.to_csv(path)
-        rows = path.read_text().strip().splitlines()
-        assert rows[0] == ("n,t,vel_norm,curv_norm,damping,fp_iters,"
-                           "kinetic,dissipated,elastic,total")
-        assert len(rows) == 1 + 8
-        back = np.array([float(r.split(",")[2]) for r in rows[1:]])
-        assert np.array_equal(back, series.vel_norm)
+        for N in (8, 2500):
+            _, series = run(p, Grid(8), N, SolverConfig(record_energy=True))
+            series.to_csv(path)
+            rows = path.read_text().strip().splitlines()
+            assert rows[0] == ("n,t,vel_norm,curv_norm,damping,fp_iters,"
+                               "kinetic,dissipated,elastic,total")
+            assert len(rows) == 1 + N
+            cells = [r.split(",") for r in rows[1:]]
+            for j, name in enumerate(rows[0].split(",")):
+                parse = int if name in ("n", "fp_iters") else float
+                back = np.array([parse(c[j]) for c in cells])
+                assert np.array_equal(back, getattr(series, name)), name
 
     def test_solution_csv_includes_boundaries(self, tmp_path):
         g = Grid(8)
