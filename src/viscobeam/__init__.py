@@ -18,11 +18,8 @@ from .kernel import (
 )
 from .grid_ops import (
     Grid,
-    fourth_difference,
-    inner,
-    max_norm,
+    bending_energy,
     norm,
-    second_difference,
     second_difference_eigenvalues,
     sine_transform,
 )
@@ -69,11 +66,10 @@ __all__ = [
     "NON_OSCILLATORY", "NonConvergenceError", "NumericalError", "OSCILLATORY",
     "ProblemSpec", "SolverConfig", "SolverState", "StabilityVerdict",
     "StudyCell", "StudySpec", "TimeSeries", "assemble_step_system",
-    "beta_eval", "damping_coefficient", "data_functional", "energy",
-    "example1_problem", "example2_problem", "forcing_l1_norm",
-    "fourth_difference", "initialize", "inner", "kernel_tail", "max_norm",
-    "mu0", "norm", "preset_config", "quadrature_weights", "rate",
-    "require_valid", "run", "run_study", "second_difference",
+    "bending_energy", "beta_eval", "damping_coefficient", "data_functional",
+    "energy", "example1_problem", "example2_problem", "forcing_l1_norm",
+    "initialize", "kernel_tail", "mu0", "norm", "preset_config",
+    "quadrature_weights", "rate", "require_valid", "run", "run_study",
     "second_difference_eigenvalues", "sine_transform", "spatial_error",
     "stability_monitor", "step", "tail_antiderivatives", "temporal_error",
     "validate", "write_solution_csv",

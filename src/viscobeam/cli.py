@@ -81,6 +81,9 @@ def _cmd_study(args) -> int:
 
 
 def _cmd_stability(args) -> int:
+    # Checked before the run: a bound below the data functional is no bound.
+    if not args.safety >= 1.0:
+        raise ConfigurationError(f"--safety must be at least 1 (got {args.safety})")
     cfg = _load(args)
     problem = require_valid(build_problem(cfg))
     grid = build_grid(cfg)

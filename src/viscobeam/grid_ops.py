@@ -1,17 +1,17 @@
-"""Uniform spatial grid, difference operators and discrete norms.
+"""Uniform spatial grid, discrete norm and the sine basis of the operators.
 
 Interior vectors hold values at the nodes x_1..x_{J-1} of the unit
-interval.  The hinged end conditions close the stencils algebraically:
-W_0 = W_J = 0 and the odd ghost extension W_{-1} = -W_1,
-W_{J+1} = -W_{J-1}.  Under that closure the 5-point fourth difference is
-exactly the square of the Dirichlet second difference, which is what makes
-the discrete energy argument (summation by parts) work.  Ghost values are
-never materialized.
+interval.  The hinged end conditions are W_0 = W_J = 0 and the odd ghost
+extension W_{-1} = -W_1, W_{J+1} = -W_{J-1}.  Under that closure the
+5-point fourth difference D4 is exactly the square of the Dirichlet second
+difference D2, which is what makes the discrete energy argument (summation
+by parts) work.
 
-The Dirichlet second difference is diagonalized by the orthonormal
-DST-I: D2 = S diag(lambda) S with S = :func:`sine_transform` (its own
-inverse) and lambda from :func:`second_difference_eigenvalues`, so the
-hinged D4 = S diag(lambda^2) S.
+Both operators are diagonal in the orthonormal DST-I basis:
+D2 = S diag(lambda) S with S = :func:`sine_transform` (its own inverse)
+and lambda from :func:`second_difference_eigenvalues`, so D4 =
+S diag(lambda^2) S.  The solver applies them only in that form; the
+stencils themselves serve as test oracles.
 """
 
 from __future__ import annotations
@@ -49,59 +49,13 @@ class Grid:
         return self.J - 1
 
 
-def _check_length(W: np.ndarray, grid: Grid) -> np.ndarray:
+def norm(W, grid: Grid) -> float:
+    """Discrete L2 norm."""
     W = np.asarray(W, dtype=float)
     if W.shape != (grid.n_interior,):
         raise ValueError(
             f"interior vector has shape {W.shape}, expected ({grid.n_interior},)")
-    return W
-
-
-def second_difference(W, grid: Grid) -> np.ndarray:
-    """Second difference quotient with zero boundary values.
-
-    Neighbours are summed before the centre term is subtracted, which makes
-    the operator commute with the mirror j -> J-j exactly in floating point.
-    """
-    W = _check_length(W, grid)
-    padded = np.zeros(grid.n_interior + 2)
-    padded[1:-1] = W
-    return ((padded[2:] + padded[:-2]) - 2.0 * W) / grid.h**2
-
-
-def fourth_difference(W, grid: Grid) -> np.ndarray:
-    """Fourth difference quotient with the odd ghost extension.
-
-    Equals second_difference applied twice; mirror-equivariant exactly (see
-    second_difference).
-    """
-    W = _check_length(W, grid)
-    m = grid.n_interior
-    padded = np.zeros(m + 4)
-    padded[2:-2] = W
-    padded[0] = -W[0]
-    padded[-1] = -W[-1]
-    return ((padded[4:] + padded[:-4])
-            - 4.0 * (padded[3:-1] + padded[1:-3])
-            + 6.0 * padded[2:-2]) / grid.h**4
-
-
-def inner(V, W, grid: Grid) -> float:
-    """Discrete L2 inner product h * sum_j V_j W_j."""
-    V = _check_length(V, grid)
-    W = _check_length(W, grid)
-    return float(grid.h * np.dot(V, W))
-
-
-def norm(W, grid: Grid) -> float:
-    """Discrete L2 norm."""
-    W = _check_length(W, grid)
     return math.sqrt(grid.h * (W @ W))
-
-
-def max_norm(W) -> float:
-    W = np.asarray(W, dtype=float)
-    return float(np.max(np.abs(W))) if W.size else 0.0
 
 
 def sine_transform(W) -> np.ndarray:
@@ -112,6 +66,17 @@ def sine_transform(W) -> np.ndarray:
     ``norm(W) == sqrt(h) * ||sine_transform(W)||``.
     """
     return dst(np.asarray(W, dtype=float), type=1, norm="ortho")
+
+
+def bending_energy(W_hat, eigs, h: float) -> float:
+    """Discrete bending energy ||D2 W||^2 = h * ||lambda * W_hat||^2.
+
+    ``W_hat`` holds the sine coefficients of W and ``eigs`` the D2
+    eigenvalues in the same order; the transform is orthonormal, so no
+    grid values are needed.
+    """
+    c = eigs * W_hat
+    return h * (c @ c)
 
 
 def second_difference_eigenvalues(grid: Grid) -> np.ndarray:

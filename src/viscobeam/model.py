@@ -1,11 +1,11 @@
 """Problem specification: damping law, initial data, forcing, kernel choice.
 
 The damping coefficient multiplies the velocity and is a function
-G(v) >= g0 > 0 of the instantaneous discrete bending energy
-v = ||second_difference(U)||^2.  The analysis behind the scheme needs G
-bounded below and Lipschitz with a non-negative derivative; the built-in
-kinds satisfy this by construction and declare their constants, custom
-callables are only sample-checked.
+G(v) >= g0 > 0 of the instantaneous discrete bending energy v = ||D2 U||^2,
+read from the sine coefficients of U.  The analysis behind the scheme
+needs G bounded below and Lipschitz with a non-negative derivative; the
+built-in kinds satisfy this by construction and declare their constants,
+custom callables are only sample-checked.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid_ops import Grid, norm, second_difference
+from .grid_ops import Grid, bending_energy, second_difference_eigenvalues
 from .kernel import ConfigurationError, KernelSpec
 
 #: Default upper end of the sampling range used to spot-check damping bounds.
@@ -89,9 +89,9 @@ class ProblemSpec:
     T: float = 1.0
 
 
-def damping_coefficient(damping: DampingFunction, U, grid: Grid) -> float:
-    """G evaluated at the squared norm of the second difference of U."""
-    return damping(norm(second_difference(U, grid), grid) ** 2)
+def damping_coefficient(damping: DampingFunction, U_hat, grid: Grid) -> float:
+    """G at the bending energy ||D2 U||^2 of the field with sine coefficients U_hat."""
+    return damping(bending_energy(U_hat, second_difference_eigenvalues(grid), grid.h))
 
 
 def _sample_values(v_max: float) -> np.ndarray:

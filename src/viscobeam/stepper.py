@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diagnostics
-from .grid_ops import (Grid, norm, second_difference, second_difference_eigenvalues,
+from .grid_ops import (Grid, bending_energy, norm, second_difference_eigenvalues,
                        sine_transform)
 from .kernel import KernelTables
 from .model import ProblemSpec, damping_coefficient, require_valid
@@ -74,7 +74,6 @@ class SolverConfig:
     fp_tol: float = 1e-12
     fp_max_iters: int = 50
     record_energy: bool = False
-    snapshot_every: int = 0
 
     def __post_init__(self):
         if not self.fp_tol > 0.0:
@@ -156,7 +155,6 @@ class TimeSeries:
     dissipated: np.ndarray | None = None
     elastic: np.ndarray | None = None
     total: np.ndarray | None = None
-    snapshots: dict[int, np.ndarray] = field(default_factory=dict)
 
     @property
     def has_energy(self) -> bool:
@@ -254,8 +252,7 @@ def step(state: SolverState, config: SolverConfig) -> StepInfo:
     b_hat, diag, U1_hat, U_hat = assemble_step_system(state)
     damping = state.problem.damping
     for it in range(1, config.fp_max_iters + 1):
-        curv_hat = lam * U_hat
-        G_val = damping(grid.h * (curv_hat @ curv_hat))
+        G_val = damping(bending_energy(U_hat, lam, grid.h))
         if not math.isfinite(G_val):
             raise NumericalError(
                 n, f"damping coefficient G = {G_val!r} at step {n} is not finite")
@@ -272,11 +269,9 @@ def step(state: SolverState, config: SolverConfig) -> StepInfo:
     state._history[n - 1] = (U_hat - state._U1) / dt
     state._U2, state._U1 = state._U1, U_hat
     state.n = n + 1
-    # ||D2 U^n|| from the modes: the transform is orthonormal.
-    curv_hat = lam * U_hat
     return StepInfo(n=n, t=n * dt,
                     vel_norm=norm(state._history[n - 1], grid),
-                    curv_norm=math.sqrt(grid.h * (curv_hat @ curv_hat)),
+                    curv_norm=math.sqrt(bending_energy(U_hat, lam, grid.h)),
                     damping=G_val, fp_iters=it)
 
 
@@ -292,21 +287,14 @@ def run(problem: ProblemSpec, grid: Grid, N: int,
         raise ValueError("N must be at least 1")
     state = initialize(problem, grid, problem.T / N)
 
+    # The explicit start's record, read from the modes like every step's.
     infos = [StepInfo(n=1, t=state.dt,
                       vel_norm=norm(state._history[0], grid),
-                      curv_norm=norm(second_difference(state.U_prev, grid), grid),
-                      damping=damping_coefficient(problem.damping, state.U_prev, grid),
+                      curv_norm=math.sqrt(bending_energy(state._U1, state._eigs, grid.h)),
+                      damping=damping_coefficient(problem.damping, state._U1, grid),
                       fp_iters=0)]
-    snapshots: dict[int, np.ndarray] = {}
-    if config.snapshot_every:
-        snapshots[0] = state.U0
-        snapshots[1] = state.U_prev
     while state.n <= N:
-        info = step(state, config)
-        infos.append(info)
-        if config.snapshot_every and (info.n % config.snapshot_every == 0
-                                      or info.n == N):
-            snapshots[info.n] = state.U_prev
+        infos.append(step(state, config))
 
     series = TimeSeries(
         n=np.array([i.n for i in infos]),
@@ -315,7 +303,6 @@ def run(problem: ProblemSpec, grid: Grid, N: int,
         curv_norm=np.array([i.curv_norm for i in infos]),
         damping=np.array([i.damping for i in infos]),
         fp_iters=np.array([i.fp_iters for i in infos]),
-        snapshots=snapshots,
     )
     if config.record_energy:
         (series.kinetic, series.dissipated, series.elastic,

@@ -14,8 +14,9 @@ are used:
   ``spatial_error(J/2, N) / sqrt(2)`` on the row labeled J.  Temporal rows
   likewise equal ``temporal_error(N/2)`` on the row labeled N.
 
-Runs are cached per study cell, so a ladder of L levels costs L + 1
-integrations.
+A ladder of L levels costs L + 1 runs per cell: the half-coarse anchor
+and one per displayed level, each row differencing consecutive final
+solutions.
 """
 
 from __future__ import annotations
@@ -45,34 +46,22 @@ def _final_solution(problem: ProblemSpec, J: int, N: int,
 
 
 def temporal_error(problem: ProblemSpec, grid: Grid, N: int,
-                   config: SolverConfig | None = None,
-                   _cache: dict | None = None) -> float:
+                   config: SolverConfig | None = None) -> float:
     """Discrete L2 distance at t = T between the runs with N and 2N steps."""
-    cache = _cache if _cache is not None else {}
-    for steps in (N, 2 * N):
-        key = (grid.J, steps)
-        if key not in cache:
-            cache[key] = _final_solution(problem, grid.J, steps, config)
-    diff = cache[(grid.J, N)] - cache[(grid.J, 2 * N)]
-    return norm(diff, grid)
+    coarse = _final_solution(problem, grid.J, N, config)
+    return norm(coarse - _final_solution(problem, grid.J, 2 * N, config), grid)
 
 
 def spatial_error(problem: ProblemSpec, J: int, N: int,
-                  config: SolverConfig | None = None,
-                  _cache: dict | None = None) -> float:
+                  config: SolverConfig | None = None) -> float:
     """Distance at t = T between grids J and 2J at fixed step count.
 
     Compares coarse node j against fine node 2j (the grids nest exactly)
     and measures in the coarse grid's norm.
     """
-    cache = _cache if _cache is not None else {}
-    for cols in (J, 2 * J):
-        key = (cols, N)
-        if key not in cache:
-            cache[key] = _final_solution(problem, cols, N, config)
-    coarse = cache[(J, N)]
-    fine_on_coarse = cache[(2 * J, N)][1::2]
-    return norm(coarse - fine_on_coarse, Grid(J))
+    coarse = _final_solution(problem, J, N, config)
+    fine = _final_solution(problem, 2 * J, N, config)
+    return norm(coarse - fine[1::2], Grid(J))
 
 
 def rate(coarse_error: float, fine_error: float) -> float | None:
@@ -203,24 +192,21 @@ class ConvergenceReport:
 
 def _cell_rows(study: StudySpec, cell: StudyCell,
                config: SolverConfig | None) -> tuple[StudyRow, ...]:
-    T = cell.problem.T
-    cache: dict = {}
-    rows = []
-    prev_error = None
-    for level in study.display_levels():
-        if study.axis == TEMPORAL:
-            err = temporal_error(cell.problem, Grid(study.J), level // 2,
-                                 config, _cache=cache)
-            refinement = T / level
-        else:
-            err = spatial_error(cell.problem, level // 2, study.N,
-                                config, _cache=cache) / math.sqrt(2.0)
-            refinement = 1.0 / level
-        r = None if prev_error is None else rate(prev_error, err)
-        rows.append(StudyRow(level=level, refinement=refinement,
-                             error=err, rate=r))
-        prev_error = err
-    return tuple(rows)
+    # The anchor and every displayed level, coarsest first.
+    levels = [study.level0 // 2] + study.display_levels()
+    if study.axis == TEMPORAL:
+        grid = Grid(study.J)
+        finals = [_final_solution(cell.problem, study.J, n, config) for n in levels]
+        errors = [norm(c - f, grid) for c, f in zip(finals, finals[1:])]
+        refinements = [cell.problem.T / n for n in levels[1:]]
+    else:
+        finals = [_final_solution(cell.problem, J, study.N, config) for J in levels]
+        errors = [norm(c - f[1::2], Grid(J)) / math.sqrt(2.0)
+                  for J, c, f in zip(levels, finals, finals[1:])]
+        refinements = [1.0 / J for J in levels[1:]]
+    rates = [None] + [rate(c, f) for c, f in zip(errors, errors[1:])]
+    return tuple(StudyRow(level=level, refinement=h, error=err, rate=r)
+                 for level, h, err, r in zip(levels[1:], refinements, errors, rates))
 
 
 def run_study(study: StudySpec, config: SolverConfig | None = None,

@@ -5,8 +5,9 @@ kernel density is re-evaluated from its formula, tails come from direct
 adaptive quadrature of the density (QAGS handles the integrable endpoint
 singularity), antiderivatives from single-fold quadrature of the oracle
 tail, and convolution weights from brute-force double integration.  The
-dense fourth-difference oracle is built column by column from the stencil
-itself, never from the sine eigen-decomposition the stepper uses.
+grid-space difference quotients below are the stencils themselves, never
+the sine eigen-decomposition the solver uses, and the dense
+fourth-difference oracle is built from them column by column.
 """
 
 import math
@@ -17,12 +18,71 @@ import pytest
 from scipy.integrate import IntegrationWarning, dblquad, quad
 from scipy.special import gamma as gamma_fn
 
-from viscobeam import KernelSpec, NO_MEMORY, OSCILLATORY, fourth_difference
+from viscobeam import (KernelSpec, NO_MEMORY, OSCILLATORY, SolverConfig,
+                       initialize, step)
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def _interior(W, grid) -> np.ndarray:
+    W = np.asarray(W, dtype=float)
+    if W.shape != (grid.n_interior,):
+        raise ValueError(
+            f"interior vector has shape {W.shape}, expected ({grid.n_interior},)")
+    return W
+
+
+def second_difference(W, grid) -> np.ndarray:
+    """Second difference quotient with zero boundary values.
+
+    Neighbours are summed before the centre term is subtracted, which makes
+    the operator commute with the mirror j -> J-j exactly in floating point.
+    """
+    W = _interior(W, grid)
+    padded = np.zeros(grid.n_interior + 2)
+    padded[1:-1] = W
+    return ((padded[2:] + padded[:-2]) - 2.0 * W) / grid.h**2
+
+
+def fourth_difference(W, grid) -> np.ndarray:
+    """Fourth difference quotient with the odd ghost extension
+    W_{-1} = -W_1, W_{J+1} = -W_{J-1}.
+
+    Equals second_difference applied twice; mirror-equivariant exactly (see
+    second_difference).
+    """
+    W = _interior(W, grid)
+    padded = np.zeros(grid.n_interior + 4)
+    padded[2:-2] = W
+    padded[0] = -W[0]
+    padded[-1] = -W[-1]
+    return ((padded[4:] + padded[:-4])
+            - 4.0 * (padded[3:-1] + padded[1:-3])
+            + 6.0 * padded[2:-2]) / grid.h**4
+
+
+def inner(V, W, grid) -> float:
+    """Discrete L2 inner product h * sum_j V_j W_j."""
+    return float(grid.h * np.dot(_interior(V, grid), _interior(W, grid)))
+
+
+def max_norm(W) -> float:
+    W = np.asarray(W, dtype=float)
+    return float(np.max(np.abs(W))) if W.size else 0.0
+
+
+def solve_levels(problem, grid, N, config=None):
+    """Final state and the grid values U^0..U^N of a run, level by level."""
+    config = config or SolverConfig()
+    state = initialize(problem, grid, problem.T / N)
+    levels = [state.U0, state.U_prev]
+    while state.n <= N:
+        step(state, config)
+        levels.append(state.U_prev)
+    return state, levels
 
 
 def dense_fourth_difference(grid) -> np.ndarray:

@@ -114,6 +114,39 @@ class TestErrorPaths:
         code = main(["solve", "-o", str(tmp_path)])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--preset", "example1", "--set", "time.N=abc"],
+        ["solve", "--preset", "example1", "--set", "time.T=abc"],
+        ["solve", "--preset", "example1", "--set", "kernel.sigma=abc"],
+        ["solve", "--preset", "example1", "--set", "damping.a=abc"],
+        ["solve", "--preset", "example1", "--set", "initial.u0.amplitude=abc"],
+        ["study", "--preset", "example2-temporal", "--set", "study.levels=1"],
+        ["study", "--preset", "example2-temporal", "--set", "study.levels=abc"],
+        ["study", "--preset", "example2-temporal", "--set", "study.axis=spatial",
+         "--set", "grid.J=6"],
+        ["stability", "--preset", "example2-longtime", "--safety", "0.5"],
+        # Non-integral counts once truncated silently (2.7 steps ran 2).
+        ["solve", "--preset", "example1", "--set", "time.N=2.7"],
+        ["solve", "--preset", "example1", "--set", "grid.J=64.5"],
+        ["study", "--preset", "example2-temporal", "--set", "study.levels=2.5"],
+        ["solve", "--preset", "example1", "--set", "solver.fp_max_iters=2.5"],
+        # A section that is not a mapping.
+        ["solve", "--preset", "example1", "--set", "initial.u0=5"],
+    ], ids=lambda argv: " ".join(argv[:1] + argv[3:]))
+    def test_bad_value_is_config_error(self, argv, tmp_path, capsys):
+        code = main(argv + ["-o", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["category"] == "config"
+
+    def test_removed_solver_key_is_config_error(self, tmp_path, capsys):
+        code = main(["solve", "--preset", "example2", "--set",
+                     "solver.snapshot_every=4", "-o", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err.strip())
+        assert "bad solver section" in err["message"]
+
 
 class TestStudy:
     def test_small_study_writes_report(self, tmp_path, capsys):

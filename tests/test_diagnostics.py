@@ -17,6 +17,8 @@ from viscobeam import (
 )
 from viscobeam.presets import example1_problem, example2_problem
 
+from conftest import second_difference
+
 
 class TestEnergyRecord:
     def test_zero_state(self):
@@ -111,6 +113,24 @@ class TestStabilityMonitor:
                                      C0=state.tables.C0, mu0=state.tables.mu0)
         verdict = stability_monitor(series.n, series.total, functional)
         assert verdict.passed
+
+    @pytest.mark.parametrize("problem", [example1_problem, example2_problem])
+    def test_data_functional_matches_grid_oracle(self, problem):
+        # The bending terms come from the sine modes; rebuild the functional
+        # from the stencil oracle on the grid samples.
+        p = problem()
+        g = Grid(32)
+        N = 64
+        dt = p.T / N
+        C0, mu0 = 0.3, 0.7
+        u0s, u1s = p.u0(g.x), p.u1(g.x)
+        expected = (norm(u1s, g) ** 2
+                    + (1.0 + 2.0 * C0 + 2.0 * C0**2 / mu0)
+                    * norm(second_difference(u0s, g), g) ** 2
+                    + dt**2 * norm(second_difference(u1s, g), g) ** 2
+                    + forcing_l1_norm(p, g, dt, N) ** 2)
+        got = data_functional(p, g, dt, N, C0=C0, mu0=mu0)
+        assert got == pytest.approx(expected, rel=1e-13)
 
     def test_negated_weights_trip_the_monitor(self):
         # Fault injection: flipping the sign of the memory weights turns the

@@ -3,16 +3,14 @@ import pytest
 
 from viscobeam import (
     Grid,
-    fourth_difference,
-    inner,
-    max_norm,
+    bending_energy,
     norm,
-    second_difference,
     second_difference_eigenvalues,
     sine_transform,
 )
 
-from conftest import dense_fourth_difference
+from conftest import (dense_fourth_difference, fourth_difference, inner, max_norm,
+                      second_difference)
 
 
 def sine_mode(grid, k=1):
@@ -135,6 +133,15 @@ class TestSineBasis:
         assert lam == pytest.approx(d2_eigenvalue(g, k), rel=1e-14)
         assert np.allclose(second_difference(mode, g), lam * mode,
                            rtol=0, atol=1e-12 * abs(lam))
+
+    def test_bending_energy_matches_stencil(self, rng):
+        for J in (4, 17, 64):
+            g = Grid(J)
+            w = rng.standard_normal(g.n_interior)
+            modal = bending_energy(sine_transform(w),
+                                   second_difference_eigenvalues(g), g.h)
+            assert modal == pytest.approx(norm(second_difference(w, g), g) ** 2,
+                                          rel=1e-13)
 
 
 class TestBiharmonicMatrix:

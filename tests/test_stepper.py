@@ -15,13 +15,10 @@ from viscobeam import (
     ProblemSpec,
     SolverConfig,
     assemble_step_system,
-    fourth_difference,
     initialize,
     kernel_tail,
-    max_norm,
     norm,
     run,
-    second_difference,
     sine_transform,
     step,
     write_solution_csv,
@@ -29,7 +26,8 @@ from viscobeam import (
 import viscobeam.stepper
 from viscobeam.presets import example1_problem, example2_problem
 
-from conftest import dense_fourth_difference
+from conftest import (dense_fourth_difference, fourth_difference, max_norm,
+                      second_difference, solve_levels)
 
 
 def _zero(x):
@@ -300,9 +298,8 @@ class TestRun:
         # Example 2 data are symmetric about x = 1/2 and every operator in
         # the scheme commutes with the mirror, up to solver roundoff.
         p = example2_problem()
-        cfg = SolverConfig(snapshot_every=1)
-        _, series = run(p, Grid(64), 64, cfg)
-        worst = max(max_norm(U - U[::-1]) for U in series.snapshots.values())
+        _, levels = solve_levels(p, Grid(64), 64)
+        worst = max(max_norm(U - U[::-1]) for U in levels)
         assert worst <= 1e-12
 
     def test_scheme_residual_bound(self, rng):
@@ -313,10 +310,8 @@ class TestRun:
         J, N = 32, 64
         g = Grid(J)
         fp_tol = 1e-12
-        cfg = SolverConfig(fp_tol=fp_tol, snapshot_every=1)
-        state, series = run(p, g, N, cfg)
+        state, U = solve_levels(p, g, N, SolverConfig(fp_tol=fp_tol))
         dt = state.dt
-        U = series.snapshots
         w = state.tables.weights
         bound = 10.0 * fp_tol / dt**2
         for n in rng.choice(np.arange(2, N + 1), size=5, replace=False):
@@ -331,6 +326,19 @@ class TestRun:
                    - p.forcing(g.x, n * dt)
                    + kernel_tail(p.kernel, n * dt) * fourth_difference(U[0], g))
             assert max_norm(res) <= bound
+
+    @pytest.mark.parametrize("problem", [example1_problem, example2_problem])
+    def test_level_one_record_matches_grid_oracle(self, problem):
+        # The explicit start's curvature norm and damping are read from the
+        # modes like every later step's; check them against the stencil.
+        p = problem()
+        g = Grid(32)
+        state = initialize(p, g, p.T / 16)
+        _, series = run(p, g, 16)
+        curv = norm(second_difference(state.U_prev, g), g)
+        assert series.n[0] == 1
+        assert series.curv_norm[0] == pytest.approx(curv, rel=1e-13)
+        assert series.damping[0] == pytest.approx(p.damping(curv**2), rel=1e-13)
 
     def test_energy_columns_present_when_recorded(self):
         p = example2_problem()

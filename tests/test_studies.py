@@ -97,7 +97,7 @@ class TestRunStudy:
         assert rows[1].rate is not None
 
     def test_rows_match_standalone_metrics_bitwise(self):
-        # The ladder caches runs but must produce exactly the standalone
+        # The ladder reuses its runs but must produce exactly the standalone
         # metric values: temporal rows are temporal_error at half the row
         # level; spatial rows carry the row grid's norm (1/sqrt(2) factor).
         p = example2_problem()
