@@ -16,8 +16,6 @@ from viscobeam import (
     OSCILLATORY,
     beta_eval,
     kernel_tail,
-    mu0,
-    quadrature_weights,
 )
 
 # ----------------------------------------------------------------------
@@ -41,7 +39,7 @@ for t in ts:
 print("\ntail mass and elastic coefficient:")
 for spec in (osc, non):
     print(f"  {spec.family:<16} K(0) = {kernel_tail(spec, 0.0):.6f}   "
-          f"mu0 = {mu0(spec):.6f}")
+          f"mu0 = {1.0 - kernel_tail(spec, 0.0):.6f}")
 
 # ----------------------------------------------------------------------
 # 3. Weights.  The averaged product-integration rule reduces to second
@@ -49,13 +47,13 @@ for spec in (osc, non):
 #    local average of K around its node, so weights inherit K's sign.
 # ----------------------------------------------------------------------
 n = 64
-w = quadrature_weights(non, 1.0 / n, n)
+w = KernelTables.build(non, 1.0 / n, n).weights
 print(f"\nnon-oscillatory weights (N = {n}):")
 print(f"  omega_0 = {w[0]:.6e} (half panel), omega_1 = {w[1]:.6e}, "
       f"min = {w.min():.6e} > 0")
 
 strong = KernelSpec(family=OSCILLATORY, sigma=2.0, gamma=2.0, alpha=1.0)
-w2 = quadrature_weights(strong, 1.0 / n, n)
+w2 = KernelTables.build(strong, 1.0 / n, n).weights
 t_cross = np.pi / 8
 print(f"\nstrongly oscillatory kernel (sigma = gamma = 2, alpha = 1):")
 print(f"  closed-form tail exp(-2t)(cos 2t - sin 2t)/4 crosses zero at "

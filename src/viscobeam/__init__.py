@@ -12,8 +12,6 @@ from .kernel import (
     OSCILLATORY,
     beta_eval,
     kernel_tail,
-    mu0,
-    quadrature_weights,
     tail_antiderivatives,
 )
 from .grid_ops import (
@@ -68,8 +66,8 @@ __all__ = [
     "StudyCell", "StudySpec", "TimeSeries", "assemble_step_system",
     "bending_energy", "beta_eval", "damping_coefficient", "data_functional",
     "energy", "example1_problem", "example2_problem", "forcing_l1_norm",
-    "initialize", "kernel_tail", "mu0", "norm", "preset_config",
-    "quadrature_weights", "rate", "require_valid", "run", "run_study",
+    "initialize", "kernel_tail", "norm", "preset_config",
+    "rate", "require_valid", "run", "run_study",
     "second_difference_eigenvalues", "sine_transform", "spatial_error",
     "stability_monitor", "step", "tail_antiderivatives", "temporal_error",
     "validate", "write_solution_csv",

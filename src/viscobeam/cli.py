@@ -45,11 +45,15 @@ def _outdir(args) -> Path:
     return out
 
 
-def _cmd_solve(args) -> int:
+def _setup(args):
+    """The loaded config and the validated problem, grid and step count it sets."""
     cfg = _load(args)
     problem = require_valid(build_problem(cfg))
-    grid = build_grid(cfg)
-    N = build_steps(cfg)
+    return cfg, problem, build_grid(cfg), build_steps(cfg)
+
+
+def _cmd_solve(args) -> int:
+    cfg, problem, grid, N = _setup(args)
     solver = build_solver_config(cfg)
     state, series = run(problem, grid, N, solver)
     out = _outdir(args)
@@ -84,10 +88,7 @@ def _cmd_stability(args) -> int:
     # Checked before the run: a bound below the data functional is no bound.
     if not args.safety >= 1.0:
         raise ConfigurationError(f"--safety must be at least 1 (got {args.safety})")
-    cfg = _load(args)
-    problem = require_valid(build_problem(cfg))
-    grid = build_grid(cfg)
-    N = build_steps(cfg)
+    cfg, problem, grid, N = _setup(args)
     solver = build_solver_config(cfg, record_energy=True)
     state, series = run(problem, grid, N, solver)
     functional = data_functional(problem, grid, state.dt, N,
@@ -106,9 +107,7 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_weights(args) -> int:
-    cfg = _load(args)
-    problem = require_valid(build_problem(cfg))
-    N = build_steps(cfg)
+    _, problem, _, N = _setup(args)
     dt = problem.T / N
     tables = KernelTables.build(problem.kernel, dt, N)
     out = _outdir(args)

@@ -2,27 +2,71 @@
 
 A config document has sections {kernel, damping, initial, forcing, grid,
 time, solver} plus an optional {study} section for convergence ladders.
-Initial data and forcing are registry names with coefficients; see
-:mod:`viscobeam.presets`.
+Initial data and forcing are chosen by name from the registries
+``INITIAL_DATA`` and ``FORCING``, whose builders take their coefficients
+as keyword parameters; no code is ever embedded in configs.  A key that
+no section, builder or kernel parameter knows is a ConfigurationError
+naming its dotted path, so a typo never silently runs a default.
 """
 
 from __future__ import annotations
 
 import copy
+import inspect
 import json
+
+import numpy as np
 
 from .grid_ops import Grid
 from .kernel import ConfigurationError, KernelSpec
 from .model import DampingFunction, ProblemSpec
-from .presets import make_forcing, make_initial
 from .stepper import SolverConfig
 from .studies import TEMPORAL, StudyCell, StudySpec
+
+_SECTIONS = ("kernel", "damping", "initial", "forcing", "grid", "time",
+             "solver", "study")
+_TIME_KEYS = ("T", "N")
+
+
+def _sin_mode(*, amplitude=1.0, mode=1):
+    """amplitude * sin(mode pi x)."""
+    return lambda x: amplitude * np.sin(mode * np.pi * np.asarray(x, dtype=float))
+
+
+def _poly_bump(*, amplitude=1.0, power=2.0):
+    """amplitude * x**power * (1-x)**power."""
+    return lambda x: amplitude * np.asarray(x, dtype=float)**power \
+        * (1.0 - np.asarray(x, dtype=float))**power
+
+
+def _tempered_sin(*, sigma, alpha, amplitude=1.0, mode=1):
+    """amplitude * exp(-sigma t) * t**alpha * sin(mode pi x)."""
+    return lambda x, t: (amplitude * np.exp(-sigma * t) * t**alpha
+                         * np.sin(mode * np.pi * np.asarray(x, dtype=float)))
+
+
+#: Initial data u(x) and forcing f(x, t) by config name.  Each builder takes
+#: the section's coefficients as keyword parameters and returns the callable.
+INITIAL_DATA = {
+    "zero": lambda: lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+    "sin_mode": _sin_mode,
+    "poly_bump": _poly_bump,
+}
+FORCING = {
+    "zero": lambda: lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
+    "tempered_sin": _tempered_sin,
+}
+_DAMPING = {
+    "affine": lambda *, a=1.0, b=1.0: DampingFunction.affine(a, b),
+    "sqrt_affine": lambda *, a=1.0, b=1.0: DampingFunction.sqrt_affine(a, b),
+    "constant": lambda *, c=1.0: DampingFunction.constant(c),
+}
 
 
 def load_config(path) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return _mapping(json.load(fh), "")
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config file {path} is not valid JSON: {exc}")
     except OSError as exc:
@@ -84,51 +128,71 @@ def _number(value, name: str, integral: bool = False):
     raise ConfigurationError(f"{name} must be {kind} (got {value!r})")
 
 
-def _numbers(section: dict, name: str, skip: str = "") -> dict:
-    """The entries of ``section`` as floats, except the one named ``skip``."""
-    return {key: value if key == skip else _number(value, f"{name}.{key}")
-            for key, value in section.items()}
+def _mapping(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigurationError(
+            f"{name or 'config'} must be a mapping (got {value!r})")
+    return value
 
 
-def _build_damping(section: dict) -> DampingFunction:
-    section = _numbers({"a": 1.0, "b": 1.0, "c": 1.0, **section}, "damping",
-                       skip="kind")
-    kind = section.get("kind", "affine")
-    if kind == "affine":
-        return DampingFunction.affine(section["a"], section["b"])
-    if kind == "sqrt_affine":
-        return DampingFunction.sqrt_affine(section["a"], section["b"])
-    if kind == "constant":
-        return DampingFunction.constant(section["c"])
-    raise ConfigurationError(
-        f"unknown damping kind {kind!r}; config files support "
-        "affine, sqrt_affine and constant")
+def _checked(section, allowed, name: str) -> dict:
+    """``section`` once it is a mapping whose keys all lie in ``allowed``."""
+    for key in _mapping(section, name):
+        if key not in allowed:
+            raise ConfigurationError(
+                f"unknown config key {name + '.' if name else ''}{key}; "
+                f"expected one of {', '.join(allowed)}")
+    return section
+
+
+def _section(config: dict, key: str, allowed) -> dict:
+    return _checked(config.get(key, {}), allowed, key)
+
+
+def _keywords(builder, entries, name: str, keep: str = ""):
+    """``builder(**entries)`` with every entry but ``keep`` a number (``mode``
+    an integer).  Each entry must be a keyword parameter of ``builder``, and
+    each parameter without a default must be given."""
+    params = inspect.signature(builder).parameters
+    _checked(entries, tuple(params), name)
+    for key, param in params.items():
+        if param.default is param.empty and key not in entries:
+            raise ConfigurationError(f"{name}.{key} is required")
+    return builder(**{key: value if key == keep else
+                      _number(value, f"{name}.{key}", integral=key == "mode")
+                      for key, value in entries.items()})
+
+
+def _registered(builders: dict, section, name: str, key: str = "name",
+                default=None):
+    """The builder that ``section[key]`` names, called with the other entries."""
+    entries = dict(_mapping(section, name))
+    choice = entries.pop(key, default)
+    if not isinstance(choice, str) or choice not in builders:
+        raise ConfigurationError(
+            f"{name}.{key} must be one of {', '.join(builders)} (got {choice!r})")
+    return _keywords(builders[choice], entries, name)
 
 
 def build_problem(config: dict) -> ProblemSpec:
-    try:
-        kern = KernelSpec(**_numbers(config.get("kernel", {}), "kernel",
-                                     skip="family"))
-        init = config.get("initial", {})
-        u0_cfg = _numbers(init.get("u0", {"name": "zero"}), "initial.u0", skip="name")
-        u1_cfg = _numbers(init.get("u1", {"name": "zero"}), "initial.u1", skip="name")
-        f_cfg = _numbers(config.get("forcing", {"name": "zero"}), "forcing",
-                         skip="name")
-        problem = ProblemSpec(
-            u0=make_initial(u0_cfg.pop("name"), **u0_cfg),
-            u1=make_initial(u1_cfg.pop("name"), **u1_cfg),
-            forcing=make_forcing(f_cfg.pop("name"), **f_cfg),
-            damping=_build_damping(config.get("damping", {})),
-            kernel=kern,
-            T=_number(config.get("time", {}).get("T", 1.0), "time.T"),
-        )
-    except (AttributeError, KeyError, TypeError) as exc:
-        raise ConfigurationError(f"malformed config: {exc!r}")
-    return problem
+    _checked(config, _SECTIONS, "")
+    initial = _section(config, "initial", ("u0", "u1"))
+    zero = {"name": "zero"}
+    return ProblemSpec(
+        u0=_registered(INITIAL_DATA, initial.get("u0", zero), "initial.u0"),
+        u1=_registered(INITIAL_DATA, initial.get("u1", zero), "initial.u1"),
+        forcing=_registered(FORCING, config.get("forcing", zero), "forcing"),
+        damping=_registered(_DAMPING, config.get("damping", {}), "damping",
+                            key="kind", default="affine"),
+        kernel=_keywords(KernelSpec, config.get("kernel", {}), "kernel",
+                         keep="family"),
+        T=_number(_section(config, "time", _TIME_KEYS).get("T", 1.0), "time.T"),
+    )
 
 
 def build_grid(config: dict) -> Grid:
-    J = _number(config.get("grid", {}).get("J", 32), "grid.J", integral=True)
+    J = _number(_section(config, "grid", ("J",)).get("J", 32), "grid.J",
+                integral=True)
     try:
         return Grid(J)
     except ValueError as exc:
@@ -136,14 +200,15 @@ def build_grid(config: dict) -> Grid:
 
 
 def build_steps(config: dict) -> int:
-    n = _number(config.get("time", {}).get("N", 128), "time.N", integral=True)
+    n = _number(_section(config, "time", _TIME_KEYS).get("N", 128), "time.N",
+                integral=True)
     if n < 1:
         raise ConfigurationError(f"step count N must be positive (got {n})")
     return n
 
 
 def build_solver_config(config: dict, record_energy: bool | None = None) -> SolverConfig:
-    section = dict(config.get("solver", {}))
+    section = dict(_mapping(config.get("solver", {}), "solver"))
     if record_energy is not None:
         section["record_energy"] = record_energy
     if "fp_max_iters" in section:
@@ -159,11 +224,15 @@ def build_study(config: dict) -> StudySpec:
     section = config.get("study")
     if not section:
         raise ConfigurationError("config has no 'study' section")
+    _checked(section, ("axis", "levels", "sweep"), "study")
     axis = section.get("axis", TEMPORAL)
     levels = _number(section.get("levels", 2), "study.levels", integral=True)
     sweep = section.get("sweep") or [{"label": "base"}]
+    if not isinstance(sweep, list):
+        raise ConfigurationError(f"study.sweep must be a list (got {sweep!r})")
     cells = []
     for i, overrides in enumerate(sweep):
+        overrides = _mapping(overrides, f"study.sweep[{i}]")
         label = str(overrides.get("label", f"cell{i}"))
         cell_cfg = apply_overrides(
             config, {k: v for k, v in overrides.items() if k != "label"})

@@ -32,9 +32,10 @@ whole time grid: elementary closed forms (alpha = 1), regularized
 incomplete gamma functions (non-oscillatory), or panel-wise
 Gauss-Legendre sums after the substitution s = u**2 (oscillatory
 alpha = 1/2, where the incomplete gamma would need a complex argument).
-The per-run tables use it on the time grid; the scalar ``kernel_tail``
-and ``tail_antiderivatives`` read its last entry on a short grid ending
-at the requested time.
+``KernelTables.build`` uses it on the time grid and is the only path to
+the weights and mu0 = 1 - K(0); the scalar ``kernel_tail`` and
+``tail_antiderivatives`` read its last entry on a short grid ending at the
+requested time.
 """
 
 from __future__ import annotations
@@ -200,11 +201,6 @@ def tail_antiderivatives(spec: KernelSpec, t: float) -> tuple[float, float]:
     return float(j1), float(j2)
 
 
-def mu0(spec: KernelSpec) -> float:
-    """Elastic coefficient 1 - K(0) left after the memory transformation."""
-    return 1.0 - _tail_mass(spec.require_valid())
-
-
 @functools.cache
 def _gauss_legendre():
     """Nodes and weights of the _GL_ORDER rule, computed on first use and
@@ -269,45 +265,23 @@ def weights_from_second_antiderivative(j2: np.ndarray, dt: float) -> np.ndarray:
     return w
 
 
-def quadrature_weights(spec: KernelSpec, dt: float, n_steps: int) -> np.ndarray:
-    """Averaged product-integration weights omega_0..omega_{n_steps-1}.
-
-    The double integral of K(t - s) over each (time panel) x (history
-    panel) cell is translation invariant, so the full weight matrix
-    w[n, p] equals omega[n - p].  For strongly oscillatory kernels whose
-    tail crosses zero inside the horizon, far weights inherit the sign of
-    the local tail average and may be (slightly) negative.
-    """
-    ts = _time_grid(spec, dt, n_steps)
-    return _weights_from_moments(ts, dt, *_grid_moments(spec, ts))
-
-
-def _time_grid(spec: KernelSpec, dt: float, n_steps: int) -> np.ndarray:
-    """Validated nodes k * dt, k = 0..n_steps."""
-    spec.require_valid()
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if n_steps < 1:
-        raise ValueError("need at least one step")
-    return dt * np.arange(n_steps + 1)
-
-
-def _weights_from_moments(ts: np.ndarray, dt: float, tail, m1, m2) -> np.ndarray:
-    """Weights from the moments (K, M1, M2) on the time grid ts = dt * (0..n)."""
-    j2 = ts * m1 - 0.5 * m2 + 0.5 * ts * ts * tail
-    return weights_from_second_antiderivative(j2, dt)
-
-
 @dataclass(frozen=True)
 class KernelTables:
     """Precomputed kernel data shared by every step of one simulation.
 
-    ``weights`` are the convolution weights for the configured step count,
-    ``tail`` holds K at the time-grid nodes (the transformed equation
-    sources the initial bending load through K(t_n)), and ``C0`` is the
-    certified running maximum of the tail, which for these kernels equals
-    K(0).  ``reversed_weights`` is a contiguous copy of ``weights[::-1]``,
-    derived on construction (so ``dataclasses.replace`` keeps it in step).
+    ``weights`` are the averaged product-integration weights
+    omega_0..omega_{n_steps-1}, the only place they are formed.  The double
+    integral of K(t - s) over each (time panel) x (history panel) cell is
+    translation invariant, so the full weight matrix w[n, p] equals
+    omega[n - p].  Where an oscillatory tail crosses zero inside the
+    horizon, far weights inherit the sign of the local tail average and may
+    be (slightly) negative.  ``mu0 = 1 - K(0)`` is the elastic coefficient
+    left after the memory transformation, ``tail`` holds K at the time-grid
+    nodes (the transformed equation sources the initial bending load
+    through K(t_n)), and ``C0`` is the certified running maximum of the
+    tail, which for these kernels equals K(0).  ``reversed_weights`` is a
+    contiguous copy of ``weights[::-1]``, derived on construction (so
+    ``dataclasses.replace`` keeps it in step).
     Immutable after construction; safe to share between runs.
     """
 
@@ -326,9 +300,15 @@ class KernelTables:
 
     @classmethod
     def build(cls, spec: KernelSpec, dt: float, n_steps: int) -> "KernelTables":
-        ts = _time_grid(spec, dt, n_steps)
+        spec.require_valid()
+        if dt <= 0.0:
+            raise ValueError("dt must be positive")
+        if n_steps < 1:
+            raise ValueError("need at least one step")
+        ts = dt * np.arange(n_steps + 1)
         tail, m1, m2 = _grid_moments(spec, ts)
-        weights = _weights_from_moments(ts, dt, tail, m1, m2)
+        j2 = ts * m1 - 0.5 * m2 + 0.5 * ts * ts * tail
+        weights = weights_from_second_antiderivative(j2, dt)
         k0 = _tail_mass(spec)
         if spec.has_memory:
             if not 0.0 < k0 < 1.0:

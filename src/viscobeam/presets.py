@@ -1,94 +1,21 @@
-"""Named initial-data/forcing registry and ready-made problem presets.
+"""Named preset configs and the two example problems built from them.
 
-Initial data and forcing in config files are chosen from this registry by
-name plus coefficients; no code is ever embedded in configs.  The two
-benchmark problems exercise each kernel family: a forced sine-mode beam
-with affine damping (oscillatory kernel) and an unforced polynomial bump
-with square-root damping (non-oscillatory kernel).
+Each numerical example is written out once, as a config dict in the format
+:mod:`viscobeam.config` reads; ``example1_problem``/``example2_problem``
+build their problems from those same dicts.  The two examples exercise
+each kernel family: a forced sine-mode beam with affine damping
+(oscillatory kernel) and an unforced polynomial bump with square-root
+damping (non-oscillatory kernel).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from .kernel import ConfigurationError, KernelSpec, NON_OSCILLATORY, OSCILLATORY
-from .model import DampingFunction, ProblemSpec
-
-
-def make_initial(name: str, **params):
-    """Build an initial-data callable from a registry name.
-
-    Known names: ``zero``; ``sin_mode`` (amplitude, mode); ``poly_bump``
-    (amplitude, power) giving amplitude * x**power * (1-x)**power.
-    """
-    if name == "zero":
-        return lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    if name == "sin_mode":
-        amp = float(params.get("amplitude", 1.0))
-        mode = int(params.get("mode", 1))
-        return lambda x: amp * np.sin(mode * np.pi * np.asarray(x, dtype=float))
-    if name == "poly_bump":
-        amp = float(params.get("amplitude", 1.0))
-        power = float(params.get("power", 2))
-        return lambda x: amp * np.asarray(x, dtype=float)**power \
-            * (1.0 - np.asarray(x, dtype=float))**power
-    raise ConfigurationError(f"unknown initial-data name {name!r}")
+from .config import build_problem
+from .kernel import ConfigurationError, NON_OSCILLATORY, OSCILLATORY
+from .model import ProblemSpec
 
 
-def make_forcing(name: str, **params):
-    """Build a forcing callable (x, t) -> load from a registry name.
-
-    Known names: ``zero``; ``tempered_sin`` (amplitude, sigma, alpha, mode)
-    giving amplitude * exp(-sigma t) * t**alpha * sin(mode pi x).
-    """
-    if name == "zero":
-        return lambda x, t: np.zeros_like(np.asarray(x, dtype=float))
-    if name == "tempered_sin":
-        amp = float(params.get("amplitude", 1.0))
-        sigma = float(params["sigma"])
-        alpha = float(params["alpha"])
-        mode = int(params.get("mode", 1))
-        return lambda x, t: (amp * np.exp(-sigma * t) * t**alpha
-                             * np.sin(mode * np.pi * np.asarray(x, dtype=float)))
-    raise ConfigurationError(f"unknown forcing name {name!r}")
-
-
-def example1_problem(sigma: float = 1.2, gamma: float = 1.0,
-                     alpha: float = 0.5, T: float = 1.0) -> ProblemSpec:
-    """Forced sine-mode beam with affine damping and oscillatory kernel.
-
-    u0 = sin(pi x), u1 = sin(2 pi x), f = exp(-sigma t) t**alpha sin(pi x),
-    G(v) = 1 + v.  The forcing reuses the kernel's tempering parameters.
-    """
-    return ProblemSpec(
-        u0=make_initial("sin_mode", mode=1),
-        u1=make_initial("sin_mode", mode=2),
-        forcing=make_forcing("tempered_sin", sigma=sigma, alpha=alpha),
-        damping=DampingFunction.affine(1.0, 1.0),
-        kernel=KernelSpec(family=OSCILLATORY, sigma=sigma, gamma=gamma,
-                          alpha=alpha),
-        T=T,
-    )
-
-
-def example2_problem(sigma: float = 1.5, alpha: float = 0.5,
-                     T: float = 1.0) -> ProblemSpec:
-    """Unforced polynomial bump with square-root damping, non-oscillatory kernel.
-
-    u0 = x^2 (1-x)^2, u1 = x^3 (1-x)^3, f = 0, G(v) = sqrt(1 + v).
-    """
-    return ProblemSpec(
-        u0=make_initial("poly_bump", power=2),
-        u1=make_initial("poly_bump", power=3),
-        forcing=make_forcing("zero"),
-        damping=DampingFunction.sqrt_affine(1.0, 1.0),
-        kernel=KernelSpec(family=NON_OSCILLATORY, sigma=sigma, gamma=0.0,
-                          alpha=alpha),
-        T=T,
-    )
-
-
-def _example1_config(sigma=1.2, gamma=1.0, alpha=0.5, J=32, N=256):
+def _example1_config(sigma=1.2, gamma=1.0, alpha=0.5, J=32, N=256, T=1.0):
     return {
         "kernel": {"family": OSCILLATORY, "sigma": sigma, "gamma": gamma,
                    "alpha": alpha},
@@ -97,7 +24,7 @@ def _example1_config(sigma=1.2, gamma=1.0, alpha=0.5, J=32, N=256):
                     "u1": {"name": "sin_mode", "mode": 2}},
         "forcing": {"name": "tempered_sin", "sigma": sigma, "alpha": alpha},
         "grid": {"J": J},
-        "time": {"T": 1.0, "N": N},
+        "time": {"T": T, "N": N},
         "solver": {},
     }
 
@@ -116,53 +43,56 @@ def _example2_config(sigma=1.5, alpha=0.5, J=64, N=128, T=1.0):
     }
 
 
+def example1_problem(sigma: float = 1.2, gamma: float = 1.0,
+                     alpha: float = 0.5, T: float = 1.0) -> ProblemSpec:
+    """Forced sine-mode beam with affine damping and oscillatory kernel.
+
+    u0 = sin(pi x), u1 = sin(2 pi x), f = exp(-sigma t) t**alpha sin(pi x),
+    G(v) = 1 + v.  The forcing reuses the kernel's tempering parameters.
+    """
+    return build_problem(_example1_config(sigma, gamma, alpha, T=T))
+
+
+def example2_problem(sigma: float = 1.5, alpha: float = 0.5,
+                     T: float = 1.0) -> ProblemSpec:
+    """Unforced polynomial bump with square-root damping, non-oscillatory kernel.
+
+    u0 = x^2 (1-x)^2, u1 = x^3 (1-x)^3, f = 0, G(v) = sqrt(1 + v).
+    """
+    return build_problem(_example2_config(sigma, alpha, T=T))
+
+
+def _with_study(cfg: dict, axis: str, levels: int, sweep: list) -> dict:
+    cfg["study"] = {"axis": axis, "levels": levels, "sweep": sweep}
+    return cfg
+
+
+_PRESETS = {
+    "example1": _example1_config,
+    "example2": _example2_config,
+    "example1-temporal": lambda: _with_study(
+        _example1_config(gamma=0.0, J=32, N=16), "temporal", 5,
+        [{"label": f"gamma={g}", "kernel.gamma": g} for g in (0.0, 0.5, 1.0)]),
+    "example1-spatial": lambda: _with_study(
+        _example1_config(sigma=2.0, gamma=0.0, alpha=0.5, J=8, N=64),
+        "spatial", 4,
+        [{"label": f"alpha={a},gamma={g}", "kernel.alpha": a,
+          "kernel.gamma": g, "forcing.alpha": a}
+         for a in (0.5, 1.0) for g in (0.0, 1.0, 2.0)]),
+    "example2-temporal": lambda: _with_study(
+        _example2_config(J=64, N=128), "temporal", 4,
+        [{"label": f"sigma={s}", "kernel.sigma": s} for s in (1.5, 2.0, 2.5, 3.0)]),
+    "example2-spatial": lambda: _with_study(
+        _example2_config(J=16, N=64), "spatial", 4,
+        [{"label": f"sigma={s},alpha={a}", "kernel.sigma": s, "kernel.alpha": a}
+         for s in (1.5, 3.0) for a in (0.3, 0.7)]),
+    "example2-longtime": lambda: _example2_config(J=64, N=5000, T=50.0),
+}
+
+
 def preset_config(name: str) -> dict:
     """Full config dict for a named preset (single runs and studies)."""
-    if name == "example1":
-        return _example1_config()
-    if name == "example2":
-        return _example2_config()
-    if name == "example1-temporal":
-        cfg = _example1_config(gamma=0.0, J=32, N=16)
-        cfg["study"] = {
-            "axis": "temporal", "levels": 5,
-            "sweep": [{"label": f"gamma={g}", "kernel.gamma": g}
-                      for g in (0.0, 0.5, 1.0)],
-        }
-        return cfg
-    if name == "example1-spatial":
-        cfg = _example1_config(sigma=2.0, gamma=0.0, alpha=0.5, J=8, N=64)
-        cfg["study"] = {
-            "axis": "spatial", "levels": 4,
-            "sweep": [
-                {"label": f"alpha={a},gamma={g}", "kernel.alpha": a,
-                 "kernel.gamma": g, "forcing.alpha": a}
-                for a in (0.5, 1.0) for g in (0.0, 1.0, 2.0)
-            ],
-        }
-        return cfg
-    if name == "example2-temporal":
-        cfg = _example2_config(J=64, N=128)
-        cfg["study"] = {
-            "axis": "temporal", "levels": 4,
-            "sweep": [{"label": f"sigma={s}", "kernel.sigma": s}
-                      for s in (1.5, 2.0, 2.5, 3.0)],
-        }
-        return cfg
-    if name == "example2-spatial":
-        cfg = _example2_config(J=16, N=64)
-        cfg["study"] = {
-            "axis": "spatial", "levels": 4,
-            "sweep": [
-                {"label": f"sigma={s},alpha={a}", "kernel.sigma": s,
-                 "kernel.alpha": a}
-                for s in (1.5, 3.0) for a in (0.3, 0.7)
-            ],
-        }
-        return cfg
-    if name == "example2-longtime":
-        return _example2_config(J=64, N=5000, T=50.0)
-    raise ConfigurationError(
-        f"unknown preset {name!r}; known presets: example1, example2, "
-        "example1-temporal, example1-spatial, example2-temporal, "
-        "example2-spatial, example2-longtime")
+    if name not in _PRESETS:
+        raise ConfigurationError(
+            f"unknown preset {name!r}; known presets: {', '.join(_PRESETS)}")
+    return _PRESETS[name]()

@@ -24,6 +24,7 @@ import pytest
 from viscobeam import (
     Grid,
     KernelSpec,
+    KernelTables,
     NO_MEMORY,
     NON_OSCILLATORY,
     OSCILLATORY,
@@ -33,7 +34,6 @@ from viscobeam import (
     data_functional,
     kernel_tail,
     norm,
-    quadrature_weights,
     run,
     second_difference_eigenvalues,
     sine_transform,
@@ -160,7 +160,7 @@ def test_criterion5_kernel_properties():
     for spec in (KernelSpec(OSCILLATORY, 1.2, 0.5, 0.5),
                  KernelSpec(NON_OSCILLATORY, 1.5, 0.0, 0.5)):
         dt = 1.0 / 64
-        w = quadrature_weights(spec, dt, 64)
+        w = KernelTables.build(spec, dt, 64).weights
         for n in rng.integers(1, 65, size=4):
             _, j2_hi = tail_antiderivatives(spec, int(n) * dt)
             _, j2_lo = tail_antiderivatives(spec, (int(n) - 1) * dt)
@@ -170,7 +170,7 @@ def test_criterion5_kernel_properties():
     for spec, n in ALL_TABLE_SPECS:
         if _is_negative_cell(spec, n):
             continue
-        w = quadrature_weights(spec, 1.0 / n, n)
+        w = KernelTables.build(spec, 1.0 / n, n).weights
         assert w.min() > 0.0, (spec, n)
 
 
@@ -184,7 +184,7 @@ def test_criterion5_weight_positivity_all_cells():
     print("ACCEPTANCE criterion 5 (weight positivity, all table cells): "
           "expected FAIL, see reason")
     for spec, n in ALL_TABLE_SPECS:
-        w = quadrature_weights(spec, 1.0 / n, n)
+        w = KernelTables.build(spec, 1.0 / n, n).weights
         assert w.min() > 0.0, (spec, n, float(w.min()))
 
 

@@ -110,6 +110,14 @@ class TestErrorPaths:
         assert code == EXIT_CONFIG
         assert "crosses a leaf" in json.loads(capsys.readouterr().err)["message"]
 
+    @pytest.mark.parametrize("command", ["solve", "study"])
+    def test_config_not_a_mapping_is_config_error(self, command, tmp_path, capsys):
+        cfg = write_config(tmp_path, [1])
+        code = main([command, "--config", cfg, "--set", "grid.J=8",
+                     "-o", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "must be a mapping" in json.loads(capsys.readouterr().err)["message"]
+
     def test_missing_config_and_preset(self, tmp_path, capsys):
         code = main(["solve", "-o", str(tmp_path)])
         assert code == EXIT_CONFIG
@@ -132,6 +140,18 @@ class TestErrorPaths:
         ["solve", "--preset", "example1", "--set", "solver.fp_max_iters=2.5"],
         # A section that is not a mapping.
         ["solve", "--preset", "example1", "--set", "initial.u0=5"],
+        # Unknown keys once ran the defaults silently.
+        ["solve", "--preset", "example1", "--set", "grid.j=64"],
+        ["solve", "--preset", "example1", "--set", "time.n=64"],
+        ["solve", "--preset", "example1", "--set", "initial.u0.modee=2"],
+        ["solve", "--preset", "example1", "--set", "damping.d=1"],
+        ["solve", "--preset", "example1", "--set", "grdi.J=64"],
+        ["study", "--preset", "example2-temporal", "--set", "study.level=3"],
+        ["study", "--preset", "example2-temporal", "--set", "study.sweep=5"],
+        ["study", "--preset", "example2-temporal", "--set", "study.sweep=[5]"],
+        # A non-integral mode once truncated silently (2.5 ran mode 2).
+        ["solve", "--preset", "example1", "--set", "initial.u0.mode=2.5"],
+        ["solve", "--preset", "example1", "--set", "forcing.mode=1.5"],
     ], ids=lambda argv: " ".join(argv[:1] + argv[3:]))
     def test_bad_value_is_config_error(self, argv, tmp_path, capsys):
         code = main(argv + ["-o", str(tmp_path)])
@@ -139,6 +159,18 @@ class TestErrorPaths:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["category"] == "config"
+
+    @pytest.mark.parametrize("command, key", [
+        ("solve", "grid.j"), ("solve", "time.n"), ("solve", "initial.u0.modee"),
+        ("solve", "damping.d"), ("solve", "forcing.modee"), ("solve", "grdi"),
+        ("stability", "kernel.sigmaa"), ("weights", "grid.j"),
+    ])
+    def test_unknown_key_is_named(self, command, key, tmp_path, capsys):
+        code = main([command, "--preset", "example2", "--set", f"{key}=1",
+                     "-o", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        message = json.loads(capsys.readouterr().err.strip())["message"]
+        assert f"unknown config key {key};" in message
 
     def test_removed_solver_key_is_config_error(self, tmp_path, capsys):
         code = main(["solve", "--preset", "example2", "--set",

@@ -12,8 +12,6 @@ from viscobeam import (
     OSCILLATORY,
     beta_eval,
     kernel_tail,
-    mu0,
-    quadrature_weights,
     tail_antiderivatives,
 )
 from viscobeam.kernel import weights_from_second_antiderivative
@@ -23,6 +21,15 @@ from conftest import oracle_tail, oracle_tail_antiderivatives, oracle_weight
 OSC = lambda s, g, a: KernelSpec(family=OSCILLATORY, sigma=s, gamma=g, alpha=a)
 NONOSC = lambda s, a: KernelSpec(family=NON_OSCILLATORY, sigma=s, alpha=a)
 NONE = KernelSpec(family=NO_MEMORY)
+
+
+def weights(spec, dt, n):
+    return KernelTables.build(spec, dt, n).weights
+
+
+def mu0(spec):
+    return KernelTables.build(spec, 1.0, 1).mu0
+
 
 # Valid parameter combinations spanning the benchmark tables.
 TABLE_SPECS = (
@@ -201,7 +208,7 @@ class TestQuadratureWeights:
         assert np.allclose(w[1:], c * dt, rtol=1e-12)
 
     def test_no_memory_weights_are_zero(self):
-        assert np.all(quadrature_weights(NONE, 0.1, 8) == 0.0)
+        assert np.all(weights(NONE, 0.1, 8) == 0.0)
 
     @pytest.mark.parametrize("n", [1, 5, 37])
     def test_row_sum_identity(self, n):
@@ -211,7 +218,7 @@ class TestQuadratureWeights:
         # than the weights' uniform time grid.
         spec = OSC(1.2, 0.5, 0.5)
         dt = 1.0 / 64.0
-        w = quadrature_weights(spec, dt, n)
+        w = weights(spec, dt, n)
         _, j2_hi = tail_antiderivatives(spec, n * dt)
         _, j2_lo = tail_antiderivatives(spec, (n - 1) * dt)
         assert w.sum() == pytest.approx((j2_hi - j2_lo) / dt, abs=1e-10)
@@ -222,7 +229,7 @@ class TestQuadratureWeights:
         # Brute-force nested quadrature of the defining w[n, p] equals
         # omega[n - p] for off-diagonal and diagonal cells alike.
         dt = 0.125
-        w = quadrature_weights(spec, dt, 5)
+        w = weights(spec, dt, 5)
         for n, p in [(1, 1), (3, 1), (5, 2)]:
             assert w[n - p] == pytest.approx(oracle_weight(spec, dt, n, p),
                                              abs=3e-8)
@@ -238,13 +245,13 @@ class TestQuadratureWeights:
                  + [(NONOSC(s, 0.5), 1024) for s in (1.5, 2.0, 2.5, 3.0)]
                  + [(NONOSC(s, a), 128) for s in (1.5, 3.0) for a in (0.3, 0.7)])
         for spec, n in cases:
-            w = quadrature_weights(spec, 1.0 / n, n)
+            w = weights(spec, 1.0 / n, n)
             assert w.min() > 0.0, (spec, n)
 
     def test_negative_weights_where_tail_crosses_zero(self):
         # The gamma = sigma = 2 cells have K < 0 on part of [0, 1], so the
         # far weights (local tail averages) go negative there.
-        w = quadrature_weights(OSC(2.0, 2.0, 1.0), 1.0 / 64, 64)
+        w = weights(OSC(2.0, 2.0, 1.0), 1.0 / 64, 64)
         assert w.min() < -1e-4
         assert w[0] > 0.0
 
@@ -268,11 +275,3 @@ class TestKernelTables:
     def test_invalid_spec_rejected(self):
         with pytest.raises(ConfigurationError):
             KernelTables.build(OSC(0.5, 0.0, 1.0), 0.01, 4)
-
-    @pytest.mark.parametrize("spec", [NONE, OSC(1.2, 1.0, 0.5), OSC(2.0, 2.0, 1.0),
-                                      NONOSC(1.5, 0.3)])
-    def test_weights_bit_identical_to_quadrature_weights(self, spec):
-        for n in (1, 7, 64):
-            tables = KernelTables.build(spec, 1.0 / n, n)
-            assert np.array_equal(tables.weights,
-                                  quadrature_weights(spec, 1.0 / n, n))

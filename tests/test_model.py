@@ -14,7 +14,8 @@ from viscobeam import (
     sine_transform,
     validate,
 )
-from viscobeam.presets import example1_problem, example2_problem, make_initial
+from viscobeam.config import INITIAL_DATA, build_problem
+from viscobeam.presets import example1_problem, example2_problem
 
 from conftest import second_difference
 
@@ -115,7 +116,7 @@ class TestValidate:
 
     def test_boundary_check_relative_to_scale(self):
         # sin(pi) * 1e4 ~ 1.2e-12 is roundoff of a field of size 1e4.
-        big = make_initial("sin_mode", mode=1, amplitude=1e4)
+        big = INITIAL_DATA["sin_mode"](mode=1, amplitude=1e4)
         assert validate(_problem(u0=big, u1=big)) == []
         shifted = _problem(u0=lambda x: 1e4 * (np.sin(np.pi * np.asarray(x)) + 1e-6))
         errs = validate(shifted)
@@ -140,10 +141,10 @@ class TestValidate:
 
 class TestInitialRegistry:
     def test_poly_bump_matches_polynomial(self):
-        f = make_initial("poly_bump", power=2)
+        f = INITIAL_DATA["poly_bump"](power=2)
         x = np.linspace(0.0, 1.0, 11)
         assert np.allclose(f(x), x**2 * (1 - x) ** 2)
 
     def test_unknown_name(self):
         with pytest.raises(ConfigurationError):
-            make_initial("wavelet")
+            build_problem({"initial": {"u0": {"name": "wavelet"}}})
