@@ -68,6 +68,7 @@ print("  (the solver is unaffected; only the positivity-based energy bound "
 # ----------------------------------------------------------------------
 tables = KernelTables.build(osc, dt=1.0 / 256, n_steps=256)
 print(f"\nKernelTables for the oscillatory kernel at dt = 1/256:")
-print(f"  K0 = {tables.K0:.6f}, mu0 = {tables.mu0:.6f}, C0 = {tables.C0:.6f}")
+print(f"  K0 = C0 = {tables.K0:.6f} (certified running maximum of the tail), "
+      f"mu0 = {tables.mu0:.6f}")
 print(f"  {len(tables.weights)} weights, tail stored at "
       f"{len(tables.tail)} grid times")

@@ -20,7 +20,7 @@ problem = example1_problem(sigma=1.2, gamma=1.0, alpha=0.5)
 grid = Grid(64)
 N = 256
 
-state, series = run(problem, grid, N, SolverConfig(record_energy=True))
+state, series = run(problem, grid, N)
 
 print(f"solved {N} implicit steps on {grid.J} subintervals "
        f"(dt = {state.dt:g}, h = {grid.h:g})")

@@ -31,9 +31,9 @@ problem = example2_problem(T=50.0)
 grid = Grid(64)
 N = 5000
 
-state, series = run(problem, grid, N, SolverConfig(record_energy=True))
+state, series = run(problem, grid, N)
 functional = data_functional(problem, grid, state.dt, N,
-                             C0=state.tables.C0, mu0=state.tables.mu0)
+                             C0=state.tables.K0, mu0=state.tables.mu0)
 print(f"healthy run, T = {problem.T}, N = {N}:")
 print(" ", stability_monitor(series.n, series.total, functional))
 print(f"  peak total energy {series.total.max():.4e} reached at "
@@ -62,7 +62,7 @@ except NonConvergenceError as exc:
           f"{exc.step_index} (expected; the iteration map is no longer "
           "contractive once the state blows up)")
 bad_functional = data_functional(bad, g8, bad_state.dt, n_bad,
-                                 C0=bad_state.tables.C0,
+                                 C0=bad_state.tables.K0,
                                  mu0=bad_state.tables.mu0)
 _, _, _, bad_total = energy([i.vel_norm for i in infos],
                             [i.curv_norm for i in infos], bad.damping.g0,

@@ -89,10 +89,10 @@ def _cmd_stability(args) -> int:
     if not args.safety >= 1.0:
         raise ConfigurationError(f"--safety must be at least 1 (got {args.safety})")
     cfg, problem, grid, N = _setup(args)
-    solver = build_solver_config(cfg, record_energy=True)
+    solver = build_solver_config(cfg)
     state, series = run(problem, grid, N, solver)
     functional = data_functional(problem, grid, state.dt, N,
-                                 C0=state.tables.C0, mu0=state.tables.mu0)
+                                 C0=state.tables.K0, mu0=state.tables.mu0)
     verdict = stability_monitor(series.n, series.total, functional,
                                  safety=args.safety)
     out = _outdir(args)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import copy
 import inspect
 import json
+import math
 
 import numpy as np
 
@@ -108,11 +109,11 @@ def _parse_assignment(item: str) -> tuple[str, object]:
 
 
 def _number(value, name: str, integral: bool = False):
-    """``value`` as a float, or as an int when ``integral``.
+    """``value`` as a finite float, or as an int when ``integral``.
 
-    Anything else, a non-integral count included, is a ConfigurationError
-    naming the entry: truncating 2.7 steps to 2 would run a different
-    problem than the one asked for.
+    Anything else, a non-integral count or an infinite or NaN value
+    included, is a ConfigurationError naming the entry: truncating 2.7
+    steps to 2 would run a different problem than the one asked for.
     """
     if not isinstance(value, bool):
         try:
@@ -120,11 +121,11 @@ def _number(value, name: str, integral: bool = False):
         except (TypeError, ValueError):
             pass
         else:
-            if not integral:
-                return number
-            if number.is_integer():
+            if integral and number.is_integer():
                 return int(number)
-    kind = "an integer" if integral else "a number"
+            if not integral and math.isfinite(number):
+                return number
+    kind = "an integer" if integral else "a finite number"
     raise ConfigurationError(f"{name} must be {kind} (got {value!r})")
 
 
@@ -141,7 +142,8 @@ def _checked(section, allowed, name: str) -> dict:
         if key not in allowed:
             raise ConfigurationError(
                 f"unknown config key {name + '.' if name else ''}{key}; "
-                f"expected one of {', '.join(allowed)}")
+                + (f"expected one of {', '.join(allowed)}" if allowed
+                   else f"{name} takes no keys"))
     return section
 
 
@@ -151,15 +153,16 @@ def _section(config: dict, key: str, allowed) -> dict:
 
 def _keywords(builder, entries, name: str, keep: str = ""):
     """``builder(**entries)`` with every entry but ``keep`` a number (``mode``
-    an integer).  Each entry must be a keyword parameter of ``builder``, and
-    each parameter without a default must be given."""
+    and ``fp_max_iters`` integers).  Each entry must be a keyword parameter
+    of ``builder``, and each parameter without a default must be given."""
     params = inspect.signature(builder).parameters
     _checked(entries, tuple(params), name)
     for key, param in params.items():
         if param.default is param.empty and key not in entries:
             raise ConfigurationError(f"{name}.{key} is required")
     return builder(**{key: value if key == keep else
-                      _number(value, f"{name}.{key}", integral=key == "mode")
+                      _number(value, f"{name}.{key}",
+                              integral=key in ("mode", "fp_max_iters"))
                       for key, value in entries.items()})
 
 
@@ -207,17 +210,8 @@ def build_steps(config: dict) -> int:
     return n
 
 
-def build_solver_config(config: dict, record_energy: bool | None = None) -> SolverConfig:
-    section = dict(_mapping(config.get("solver", {}), "solver"))
-    if record_energy is not None:
-        section["record_energy"] = record_energy
-    if "fp_max_iters" in section:
-        section["fp_max_iters"] = _number(section["fp_max_iters"],
-                                          "solver.fp_max_iters", integral=True)
-    try:
-        return SolverConfig(**section)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"bad solver section: {exc}")
+def build_solver_config(config: dict) -> SolverConfig:
+    return _keywords(SolverConfig, config.get("solver", {}), "solver")
 
 
 def build_study(config: dict) -> StudySpec:

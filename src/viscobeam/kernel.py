@@ -33,9 +33,9 @@ incomplete gamma functions (non-oscillatory), or panel-wise
 Gauss-Legendre sums after the substitution s = u**2 (oscillatory
 alpha = 1/2, where the incomplete gamma would need a complex argument).
 ``KernelTables.build`` uses it on the time grid and is the only path to
-the weights and mu0 = 1 - K(0); the scalar ``kernel_tail`` and
-``tail_antiderivatives`` read its last entry on a short grid ending at the
-requested time.
+the weights; the tables derive mu0 = 1 - K(0) from their K0.  The scalar
+``kernel_tail`` and ``tail_antiderivatives`` read its last entry on a
+short grid ending at the requested time.
 """
 
 from __future__ import annotations
@@ -275,26 +275,25 @@ class KernelTables:
     translation invariant, so the full weight matrix w[n, p] equals
     omega[n - p].  Where an oscillatory tail crosses zero inside the
     horizon, far weights inherit the sign of the local tail average and may
-    be (slightly) negative.  ``mu0 = 1 - K(0)`` is the elastic coefficient
-    left after the memory transformation, ``tail`` holds K at the time-grid
-    nodes (the transformed equation sources the initial bending load
-    through K(t_n)), and ``C0`` is the certified running maximum of the
-    tail, which for these kernels equals K(0).  ``reversed_weights`` is a
-    contiguous copy of ``weights[::-1]``, derived on construction (so
-    ``dataclasses.replace`` keeps it in step).
+    be (slightly) negative.  ``K0 = K(0)`` is the tail mass, which
+    :meth:`build` certifies to be the running maximum of the tail (the
+    constant C0 of the stability estimate), and ``tail`` holds K at the
+    time-grid nodes (the transformed equation sources the initial bending
+    load through K(t_n)).  Two fields are derived on construction, so
+    ``dataclasses.replace`` keeps them in step: ``mu0 = 1 - K0``, the
+    elastic coefficient left after the memory transformation, and
+    ``reversed_weights``, a contiguous copy of ``weights[::-1]``.
     Immutable after construction; safe to share between runs.
     """
 
-    spec: KernelSpec
-    dt: float
     K0: float
-    mu0: float
-    C0: float
     weights: np.ndarray
     tail: np.ndarray
+    mu0: float = field(init=False)
     reversed_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "mu0", 1.0 - self.K0)
         object.__setattr__(self, "reversed_weights",
                            np.ascontiguousarray(self.weights[::-1]))
 
@@ -315,8 +314,8 @@ class KernelTables:
                 raise ConfigurationError(
                     f"tail mass K(0) = {k0} outside (0, 1); "
                     "the transformed elastic coefficient would be non-positive")
-            # Certify C0 = K(0): the tail may oscillate but must never
-            # exceed its initial value.
+            # Certify C0 = K(0), so callers may pass K0 as C0: the tail may
+            # oscillate but must never exceed its initial value.
             probe = np.linspace(0.0, 40.0 / spec.sigma, _C0_SAMPLES)
             probe_tail, _, _ = _grid_moments(spec, probe)
             excess = float(np.max(probe_tail)) - k0
@@ -324,5 +323,4 @@ class KernelTables:
                 raise ConfigurationError(
                     f"kernel tail exceeds its value at zero by {excess:g}; "
                     "running maximum C0 = K(0) does not hold")
-        return cls(spec=spec, dt=dt, K0=k0, mu0=1.0 - k0,
-                   C0=k0, weights=weights, tail=tail)
+        return cls(K0=k0, weights=weights, tail=tail)

@@ -4,8 +4,8 @@ The damping coefficient multiplies the velocity and is a function
 G(v) >= g0 > 0 of the instantaneous discrete bending energy v = ||D2 U||^2,
 read from the sine coefficients of U.  The analysis behind the scheme
 needs G bounded below and Lipschitz with a non-negative derivative; the
-built-in kinds satisfy this by construction and declare their constants,
-custom callables are only sample-checked.
+built-in laws satisfy this by construction and declare their constants,
+any other callable is only sample-checked.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ import numpy as np
 from .grid_ops import Grid, bending_energy, second_difference_eigenvalues
 from .kernel import ConfigurationError, KernelSpec
 
-#: Default upper end of the sampling range used to spot-check damping bounds.
-#: The theory only needs them on the (unknowable a priori) range the solution
+#: Upper end of the sampling range used to spot-check damping bounds.  The
+#: theory only needs them on the (unknowable a priori) range the solution
 #: visits, so this is a pragmatic stand-in.
-V_MAX_DEFAULT = 1.0e4
+_V_MAX = 1.0e4
 
 #: End values of the initial data may not exceed this times max(1, max|u|)
 #: on a probe grid: roundoff of a field that vanishes there scales with it.
@@ -32,15 +32,13 @@ _BOUNDARY_TOL = 1e-12
 class DampingFunction:
     """Damping coefficient G with declared lower bound and Lipschitz constant.
 
-    Use the constructors :meth:`affine`, :meth:`sqrt_affine`,
-    :meth:`constant` or :meth:`custom`.  For custom callables the declared
-    bounds are verified only by sampling.
+    Use the constructors :meth:`affine`, :meth:`sqrt_affine` and
+    :meth:`constant`, or pass any callable with the bounds it claims;
+    :func:`validate` checks those claims only by sampling.
     """
 
-    kind: str
     fn: Callable[[float], float] = field(repr=False)
     g0: float
-    g1: float
     lipschitz: float
 
     def __call__(self, v: float) -> float:
@@ -49,26 +47,18 @@ class DampingFunction:
     @classmethod
     def affine(cls, a: float, b: float) -> "DampingFunction":
         """G(v) = a + b*v with a > 0, b >= 0."""
-        return cls(kind="affine", fn=lambda v: a + b * v, g0=a,
-                   g1=a + b * V_MAX_DEFAULT, lipschitz=b)
+        return cls(lambda v: a + b * v, g0=a, lipschitz=b)
 
     @classmethod
     def sqrt_affine(cls, a: float, b: float) -> "DampingFunction":
         """G(v) = sqrt(a + b*v); steepest at v = 0, so L = b / (2*sqrt(a))."""
         g0 = float(np.sqrt(a))
         lip = b / (2.0 * g0) if g0 > 0 else np.inf
-        return cls(kind="sqrt_affine", fn=lambda v: float(np.sqrt(a + b * v)),
-                   g0=g0, g1=float(np.sqrt(a + b * V_MAX_DEFAULT)), lipschitz=lip)
+        return cls(lambda v: float(np.sqrt(a + b * v)), g0=g0, lipschitz=lip)
 
     @classmethod
     def constant(cls, c: float) -> "DampingFunction":
-        return cls(kind="constant", fn=lambda v: c, g0=c, g1=c, lipschitz=0.0)
-
-    @classmethod
-    def custom(cls, fn: Callable[[float], float], g0: float, g1: float,
-               lipschitz: float) -> "DampingFunction":
-        """Wrap an arbitrary callable; bounds are the caller's claim."""
-        return cls(kind="custom", fn=fn, g0=g0, g1=g1, lipschitz=lipschitz)
+        return cls(lambda v: c, g0=c, lipschitz=0.0)
 
 
 @dataclass(frozen=True)
@@ -94,11 +84,7 @@ def damping_coefficient(damping: DampingFunction, U_hat, grid: Grid) -> float:
     return damping(bending_energy(U_hat, second_difference_eigenvalues(grid), grid.h))
 
 
-def _sample_values(v_max: float) -> np.ndarray:
-    return np.concatenate([[0.0], np.geomspace(1e-6, v_max, 25)])
-
-
-def validate(spec: ProblemSpec, v_max: float = V_MAX_DEFAULT) -> list[str]:
+def validate(spec: ProblemSpec) -> list[str]:
     """Collect violated model assumptions; an empty list means valid.
 
     Checks kernel parameter ranges, the damping lower bound and Lipschitz
@@ -111,15 +97,13 @@ def validate(spec: ProblemSpec, v_max: float = V_MAX_DEFAULT) -> list[str]:
     if not d.g0 > 0.0:
         errs.append(f"damping lower bound g0 must be positive (got {d.g0}); "
                     "the velocity term must stay dissipative")
-    if d.g1 < d.g0:
-        errs.append(f"declared damping bounds are inconsistent: g1={d.g1} < g0={d.g0}")
     if d.lipschitz < 0.0:
         errs.append(f"Lipschitz constant must be non-negative (got {d.lipschitz})")
     else:
-        vs = _sample_values(v_max)
+        vs = np.concatenate([[0.0], np.geomspace(1e-6, _V_MAX, 25)])
         try:
             gv = np.array([d(v) for v in vs])
-        except Exception as exc:  # pragma: no cover - custom callables only
+        except Exception as exc:  # pragma: no cover - caller-supplied callables only
             errs.append(f"damping function raised on sampled input: {exc!r}")
         else:
             nonfinite = vs[~np.isfinite(gv)]
@@ -156,9 +140,9 @@ def validate(spec: ProblemSpec, v_max: float = V_MAX_DEFAULT) -> list[str]:
     return errs
 
 
-def require_valid(spec: ProblemSpec, v_max: float = V_MAX_DEFAULT) -> ProblemSpec:
+def require_valid(spec: ProblemSpec) -> ProblemSpec:
     """Return the problem unchanged or raise with every violation listed."""
-    errs = validate(spec, v_max=v_max)
+    errs = validate(spec)
     if errs:
         raise ConfigurationError("; ".join(errs))
     return spec

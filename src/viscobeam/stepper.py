@@ -22,21 +22,22 @@ therefore costs one O(n * J) convolution, one sine transform (of the
 forcing) and O(J) per inner iteration.  The convolution is exact and runs
 as one BLAS matrix-vector product, reading the weights forward from the
 kernel tables' reversed copy: numpy keeps a negatively strided operand out
-of BLAS and loops several times slower.
+of BLAS and loops several times slower.  A run records per-level norms and
+builds its energy columns from them once, at the end.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import diagnostics
 from .grid_ops import (Grid, bending_energy, norm, second_difference_eigenvalues,
                        sine_transform)
-from .kernel import KernelTables
+from .kernel import ConfigurationError, KernelTables
 from .model import ProblemSpec, damping_coefficient, require_valid
 
 _CSV_BLOCK_ROWS = 1024
@@ -64,7 +65,7 @@ class NonConvergenceError(NumericalError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs of the per-step fixed-point solve and of run recording.
+    """Knobs of the per-step fixed-point solve.
 
     ``fp_tol`` bounds the final fixed-point increment relative to the
     iterate's discrete L2 norm, or absolutely while that norm is below 1,
@@ -73,13 +74,14 @@ class SolverConfig:
 
     fp_tol: float = 1e-12
     fp_max_iters: int = 50
-    record_energy: bool = False
 
     def __post_init__(self):
         if not self.fp_tol > 0.0:
-            raise ValueError("fp_tol must be positive")
+            raise ConfigurationError(
+                f"solver.fp_tol must be positive (got {self.fp_tol})")
         if self.fp_max_iters < 1:
-            raise ValueError("fp_max_iters must be at least 1")
+            raise ConfigurationError(
+                f"solver.fp_max_iters must be at least 1 (got {self.fp_max_iters})")
 
 
 @dataclass
@@ -140,7 +142,7 @@ class StepInfo:
 
 @dataclass
 class TimeSeries:
-    """Per-step diagnostic records of one run, with optional energy columns.
+    """Per-step diagnostic records of one run, energy columns included.
 
     Serializable to CSV; identical runs produce identical series.
     """
@@ -151,19 +153,13 @@ class TimeSeries:
     curv_norm: np.ndarray
     damping: np.ndarray
     fp_iters: np.ndarray
-    kinetic: np.ndarray | None = None
-    dissipated: np.ndarray | None = None
-    elastic: np.ndarray | None = None
-    total: np.ndarray | None = None
-
-    @property
-    def has_energy(self) -> bool:
-        return self.total is not None
+    kinetic: np.ndarray
+    dissipated: np.ndarray
+    elastic: np.ndarray
+    total: np.ndarray
 
     def to_csv(self, path) -> None:
-        cols = ["n", "t", "vel_norm", "curv_norm", "damping", "fp_iters"]
-        if self.has_energy:
-            cols += ["kinetic", "dissipated", "elastic", "total"]
+        cols = [f.name for f in fields(self)]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(cols)
@@ -279,7 +275,8 @@ def run(problem: ProblemSpec, grid: Grid, N: int,
         config: SolverConfig | None = None) -> tuple[SolverState, TimeSeries]:
     """Initialize and solve levels 2..N; return final state and diagnostics.
 
-    With N = 1 only the explicit start is performed.  Failures propagate
+    With N = 1 only the explicit start is performed.  The energy columns
+    are built once at the end from the recorded norms.  Failures propagate
     with the failing step index attached.
     """
     config = config or SolverConfig()
@@ -296,17 +293,10 @@ def run(problem: ProblemSpec, grid: Grid, N: int,
     while state.n <= N:
         infos.append(step(state, config))
 
-    series = TimeSeries(
-        n=np.array([i.n for i in infos]),
-        t=np.array([i.t for i in infos]),
-        vel_norm=np.array([i.vel_norm for i in infos]),
-        curv_norm=np.array([i.curv_norm for i in infos]),
-        damping=np.array([i.damping for i in infos]),
-        fp_iters=np.array([i.fp_iters for i in infos]),
-    )
-    if config.record_energy:
-        (series.kinetic, series.dissipated, series.elastic,
-         series.total) = diagnostics.energy(series.vel_norm, series.curv_norm,
-                                            problem.damping.g0,
-                                            state.tables.mu0, state.dt)
-    return state, series
+    cols = {f.name: np.array([getattr(i, f.name) for i in infos])
+            for f in fields(StepInfo)}
+    kinetic, dissipated, elastic, total = diagnostics.energy(
+        cols["vel_norm"], cols["curv_norm"], problem.damping.g0,
+        state.tables.mu0, state.dt)
+    return state, TimeSeries(**cols, kinetic=kinetic, dissipated=dissipated,
+                             elastic=elastic, total=total)

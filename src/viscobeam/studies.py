@@ -25,7 +25,7 @@ import csv
 import datetime
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -129,34 +129,21 @@ class StudyRow:
 @dataclass(frozen=True)
 class CellResult:
     label: str
-    rows: tuple[StudyRow, ...] = ()
     failure: str | None = None
+    rows: tuple[StudyRow, ...] = ()
 
 
 @dataclass(frozen=True)
 class ConvergenceReport:
+    """Study results.  The field order here, in CellResult and in StudyRow
+    is the key order of ``report.json``."""
+
     axis: str
+    metadata: dict
     cells: tuple[CellResult, ...]
-    metadata: dict = field(default_factory=dict)
 
     def to_json(self, path=None) -> str:
-        doc = {
-            "axis": self.axis,
-            "metadata": self.metadata,
-            "cells": [
-                {
-                    "label": c.label,
-                    "failure": c.failure,
-                    "rows": [
-                        {"level": r.level, "refinement": r.refinement,
-                         "error": r.error, "rate": r.rate}
-                        for r in c.rows
-                    ],
-                }
-                for c in self.cells
-            ],
-        }
-        text = json.dumps(doc, indent=2)
+        text = json.dumps(asdict(self), indent=2)
         if path is not None:
             with open(path, "w") as fh:
                 fh.write(text + "\n")
@@ -233,4 +220,4 @@ def run_study(study: StudySpec, config: SolverConfig | None = None,
     }
     if metadata:
         meta.update(metadata)
-    return ConvergenceReport(axis=study.axis, cells=tuple(cells), metadata=meta)
+    return ConvergenceReport(axis=study.axis, metadata=meta, cells=tuple(cells))

@@ -30,7 +30,6 @@ from viscobeam import (
     OSCILLATORY,
     DampingFunction,
     ProblemSpec,
-    SolverConfig,
     data_functional,
     kernel_tail,
     norm,
@@ -255,8 +254,8 @@ def test_criterion8_structural_invariants():
     assert np.all(state.U_prev == 0.0)
 
     # Determinism: bit-identical reruns.
-    s1, t1 = run(p, Grid(32), 64, SolverConfig(record_energy=True))
-    s2, t2 = run(p, Grid(32), 64, SolverConfig(record_energy=True))
+    s1, t1 = run(p, Grid(32), 64)
+    s2, t2 = run(p, Grid(32), 64)
     assert np.array_equal(s1.U_prev, s2.U_prev)
     for name in ("t", "vel_norm", "curv_norm", "damping", "fp_iters",
                  "kinetic", "dissipated", "elastic", "total"):
@@ -268,9 +267,9 @@ def test_criterion9_long_time_stability():
     p = example2_problem(T=50.0)
     g = Grid(64)
     N = 5000
-    state, series = run(p, g, N, SolverConfig(record_energy=True))
+    state, series = run(p, g, N)
     functional = data_functional(p, g, state.dt, N,
-                                 C0=state.tables.C0, mu0=state.tables.mu0)
+                                 C0=state.tables.K0, mu0=state.tables.mu0)
     verdict = stability_monitor(series.n, series.total, functional, safety=1e3)
     assert verdict.passed, str(verdict)
 

@@ -35,7 +35,9 @@ class TestSolve:
         assert rows[0] == "x,u"
         values = np.array([float(r.split(",")[1]) for r in rows[1:]])
         assert np.all(values == 0.0)
-        assert (tmp_path / "timeseries.csv").exists()
+        # Every run records its energy; the columns were once opt-in.
+        header = (tmp_path / "timeseries.csv").read_text().splitlines()[0]
+        assert header.endswith("kinetic,dissipated,elastic,total")
 
     def test_preset_solve(self, tmp_path, capsys):
         code = main(["solve", "--preset", "example2", "--set", "time.N=8",
@@ -152,6 +154,20 @@ class TestErrorPaths:
         # A non-integral mode once truncated silently (2.5 ran mode 2).
         ["solve", "--preset", "example1", "--set", "initial.u0.mode=2.5"],
         ["solve", "--preset", "example1", "--set", "forcing.mode=1.5"],
+        # Solver values once reached SolverConfig unconverted.
+        ["solve", "--preset", "example1", "--set", "solver.fp_tol=abc"],
+        ["solve", "--preset", "example1", "--set", "solver.fp_tol=true"],
+        ["solve", "--preset", "example1", "--set", "solver.record_energy=true"],
+        # Non-finite numbers once got through: T=Infinity raised a raw
+        # ValueError, an infinite amplitude passed the boundary check and an
+        # infinite fp_tol ran every step unconverged.
+        ["solve", "--preset", "example1", "--set", "time.T=Infinity"],
+        # The RuntimeWarning of inf * 0 would itself fail validation under
+        # "-W error" and hide the NaN end values that once got through.
+        pytest.param(["solve", "--preset", "example2", "--set",
+                      "initial.u0.amplitude=Infinity"],
+                     marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+        ["solve", "--preset", "example1", "--set", "solver.fp_tol=Infinity"],
     ], ids=lambda argv: " ".join(argv[:1] + argv[3:]))
     def test_bad_value_is_config_error(self, argv, tmp_path, capsys):
         code = main(argv + ["-o", str(tmp_path)])
@@ -164,6 +180,8 @@ class TestErrorPaths:
         ("solve", "grid.j"), ("solve", "time.n"), ("solve", "initial.u0.modee"),
         ("solve", "damping.d"), ("solve", "forcing.modee"), ("solve", "grdi"),
         ("stability", "kernel.sigmaa"), ("weights", "grid.j"),
+        # example2's forcing is "zero", whose builder takes no keys.
+        ("solve", "forcing.amplitude"),
     ])
     def test_unknown_key_is_named(self, command, key, tmp_path, capsys):
         code = main([command, "--preset", "example2", "--set", f"{key}=1",
@@ -171,13 +189,16 @@ class TestErrorPaths:
         assert code == EXIT_CONFIG
         message = json.loads(capsys.readouterr().err.strip())["message"]
         assert f"unknown config key {key};" in message
+        # An entry without keys once listed none: "expected one of ".
+        assert not message.endswith("one of ")
 
     def test_removed_solver_key_is_config_error(self, tmp_path, capsys):
         code = main(["solve", "--preset", "example2", "--set",
                      "solver.snapshot_every=4", "-o", str(tmp_path)])
         assert code == EXIT_CONFIG
         err = json.loads(capsys.readouterr().err.strip())
-        assert "bad solver section" in err["message"]
+        assert "unknown config key solver.snapshot_every; expected one of " \
+            "fp_tol, fp_max_iters" in err["message"]
 
 
 class TestStudy:

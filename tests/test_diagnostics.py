@@ -25,7 +25,7 @@ class TestEnergyRecord:
         p = example2_problem()
         zero = dataclasses.replace(p, u0=lambda x: 0.0 * np.asarray(x),
                                    u1=lambda x: 0.0 * np.asarray(x))
-        _, series = run(zero, Grid(8), 8, SolverConfig(record_energy=True))
+        _, series = run(zero, Grid(8), 8)
         for column in (series.kinetic, series.elastic, series.dissipated,
                        series.total):
             assert np.all(column == 0.0)
@@ -52,14 +52,14 @@ class TestEnergyRecord:
     def test_example2_regression_value(self):
         # Frozen baseline from the first accepted run of this configuration.
         p = example2_problem()
-        _, series = run(p, Grid(32), 64, SolverConfig(record_energy=True))
+        _, series = run(p, Grid(32), 64)
         total = float(series.total[-1])
         assert total > 0.0
         assert total == pytest.approx(0.015081183226336715, rel=1e-10)
 
     def test_components_nonnegative_dissipation_monotone(self):
         p = example1_problem()
-        _, series = run(p, Grid(16), 64, SolverConfig(record_energy=True))
+        _, series = run(p, Grid(16), 64)
         assert np.all(series.kinetic >= 0.0)
         assert np.all(series.elastic >= 0.0)
         assert np.all(np.diff(series.dissipated) >= 0.0)
@@ -108,9 +108,9 @@ class TestStabilityMonitor:
         p = example2_problem(T=2.0)
         g = Grid(16)
         N = 200
-        state, series = run(p, g, N, SolverConfig(record_energy=True))
+        state, series = run(p, g, N)
         functional = data_functional(p, g, state.dt, N,
-                                     C0=state.tables.C0, mu0=state.tables.mu0)
+                                     C0=state.tables.K0, mu0=state.tables.mu0)
         verdict = stability_monitor(series.n, series.total, functional)
         assert verdict.passed
 
@@ -157,7 +157,7 @@ class TestStabilityMonitor:
         _, _, _, total = energy([i.vel_norm for i in infos],
                                 [i.curv_norm for i in infos],
                                 p.damping.g0, mu0, state.dt)
-        functional = data_functional(p, g, state.dt, N, C0=state.tables.C0,
+        functional = data_functional(p, g, state.dt, N, C0=state.tables.K0,
                                      mu0=mu0)
         verdict = stability_monitor([i.n for i in infos], total, functional,
                                     safety=1e3)

@@ -262,7 +262,6 @@ class TestKernelTables:
         tables = KernelTables.build(spec, 1.0 / 32, 32)
         assert tables.K0 == pytest.approx(0.75232562044403501, rel=1e-13)
         assert tables.mu0 == pytest.approx(1.0 - tables.K0, abs=1e-15)
-        assert tables.C0 == tables.K0
         assert tables.weights.shape == (32,)
         assert tables.tail.shape == (33,)
         assert tables.tail[0] == pytest.approx(tables.K0, abs=1e-14)

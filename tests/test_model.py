@@ -46,20 +46,18 @@ class TestDampingFunction:
 
     def test_constant(self):
         d = DampingFunction.constant(2.0)
-        assert d.g0 == d.g1 == 2.0 and d.lipschitz == 0.0
+        assert d.g0 == 2.0 and d.lipschitz == 0.0
 
     def test_custom_bounds_sampled(self):
-        good = DampingFunction.custom(lambda v: 2.0 + np.tanh(v), g0=2.0,
-                                      g1=3.0, lipschitz=1.0)
+        good = DampingFunction(lambda v: 2.0 + np.tanh(v), g0=2.0,
+                               lipschitz=1.0)
         assert validate(_problem(damping=good)) == []
-        lying = DampingFunction.custom(lambda v: 0.5, g0=2.0, g1=3.0,
-                                       lipschitz=1.0)
+        lying = DampingFunction(lambda v: 0.5, g0=2.0, lipschitz=1.0)
         errs = validate(_problem(damping=lying))
         assert any("lower bound" in e for e in errs)
 
     def test_custom_lipschitz_violation_detected(self):
-        steep = DampingFunction.custom(lambda v: 1.0 + v**2, g0=1.0,
-                                       g1=1e9, lipschitz=1.0)
+        steep = DampingFunction(lambda v: 1.0 + v**2, g0=1.0, lipschitz=1.0)
         errs = validate(_problem(damping=steep))
         assert any("Lipschitz" in e for e in errs)
 
@@ -123,8 +121,8 @@ class TestValidate:
         assert any("u0" in e and "vanish" in e for e in errs)
 
     def test_nonfinite_damping_reported(self):
-        d = DampingFunction.custom(lambda v: float("nan") if v < 40.0 else 1.0 + v,
-                                   g0=1.0, g1=1e4, lipschitz=1.0)
+        d = DampingFunction(lambda v: float("nan") if v < 40.0 else 1.0 + v,
+                            g0=1.0, lipschitz=1.0)
         errs = validate(_problem(damping=d))
         assert any("non-finite" in e for e in errs)
         with pytest.raises(ConfigurationError):
