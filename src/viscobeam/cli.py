@@ -154,18 +154,16 @@ _HANDLERS = {"solve": _cmd_solve, "study": _cmd_study,
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        # Overflow and invalid values surface as the typed errors below,
+        # so numpy's warnings would only break the one-line stderr.
+        with np.errstate(all="ignore"):
+            return _HANDLERS[args.command](args)
     except ConfigurationError as exc:
         print(json.dumps({"category": "config", "message": str(exc)}),
               file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:
         print(json.dumps({"category": "numerical", "message": str(exc)}),
-              file=sys.stderr)
-        return EXIT_NUMERICAL
-    except FloatingPointError as exc:
-        print(json.dumps({"category": "numerical",
-                          "message": f"{type(exc).__name__}: {exc}"}),
               file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -10,8 +10,10 @@ by parts) work.
 Both operators are diagonal in the orthonormal DST-I basis:
 D2 = S diag(lambda) S with S = :func:`sine_transform` (its own inverse)
 and lambda from :func:`second_difference_eigenvalues`, so D4 =
-S diag(lambda^2) S.  The solver applies them only in that form; the
-stencils themselves serve as test oracles.
+S diag(lambda^2) S.  S is read off numpy's real FFT of the vector
+zero-padded to length 2J (one zero before it, J after it).  The solver
+applies the operators only in that form; the stencils themselves serve as
+test oracles.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.fft import dst
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,11 @@ def sine_transform(W) -> np.ndarray:
     hinged difference operators and back.  Orthonormality makes
     ``norm(W) == sqrt(h) * ||sine_transform(W)||``.
     """
-    return dst(np.asarray(W, dtype=float), type=1, norm="ortho")
+    W = np.asarray(W, dtype=float)
+    n = W.shape[-1]
+    padded = np.zeros(W.shape[:-1] + (2 * n + 2,))
+    padded[..., 1:n + 1] = W
+    return -math.sqrt(2.0 / (n + 1)) * np.fft.rfft(padded).imag[..., 1:n + 1]
 
 
 def bending_energy(W_hat, eigs, h: float) -> float:

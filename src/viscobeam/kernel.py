@@ -28,14 +28,15 @@ and uses the identities (obtained by swapping the order of integration)
     J2(t) = t*M_1(t) - M_2(t)/2 + t**2*K(t)/2.
 
 One vectorized evaluator, ``_grid_moments``, produces (K, M_1, M_2) on a
-whole time grid: elementary closed forms (alpha = 1), regularized
-incomplete gamma functions (non-oscillatory), or panel-wise
-Gauss-Legendre sums after the substitution s = u**2 (oscillatory
-alpha = 1/2, where the incomplete gamma would need a complex argument).
-``KernelTables.build`` uses it on the time grid and is the only path to
-the weights; the tables derive mu0 = 1 - K(0) from their K0.  The scalar
-``kernel_tail`` and ``tail_antiderivatives`` read its last entry on a
-short grid ending at the requested time.
+whole time grid for every memory family.  It substitutes u = s**alpha,
+which turns beta(s) ds into exp(-sigma*s) * cos(gamma*s) du / Gamma(alpha+1)
+and so removes the endpoint singularity, and sums Gauss-Legendre panel
+integrals cumulatively; the first panel is split geometrically toward
+u = 0, where the integrand is only finitely smooth unless 1/alpha is an
+integer.  ``KernelTables.build`` uses it on the time grid and is the only
+path to the weights; the tables derive mu0 = 1 - K(0) from their K0.  The
+scalar ``kernel_tail`` and ``tail_antiderivatives`` read its last entry on
+a short grid, uniform in u, ending at the requested time.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ import functools
 import math
 
 import numpy as np
-from scipy import special
 
 OSCILLATORY = "oscillatory"
 NON_OSCILLATORY = "non_oscillatory"
@@ -53,13 +53,16 @@ NO_MEMORY = "none"
 
 _FAMILIES = (OSCILLATORY, NON_OSCILLATORY, NO_MEMORY)
 
-#: Gauss-Legendre order for the per-panel moment quadratures.  Panels are
-#: at most one time step wide on the tables' grid and at most _U_PANEL wide
-#: in u = sqrt(s) for a single time, and the substituted integrand is
-#: entire, so this is far inside the regime where the rule is exact to
-#: roundoff.
+#: Gauss-Legendre order for the per-panel moment quadratures in
+#: u = s**alpha.  Panels are at most one time step wide on the tables' grid
+#: and at most _U_PANEL wide in u for a single time.  The first panel is
+#: split into _GRADED_LEVELS + 1 pieces whose ends shrink by _GRADING_RATIO
+#: toward u = 0, so every piece is far inside the regime where the rule is
+#: exact to roundoff.
 _GL_ORDER = 24
 _U_PANEL = 0.25
+_GRADED_LEVELS = 8
+_GRADING_RATIO = 0.25
 
 #: Points used when certifying that the tail never exceeds its value at
 #: zero (so the running maximum C0 equals K(0)).
@@ -147,32 +150,17 @@ def beta_eval(spec: KernelSpec, t):
     out = np.exp(-spec.sigma * t_arr) * t_arr ** (spec.alpha - 1.0)
     if spec.family == OSCILLATORY:
         out = out * np.cos(spec.gamma * t_arr)
-    out = out / special.gamma(spec.alpha)
+    out = out / math.gamma(spec.alpha)
     return float(out) if np.isscalar(t) else out
 
 
-def _tail_mass(spec: KernelSpec) -> float:
-    """K(0), the total integral of beta: Re[(sigma - i*gamma)**(-alpha)]."""
-    if spec.family == NO_MEMORY:
-        return 0.0
-    gamma = spec.gamma if spec.family == OSCILLATORY else 0.0
-    return float(((spec.sigma - 1j * gamma) ** -spec.alpha).real)
-
-
 def _moments_at(spec: KernelSpec, t: float):
-    """(K, M1, M2) at one time t >= 0: the last entry of _grid_moments.
-
-    Only the oscillatory alpha = 1/2 branch accumulates panels; it gets a
-    grid uniform in sqrt(s) with panels at most _U_PANEL wide there.  The
-    other branches are pointwise, so the grid is just [0, t].
-    """
-    panels = 1
-    if spec.family == OSCILLATORY and spec.alpha == 0.5:
-        panels = max(1, math.ceil(math.sqrt(t) / _U_PANEL))
-    ts = np.linspace(0.0, math.sqrt(t), panels + 1) ** 2
+    """(K, M1, M2) at one time t >= 0: the last entry of _grid_moments on a
+    grid uniform in u = s**alpha with panels at most _U_PANEL wide there."""
+    u = t ** spec.alpha
+    ts = np.linspace(0.0, u, max(1, math.ceil(u / _U_PANEL)) + 1) ** (1.0 / spec.alpha)
     ts[-1] = t
-    tail, m1, m2 = _grid_moments(spec, ts)
-    return tail[-1], m1[-1], m2[-1]
+    return [m[-1] for m in _grid_moments(spec, ts)]
 
 
 def kernel_tail(spec: KernelSpec, t: float) -> float:
@@ -193,8 +181,6 @@ def tail_antiderivatives(spec: KernelSpec, t: float) -> tuple[float, float]:
     spec.require_valid()
     if t < 0.0:
         raise ValueError("antiderivatives are defined for t >= 0")
-    if spec.family == NO_MEMORY or t == 0.0:
-        return 0.0, 0.0
     tail, m1, m2 = _moments_at(spec, t)
     j1 = m1 + t * tail
     j2 = t * m1 - 0.5 * m2 + 0.5 * t * t * tail
@@ -216,35 +202,18 @@ def _grid_moments(spec: KernelSpec, ts: np.ndarray):
     if spec.family == NO_MEMORY:
         z = np.zeros_like(ts)
         return z, z.copy(), z.copy()
-    if spec.family == NON_OSCILLATORY:
-        a, s = spec.alpha, spec.sigma
-        tail = s ** -a * special.gammaincc(a, s * ts)
-        m1 = a / s ** (a + 1) * special.gammainc(a + 1.0, s * ts)
-        m2 = a * (a + 1) / s ** (a + 2) * special.gammainc(a + 2.0, s * ts)
-        return tail, m1, m2
-    if spec.alpha == 1.0:
-        z = spec.sigma - 1j * spec.gamma
-        zt = z * ts
-        e = np.exp(-zt)
-        m1 = ((1.0 - e * (1.0 + zt)) / z**2).real
-        m2 = ((2.0 - e * (2.0 + 2.0 * zt + zt * zt)) / z**3).real
-        tail = (e / z).real
-        return tail, m1, m2
-    # oscillatory alpha = 1/2: accumulate panel integrals in u = sqrt(s),
-    # where the integrand is entire (no endpoint singularity left).
-    s, g = spec.sigma, spec.gamma
+    a, sigma, gamma = spec.alpha, spec.sigma, spec.gamma
     nodes, wts = _gauss_legendre()
-    us = np.sqrt(ts)
-    mid = 0.5 * (us[:-1] + us[1:])
-    half = 0.5 * (us[1:] - us[:-1])
-    u = mid[:, None] + half[:, None] * nodes[None, :]
-    base = np.exp(-s * u * u) * np.cos(g * u * u)
-    scale = 2.0 / math.sqrt(math.pi) * half
-    m0 = np.concatenate([[0.0], np.cumsum(scale * (base @ wts))])
-    m1 = np.concatenate([[0.0], np.cumsum(scale * ((base * u**2) @ wts))])
-    m2 = np.concatenate([[0.0], np.cumsum(scale * ((base * u**4) @ wts))])
-    tail = _tail_mass(spec) - m0
-    return tail, m1, m2
+    us = ts ** a
+    grading = us[1] * _GRADING_RATIO ** np.arange(_GRADED_LEVELS, 0, -1)
+    edges = np.concatenate([[0.0], grading, us[1:]])
+    half = 0.5 * np.diff(edges)
+    s = ((edges[:-1] + half)[:, None] + half[:, None] * nodes) ** (1.0 / a)
+    base = np.exp(-sigma * s) * np.cos(gamma * s) * (half / math.gamma(a + 1.0))[:, None]
+    cumulative = np.cumsum(np.stack([base, base * s, base * s * s]) @ wts, axis=1)
+    m0, m1, m2 = np.concatenate([np.zeros((3, 1)), cumulative[:, _GRADED_LEVELS:]], axis=1)
+    # K(0), the total integral of beta, is Re[(sigma - i*gamma)**(-alpha)].
+    return ((sigma - 1j * gamma) ** -a).real - m0, m1, m2
 
 
 def weights_from_second_antiderivative(j2: np.ndarray, dt: float) -> np.ndarray:
@@ -308,7 +277,7 @@ class KernelTables:
         tail, m1, m2 = _grid_moments(spec, ts)
         j2 = ts * m1 - 0.5 * m2 + 0.5 * ts * ts * tail
         weights = weights_from_second_antiderivative(j2, dt)
-        k0 = _tail_mass(spec)
+        k0 = float(tail[0])
         if spec.has_memory:
             if not 0.0 < k0 < 1.0:
                 raise ConfigurationError(

@@ -89,7 +89,8 @@ def validate(spec: ProblemSpec) -> list[str]:
 
     Checks kernel parameter ranges, the damping lower bound and Lipschitz
     property on sampled arguments (and that it stays finite there), and
-    hinged-boundary compatibility of the initial data relative to its scale.
+    that the initial data are finite on a probe grid and vanish at its ends
+    relative to their scale (hinged-boundary compatibility).
     """
     errs = list(spec.kernel.violations())
 
@@ -125,11 +126,17 @@ def validate(spec: ProblemSpec) -> list[str]:
     if not spec.T > 0.0:
         errs.append(f"time horizon T must be positive (got {spec.T})")
 
+    probe = np.linspace(0.0, 1.0, 65)
     for name, f in (("u0", spec.u0), ("u1", spec.u1)):
         try:
-            values = np.abs(np.asarray(f(np.linspace(0.0, 1.0, 65)), dtype=float))
+            values = np.abs(np.asarray(f(probe), dtype=float))
         except Exception as exc:
             errs.append(f"initial data {name} raised on the probe grid: {exc!r}")
+            continue
+        nonfinite = probe[~np.isfinite(values)]
+        if nonfinite.size:
+            errs.append(f"initial data {name} is not finite on the probe grid "
+                        f"(first at x = {nonfinite[0]:.6g})")
             continue
         ends = values[[0, -1]]
         if np.any(ends > _BOUNDARY_TOL * max(1.0, float(np.max(values)))):

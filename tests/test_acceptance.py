@@ -142,7 +142,7 @@ def _is_negative_cell(spec, n):
 
 @criterion("criterion 5 (kernel property suite)", budget=10)
 def test_criterion5_kernel_properties():
-    # Closed-form tail vs direct quadrature of the density, alpha = 1.
+    # Tail vs direct quadrature of the density, alpha = 1.
     for sigma, gamma in [(2.0, 0.0), (2.0, 1.0), (2.0, 2.0), (1.2, 1.0)]:
         spec = KernelSpec(OSCILLATORY, sigma, gamma, 1.0)
         for t in np.linspace(0.0, 20.0, 81):

@@ -162,12 +162,12 @@ class TestErrorPaths:
         # ValueError, an infinite amplitude passed the boundary check and an
         # infinite fp_tol ran every step unconverged.
         ["solve", "--preset", "example1", "--set", "time.T=Infinity"],
-        # The RuntimeWarning of inf * 0 would itself fail validation under
-        # "-W error" and hide the NaN end values that once got through.
-        pytest.param(["solve", "--preset", "example2", "--set",
-                      "initial.u0.amplitude=Infinity"],
-                     marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+        ["solve", "--preset", "example2", "--set", "initial.u0.amplitude=Infinity"],
         ["solve", "--preset", "example1", "--set", "solver.fp_tol=Infinity"],
+        # Finite parameters, infinite data: 1/(x(1-x)) once passed the
+        # boundary check because inf > tol * inf is False.
+        ["solve", "--preset", "example2", "--set", "initial.u0.power=-1",
+         "--set", "time.N=8"],
     ], ids=lambda argv: " ".join(argv[:1] + argv[3:]))
     def test_bad_value_is_config_error(self, argv, tmp_path, capsys):
         code = main(argv + ["-o", str(tmp_path)])
@@ -291,15 +291,45 @@ class TestSubprocessEntry:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "solution.csv").exists()
 
-    def test_cli_import_skips_scipy_integrate(self):
-        # Every CLI run pays the import; scipy.integrate alone costs about a
-        # third of a second and no CLI path needs it.
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, viscobeam.cli; "
-             "assert 'scipy.integrate' not in sys.modules"],
-            capture_output=True, text=True)
+    def test_cli_runs_without_scipy(self, tmp_path):
+        # scipy is a test-only dependency: with its import blocked, every
+        # subcommand still runs, and no scipy module is loaded.
+        out = str(tmp_path)
+        script = f"""
+import sys
+sys.modules["scipy"] = None
+from viscobeam.cli import main
+for argv in (
+        ["solve", "--preset", "example1", "--set", "grid.J=8", "--set", "time.N=8"],
+        ["study", "--preset", "example2-temporal", "--set", "grid.J=8",
+         "--set", "time.N=4", "--set", "study.levels=2"],
+        ["stability", "--preset", "example2-longtime", "--set", "grid.J=8",
+         "--set", "time.N=50", "--set", "time.T=5"],
+        ["weights", "--preset", "example1", "--set", "time.N=8"]):
+    assert main(argv + ["-o", {out!r}]) == 0, argv
+loaded = [m for m, mod in sys.modules.items() if m.startswith("scipy") and mod]
+assert not loaded, loaded
+"""
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("override, code", [
+        ("initial.u0.amplitude=1e300", EXIT_NUMERICAL),
+        ("initial.u0.power=-1", EXIT_CONFIG),
+    ])
+    def test_stderr_is_one_json_line(self, override, code, tmp_path):
+        # numpy's overflow and divide warnings once printed ahead of the
+        # JSON line.
+        proc = subprocess.run(
+            [sys.executable, "-m", "viscobeam.cli", "solve", "--preset",
+             "example2", "--set", override, "--set", "time.N=8",
+             "-o", str(tmp_path)],
+            capture_output=True, text=True)
+        assert proc.returncode == code
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert "category" in json.loads(lines[0])
 
     def test_usage_error_exit_code_distinct(self):
         proc = subprocess.run(

@@ -122,6 +122,13 @@ class TestSineBasis:
         assert norm(w, g) == pytest.approx(np.sqrt(g.h) * np.linalg.norm(w_hat),
                                            rel=1e-14)
 
+    @pytest.mark.parametrize("J", [4, 5, 17, 64])
+    def test_transform_matches_sine_matrix(self, J):
+        # Row by row along the last axis, against the DST-I matrix itself.
+        j = np.arange(1, J)
+        S = np.sqrt(2.0 / J) * np.sin(np.pi * np.outer(j, j) / J)
+        assert np.allclose(sine_transform(np.eye(J - 1)), S, rtol=0, atol=1e-14)
+
     @pytest.mark.parametrize("k", [1, 5, 23])
     def test_mode_k_is_eigenvector_k(self, k):
         g = Grid(24)
