@@ -16,7 +16,6 @@ from viscobeam import (
     NonConvergenceError,
     SolverConfig,
     data_functional,
-    energy,
     initialize,
     run,
     stability_monitor,
@@ -53,10 +52,9 @@ bad_state = initialize(bad, g8, bad.T / n_bad)
 bad_state.tables = dataclasses.replace(bad_state.tables,
                                        weights=-bad_state.tables.weights)
 cfg = SolverConfig()
-infos = []
 try:
     while bad_state.n <= n_bad:
-        infos.append(step(bad_state, cfg))
+        step(bad_state, cfg)
 except NonConvergenceError as exc:
     print(f"\nnegated-weight run: fixed point diverged at step "
           f"{exc.step_index} (expected; the iteration map is no longer "
@@ -64,7 +62,5 @@ except NonConvergenceError as exc:
 bad_functional = data_functional(bad, g8, bad_state.dt, n_bad,
                                  C0=bad_state.tables.K0,
                                  mu0=bad_state.tables.mu0)
-_, _, _, bad_total = energy([i.vel_norm for i in infos],
-                            [i.curv_norm for i in infos], bad.damping.g0,
-                            bad_state.tables.mu0, bad_state.dt)
-print(" ", stability_monitor([i.n for i in infos], bad_total, bad_functional))
+bad_series = bad_state.series()
+print(" ", stability_monitor(bad_series.n, bad_series.total, bad_functional))

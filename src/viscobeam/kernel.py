@@ -33,10 +33,15 @@ which turns beta(s) ds into exp(-sigma*s) * cos(gamma*s) du / Gamma(alpha+1)
 and so removes the endpoint singularity, and sums Gauss-Legendre panel
 integrals cumulatively; the first panel is split geometrically toward
 u = 0, where the integrand is only finitely smooth unless 1/alpha is an
-integer.  ``KernelTables.build`` uses it on the time grid and is the only
-path to the weights; the tables derive mu0 = 1 - K(0) from their K0.  The
-scalar ``kernel_tail`` and ``tail_antiderivatives`` read its last entry on
-a short grid, uniform in u, ending at the requested time.
+integer.  The rule's nodes and weights are module constants, and the
+panel sums are formed a fixed number of panels at a time, so their
+scratch memory does not grow with the grid.  ``KernelTables.build`` uses
+it on the time grid and is the only path to the weights; the tables
+derive mu0 = 1 - K(0) from their K0, and the check that the tail never
+exceeds K(0) runs once per kernel spec.  ``KernelTables.stack`` joins
+several runs' tables for a lockstep batch.  The scalar ``kernel_tail``
+and ``tail_antiderivatives`` read its last entry on a short grid, uniform
+in u, ending at the requested time.
 """
 
 from __future__ import annotations
@@ -53,16 +58,28 @@ NO_MEMORY = "none"
 
 _FAMILIES = (OSCILLATORY, NON_OSCILLATORY, NO_MEMORY)
 
-#: Gauss-Legendre order for the per-panel moment quadratures in
-#: u = s**alpha.  Panels are at most one time step wide on the tables' grid
-#: and at most _U_PANEL wide in u for a single time.  The first panel is
-#: split into _GRADED_LEVELS + 1 pieces whose ends shrink by _GRADING_RATIO
-#: toward u = 0, so every piece is far inside the regime where the rule is
-#: exact to roundoff.
-_GL_ORDER = 24
+#: The 24-point Gauss-Legendre rule on [-1, 1] for the per-panel moment
+#: quadratures in u = s**alpha: its positive nodes (first row) and their
+#: weights, as numpy.polynomial.legendre.leggauss(24) gives them; the rule
+#: is exactly symmetric.  Panels are at most one time step wide on the
+#: tables' grid and at most _U_PANEL wide in u for a single time.  The
+#: first panel is split into _GRADED_LEVELS + 1 pieces whose ends shrink by
+#: _GRADING_RATIO toward u = 0, so every piece is far inside the regime
+#: where the rule is exact to roundoff.
+_GL_HALF_RULE = np.array([
+    [0.06405689286260563, 0.1911188674736163, 0.3150426796961634, 0.4337935076260451,
+     0.5454214713888396, 0.6480936519369755, 0.7401241915785544, 0.820001985973903,
+     0.8864155270044011, 0.9382745520027328, 0.9747285559713095, 0.9951872199970213],
+    [0.12793819534675202, 0.12583745634682825, 0.1216704729278033, 0.11550566805372552,
+     0.10744427011596556, 0.09761865210411393, 0.0861901615319532, 0.07334648141108016,
+     0.05929858491543636, 0.04427743881741941, 0.02853138862893356, 0.01234122979998869]])
+_GL_NODES, _GL_WEIGHTS = np.concatenate(
+    [_GL_HALF_RULE[:, ::-1] * [[-1.0], [1.0]], _GL_HALF_RULE], axis=1)
 _U_PANEL = 0.25
 _GRADED_LEVELS = 8
 _GRADING_RATIO = 0.25
+#: Panels per block of the moment sums, which bounds their scratch memory.
+_PANEL_BLOCK = 512
 
 #: Points used when certifying that the tail never exceeds its value at
 #: zero (so the running maximum C0 equals K(0)).
@@ -187,33 +204,35 @@ def tail_antiderivatives(spec: KernelSpec, t: float) -> tuple[float, float]:
     return float(j1), float(j2)
 
 
-@functools.cache
-def _gauss_legendre():
-    """Nodes and weights of the _GL_ORDER rule, computed on first use and
-    shared read-only."""
-    rule = np.polynomial.legendre.leggauss(_GL_ORDER)
-    for part in rule:
-        part.flags.writeable = False
-    return rule
-
-
 def _grid_moments(spec: KernelSpec, ts: np.ndarray):
     """(K, M1, M2) on an increasing time grid starting at ts[0] = 0."""
     if spec.family == NO_MEMORY:
         z = np.zeros_like(ts)
         return z, z.copy(), z.copy()
     a, sigma, gamma = spec.alpha, spec.sigma, spec.gamma
-    nodes, wts = _gauss_legendre()
     us = ts ** a
     grading = us[1] * _GRADING_RATIO ** np.arange(_GRADED_LEVELS, 0, -1)
     edges = np.concatenate([[0.0], grading, us[1:]])
     half = 0.5 * np.diff(edges)
-    s = ((edges[:-1] + half)[:, None] + half[:, None] * nodes) ** (1.0 / a)
-    base = np.exp(-sigma * s) * np.cos(gamma * s) * (half / math.gamma(a + 1.0))[:, None]
-    cumulative = np.cumsum(np.stack([base, base * s, base * s * s]) @ wts, axis=1)
-    m0, m1, m2 = np.concatenate([np.zeros((3, 1)), cumulative[:, _GRADED_LEVELS:]], axis=1)
+    mid, scale = edges[:-1] + half, half / math.gamma(a + 1.0)
+    sums = np.empty((3, len(half)))
+    for i in range(0, len(half), _PANEL_BLOCK):
+        b = slice(i, i + _PANEL_BLOCK)
+        s = (mid[b, None] + half[b, None] * _GL_NODES) ** (1.0 / a)
+        base = np.exp(-sigma * s) * np.cos(gamma * s) * scale[b, None]
+        sums[:, b] = np.stack([base, base * s, base * s * s]) @ _GL_WEIGHTS
+    m0, m1, m2 = np.concatenate([np.zeros((3, 1)),
+                                 np.cumsum(sums, axis=1)[:, _GRADED_LEVELS:]], axis=1)
     # K(0), the total integral of beta, is Re[(sigma - i*gamma)**(-alpha)].
     return ((sigma - 1j * gamma) ** -a).real - m0, m1, m2
+
+
+@functools.cache
+def _probe_max_tail(spec: KernelSpec) -> float:
+    """Largest K on a fixed _C0_SAMPLES-point probe of [0, 40/sigma]; it
+    depends on the spec alone, so it is found once per spec."""
+    probe = np.linspace(0.0, 40.0 / spec.sigma, _C0_SAMPLES)
+    return float(np.max(_grid_moments(spec, probe)[0]))
 
 
 def weights_from_second_antiderivative(j2: np.ndarray, dt: float) -> np.ndarray:
@@ -251,7 +270,7 @@ class KernelTables:
     load through K(t_n)).  Two fields are derived on construction, so
     ``dataclasses.replace`` keeps them in step: ``mu0 = 1 - K0``, the
     elastic coefficient left after the memory transformation, and
-    ``reversed_weights``, a contiguous copy of ``weights[::-1]``.
+    ``reversed_weights``, a contiguous copy of ``weights[..., ::-1]``.
     Immutable after construction; safe to share between runs.
     """
 
@@ -264,7 +283,15 @@ class KernelTables:
     def __post_init__(self):
         object.__setattr__(self, "mu0", 1.0 - self.K0)
         object.__setattr__(self, "reversed_weights",
-                           np.ascontiguousarray(self.weights[::-1]))
+                           np.ascontiguousarray(self.weights[..., ::-1]))
+
+    @classmethod
+    def stack(cls, tables: list["KernelTables"]) -> "KernelTables":
+        """The tables of several runs with one step count, as one: each
+        field gains a leading member axis, K0 and mu0 as (B, 1) columns that
+        broadcast against the members' rows.  One table comes back as is."""
+        return tables[0] if len(tables) == 1 else cls(np.array([[t.K0] for t in tables]), *(
+            np.stack([getattr(t, name) for t in tables]) for name in ("weights", "tail")))
 
     @classmethod
     def build(cls, spec: KernelSpec, dt: float, n_steps: int) -> "KernelTables":
@@ -285,9 +312,7 @@ class KernelTables:
                     "the transformed elastic coefficient would be non-positive")
             # Certify C0 = K(0), so callers may pass K0 as C0: the tail may
             # oscillate but must never exceed its initial value.
-            probe = np.linspace(0.0, 40.0 / spec.sigma, _C0_SAMPLES)
-            probe_tail, _, _ = _grid_moments(spec, probe)
-            excess = float(np.max(probe_tail)) - k0
+            excess = _probe_max_tail(spec) - k0
             if excess > 1e-10:
                 raise ConfigurationError(
                     f"kernel tail exceeds its value at zero by {excess:g}; "

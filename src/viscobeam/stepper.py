@@ -22,15 +22,25 @@ therefore costs one O(n * J) convolution, one sine transform (of the
 forcing) and O(J) per inner iteration.  The convolution is exact and runs
 as one BLAS matrix-vector product, reading the weights forward from the
 kernel tables' reversed copy: numpy keeps a negatively strided operand out
-of BLAS and loops several times slower.  A run records per-level norms and
-builds its energy columns from them once, at the end.
+of BLAS and loops several times slower.  A run records per-level norms in
+preallocated columns and builds its energy columns from them once, at the
+end.
+
+One stepper advances B runs ("members") that share the grid, the step size
+and the step count in lockstep: every array of the state carries a leading
+member axis, the history sums are one batched matmul (one gemv per member),
+the forcing samples one transform, and only the damping law is called
+member by member.  Each member follows exactly the iterates of its own
+run, so a batch gives every member the bits of its run alone.
+:func:`run` is the B = 1 case of :func:`run_batch`, which the convergence
+studies use to step all cells of a refinement level together.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -44,21 +54,22 @@ _CSV_BLOCK_ROWS = 1024
 
 
 class NumericalError(RuntimeError):
-    """A step failed numerically; ``step_index`` is the level being solved."""
+    """A step failed numerically; ``step_index`` is the level being solved
+    and ``member`` the index of the failing run in its batch."""
 
-    def __init__(self, step_index: int, message: str):
+    def __init__(self, step_index: int, message: str, member: int = 0):
         super().__init__(message)
-        self.step_index = step_index
+        self.step_index, self.member = step_index, member
 
 
 class NonConvergenceError(NumericalError):
     """Fixed-point iteration exhausted its budget at some step."""
 
-    def __init__(self, step_index: int, last_increment: float, max_iters: int):
+    def __init__(self, step_index: int, last_increment: float, max_iters: int, member=0):
         super().__init__(
             step_index,
             f"fixed-point iteration did not converge at step {step_index}: "
-            f"increment {last_increment:.3e} after {max_iters} iterations")
+            f"increment {last_increment:.3e} after {max_iters} iterations", member)
         self.last_increment = last_increment
         self.max_iters = max_iters
 
@@ -86,16 +97,23 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
-    """Mutable state of one simulation between steps, in the sine basis.
+    """Mutable state of B members stepped in lockstep, in the sine basis.
 
-    ``n`` is the index of the next level to solve.  ``_U0``, ``_U1`` and
-    ``_U2`` hold the sine coefficients of U^0, U^{n-1} and U^{n-2}; the
-    velocity history lives in a preallocated buffer, row p-1 storing the
-    coefficients of dU^p.  The properties return grid values.  Confine a
-    state to one thread; the shared tables are read-only.
+    ``problems`` holds the members' problems and ``tables`` their kernel
+    tables (:meth:`KernelTables.stack` of them when B > 1).  ``n`` is the
+    index of the next level to solve.  ``_U0``, ``_U1`` and ``_U2`` hold
+    the sine coefficients of U^0, U^{n-1} and U^{n-2} as (B, J-1) arrays;
+    the velocity history is one preallocated (B, N, J-1) buffer, row p-1
+    of a member storing the coefficients of its dU^p, and ``_records``
+    holds each level's velocity norm, curvature norm, G and iteration
+    count in (B, 4, N+1) columns.  ``_constants`` keeps the step system's
+    coefficients that depend only on the tables, tagged with the tables
+    they were made from.  The properties return grid values, without the
+    member axis when B = 1.  Confine a state to one thread; the shared
+    tables are read-only.
     """
 
-    problem: ProblemSpec
+    problems: tuple[ProblemSpec, ...]
     grid: Grid
     dt: float
     n_steps: int
@@ -105,39 +123,30 @@ class SolverState:
     _U1: np.ndarray = field(repr=False)
     _U2: np.ndarray = field(repr=False)
     _history: np.ndarray = field(repr=False)
+    _records: np.ndarray = field(repr=False)
     _eigs: np.ndarray = field(repr=False)  # of D2, in sine_transform order
+    _constants: tuple = field(default=(None,), repr=False)
 
-    @property
-    def U0(self) -> np.ndarray:
-        """The initial level U^0."""
-        return sine_transform(self._U0)
+    def _values(self, W: np.ndarray) -> np.ndarray:
+        V = sine_transform(W)
+        return V[0] if len(V) == 1 else V
 
-    @property
-    def U_prev(self) -> np.ndarray:
-        """The newest computed level U^{n-1}."""
-        return sine_transform(self._U1)
+    U0 = property(lambda self: self._values(self._U0), doc="The initial level U^0.")
+    U_prev = property(lambda self: self._values(self._U1),
+                      doc="The newest computed level U^{n-1}.")
+    U_prev2 = property(lambda self: self._values(self._U2),
+                       doc="The level before it, U^{n-2}.")
+    velocity_history = property(lambda self: self._values(self._history[:, : self.n - 1]),
+                                doc="Rows dU^1..dU^{n-1}.")
 
-    @property
-    def U_prev2(self) -> np.ndarray:
-        """The level before it, U^{n-2}."""
-        return sine_transform(self._U2)
-
-    @property
-    def velocity_history(self) -> np.ndarray:
-        """Rows dU^1..dU^{n-1}."""
-        return sine_transform(self._history[: self.n - 1])
-
-
-@dataclass
-class StepInfo:
-    """Per-step diagnostics recorded by :func:`run`."""
-
-    n: int
-    t: float
-    vel_norm: float
-    curv_norm: float
-    damping: float
-    fp_iters: int
+    def series(self) -> TimeSeries:
+        """Records of levels 1..n-1 of a one-member state, with the energy
+        columns built from them."""
+        vel, curv, damping, iters = self._records[0, :, 1:self.n]
+        n = np.arange(1, self.n)
+        return TimeSeries(n, n * self.dt, vel, curv, damping, iters.astype(int),
+                          *diagnostics.energy(vel, curv, self.problems[0].damping.g0,
+                                              self.tables.mu0, self.dt))
 
 
 @dataclass
@@ -180,13 +189,19 @@ def write_solution_csv(path, grid: Grid, U: np.ndarray) -> None:
         writer.writerows(zip(xs.tolist(), us.tolist()))
 
 
-def initialize(problem: ProblemSpec, grid: Grid, dt: float) -> SolverState:
-    """Set up levels 0 and 1 and precompute kernel tables and eigenvalues.
+def _norms(W: np.ndarray, h: float) -> list[float]:
+    """The discrete L2 norm of each row; ``vecdot`` makes the same BLAS dot
+    per row as ``norm`` does for one vector."""
+    return [math.sqrt(h * d) for d in np.vecdot(W, W).tolist()]
 
-    The first level is the explicit start U^1 = U^0 + dt * u1, which pins
-    the discrete initial velocity dU^1 to the samples of u1 up to roundoff.
-    The samples of u0 and u1 are the only grid values transformed here.
-    """
+
+_MEMBER_ARRAYS = ("_U0", "_U1", "_U2", "_history", "_records")
+
+
+def _start(problem: ProblemSpec, grid: Grid, dt: float) -> SolverState:
+    """The one-member state of :func:`initialize` before :func:`_stack`
+    makes room for later levels: its history holds dU^1 only and its
+    records stop at level 1."""
     require_valid(problem)
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -195,108 +210,171 @@ def initialize(problem: ProblemSpec, grid: Grid, dt: float) -> SolverState:
         raise ValueError(f"dt={dt} does not divide the horizon T={problem.T}")
     U0, u1 = sine_transform(np.stack([problem.u0(grid.x), problem.u1(grid.x)]))
     U1 = U0 + dt * u1
-    tables = KernelTables.build(problem.kernel, dt, n_steps)
-    history = np.zeros((n_steps, grid.n_interior))
-    history[0] = (U1 - U0) / dt
-    return SolverState(problem=problem, grid=grid, dt=dt, n_steps=n_steps,
-                       n=2, tables=tables, _U0=U0, _U1=U1, _U2=U0,
-                       _history=history,
-                       _eigs=second_difference_eigenvalues(grid))
+    eigs, dU1 = second_difference_eigenvalues(grid), (U1 - U0) / dt
+    records = [[0.0, norm(dU1, grid)], [0.0, math.sqrt(bending_energy(U1, eigs, grid.h))],
+               [0.0, damping_coefficient(problem.damping, U1, grid)], [0.0, 0.0]]
+    return SolverState((problem,), grid, dt, n_steps, 2,
+                       KernelTables.build(problem.kernel, dt, n_steps), U0[None], U1[None],
+                       U0[None], dU1[None, None], np.array([records]), eigs)
+
+
+def _stack(states: list[SolverState]) -> SolverState:
+    """One state of one-member states at the same level and step size, with
+    room for every level: the only place a history buffer is allocated."""
+    first, n = states[0], states[0].n
+    history = np.zeros((len(states), first.n_steps, first.grid.n_interior))
+    records = np.zeros((len(states), 4, first.n_steps + 1))
+    for k, s in enumerate(states):
+        history[k, :n - 1], records[k, :, :n] = s._history[0, :n - 1], s._records[0, :, :n]
+    # The levels are joined as they are; history and records got room above.
+    return replace(
+        first, problems=tuple(s.problems[0] for s in states), _history=history,
+        _records=records, tables=KernelTables.stack([s.tables for s in states]),
+        **{a: np.concatenate([getattr(s, a) for s in states]) for a in _MEMBER_ARRAYS[:3]})
+
+
+def initialize(problem: ProblemSpec, grid: Grid, dt: float) -> SolverState:
+    """Set up levels 0 and 1 of a one-member state and build its kernel
+    tables, with room for every level.
+
+    The first level is the explicit start U^1 = U^0 + dt * u1, which pins
+    the discrete initial velocity dU^1 to the samples of u1 up to roundoff.
+    The samples of u0 and u1 are the only grid values transformed here.
+    The explicit start's record is read from the modes like every step's.
+    """
+    return _stack([_start(problem, grid, dt)])
 
 
 def assemble_step_system(state: SolverState) -> tuple[np.ndarray, ...]:
     """Level n's step system in the sine basis, with G left free.
 
-    Returns sine coefficients ``(b, d, V, U)``: for a frozen damping
-    coefficient G the coefficients of U^n solve, mode by mode,
-    (d + G/dt) * U^n = b + (G/dt) * V, where V belongs to U^{n-1} and
-    d = 1/dt^2 + (mu0 + w[0]/dt) * lambda^2 > 0.  ``b`` collects the
+    Returns sine coefficients ``(b, d, V, U)``, one row per member: for a
+    frozen damping coefficient G the coefficients of U^n solve, mode by
+    mode, (d + G/dt) * U^n = b + (G/dt) * V, where V belongs to U^{n-1}
+    and d = 1/dt^2 + (mu0 + w[0]/dt) * lambda^2 > 0.  ``b`` collects the
     forcing, the initial-load source, the inertia terms, the w[0] split
     and the history convolution; ``U`` is the start iterate
-    2 U^{n-1} - U^{n-2}.  The forcing sample, broadcast over the grid when
-    it is a scalar, is the only transform.
+    2 U^{n-1} - U^{n-2}.  The members' forcing samples, broadcast over the
+    grid when scalar, are the only transform, one for all members.
     """
-    n, dt = state.n, state.dt
-    w = state.tables.weights
-    lam2 = state._eigs ** 2
+    n, N, dt, tables = state.n, state.n_steps, state.dt, state.tables
+    # lambda^2, w[0]/dt and d are made again only when ``tables`` is replaced.
+    if state._constants[0] is not tables:
+        lam2, w0_dt = state._eigs[None] ** 2, tables.weights[..., :1] / dt
+        state._constants = (tables, lam2, w0_dt, 1.0 / dt**2 + (tables.mu0 + w0_dt) * lam2)
+    _, lam2, w0_dt, diag = state._constants
     U1, U2 = state._U1, state._U2
-    f_n = sine_transform(np.broadcast_to(
-        state.problem.forcing(state.grid.x, n * dt), U1.shape))
-    # w[n-1:0:-1], read forward so that the product is a BLAS gemv.
-    w_rev = state.tables.reversed_weights
-    mem = w_rev[len(w_rev) - n:len(w_rev) - 1] @ state._history[: n - 1]
-    b = (f_n + (2.0 * U1 - U2) / dt**2
-         + lam2 * ((w[0] / dt) * U1 - mem - state.tables.tail[n] * state._U0))
-    return (b, 1.0 / dt**2 + (state.tables.mu0 + w[0] / dt) * lam2,
-            U1, 2.0 * U1 - U2)
+    x, t, f = state.grid.x, n * dt, np.empty(U1.shape)
+    for i, problem in enumerate(state.problems):
+        f[i] = problem.forcing(x, t)
+    # w[n-1:0:-1] of each member, read forward so that each product is a
+    # BLAS gemv.
+    mem = np.matmul(tables.reversed_weights[..., None, N - n:N - 1],
+                    state._history[:, : n - 1])[:, 0]
+    b = (sine_transform(f) + (2.0 * U1 - U2) / dt**2
+         + lam2 * (w0_dt * U1 - mem - tables.tail[..., n:n + 1] * state._U0))
+    return b, diag, U1, 2.0 * U1 - U2
 
 
-def step(state: SolverState, config: SolverConfig) -> StepInfo:
-    """Advance the state by one level via fixed-point iteration.
+def step(state: SolverState, config: SolverConfig) -> None:
+    """Advance every member by one level via fixed-point iteration.
 
     The G-free step system is assembled once, in the sine basis.  Starting
     from the linear extrapolation of the last two levels, each iterate
-    freezes G at the previous one and divides mode by mode; the iteration
-    stops when the iterate moves by at most ``fp_tol * max(1, ||U^n||)`` in
-    the discrete L2 norm, which the orthonormal transform preserves.  A
-    non-finite G or iterate raises :class:`NumericalError` at once.
+    freezes a member's G at its previous iterate and divides mode by mode;
+    a member stops iterating when its iterate moves by at most
+    ``fp_tol * max(1, ||U^n||)`` in the discrete L2 norm, which the
+    orthonormal transform preserves.  A non-finite G or iterate raises
+    :class:`NumericalError` at once, with the failing member's index as
+    ``member``.  Any error leaves the state unchanged.
     """
     if state.n > state.n_steps:
         raise ValueError(f"run is complete (n={state.n} > N={state.n_steps})")
-    n, dt, grid = state.n, state.dt, state.grid
-    lam = state._eigs
-    b_hat, diag, U1_hat, U_hat = assemble_step_system(state)
-    damping = state.problem.damping
+    n, dt, h, lam = state.n, state.dt, state.grid.h, state._eigs[None]
+    b, diag, V, U = assemble_step_system(state)
+    # Each member's G/dt fills its row, so that the division runs on equal
+    # shapes.  A member that has converged keeps its G, so its row of every
+    # later iterate repeats its final one bit for bit.
+    G_dt, G, iters = np.empty(U.shape), [0.0] * len(U), [0] * len(U)
+    active = list(range(len(U)))
     for it in range(1, config.fp_max_iters + 1):
-        G_val = damping(bending_energy(U_hat, lam, grid.h))
-        if not math.isfinite(G_val):
-            raise NumericalError(
-                n, f"damping coefficient G = {G_val!r} at step {n} is not finite")
-        U_next = (b_hat + (G_val / dt) * U1_hat) / (diag + G_val / dt)
-        increment = norm(U_next - U_hat, grid)
-        if not math.isfinite(increment):
-            raise NumericalError(n, f"non-finite iterate at step {n}")
-        U_hat = U_next
-        if increment <= config.fp_tol * max(1.0, norm(U_next, grid)):
+        energies = np.vecdot(c := lam * U, c).tolist()
+        for i in active:
+            G[i] = state.problems[i].damping(h * energies[i])
+            if not math.isfinite(G[i]):
+                raise NumericalError(
+                    n, f"damping coefficient G = {G[i]!r} at step {n} is not finite", i)
+            G_dt[i] = G[i] / dt
+        U_next = (b + G_dt * V) / (diag + G_dt)
+        increments, sizes, U = _norms(U_next - U, h), _norms(U_next, h), U_next
+        for i in active:
+            if not math.isfinite(increments[i]):
+                raise NumericalError(n, f"non-finite iterate at step {n}", i)
+            if increments[i] <= config.fp_tol * max(1.0, sizes[i]):
+                iters[i] = it
+        if not (active := [i for i in active if not iters[i]]):
             break
     else:
-        raise NonConvergenceError(n, increment, config.fp_max_iters)
+        raise NonConvergenceError(n, increments[active[0]], config.fp_max_iters, active[0])
 
-    state._history[n - 1] = (U_hat - state._U1) / dt
-    state._U2, state._U1 = state._U1, U_hat
+    state._history[:, n - 1] = (U - state._U1) / dt
+    state._U2, state._U1 = state._U1, U
+    state._records[:, :, n] = list(zip(_norms(state._history[:, n - 1], h),
+                                       _norms(lam * U, h), G, iters))
     state.n = n + 1
-    return StepInfo(n=n, t=n * dt,
-                    vel_norm=norm(state._history[n - 1], grid),
-                    curv_norm=math.sqrt(bending_energy(U_hat, lam, grid.h)),
-                    damping=G_val, fp_iters=it)
+
+
+def run_batch(problems, grid: Grid, N: int, config: SolverConfig | None = None
+              ) -> list[SolverState | Exception]:
+    """Solve levels 2..N of every problem; return each one's final state.
+
+    Problems with the same step size T/N go through :func:`step` as one
+    batch.  A member whose set-up fails, or whose step raises a
+    :class:`NumericalError`, gets the exception in place of its state, and
+    the rest of its batch goes on from the level it reached.  Any other
+    error in a step, say a forcing or damping callable that raises rather
+    than returning a non-finite value, ends its whole batch.  Each final
+    state views its member's rows of the batch.
+    """
+    config = config or SolverConfig()
+    if N < 1:
+        raise ValueError("N must be at least 1")
+    results = []
+    for problem in problems:
+        try:
+            results.append(_start(problem, grid, problem.T / N))
+        except Exception as exc:
+            results.append(exc)
+    live = [i for i, r in enumerate(results) if isinstance(r, SolverState)]
+    while live:
+        group = [i for i in live if results[i].dt == results[live[0]].dt]
+        batch, failure = _stack([results[i] for i in group]), None
+        try:
+            while batch.n <= N:
+                step(batch, config)
+        except Exception as exc:
+            failure = exc
+        for k, i in enumerate(group):
+            results[i] = replace(results[i], n=batch.n, **{
+                a: getattr(batch, a)[k:k + 1] for a in _MEMBER_ARRAYS})
+        # A NumericalError names its member; any other error ends the batch.
+        # With no failure the whole group has ended, keeping its states.
+        ended = [group[failure.member]] if isinstance(failure, NumericalError) else group
+        results = [failure or r if i in ended else r for i, r in enumerate(results)]
+        live = [i for i in live if i not in ended]
+    return results
 
 
 def run(problem: ProblemSpec, grid: Grid, N: int,
         config: SolverConfig | None = None) -> tuple[SolverState, TimeSeries]:
     """Initialize and solve levels 2..N; return final state and diagnostics.
 
-    With N = 1 only the explicit start is performed.  The energy columns
-    are built once at the end from the recorded norms.  Failures propagate
-    with the failing step index attached.
+    The one-member case of :func:`run_batch`.  With N = 1 only the
+    explicit start is performed.  The energy columns are built once at the
+    end from the recorded norms.  Failures propagate with the failing step
+    index attached.
     """
-    config = config or SolverConfig()
-    if N < 1:
-        raise ValueError("N must be at least 1")
-    state = initialize(problem, grid, problem.T / N)
-
-    # The explicit start's record, read from the modes like every step's.
-    infos = [StepInfo(n=1, t=state.dt,
-                      vel_norm=norm(state._history[0], grid),
-                      curv_norm=math.sqrt(bending_energy(state._U1, state._eigs, grid.h)),
-                      damping=damping_coefficient(problem.damping, state._U1, grid),
-                      fp_iters=0)]
-    while state.n <= N:
-        infos.append(step(state, config))
-
-    cols = {f.name: np.array([getattr(i, f.name) for i in infos])
-            for f in fields(StepInfo)}
-    kinetic, dissipated, elastic, total = diagnostics.energy(
-        cols["vel_norm"], cols["curv_norm"], problem.damping.g0,
-        state.tables.mu0, state.dt)
-    return state, TimeSeries(**cols, kinetic=kinetic, dissipated=dissipated,
-                             elastic=elastic, total=total)
+    state, = run_batch((problem,), grid, N, config)
+    if isinstance(state, Exception):
+        raise state
+    return state, state.series()

@@ -16,7 +16,9 @@ are used:
 
 A ladder of L levels costs L + 1 runs per cell: the half-coarse anchor
 and one per displayed level, each row differencing consecutive final
-solutions.
+solutions.  :func:`run_study` steps the runs of one level, one per cell,
+in lockstep as a single batch (:func:`~viscobeam.stepper.run_batch`);
+every cell still gets the bits of its own single runs.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 from . import __version__
 from .grid_ops import Grid, norm
 from .model import ProblemSpec
-from .stepper import SolverConfig, run
+from .stepper import SolverConfig, run, run_batch
 
 TEMPORAL = "temporal"
 SPATIAL = "spatial"
@@ -177,17 +179,14 @@ class ConvergenceReport:
         return "\n".join(lines)
 
 
-def _cell_rows(study: StudySpec, cell: StudyCell,
-               config: SolverConfig | None) -> tuple[StudyRow, ...]:
-    # The anchor and every displayed level, coarsest first.
-    levels = [study.level0 // 2] + study.display_levels()
+def _cell_rows(study: StudySpec, cell: StudyCell, levels: list[int],
+               finals: list[np.ndarray]) -> tuple[StudyRow, ...]:
+    # ``finals`` holds the final solution at each level, coarsest first.
     if study.axis == TEMPORAL:
         grid = Grid(study.J)
-        finals = [_final_solution(cell.problem, study.J, n, config) for n in levels]
         errors = [norm(c - f, grid) for c, f in zip(finals, finals[1:])]
         refinements = [cell.problem.T / n for n in levels[1:]]
     else:
-        finals = [_final_solution(cell.problem, J, study.N, config) for J in levels]
         errors = [norm(c - f[1::2], Grid(J)) / math.sqrt(2.0)
                   for J, c, f in zip(levels, finals, finals[1:])]
         refinements = [1.0 / J for J in levels[1:]]
@@ -200,17 +199,26 @@ def run_study(study: StudySpec, config: SolverConfig | None = None,
               metadata: dict | None = None) -> ConvergenceReport:
     """Execute the refinement ladder for every sweep cell.
 
-    Cell failures are captured in the report without aborting the other
-    cells.  Reports are deterministic apart from the timestamp.
+    Each level (the anchor, then every displayed level) runs all cells as
+    one :func:`run_batch`.  A cell whose run fails keeps that failure, from
+    its coarsest failing level, and leaves the later batches; the failure
+    is captured in the report without aborting the other cells.  Reports
+    are deterministic apart from the timestamp.
     """
-    cells = []
-    for cell in study.cells:
-        try:
-            rows = _cell_rows(study, cell, config)
-        except Exception as exc:
-            cells.append(CellResult(label=cell.label, failure=str(exc)))
-        else:
-            cells.append(CellResult(label=cell.label, rows=rows))
+    levels = [study.level0 // 2] + study.display_levels()
+    results = [[] for _ in study.cells]  # final solutions per level, or the failure
+    for level in levels:
+        J, N = (study.J, level) if study.axis == TEMPORAL else (level, study.N)
+        live = [i for i, r in enumerate(results) if isinstance(r, list)]
+        # Only the final solutions outlive the batch, so that no two levels'
+        # histories are held at once.
+        finals = [s if isinstance(s, Exception) else s.U_prev for s in
+                  run_batch([study.cells[i].problem for i in live], Grid(J), N, config)]
+        for i, final in zip(live, finals):
+            results[i] = final if isinstance(final, Exception) else results[i] + [final]
+    cells = tuple(CellResult(cell.label, failure=str(r)) if isinstance(r, Exception)
+                  else CellResult(cell.label, rows=_cell_rows(study, cell, levels, r))
+                  for cell, r in zip(study.cells, results))
     meta = {
         "axis": study.axis,
         "levels": study.display_levels(),
@@ -220,4 +228,4 @@ def run_study(study: StudySpec, config: SolverConfig | None = None,
     }
     if metadata:
         meta.update(metadata)
-    return ConvergenceReport(axis=study.axis, metadata=meta, cells=tuple(cells))
+    return ConvergenceReport(axis=study.axis, metadata=meta, cells=cells)

@@ -314,6 +314,20 @@ assert not loaded, loaded
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
+    def test_study_leaves_numpy_polynomial_unloaded(self, tmp_path):
+        # The Gauss-Legendre rule is a module constant, so no run imports
+        # numpy.polynomial or computes the rule with an eigensolve.
+        script = f"""
+import sys
+from viscobeam.cli import main
+assert main(["study", "--preset", "example2-temporal", "--set", "grid.J=8",
+             "--set", "time.N=4", "--set", "study.levels=2", "-o", {str(tmp_path)!r}]) == 0
+assert "numpy.polynomial" not in sys.modules
+"""
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
     @pytest.mark.parametrize("override, code", [
         ("initial.u0.amplitude=1e300", EXIT_NUMERICAL),
         ("initial.u0.power=-1", EXIT_CONFIG),

@@ -147,19 +147,15 @@ class TestStabilityMonitor:
         state.tables = dataclasses.replace(state.tables,
                                            weights=-state.tables.weights)
         cfg = SolverConfig()
-        mu0 = state.tables.mu0
-        infos = []
         try:
             while state.n <= N:
-                infos.append(step(state, cfg))
+                step(state, cfg)
         except NonConvergenceError:
             pass
-        _, _, _, total = energy([i.vel_norm for i in infos],
-                                [i.curv_norm for i in infos],
-                                p.damping.g0, mu0, state.dt)
+        series = state.series()
         functional = data_functional(p, g, state.dt, N, C0=state.tables.K0,
-                                     mu0=mu0)
-        verdict = stability_monitor([i.n for i in infos], total, functional,
+                                     mu0=state.tables.mu0)
+        verdict = stability_monitor(series.n, series.total, functional,
                                     safety=1e3)
         assert not verdict.passed
         assert verdict.max_total > verdict.bound

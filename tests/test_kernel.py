@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from viscobeam import (
     kernel_tail,
     tail_antiderivatives,
 )
+from viscobeam import kernel
 from viscobeam.kernel import weights_from_second_antiderivative
 
 from conftest import oracle_tail, oracle_tail_antiderivatives, oracle_weight
@@ -277,3 +279,81 @@ class TestKernelTables:
     def test_invalid_spec_rejected(self):
         with pytest.raises(ConfigurationError):
             KernelTables.build(OSC(0.5, 0.0, 1.0), 0.01, 4)
+
+    def test_stack_adds_member_axis(self):
+        one, two = (KernelTables.build(NONOSC(s, 0.5), 1.0 / 16, 16) for s in (1.5, 3.0))
+        assert KernelTables.stack([one]) is one
+        both = KernelTables.stack([one, two])
+        assert both.K0.shape == both.mu0.shape == (2, 1)
+        assert np.array_equal(both.weights, [one.weights, two.weights])
+        assert np.array_equal(both.reversed_weights, [one.weights[::-1], two.weights[::-1]])
+        assert np.array_equal(both.tail, [one.tail, two.tail])
+        assert np.array_equal(both.mu0[:, 0], [one.mu0, two.mu0])
+
+    def test_build_peak_memory_bounded(self):
+        # The moment sums run in blocks of panels, so the scratch memory of
+        # a build no longer grows with N: a whole (3, N, 24) stack of
+        # quadrature values took about 10.8 MB here.
+        spec = OSC(1.25, 0.75, 0.5)
+        tracemalloc.start()
+        try:
+            KernelTables.build(spec, 1.0 / 8192, 8192)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3e6
+
+
+def test_rule_matches_leggauss():
+    # The 24-point rule is stored as constants; leggauss computes it with an
+    # eigensolve, which a run no longer makes.
+    nodes, wts = np.polynomial.legendre.leggauss(24)
+    assert np.array_equal(kernel._GL_NODES, nodes)
+    assert np.array_equal(kernel._GL_WEIGHTS, wts)
+
+
+class TestC0Certification:
+    """The check that the tail never exceeds K(0) probes a fixed grid that
+    depends only on the spec, so it runs once per spec."""
+
+    SPEC = NONOSC(1.7, 0.45)
+
+    @pytest.fixture(autouse=True)
+    def fresh_probe_cache(self):
+        kernel._probe_max_tail.cache_clear()
+        yield
+        kernel._probe_max_tail.cache_clear()
+
+    def grid_sizes(self, monkeypatch, lift=0.0):
+        """Record the size of every grid _grid_moments is run on, and lift
+        the probe's tail beyond t = 0 by ``lift``."""
+        real, sizes = kernel._grid_moments, []
+
+        def recorded(spec, ts):
+            sizes.append(len(ts))
+            tail, m1, m2 = real(spec, ts)
+            if len(ts) == kernel._C0_SAMPLES:
+                tail = tail + lift * (ts > 0.0)
+            return tail, m1, m2
+
+        monkeypatch.setattr(kernel, "_grid_moments", recorded)
+        return sizes
+
+    def test_probe_runs_once_per_spec(self, monkeypatch):
+        sizes = self.grid_sizes(monkeypatch)
+        first = KernelTables.build(self.SPEC, 0.1, 10)
+        again = KernelTables.build(self.SPEC, 0.1, 10)
+        KernelTables.build(self.SPEC, 0.05, 20)
+        assert sizes == [11, kernel._C0_SAMPLES, 11, 21]
+        assert np.array_equal(first.weights, again.weights)
+
+    def test_tail_above_k0_raises_on_every_build(self, monkeypatch):
+        # The repeated build reads the cached probe maximum and must fail
+        # with the same message.
+        sizes = self.grid_sizes(monkeypatch, lift=1.0)
+        message = (r"^kernel tail exceeds its value at zero by 0\.795698; "
+                   r"running maximum C0 = K\(0\) does not hold$")
+        for _ in range(2):
+            with pytest.raises(ConfigurationError, match=message):
+                KernelTables.build(self.SPEC, 0.1, 10)
+        assert sizes == [11, kernel._C0_SAMPLES, 11]

@@ -14,6 +14,7 @@ from viscobeam import (
     NumericalError,
     ProblemSpec,
     SolverConfig,
+    SolverState,
     assemble_step_system,
     initialize,
     kernel_tail,
@@ -24,6 +25,7 @@ from viscobeam import (
     write_solution_csv,
 )
 import viscobeam.stepper
+from viscobeam.stepper import run_batch
 from viscobeam.presets import example1_problem, example2_problem
 
 from conftest import (dense_fourth_difference, fourth_difference, max_norm,
@@ -88,9 +90,9 @@ class TestAssembleStepSystem:
         b, d, V, U = assemble_step_system(state)
         assert np.all(b == 0.0) and np.all(V == 0.0) and np.all(U == 0.0)
         assert np.all((b + V) / (d + 1.0) == 0.0)
-        info = step(state, SolverConfig())
+        step(state, SolverConfig())
         assert np.all(state.U_prev == 0.0)
-        assert info.fp_iters == 1
+        assert state.series().fp_iters[-1] == 1
 
     def test_matrix_positive_definite_dense_oracle(self):
         state = initialize(example1_problem(), Grid(8), 1.0 / 16)
@@ -108,7 +110,7 @@ class TestAssembleStepSystem:
         dense = dense_step_matrix(state, G_val)
         assert np.array_equal(dense, dense.T)
         S = sine_transform(np.eye(state.grid.n_interior))
-        modal = S @ np.diag(d + G_val / state.dt) @ S
+        modal = S @ np.diag(d[0] + G_val / state.dt) @ S
         scale = np.abs(dense).max()
         assert np.max(np.abs(modal - modal.T)) <= 1e-14 * scale
         assert np.max(np.abs(modal - dense)) <= 1e-13 * scale
@@ -237,6 +239,69 @@ class TestStep:
         assert exc.value.step_index == 2
 
 
+class TestRunBatch:
+    def test_members_match_single_runs(self):
+        # Every member of a batch gets the bits of its run alone: the final
+        # level and every recorded column, iteration counts included.  The
+        # last problem has another horizon, so it steps in a batch of its own.
+        problems = ([example2_problem(sigma=s) for s in (1.5, 2.0)]
+                    + [example1_problem(), example2_problem(T=2.0)])
+        g, N = Grid(16), 32
+        states = run_batch(problems, g, N)
+        for p, state in zip(problems, states):
+            single, series = run(p, g, N)
+            assert state.n == N + 1
+            assert np.array_equal(state.U_prev, single.U_prev)
+            batch_series = state.series()
+            for f in dataclasses.fields(series):
+                assert np.array_equal(getattr(batch_series, f.name),
+                                      getattr(series, f.name)), f.name
+
+    def test_batch_state_has_member_axis(self):
+        # Two members stepped by hand: the state's grid values keep the
+        # member axis, and each row follows that member's own run.
+        problems = [example2_problem(sigma=s) for s in (1.5, 3.0)]
+        g, N = Grid(8), 8
+        batch = viscobeam.stepper._stack(
+            [viscobeam.stepper._start(p, g, 1.0 / N) for p in problems])
+        while batch.n <= N:
+            step(batch, SolverConfig())
+        assert batch.U_prev.shape == (2, 7)
+        assert batch.velocity_history.shape == (2, N, 7)
+        for row, p in zip(batch.U_prev, problems):
+            assert np.array_equal(row, run(p, g, N)[0].U_prev)
+
+    def test_member_error_names_the_member(self):
+        # The second member's G turns NaN: the batch step raises before it
+        # writes anything, and the error carries the member's index.
+        nan_law = DampingFunction(lambda v: 1.0 if v <= 1e4 else float("nan"), 1.0, 0.0)
+        big = ProblemSpec(u0=lambda x: 100.0 * np.sin(np.pi * np.asarray(x)),
+                          u1=_zero, forcing=lambda x, t: _zero(x), damping=nan_law,
+                          kernel=KernelSpec(family=NO_MEMORY))
+        g = Grid(8)
+        batch = viscobeam.stepper._stack(
+            [viscobeam.stepper._start(p, g, 1.0 / 8) for p in (example2_problem(), big)])
+        before = batch.U_prev.copy()
+        with pytest.raises(NumericalError, match="not finite") as exc:
+            step(batch, SolverConfig())
+        assert (exc.value.step_index, exc.value.member) == (2, 1)
+        assert batch.n == 2 and np.array_equal(batch.U_prev, before)
+        states = run_batch([example2_problem(), big], g, 8)
+        assert isinstance(states[0], SolverState) and states[1].member == 1
+        assert str(states[1]) == str(exc.value)
+
+    def test_raising_callable_ends_its_batch(self):
+        # An exception other than NumericalError names no member, so every
+        # member of that batch gets it; a batch of another horizon goes on.
+        def broken(x, t):
+            raise RuntimeError("forcing broke")
+
+        bad = dataclasses.replace(example2_problem(), forcing=broken)
+        states = run_batch([example2_problem(), bad, example2_problem(T=2.0)], Grid(8), 8)
+        assert isinstance(states[0], RuntimeError) and states[1] is states[0]
+        assert isinstance(states[2], SolverState)
+
+
 class TestSineModeOracle:
     def test_matches_scalar_recurrence(self):
         # Memory-free constant damping keeps the lowest sine mode an exact
@@ -360,7 +425,7 @@ class TestRun:
         state = initialize(p, Grid(64), p.T / N)
         state._history[:] = rng.standard_normal(state._history.shape)
         w = rng.standard_normal(N - 1)
-        rows = state._history[: N - 1]
+        rows = state._history[0, : N - 1]
 
         def assemble_at(n):
             state.n = n

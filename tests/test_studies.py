@@ -10,15 +10,18 @@ from viscobeam import (
     KernelSpec,
     NO_MEMORY,
     DampingFunction,
+    NumericalError,
     ProblemSpec,
     rate,
+    run,
     run_study,
     spatial_error,
     temporal_error,
 )
-from viscobeam.config import build_study
+from viscobeam.config import apply_overrides, build_study
 from viscobeam.presets import example2_problem, preset_config
-from viscobeam.studies import SPATIAL, TEMPORAL, StudyCell, StudySpec
+from viscobeam.studies import (SPATIAL, TEMPORAL, CellResult, StudyCell, StudyRow,
+                               StudySpec)
 
 
 def _zero(x):
@@ -175,3 +178,56 @@ class TestRunStudy:
                             level0=16, levels=3, N=64)
         last = run_study(x_study).cells[0].rows[-1].rate
         assert 1.90 <= last <= 2.15
+
+
+def single_run_rows(study, cell):
+    """One cell's rows from single runs, through the standalone metrics."""
+    rows, previous = [], None
+    for level in study.display_levels():
+        if study.axis == TEMPORAL:
+            error = temporal_error(cell.problem, Grid(study.J), level // 2)
+            refinement = cell.problem.T / level
+        else:
+            error = spatial_error(cell.problem, level // 2, study.N) / math.sqrt(2.0)
+            refinement = 1.0 / level
+        rows.append(StudyRow(level, refinement, error,
+                             None if previous is None else rate(previous, error)))
+        previous = error
+    return tuple(rows)
+
+
+class TestLockstep:
+    """run_study steps all cells of a level as one batch; each cell must
+    still get exactly the rows of its own single runs."""
+
+    @pytest.mark.parametrize("preset", ["example1-temporal", "example1-spatial",
+                                        "example2-temporal", "example2-spatial"])
+    def test_preset_rows_equal_single_runs(self, preset):
+        study = build_study(apply_overrides(
+            preset_config(preset), ["grid.J=8", "time.N=8", "study.levels=2"]))
+        report = run_study(study)
+        assert len(report.cells) == len(study.cells) > 1
+        for cell, result in zip(study.cells, report.cells):
+            assert result.failure is None
+            assert result.rows == single_run_rows(study, cell)
+
+    def test_mid_run_failure_leaves_other_cells_bit_identical(self):
+        # G turns NaN once the bending energy passes 8e4, which the forced
+        # cell reaches at step 5 of its N = 8 run, the coarsest of the
+        # ladder: it fails inside the batch, mid-run, and leaves it.
+        bad = dataclasses.replace(
+            example2_problem(),
+            damping=DampingFunction(lambda v: 1.0 if v <= 8e4 else float("nan"), 1.0, 0.0),
+            forcing=lambda x, t: 1500.0 * np.sin(np.pi * np.asarray(x)))
+        good = [StudyCell(f"sigma={s}", example2_problem(sigma=s)) for s in (1.5, 2.0)]
+
+        def study(cells):
+            return StudySpec(axis=TEMPORAL, cells=tuple(cells), level0=16, levels=2, J=8)
+
+        with pytest.raises(NumericalError) as exc:
+            run(bad, Grid(8), 8)
+        assert exc.value.step_index == 5
+        report = run_study(study([good[0], StudyCell("bad", bad), good[1]]))
+        alone = run_study(study(good))
+        assert report.cells[1] == CellResult("bad", failure=str(exc.value))
+        assert (report.cells[0], report.cells[2]) == alone.cells
