@@ -10,6 +10,7 @@ any other callable is only sample-checked.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -54,7 +55,11 @@ class DampingFunction:
         """G(v) = sqrt(a + b*v); steepest at v = 0, so L = b / (2*sqrt(a))."""
         g0 = float(np.sqrt(a))
         lip = b / (2.0 * g0) if g0 > 0 else np.inf
-        return cls(lambda v: float(np.sqrt(a + b * v)), g0=g0, lipschitz=lip)
+        # math.sqrt costs a fraction of numpy's scalar call; a negative
+        # argument (only with a < 0, which validate rejects) gives NaN as
+        # numpy does, rather than raising.
+        return cls(lambda v: math.sqrt(s) if (s := a + b * v) >= 0.0 else math.nan,
+                   g0=g0, lipschitz=lip)
 
     @classmethod
     def constant(cls, c: float) -> "DampingFunction":

@@ -17,19 +17,20 @@ modal coefficients, with G evaluated from the modes.
 
 The whole state lives in the sine basis: U^0, the two newest levels and
 the velocity history are stored as coefficients, and grid values are made
-only from the initial data, the forcing sample and on output.  Each step
-therefore costs one O(n * J) convolution, one sine transform (of the
-forcing) and O(J) per inner iteration.  The convolution is exact and runs
-as one BLAS matrix-vector product, reading the weights forward from the
-kernel tables' reversed copy: numpy keeps a negatively strided operand out
-of BLAS and loops several times slower.  A run records per-level norms in
-preallocated columns and builds its energy columns from them once, at the
-end.
+only from the initial data, the forcing samples and on output.  The
+forcing is sampled for blocks of up to 32 levels, each transformed at
+once, so each step costs one O(n * J) convolution, one sine transform
+(of the forcing) per 32 levels and O(J) per inner iteration.  The
+convolution is exact and runs as one BLAS matrix-vector product, reading
+the weights forward from the kernel tables' reversed copy: numpy keeps a
+negatively strided operand out of BLAS and loops several times slower.
+A run records per-level norms in preallocated columns and builds its
+energy columns from them once, at the end.
 
 One stepper advances B runs ("members") that share the grid, the step size
 and the step count in lockstep: every array of the state carries a leading
 member axis, the history sums are one batched matmul (one gemv per member),
-the forcing samples one transform, and only the damping law is called
+the forcing blocks one transform, and only the damping law is called
 member by member.  Each member follows exactly the iterates of its own
 run, so a batch gives every member the bits of its run alone.
 :func:`run` is the B = 1 case of :func:`run_batch`, which the convergence
@@ -51,6 +52,10 @@ from .kernel import ConfigurationError, KernelTables
 from .model import ProblemSpec, damping_coefficient, require_valid
 
 _CSV_BLOCK_ROWS = 1024
+#: Levels of forcing sampled and transformed together.  A block holds
+#: 32 (J-1) floats per member; 128 levels raised the peak RSS of
+#: ``study --preset example2-temporal`` by about 1.2 MB.
+_FORCING_BLOCK_LEVELS = 32
 
 
 class NumericalError(RuntimeError):
@@ -108,7 +113,9 @@ class SolverState:
     holds each level's velocity norm, curvature norm, G and iteration
     count in (B, 4, N+1) columns.  ``_constants`` keeps the step system's
     coefficients that depend only on the tables, tagged with the tables
-    they were made from.  The properties return grid values, without the
+    they were made from.  ``_forcing`` caches (first, end, block), the
+    transformed forcing of levels first..end-1 as a (B, end-first, J-1)
+    block; :func:`dataclasses.replace` leaves it empty.  The properties return grid values, without the
     member axis when B = 1.  Confine a state to one thread; the shared
     tables are read-only.
     """
@@ -126,6 +133,7 @@ class SolverState:
     _records: np.ndarray = field(repr=False)
     _eigs: np.ndarray = field(repr=False)  # of D2, in sine_transform order
     _constants: tuple = field(default=(None,), repr=False)
+    _forcing: tuple = field(default=(0, 0, None), init=False, repr=False)
 
     def _values(self, W: np.ndarray) -> np.ndarray:
         V = sine_transform(W)
@@ -189,12 +197,6 @@ def write_solution_csv(path, grid: Grid, U: np.ndarray) -> None:
         writer.writerows(zip(xs.tolist(), us.tolist()))
 
 
-def _norms(W: np.ndarray, h: float) -> list[float]:
-    """The discrete L2 norm of each row; ``vecdot`` makes the same BLAS dot
-    per row as ``norm`` does for one vector."""
-    return [math.sqrt(h * d) for d in np.vecdot(W, W).tolist()]
-
-
 _MEMBER_ARRAYS = ("_U0", "_U1", "_U2", "_history", "_records")
 
 
@@ -220,7 +222,8 @@ def _start(problem: ProblemSpec, grid: Grid, dt: float) -> SolverState:
 
 def _stack(states: list[SolverState]) -> SolverState:
     """One state of one-member states at the same level and step size, with
-    room for every level: the only place a history buffer is allocated."""
+    room for every level: the only place a history buffer is allocated.
+    Like every replaced state, it starts with an empty forcing cache."""
     first, n = states[0], states[0].n
     history = np.zeros((len(states), first.n_steps, first.grid.n_interior))
     records = np.zeros((len(states), 4, first.n_steps + 1))
@@ -254,8 +257,12 @@ def assemble_step_system(state: SolverState) -> tuple[np.ndarray, ...]:
     and d = 1/dt^2 + (mu0 + w[0]/dt) * lambda^2 > 0.  ``b`` collects the
     forcing, the initial-load source, the inertia terms, the w[0] split
     and the history convolution; ``U`` is the start iterate
-    2 U^{n-1} - U^{n-2}.  The members' forcing samples, broadcast over the
-    grid when scalar, are the only transform, one for all members.
+    2 U^{n-1} - U^{n-2}.  The forcing comes from the state's cache; when
+    level n lies outside it, the members' samples of levels n..n+31 (to N
+    at most), broadcast over the grid when scalar, are taken level by level
+    and transformed at once, the only transform.  A forcing callable that
+    raises does so at the first level of its block, and the cache is then
+    left as it was.
     """
     n, N, dt, tables = state.n, state.n_steps, state.dt, state.tables
     # lambda^2, w[0]/dt and d are made again only when ``tables`` is replaced.
@@ -263,17 +270,23 @@ def assemble_step_system(state: SolverState) -> tuple[np.ndarray, ...]:
         lam2, w0_dt = state._eigs[None] ** 2, tables.weights[..., :1] / dt
         state._constants = (tables, lam2, w0_dt, 1.0 / dt**2 + (tables.mu0 + w0_dt) * lam2)
     _, lam2, w0_dt, diag = state._constants
+    first, end, f_hat = state._forcing
+    if not first <= n < end:
+        end, x = min(n + _FORCING_BLOCK_LEVELS, N + 1), state.grid.x
+        f = np.empty((len(state.problems), end - n, state.grid.n_interior))
+        for level in range(n, end):
+            for i, problem in enumerate(state.problems):
+                f[i, level - n] = problem.forcing(x, level * dt)
+        first, end, f_hat = state._forcing = n, end, sine_transform(f)
     U1, U2 = state._U1, state._U2
-    x, t, f = state.grid.x, n * dt, np.empty(U1.shape)
-    for i, problem in enumerate(state.problems):
-        f[i] = problem.forcing(x, t)
     # w[n-1:0:-1] of each member, read forward so that each product is a
     # BLAS gemv.
     mem = np.matmul(tables.reversed_weights[..., None, N - n:N - 1],
                     state._history[:, : n - 1])[:, 0]
-    b = (sine_transform(f) + (2.0 * U1 - U2) / dt**2
+    U = 2.0 * U1 - U2
+    b = (f_hat[:, n - first] + U / dt**2
          + lam2 * (w0_dt * U1 - mem - tables.tail[..., n:n + 1] * state._U0))
-    return b, diag, U1, 2.0 * U1 - U2
+    return b, diag, U1, U
 
 
 def step(state: SolverState, config: SolverConfig) -> None:
@@ -286,7 +299,10 @@ def step(state: SolverState, config: SolverConfig) -> None:
     ``fp_tol * max(1, ||U^n||)`` in the discrete L2 norm, which the
     orthonormal transform preserves.  A non-finite G or iterate raises
     :class:`NumericalError` at once, with the failing member's index as
-    ``member``.  Any error leaves the state unchanged.
+    ``member``.  Any error leaves the state unchanged; that includes an
+    exception from a forcing callable, which is sampled for a block of
+    levels ahead (see :func:`assemble_step_system`) and so raises at the
+    first level of the block that reaches its bad time.
     """
     if state.n > state.n_steps:
         raise ValueError(f"run is complete (n={state.n} > N={state.n_steps})")
@@ -294,8 +310,11 @@ def step(state: SolverState, config: SolverConfig) -> None:
     b, diag, V, U = assemble_step_system(state)
     # Each member's G/dt fills its row, so that the division runs on equal
     # shapes.  A member that has converged keeps its G, so its row of every
-    # later iterate repeats its final one bit for bit.
+    # later iterate repeats its final one bit for bit.  ``pair`` stacks the
+    # iterate's increment over the iterate, so that one vecdot gives both
+    # squared norms of every member.
     G_dt, G, iters = np.empty(U.shape), [0.0] * len(U), [0] * len(U)
+    pair = np.empty((2,) + U.shape)
     active = list(range(len(U)))
     for it in range(1, config.fp_max_iters + 1):
         energies = np.vecdot(c := lam * U, c).tolist()
@@ -306,21 +325,27 @@ def step(state: SolverState, config: SolverConfig) -> None:
                     n, f"damping coefficient G = {G[i]!r} at step {n} is not finite", i)
             G_dt[i] = G[i] / dt
         U_next = (b + G_dt * V) / (diag + G_dt)
-        increments, sizes, U = _norms(U_next - U, h), _norms(U_next, h), U_next
+        np.subtract(U_next, U, out=pair[0])
+        pair[1] = U = U_next
+        increments, sizes = np.vecdot(pair, pair).tolist()
         for i in active:
-            if not math.isfinite(increments[i]):
+            if not math.isfinite(increment := math.sqrt(h * increments[i])):
                 raise NumericalError(n, f"non-finite iterate at step {n}", i)
-            if increments[i] <= config.fp_tol * max(1.0, sizes[i]):
+            if increment <= config.fp_tol * max(1.0, math.sqrt(h * sizes[i])):
                 iters[i] = it
         if not (active := [i for i in active if not iters[i]]):
             break
     else:
-        raise NonConvergenceError(n, increments[active[0]], config.fp_max_iters, active[0])
+        raise NonConvergenceError(n, math.sqrt(h * increments[active[0]]),
+                                  config.fp_max_iters, active[0])
 
-    state._history[:, n - 1] = (U - state._U1) / dt
+    # The history row is written in place and stacked over lam * U^n for
+    # the velocity and curvature norms.
+    row, records = state._history[:, n - 1], state._records[:, :, n]
+    pair[0], pair[1] = np.divide(np.subtract(U, state._U1, out=row), dt, out=row), lam * U
+    records[:, :2] = np.sqrt(h * np.vecdot(pair, pair)).T
+    records[:, 2], records[:, 3] = G, iters
     state._U2, state._U1 = state._U1, U
-    state._records[:, :, n] = list(zip(_norms(state._history[:, n - 1], h),
-                                       _norms(lam * U, h), G, iters))
     state.n = n + 1
 
 
@@ -333,7 +358,9 @@ def run_batch(problems, grid: Grid, N: int, config: SolverConfig | None = None
     :class:`NumericalError`, gets the exception in place of its state, and
     the rest of its batch goes on from the level it reached.  Any other
     error in a step, say a forcing or damping callable that raises rather
-    than returning a non-finite value, ends its whole batch.  Each final
+    than returning a non-finite value, ends its whole batch.  The forcing
+    is sampled up to 31 levels ahead, so a forcing that raises does so at
+    the first level of the block that reaches its bad time.  Each final
     state views its member's rows of the batch.
     """
     config = config or SolverConfig()

@@ -7,7 +7,10 @@ singularity), antiderivatives from single-fold quadrature of the oracle
 tail, and convolution weights from brute-force double integration.  The
 grid-space difference quotients below are the stencils themselves, never
 the sine eigen-decomposition the solver uses, and the dense
-fourth-difference oracle is built from them column by column.
+fourth-difference oracle is built from them column by column.  The
+per-level step system repeats the stepper's formula with the forcing of
+each level transformed on its own, so blocked forcing can be checked bit
+for bit against it.
 """
 
 import math
@@ -19,7 +22,7 @@ from scipy.integrate import IntegrationWarning, dblquad, quad
 from scipy.special import gamma as gamma_fn
 
 from viscobeam import (KernelSpec, NO_MEMORY, OSCILLATORY, SolverConfig,
-                       initialize, step)
+                       initialize, sine_transform, step)
 
 
 @pytest.fixture
@@ -83,6 +86,21 @@ def solve_levels(problem, grid, N, config=None):
         step(state, config)
         levels.append(state.U_prev)
     return state, levels
+
+
+def assemble_per_level(state):
+    """``assemble_step_system`` with one forcing sample and one transform
+    per level: the same (b, d, V, U), operation for operation."""
+    n, N, dt, tables = state.n, state.n_steps, state.dt, state.tables
+    lam2, w0_dt = state._eigs[None] ** 2, tables.weights[..., :1] / dt
+    U1, U2, f = state._U1, state._U2, np.empty(state._U1.shape)
+    for i, problem in enumerate(state.problems):
+        f[i] = problem.forcing(state.grid.x, n * dt)
+    mem = np.matmul(tables.reversed_weights[..., None, N - n:N - 1],
+                    state._history[:, : n - 1])[:, 0]
+    b = (sine_transform(f) + (2.0 * U1 - U2) / dt**2
+         + lam2 * (w0_dt * U1 - mem - tables.tail[..., n:n + 1] * state._U0))
+    return b, 1.0 / dt**2 + (tables.mu0 + w0_dt) * lam2, U1, 2.0 * U1 - U2
 
 
 def dense_fourth_difference(grid) -> np.ndarray:

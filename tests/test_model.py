@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,26 @@ class TestDampingFunction:
         d = DampingFunction.sqrt_affine(1.0, 1.0)
         assert d.g0 == 1.0 and d.lipschitz == 0.5
         assert d(3.0) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (0.3, 2.5), (4.0, 1e-3)])
+    def test_sqrt_affine_matches_numpy_bit_for_bit(self, a, b):
+        # The law calls math.sqrt; numpy's sqrt is correctly rounded too, so
+        # both give the same bits over the whole range, infinity included.
+        vs = [0.0, 1e-300, *np.geomspace(1e-6, 1e12, 61).tolist(), 1e300, math.inf]
+        d = DampingFunction.sqrt_affine(a, b)
+        got = np.array([d(v) for v in vs])
+        want = np.array([float(np.sqrt(a + b * v)) for v in vs])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert math.isnan(d(math.nan)) and math.isnan(np.sqrt(a + b * math.nan))
+
+    def test_sqrt_affine_negative_argument_is_nan(self):
+        # Only a < 0 reaches a negative argument; as with numpy's sqrt the
+        # law returns NaN there, so validate reports it as non-finite.
+        with np.errstate(invalid="ignore"):
+            d = DampingFunction.sqrt_affine(-1.0, 1.0)
+        assert math.isnan(d(0.0)) and d(3.0) == math.sqrt(2.0)
+        errs = validate(_problem(damping=d))
+        assert any("non-finite value" in e for e in errs)
 
     def test_constant(self):
         d = DampingFunction.constant(2.0)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,8 +29,8 @@ import viscobeam.stepper
 from viscobeam.stepper import run_batch
 from viscobeam.presets import example1_problem, example2_problem
 
-from conftest import (dense_fourth_difference, fourth_difference, max_norm,
-                      second_difference, solve_levels)
+from conftest import (assemble_per_level, dense_fourth_difference, fourth_difference,
+                      max_norm, second_difference, solve_levels)
 
 
 def _zero(x):
@@ -207,11 +208,12 @@ class TestStep:
             run(p, Grid(8), 8)
         assert exc.value.step_index == 3
 
-    def test_one_sine_transform_per_step(self, monkeypatch):
-        # The state stays in the sine basis, so a step transforms only its
-        # forcing sample; levels and history are never moved back to grid
-        # values between steps.
-        state = initialize(example2_problem(), Grid(16), 1.0 / 16)
+    def test_one_sine_transform_per_forcing_block(self, monkeypatch):
+        # The state stays in the sine basis and the forcing is transformed
+        # 32 levels at a time: 40 steps from level 2 transform the blocks
+        # of levels 2..33 and 34..64 (N = 64) and nothing else, so no level
+        # or history row is moved back to grid values between steps.
+        state = initialize(example2_problem(), Grid(16), 1.0 / 64)
         calls = []
 
         def counting_transform(W):
@@ -219,9 +221,10 @@ class TestStep:
             return sine_transform(W)
 
         monkeypatch.setattr(viscobeam.stepper, "sine_transform", counting_transform)
-        for _ in range(10):
+        for _ in range(40):
             step(state, SolverConfig())
-        assert len(calls) == 10
+        assert len(calls) == math.ceil(40 / 32)
+        assert calls == [(1, 32, 15), (1, 31, 15)]
 
     def test_scalar_forcing_broadcast_over_grid(self):
         def problem(forcing):
@@ -300,6 +303,106 @@ class TestRunBatch:
         states = run_batch([example2_problem(), bad, example2_problem(T=2.0)], Grid(8), 8)
         assert isinstance(states[0], RuntimeError) and states[1] is states[0]
         assert isinstance(states[2], SolverState)
+
+
+class TestForcingBlocks:
+    """The forcing is sampled and transformed a block of up to 32 levels at
+    a time; every level keeps the bits of one transform per level."""
+
+    def test_levels_match_per_level_transform(self, monkeypatch):
+        # J = 16, N = 100: levels 2..100 fill three blocks and a partial
+        # one.  The oracle run steps with the per-level step system.
+        p, g, N, cfg = example1_problem(), Grid(16), 100, SolverConfig()
+        blocked, oracle = initialize(p, g, p.T / N), initialize(p, g, p.T / N)
+        while blocked.n <= N:
+            assert np.array_equal(assemble_step_system(blocked)[0],
+                                  assemble_per_level(oracle)[0])
+            step(blocked, cfg)
+            with monkeypatch.context() as m:
+                m.setattr(viscobeam.stepper, "assemble_step_system", assemble_per_level)
+                step(oracle, cfg)
+            assert blocked.n == oracle.n
+            assert np.array_equal(blocked._U1, oracle._U1)
+            assert np.array_equal(blocked._records, oracle._records)
+        assert blocked._forcing[:2] == (98, 101)
+        assert np.array_equal(blocked.series().fp_iters, oracle.series().fp_iters)
+
+    def test_member_failing_inside_a_block(self):
+        # The middle member's forcing turns NaN for t > 0.6, inside the
+        # block of levels 34..65.  It fails at the step of its run alone;
+        # the others go on from there in a new batch with an empty cache
+        # and keep the bits of their own runs.
+        g, N = Grid(16), 100
+        bad = example1_problem(sigma=1.5)
+        bad = dataclasses.replace(bad, forcing=lambda x, t, f=bad.forcing: (
+            np.full_like(np.asarray(x, dtype=float), np.nan) if t > 0.6 else f(x, t)))
+        problems = [example1_problem(sigma=1.2), bad, example1_problem(sigma=2.0)]
+        states = run_batch(problems, g, N)
+        with pytest.raises(NumericalError, match="non-finite iterate") as exc:
+            run(bad, g, N)
+        assert 34 < exc.value.step_index < 65
+        assert isinstance(states[1], NumericalError) and states[1].member == 1
+        assert states[1].step_index == exc.value.step_index
+        for k in (0, 2):
+            single, series = run(problems[k], g, N)
+            assert np.array_equal(states[k].U_prev, single.U_prev)
+            for f in dataclasses.fields(series):
+                assert np.array_equal(getattr(states[k].series(), f.name),
+                                      getattr(series, f.name)), f.name
+
+    def test_stack_starts_with_empty_cache(self):
+        # Two one-member states stepped past level 2 hold blocks of their
+        # own; stacked, they sample a two-member block afresh, and each
+        # member keeps the bits of its run alone.
+        problems = [example1_problem(sigma=s) for s in (1.2, 2.0)]
+        g, N = Grid(16), 64
+        singles = [initialize(p, g, 1.0 / N) for p in problems]
+        for s in singles:
+            while s.n < 10:
+                step(s, SolverConfig())
+        batch = viscobeam.stepper._stack(singles)
+        while batch.n <= N:
+            step(batch, SolverConfig())
+        for row, p in zip(batch.U_prev, problems):
+            assert np.array_equal(row, run(p, g, N)[0].U_prev)
+
+    def test_raising_forcing_leaves_state_unchanged(self):
+        # A forcing that raises for t > 0.5 raises when the block of levels
+        # 34..65 is sampled, at level 34.  The state is as it was, and the
+        # next step samples that block again rather than read half of it.
+        base, cfg = example1_problem(), SolverConfig()
+
+        def forcing(x, t):
+            if t > 0.5:
+                raise RuntimeError("forcing broke")
+            return base.forcing(x, t)
+
+        state = initialize(dataclasses.replace(base, forcing=forcing), Grid(16), 0.01)
+        while state.n < 34:
+            step(state, cfg)
+        before = [a.copy() for a in (state._U1, state._U2, state._history, state._records)]
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="forcing broke"):
+                step(state, cfg)
+            assert state.n == 34
+            after = (state._U1, state._U2, state._history, state._records)
+            assert all(np.array_equal(a, b) for a, b in zip(after, before))
+
+    def test_step_peak_memory_bounded(self):
+        # 64 steps of a 4-member batch at J = 64 hold one forcing block of
+        # 4 x 32 x 63 floats and its transform's temporaries at a time,
+        # about 0.5 MB; a longer block would show here.
+        problems = [example1_problem(sigma=s) for s in (1.2, 1.5, 2.0, 2.5)]
+        batch = viscobeam.stepper._stack(
+            [viscobeam.stepper._start(p, Grid(64), 1.0 / 128) for p in problems])
+        tracemalloc.start()
+        try:
+            for _ in range(64):
+                step(batch, SolverConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.6e6
 
 
 class TestSineModeOracle:
@@ -420,10 +523,13 @@ class TestRun:
         # part is timed as assembly at the last step minus assembly at the
         # first, against the bare product of the same shape; each is the
         # fastest of many interleaved calls, so scheduler noise drops out.
+        # The (zero) forcing of every level is cached up front, so that
+        # neither assembly samples and transforms a forcing block.
         p = example2_problem()
         N = 4096
         state = initialize(p, Grid(64), p.T / N)
         state._history[:] = rng.standard_normal(state._history.shape)
+        state._forcing = (2, N + 1, np.zeros((1, N - 1, 63)))
         w = rng.standard_normal(N - 1)
         rows = state._history[0, : N - 1]
 
