@@ -53,11 +53,11 @@ class DampingFunction:
     @classmethod
     def sqrt_affine(cls, a: float, b: float) -> "DampingFunction":
         """G(v) = sqrt(a + b*v); steepest at v = 0, so L = b / (2*sqrt(a))."""
-        g0 = float(np.sqrt(a))
+        g0 = math.sqrt(a) if a >= 0.0 else math.nan
         lip = b / (2.0 * g0) if g0 > 0 else np.inf
         # math.sqrt costs a fraction of numpy's scalar call; a negative
         # argument (only with a < 0, which validate rejects) gives NaN as
-        # numpy does, rather than raising.
+        # numpy does, rather than raising or warning.
         return cls(lambda v: math.sqrt(s) if (s := a + b * v) >= 0.0 else math.nan,
                    g0=g0, lipschitz=lip)
 

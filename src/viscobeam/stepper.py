@@ -18,21 +18,24 @@ modal coefficients, with G evaluated from the modes.
 The whole state lives in the sine basis: U^0, the two newest levels and
 the velocity history are stored as coefficients, and grid values are made
 only from the initial data, the forcing samples and on output.  The
-forcing is sampled for blocks of up to 32 levels, each transformed at
-once, so each step costs one O(n * J) convolution, one sine transform
-(of the forcing) per 32 levels and O(J) per inner iteration.  The
-convolution is exact and runs as one BLAS matrix-vector product, reading
-the weights forward from the kernel tables' reversed copy: numpy keeps a
-negatively strided operand out of BLAS and loops several times slower.
-A run records per-level norms in preallocated columns and builds its
-energy columns from them once, at the end.
+levels fall into blocks of 32, aligned at levels 2 + 32k.  For each block
+the forcing is sampled and transformed at once, and the exact history sum
+is split in two.  Its far part, over the rows before the block, is made
+once for the whole block as products of Toeplitz panels of the weights
+with at most 256 history rows each (fewer on grids finer than J = 64),
+one single-threaded BLAS call per panel.  Each step adds its near part, one matrix-vector product over the
+at most 31 rows made inside the block.  The sum still costs O(n * J) per
+step, but most of it now runs as matrix products; only its order of
+summation differs from the direct sum.  Each step also costs O(J) per
+inner iteration.  A run records per-level norms in preallocated columns
+and builds its energy columns from them once, at the end.
 
 One stepper advances B runs ("members") that share the grid, the step size
 and the step count in lockstep: every array of the state carries a leading
-member axis, the history sums are one batched matmul (one gemv per member),
-the forcing blocks one transform, and only the damping law is called
-member by member.  Each member follows exactly the iterates of its own
-run, so a batch gives every member the bits of its run alone.
+member axis, the history sums are batched matmuls (one product per
+member), the forcing blocks one transform, and only the damping law is
+called member by member.  Each member follows exactly the iterates of its
+own run, so a batch gives every member the bits of its run alone.
 :func:`run` is the B = 1 case of :func:`run_batch`, which the convergence
 studies use to step all cells of a refinement level together.
 """
@@ -44,6 +47,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import diagnostics
 from .grid_ops import (Grid, bending_energy, norm, second_difference_eigenvalues,
@@ -51,11 +55,23 @@ from .grid_ops import (Grid, bending_energy, norm, second_difference_eigenvalues
 from .kernel import ConfigurationError, KernelTables
 from .model import ProblemSpec, damping_coefficient, require_valid
 
-_CSV_BLOCK_ROWS = 1024
-#: Levels of forcing sampled and transformed together.  A block holds
-#: 32 (J-1) floats per member; 128 levels raised the peak RSS of
+_CSV_BLOCK_ROWS = 256
+#: Levels per block: the forcing is sampled and transformed, and the far
+#: part of the history sum is made, once per block.  A block holds 32 (J-1)
+#: floats per member; 128 levels raised the peak RSS of
 #: ``study --preset example2-temporal`` by about 1.2 MB.
-_FORCING_BLOCK_LEVELS = 32
+_BLOCK_LEVELS = 32
+#: History rows per far-part panel product, halved on grids finer than
+#: J = 64 until C (J-1) < 2^14.  On a 2-CPU Haswell host OpenBLAS 0.3.31 ran
+#: every 32 x C by C x (J-1) product with 32 C (J-1) < 2^19 on one thread
+#: (its worker thread took no CPU time); 32 x 200 by 200 x 127 and 32 x 500
+#: by 500 x 63 ran on two, and such threaded products were up to 16 times
+#: slower while the other CPU was busy.  At J = 64, 512 rows raised the CPU
+#: time of ``stability --preset example2-longtime`` in process from 0.34 to
+#: 0.66 s.
+_PANEL_ROWS = 256
+#: The empty block cache of a state: no tables, no levels.
+_NO_BLOCK = (None, 0, 0, None, None, None, None, None)
 
 
 class NumericalError(RuntimeError):
@@ -111,13 +127,13 @@ class SolverState:
     the velocity history is one preallocated (B, N, J-1) buffer, row p-1
     of a member storing the coefficients of its dU^p, and ``_records``
     holds each level's velocity norm, curvature norm, G and iteration
-    count in (B, 4, N+1) columns.  ``_constants`` keeps the step system's
-    coefficients that depend only on the tables, tagged with the tables
-    they were made from.  ``_forcing`` caches (first, end, block), the
-    transformed forcing of levels first..end-1 as a (B, end-first, J-1)
-    block; :func:`dataclasses.replace` leaves it empty.  The properties return grid values, without the
-    member axis when B = 1.  Confine a state to one thread; the shared
-    tables are read-only.
+    count in (B, 4, N+1) columns.  ``_block`` caches, for the block of
+    levels first..end-1, the tables it was made from, first and end, the
+    transformed forcing and the history's far part as (B, end-first, J-1)
+    arrays, lambda^2, w[0]/dt and the step system's diagonal d;
+    :func:`dataclasses.replace` leaves it empty.  The properties return
+    grid values, without the member axis when B = 1.  Confine a state to
+    one thread; the shared tables are read-only.
     """
 
     problems: tuple[ProblemSpec, ...]
@@ -132,8 +148,7 @@ class SolverState:
     _history: np.ndarray = field(repr=False)
     _records: np.ndarray = field(repr=False)
     _eigs: np.ndarray = field(repr=False)  # of D2, in sine_transform order
-    _constants: tuple = field(default=(None,), repr=False)
-    _forcing: tuple = field(default=(0, 0, None), init=False, repr=False)
+    _block: tuple = field(default=_NO_BLOCK, init=False, repr=False)
 
     def _values(self, W: np.ndarray) -> np.ndarray:
         V = sine_transform(W)
@@ -223,7 +238,7 @@ def _start(problem: ProblemSpec, grid: Grid, dt: float) -> SolverState:
 def _stack(states: list[SolverState]) -> SolverState:
     """One state of one-member states at the same level and step size, with
     room for every level: the only place a history buffer is allocated.
-    Like every replaced state, it starts with an empty forcing cache."""
+    Like every replaced state, it starts with an empty block cache."""
     first, n = states[0], states[0].n
     history = np.zeros((len(states), first.n_steps, first.grid.n_interior))
     records = np.zeros((len(states), 4, first.n_steps + 1))
@@ -248,6 +263,34 @@ def initialize(problem: ProblemSpec, grid: Grid, dt: float) -> SolverState:
     return _stack([_start(problem, grid, dt)])
 
 
+def _far_history(state: SolverState, first: int, end: int) -> np.ndarray:
+    """The far part of the history sum at the levels first..end-1 of a
+    block: row i of each member is sum_{p<first} w[first+i-p] dU^p.
+
+    Row q of the history (dU^{q+1}) is weighted by rev[N - first - i + q]
+    of the reversed weights, so the weights form a Toeplitz matrix, read
+    here as a window view.  Member by member, it is copied one panel of at
+    most C history rows at a time into one buffer, and each panel is one
+    matrix product, summed in panel order.  Panels start at multiples of
+    C, which depends on J only (see _PANEL_ROWS), so a member's sum does
+    not depend on its batch.
+    """
+    history, N, rows = state._history, state.n_steps, first - 1
+    width = _PANEL_ROWS
+    while width > 1 and width * history.shape[-1] >= 2**14:
+        width //= 2
+    rev = np.broadcast_to(state.tables.reversed_weights, history.shape[:2])
+    toeplitz = sliding_window_view(rev[:, N - end + 1:N - 1], rows, axis=-1)[:, ::-1]
+    buffer = np.empty((end - first, min(rows, width)))
+    far = np.zeros((len(history), end - first, history.shape[-1]))
+    for k in range(len(history)):
+        for q in range(0, rows, width):
+            panel = buffer[:, :min(rows - q, width)]
+            np.copyto(panel, toeplitz[k, :, q:q + panel.shape[-1]])
+            far[k] += panel @ history[k, q:q + panel.shape[-1]]
+    return far
+
+
 def assemble_step_system(state: SolverState) -> tuple[np.ndarray, ...]:
     """Level n's step system in the sine basis, with G left free.
 
@@ -257,33 +300,41 @@ def assemble_step_system(state: SolverState) -> tuple[np.ndarray, ...]:
     and d = 1/dt^2 + (mu0 + w[0]/dt) * lambda^2 > 0.  ``b`` collects the
     forcing, the initial-load source, the inertia terms, the w[0] split
     and the history convolution; ``U`` is the start iterate
-    2 U^{n-1} - U^{n-2}.  The forcing comes from the state's cache; when
-    level n lies outside it, the members' samples of levels n..n+31 (to N
-    at most), broadcast over the grid when scalar, are taken level by level
-    and transformed at once, the only transform.  A forcing callable that
-    raises does so at the first level of its block, and the cache is then
-    left as it was.
+    2 U^{n-1} - U^{n-2}.  The block of level n comes from the state's
+    cache.  When n lies outside it, or ``tables`` was replaced, the whole
+    aligned block of 32 levels from first = 2 + 32k (to N at most) is made
+    again: the members' forcing samples, broadcast over the grid when
+    scalar, are taken level by level and transformed at once, the only
+    transform, and the far part of the history sum is made.  Each level
+    adds its near part, over history rows first..n-1, to the far part.
+    The far part is kept apart from the forcing, so that ``b`` is summed
+    in the order of the direct sum and rounds as it does.  A forcing
+    callable that raises does so at the first level of its block, and the
+    cache is then left as it was.
     """
     n, N, dt, tables = state.n, state.n_steps, state.dt, state.tables
-    # lambda^2, w[0]/dt and d are made again only when ``tables`` is replaced.
-    if state._constants[0] is not tables:
-        lam2, w0_dt = state._eigs[None] ** 2, tables.weights[..., :1] / dt
-        state._constants = (tables, lam2, w0_dt, 1.0 / dt**2 + (tables.mu0 + w0_dt) * lam2)
-    _, lam2, w0_dt, diag = state._constants
-    first, end, f_hat = state._forcing
-    if not first <= n < end:
-        end, x = min(n + _FORCING_BLOCK_LEVELS, N + 1), state.grid.x
-        f = np.empty((len(state.problems), end - n, state.grid.n_interior))
-        for level in range(n, end):
+    made_from, first, end = state._block[:3]
+    if made_from is not tables or not first <= n < end:
+        first = n - (n - 2) % _BLOCK_LEVELS
+        end, x = min(first + _BLOCK_LEVELS, N + 1), state.grid.x
+        f = np.empty((len(state.problems), end - first, state.grid.n_interior))
+        for level in range(first, end):
             for i, problem in enumerate(state.problems):
-                f[i, level - n] = problem.forcing(x, level * dt)
-        first, end, f_hat = state._forcing = n, end, sine_transform(f)
+                f[i, level - first] = problem.forcing(x, level * dt)
+        # The old block goes once the samples are in, so that a refill
+        # holds one block at a time.
+        state._block = _NO_BLOCK
+        lam2, w0_dt = state._eigs[None] ** 2, tables.weights[..., :1] / dt
+        state._block = (tables, first, end, sine_transform(f), _far_history(state, first, end),
+                        lam2, w0_dt, 1.0 / dt**2 + (tables.mu0 + w0_dt) * lam2)
+    _, first, end, f_hat, far, lam2, w0_dt, diag = state._block
     U1, U2 = state._U1, state._U2
-    # w[n-1:0:-1] of each member, read forward so that each product is a
-    # BLAS gemv.
-    mem = np.matmul(tables.reversed_weights[..., None, N - n:N - 1],
-                    state._history[:, : n - 1])[:, 0]
+    # w[n-first:0:-1] of each member, read forward so that each product is
+    # a BLAS gemv.
+    near = np.matmul(tables.reversed_weights[..., None, N - n + first - 1:N - 1],
+                     state._history[:, first - 1:n - 1])[:, 0]
     U = 2.0 * U1 - U2
+    mem = far[:, n - first] + near
     b = (f_hat[:, n - first] + U / dt**2
          + lam2 * (w0_dt * U1 - mem - tables.tail[..., n:n + 1] * state._U0))
     return b, diag, U1, U

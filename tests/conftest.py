@@ -9,8 +9,9 @@ grid-space difference quotients below are the stencils themselves, never
 the sine eigen-decomposition the solver uses, and the dense
 fourth-difference oracle is built from them column by column.  The
 per-level step system repeats the stepper's formula with the forcing of
-each level transformed on its own, so blocked forcing can be checked bit
-for bit against it.
+each level transformed on its own and the direct history sum, one gemv
+over all rows, so blocked forcing can be checked bit for bit against it
+and the blocked history sum against a summation bound.
 """
 
 import math
@@ -90,7 +91,8 @@ def solve_levels(problem, grid, N, config=None):
 
 def assemble_per_level(state):
     """``assemble_step_system`` with one forcing sample and one transform
-    per level: the same (b, d, V, U), operation for operation."""
+    per level and the history sum as one gemv over all rows: with the
+    weights and tail zeroed, the same (b, d, V, U) bit for bit."""
     n, N, dt, tables = state.n, state.n_steps, state.dt, state.tables
     lam2, w0_dt = state._eigs[None] ** 2, tables.weights[..., :1] / dt
     U1, U2, f = state._U1, state._U2, np.empty(state._U1.shape)

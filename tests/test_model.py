@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -60,11 +61,20 @@ class TestDampingFunction:
     def test_sqrt_affine_negative_argument_is_nan(self):
         # Only a < 0 reaches a negative argument; as with numpy's sqrt the
         # law returns NaN there, so validate reports it as non-finite.
-        with np.errstate(invalid="ignore"):
-            d = DampingFunction.sqrt_affine(-1.0, 1.0)
+        d = DampingFunction.sqrt_affine(-1.0, 1.0)
+        assert math.isnan(d.g0)
         assert math.isnan(d(0.0)) and d(3.0) == math.sqrt(2.0)
         errs = validate(_problem(damping=d))
         assert any("non-finite value" in e for e in errs)
+
+    def test_sqrt_affine_negative_a_is_config_error_without_warnings(self):
+        # g0 = sqrt(a) is NaN for a < 0 without a numpy RuntimeWarning, so a
+        # caller that turns warnings into errors still gets validate's g0
+        # message rather than an exception from the constructor.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="g0 must be positive"):
+                require_valid(_problem(damping=DampingFunction.sqrt_affine(-1.0, 1.0)))
 
     def test_constant(self):
         d = DampingFunction.constant(2.0)

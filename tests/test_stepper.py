@@ -306,14 +306,21 @@ class TestRunBatch:
 
 
 class TestForcingBlocks:
-    """The forcing is sampled and transformed a block of up to 32 levels at
-    a time; every level keeps the bits of one transform per level."""
+    """Levels fall into aligned blocks of 32: the forcing of a block is
+    sampled and transformed at once, and the far part of its history sum
+    is made once.  Every level keeps the bits of one transform per level,
+    and the history sum differs from the direct sum by its order only."""
 
     def test_levels_match_per_level_transform(self, monkeypatch):
         # J = 16, N = 100: levels 2..100 fill three blocks and a partial
-        # one.  The oracle run steps with the per-level step system.
+        # one.  The oracle run steps with the per-level step system, whose
+        # history sum is one gemv over all rows.  With the weights and tail
+        # zeroed the history drops out of both, so the forcing path must
+        # match bit for bit.
         p, g, N, cfg = example1_problem(), Grid(16), 100, SolverConfig()
         blocked, oracle = initialize(p, g, p.T / N), initialize(p, g, p.T / N)
+        blocked.tables = oracle.tables = dataclasses.replace(
+            blocked.tables, weights=np.zeros(N), tail=np.zeros(N + 1))
         while blocked.n <= N:
             assert np.array_equal(assemble_step_system(blocked)[0],
                                   assemble_per_level(oracle)[0])
@@ -324,8 +331,106 @@ class TestForcingBlocks:
             assert blocked.n == oracle.n
             assert np.array_equal(blocked._U1, oracle._U1)
             assert np.array_equal(blocked._records, oracle._records)
-        assert blocked._forcing[:2] == (98, 101)
+        assert blocked._block[1:3] == (98, 101)
         assert np.array_equal(blocked.series().fp_iters, oracle.series().fp_iters)
+
+    @staticmethod
+    def assert_within_summation_bound(state, problem):
+        # b against the per-level step system on the same state, mode by
+        # mode: at most 4 n eps times the sum of the magnitudes of b's
+        # terms, the history term as sum |w| |dU|.
+        n, N, dt, tables = state.n, state.n_steps, state.dt, state.tables
+        b, b_ref = assemble_step_system(state)[0], assemble_per_level(state)[0]
+        U0, U1, U2 = state._U0, state._U1, state._U2
+        history = (np.abs(tables.reversed_weights[N - n:N - 1])
+                   @ np.abs(state._history[0, :n - 1]))
+        scale = (np.abs(sine_transform(problem.forcing(state.grid.x, n * dt)))
+                 + np.abs(2 * U1 - U2) / dt**2
+                 + state._eigs**2 * (np.abs(tables.weights[0] * U1) / dt + history
+                                     + np.abs(tables.tail[n] * U0)))
+        assert np.all(np.abs(b - b_ref) <= 4 * n * np.finfo(float).eps * scale), n
+
+    def test_history_sum_within_summation_bound(self, monkeypatch):
+        # With the real tables the far and near parts sum the history in
+        # another order than the direct sum, by design, so b may differ in
+        # its last bits, within the summation bound at every level of the
+        # run.  Both runs take the same number of fixed-point iterations
+        # at every level.
+        p, g, N, cfg = example1_problem(), Grid(16), 100, SolverConfig()
+        blocked, oracle = initialize(p, g, p.T / N), initialize(p, g, p.T / N)
+        while blocked.n <= N:
+            self.assert_within_summation_bound(blocked, p)
+            step(blocked, cfg)
+            with monkeypatch.context() as m:
+                m.setattr(viscobeam.stepper, "assemble_step_system", assemble_per_level)
+                step(oracle, cfg)
+        assert np.array_equal(blocked.series().fp_iters, oracle.series().fp_iters)
+
+    @pytest.mark.parametrize("J", [16, 64, 128, 256])
+    def test_far_panels_within_summation_bound(self, rng, J):
+        # Far parts over several panels: 256 history rows per panel up to
+        # J = 64, 128 at J = 128 and 64 at J = 256.  With a random history,
+        # b keeps within the summation bound at levels around the panel
+        # and block edges.
+        p, N = example1_problem(), 600
+        state = initialize(p, Grid(J), p.T / N)
+        state._history[:] = rng.standard_normal(state._history.shape)
+        for n in (2, 33, 66, 130, 131, 258, 259, 290, 300, 321, 514, 600):
+            state.n = n
+            self.assert_within_summation_bound(state, p)
+
+    def test_far_part_once_per_block_near_part_short(self, monkeypatch):
+        # Across the block of levels 66..97 the far part is made once, at
+        # its first level, and each level's near product spans the rows
+        # made inside the block so far: 0, 1, .., 31.
+        p, g, N = example1_problem(), Grid(16), 100
+        state = initialize(p, g, p.T / N)
+        while state.n < 66:
+            step(state, SolverConfig())
+        far, near = [], []
+        far_history, matmul = viscobeam.stepper._far_history, np.matmul
+        monkeypatch.setattr(viscobeam.stepper, "_far_history", lambda s, first, end: (
+            far.append((s.n, first, end)) or far_history(s, first, end)))
+        monkeypatch.setattr(np, "matmul", lambda a, b: near.append(b.shape[-2]) or matmul(a, b))
+        for _ in range(32):
+            step(state, SolverConfig())
+        assert far == [(66, 66, 98)]
+        assert near == list(range(32))
+
+    def test_replaced_tables_refill_the_block(self):
+        # Tables swapped at level 40, inside the block of levels 34..65,
+        # refill that block from level 34 with the new weights: b has the
+        # bits of a replaced copy of the state, whose cache starts empty.
+        p, g, N = example1_problem(), Grid(16), 100
+        state = initialize(p, g, p.T / N)
+        while state.n < 40:
+            step(state, SolverConfig())
+        stale = assemble_step_system(state)[0]
+        state.tables = dataclasses.replace(state.tables, weights=0.5 * state.tables.weights)
+        fresh = dataclasses.replace(state)
+        assert fresh._block[0] is None
+        b = assemble_step_system(state)[0]
+        assert np.array_equal(b, assemble_step_system(fresh)[0])
+        assert not np.array_equal(b, stale)
+        assert state._block[1:3] == (34, 66)
+
+    def test_far_block_fill_peak_memory_bounded(self, rng):
+        # The block of levels 8162..8192 at J = 64, N = 8192 sums 8161
+        # history rows through one 31 x 256 panel buffer, about 0.13 MB at
+        # peak with the block's arrays; a 31 x 8161 Toeplitz copy of the
+        # weights alone would take 2 MB.
+        p, N = example2_problem(), 8192
+        state = initialize(p, Grid(64), p.T / N)
+        state._history[:] = rng.standard_normal(state._history.shape)
+        state.n = 8162
+        tracemalloc.start()
+        try:
+            assemble_step_system(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state._block[1:3] == (8162, 8193)
+        assert peak <= 0.3e6
 
     def test_member_failing_inside_a_block(self):
         # The middle member's forcing turns NaN for t > 0.6, inside the
@@ -366,6 +471,26 @@ class TestForcingBlocks:
         for row, p in zip(batch.U_prev, problems):
             assert np.array_equal(row, run(p, g, N)[0].U_prev)
 
+    def test_restacked_long_batch_keeps_single_run_bits(self):
+        # Histories longer than one far-part panel of 256 rows: two members
+        # stepped alone to level 300, inside the block of levels 290..321,
+        # are stacked and refill that block from level 290.  Panels do not
+        # depend on the batch, so each member keeps the bits of its run
+        # alone up to N = 600.
+        problems = [example1_problem(sigma=s) for s in (1.2, 2.0)]
+        g, N = Grid(8), 600
+        singles = [initialize(p, g, 1.0 / N) for p in problems]
+        for s in singles:
+            while s.n < 300:
+                step(s, SolverConfig())
+        batch = viscobeam.stepper._stack(singles)
+        step(batch, SolverConfig())
+        assert batch._block[1:3] == (290, 322)
+        while batch.n <= N:
+            step(batch, SolverConfig())
+        for row, p in zip(batch.U_prev, problems):
+            assert np.array_equal(row, run(p, g, N)[0].U_prev)
+
     def test_raising_forcing_leaves_state_unchanged(self):
         # A forcing that raises for t > 0.5 raises when the block of levels
         # 34..65 is sampled, at level 34.  The state is as it was, and the
@@ -389,8 +514,9 @@ class TestForcingBlocks:
             assert all(np.array_equal(a, b) for a, b in zip(after, before))
 
     def test_step_peak_memory_bounded(self):
-        # 64 steps of a 4-member batch at J = 64 hold one forcing block of
-        # 4 x 32 x 63 floats and its transform's temporaries at a time,
+        # 64 steps of a 4-member batch at J = 64 hold one block of
+        # 4 x 32 x 63 floats of forcing and one of the history's far part,
+        # the transform's temporaries and one panel buffer at a time,
         # about 0.5 MB; a longer block would show here.
         problems = [example1_problem(sigma=s) for s in (1.2, 1.5, 2.0, 2.5)]
         batch = viscobeam.stepper._stack(
@@ -515,37 +641,36 @@ class TestRun:
         assert np.all(series.kinetic >= 0.0)
         assert np.all(series.elastic >= 0.0)
 
-    def test_history_sum_runs_at_gemv_speed(self, rng):
-        # The history convolution is the O(n J) part of each step, and it
-        # must cost about one matrix-vector product on contiguous operands.
-        # numpy keeps a negatively strided operand such as w[n-1:0:-1] out
-        # of BLAS and runs its own loop, several times slower.  The history
-        # part is timed as assembly at the last step minus assembly at the
-        # first, against the bare product of the same shape; each is the
-        # fastest of many interleaved calls, so scheduler noise drops out.
-        # The (zero) forcing of every level is cached up front, so that
-        # neither assembly samples and transforms a forcing block.
-        p = example2_problem()
-        N = 4096
+    def test_far_block_fill_costs_few_gemvs(self, rng):
+        # The far part of the history sum is made once per block of 32
+        # levels as panel products, which BLAS runs as matrix products.  At
+        # J = 64, N = 8192 one fill at level 4098 must cost at most 16 bare
+        # gemvs over the same 4097 history rows, where a gemv per step
+        # would cost 32.  The fill is timed as assembly at the block's
+        # first level with the cache emptied minus assembly with the block
+        # cached; each is the fastest of many interleaved calls, so
+        # scheduler noise drops out.  The fill also samples and transforms
+        # the (zero) forcing of its 32 levels, one to two gemvs' worth.
+        p, N, n0 = example2_problem(), 8192, 4098
         state = initialize(p, Grid(64), p.T / N)
         state._history[:] = rng.standard_normal(state._history.shape)
-        state._forcing = (2, N + 1, np.zeros((1, N - 1, 63)))
-        w = rng.standard_normal(N - 1)
-        rows = state._history[0, : N - 1]
+        state.n = n0
+        w, rows = rng.standard_normal(n0 - 1), state._history[0, :n0 - 1]
 
-        def assemble_at(n):
-            state.n = n
+        def fill():
+            state._block = (None, *state._block[1:])
             assemble_step_system(state)
 
-        calls = {"last": lambda: assemble_at(N), "first": lambda: assemble_at(2),
+        calls = {"fill": fill, "cached": lambda: assemble_step_system(state),
                  "gemv": lambda: w @ rows}
         best = dict.fromkeys(calls, math.inf)
-        for _ in range(200):
+        for _ in range(100):
             for key, call in calls.items():
                 t0 = time.perf_counter()
                 call()
                 best[key] = min(best[key], time.perf_counter() - t0)
-        assert best["last"] - best["first"] <= 2.0 * best["gemv"]
+        assert state._block[1:3] == (n0, n0 + 32)
+        assert best["fill"] - best["cached"] <= 16.0 * best["gemv"]
 
 
 class TestSerialization:
