@@ -44,7 +44,6 @@ from .diagnostics import (
     StabilityVerdict,
     data_functional,
     energy,
-    forcing_l1_norm,
     stability_monitor,
 )
 from .studies import (
@@ -65,7 +64,7 @@ __all__ = [
     "ProblemSpec", "SolverConfig", "SolverState", "StabilityVerdict",
     "StudyCell", "StudySpec", "TimeSeries", "assemble_step_system",
     "bending_energy", "beta_eval", "damping_coefficient", "data_functional",
-    "energy", "example1_problem", "example2_problem", "forcing_l1_norm",
+    "energy", "example1_problem", "example2_problem",
     "initialize", "kernel_tail", "norm", "preset_config",
     "rate", "require_valid", "run", "run_study",
     "second_difference_eigenvalues", "sine_transform", "spatial_error",

@@ -91,7 +91,7 @@ def _cmd_stability(args) -> int:
     cfg, problem, grid, N = _setup(args)
     solver = build_solver_config(cfg)
     state, series = run(problem, grid, N, solver)
-    functional = data_functional(problem, grid, state.dt, N,
+    functional = data_functional(problem, grid, state.dt, state.forcing_norms,
                                  C0=state.tables.K0, mu0=state.tables.mu0)
     verdict = stability_monitor(series.n, series.total, functional,
                                  safety=args.safety)

@@ -18,9 +18,6 @@ from .grid_ops import (Grid, bending_energy, norm, second_difference_eigenvalues
                        sine_transform)
 from .model import ProblemSpec
 
-#: Time levels of forcing samples held at once by forcing_l1_norm.
-_BLOCK_LEVELS = 128
-
 
 def energy(vel_norm, curv_norm, g0: float, mu0: float, dt: float):
     """Energy columns (kinetic, dissipated, elastic, total) of a run.
@@ -37,39 +34,24 @@ def energy(vel_norm, curv_norm, g0: float, mu0: float, dt: float):
     return kinetic, dissipated, elastic, kinetic + dissipated + elastic
 
 
-def forcing_l1_norm(problem: ProblemSpec, grid: Grid, dt: float,
-                    n_steps: int) -> float:
-    """Composite-trapezoid integral of ||f(., t)|| over the run's time grid.
-
-    The forcing is sampled one time level at a time into a block of
-    _BLOCK_LEVELS rows, and each block's norms are one row-wise
-    reduction, so the extra memory stays fixed whatever the step count.
-    """
-    x = grid.x
-    squares = np.empty(n_steps + 1)
-    block = np.empty((_BLOCK_LEVELS, grid.n_interior))
-    for first in range(0, n_steps + 1, _BLOCK_LEVELS):
-        rows = block[: min(_BLOCK_LEVELS, n_steps + 1 - first)]
-        for i in range(len(rows)):
-            rows[i] = problem.forcing(x, (first + i) * dt)
-        squares[first:first + len(rows)] = np.einsum("ij,ij->i", rows, rows)
-    norms = np.sqrt(grid.h * squares)
-    return float(dt * (0.5 * norms[0] + norms[1:-1].sum() + 0.5 * norms[-1]))
-
-
-def data_functional(problem: ProblemSpec, grid: Grid, dt: float, n_steps: int,
+def data_functional(problem: ProblemSpec, grid: Grid, dt: float, forcing_norms,
                     C0: float, mu0: float) -> float:
     """Data-dependent bound shape the energy is measured against.
 
     ||u1||^2 + (1 + 2 C0 + 2 C0^2/mu0) ||D2 u0||^2 + dt^2 ||D2 u1||^2
     + (L1 norm of the forcing)^2, all on the solver's grid; the bending
-    terms are read from one sine transform of the u0 and u1 samples.
+    terms are read from one sine transform of the u0 and u1 samples.  The
+    L1 norm is the composite-trapezoid integral of ``forcing_norms``, the
+    norms ||f(., t_m)|| at levels 0..N that a run records
+    (:attr:`SolverState.forcing_norms`), so the forcing is not sampled
+    again.
     """
     x = grid.x
     u1s = np.asarray(problem.u1(x), dtype=float)
     u0_hat, u1_hat = sine_transform(np.stack([problem.u0(x), u1s]))
     eigs = second_difference_eigenvalues(grid)
-    f1 = forcing_l1_norm(problem, grid, dt, n_steps)
+    norms = np.asarray(forcing_norms, dtype=float)
+    f1 = dt * (0.5 * norms[0] + norms[1:-1].sum() + 0.5 * norms[-1])
     return (norm(u1s, grid) ** 2
             + (1.0 + 2.0 * C0 + 2.0 * C0**2 / mu0)
             * bending_energy(u0_hat, eigs, grid.h)

@@ -8,27 +8,33 @@ Each step n >= 2 solves the nonlinear system
 
 where D2/D4 are the hinged difference operators, dU^p the stored velocity
 differences (U^p - U^{p-1})/dt and w the product-integration weights of the
-kernel tail.  The p = n weight splits off the unknown, shifting the D4
-coefficient to mu0 + w[0]/dt.  Under the hinged closure D4 = D2^2, and D2
+kernel tail.  The step is solved for its velocity v = dU^n, the new row of
+the history, with U^n = U^{n-1} + dt v: then the inertia term is
+(v - dU^{n-1})/dt and the p = n weight joins the unknown, so no term of
+the system grows like U/dt^2.  Under the hinged closure D4 = D2^2, and D2
 is diagonal in the orthonormal sine basis, so with the damping
 coefficient frozen the system is one division per sine mode.  Only that
 scalar is nonlinear; it is resolved by fixed-point iteration on the
-modal coefficients, with G evaluated from the modes.
+modal coefficients, with G evaluated from the modes and started from G
+extrapolated from the last two levels.
 
-The whole state lives in the sine basis: U^0, the two newest levels and
-the velocity history are stored as coefficients, and grid values are made
+The whole state lives in the sine basis: U^0, the newest level and the
+velocity history are stored as coefficients, and grid values are made
 only from the initial data, the forcing samples and on output.  The
 levels fall into blocks of 32, aligned at levels 2 + 32k.  For each block
 the forcing is sampled and transformed at once, and the exact history sum
 is split in two.  Its far part, over the rows before the block, is made
 once for the whole block as products of Toeplitz panels of the weights
 with at most 256 history rows each (fewer on grids finer than J = 64),
-one single-threaded BLAS call per panel.  Each step adds its near part, one matrix-vector product over the
-at most 31 rows made inside the block.  The sum still costs O(n * J) per
-step, but most of it now runs as matrix products; only its order of
-summation differs from the direct sum.  Each step also costs O(J) per
-inner iteration.  A run records per-level norms in preallocated columns
-and builds its energy columns from them once, at the end.
+one single-threaded BLAS call per panel, and folded with the forcing and
+the initial-load source into one cached right-hand side per level.  Each
+step adds its near part, one matrix-vector product over the at most 31
+rows made inside the block.  The sum still costs O(n * J) per step, but
+most of it now runs as matrix products; only its order of summation
+differs from the direct sum.  Each step also costs O(J) per inner
+iteration.  A run records per-level norms, the forcing's included, in
+preallocated columns and builds its energy columns from them once, at
+the end.
 
 One stepper advances B runs ("members") that share the grid, the step size
 and the step count in lockstep: every array of the state carries a leading
@@ -42,7 +48,6 @@ studies use to step all cells of a refinement level together.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, fields, replace
 
@@ -71,7 +76,7 @@ _BLOCK_LEVELS = 32
 #: 0.66 s.
 _PANEL_ROWS = 256
 #: The empty block cache of a state: no tables, no levels.
-_NO_BLOCK = (None, 0, 0, None, None, None, None, None)
+_NO_BLOCK = (None, 0, 0, None, None, None, None)
 
 
 class NumericalError(RuntimeError):
@@ -122,18 +127,19 @@ class SolverState:
 
     ``problems`` holds the members' problems and ``tables`` their kernel
     tables (:meth:`KernelTables.stack` of them when B > 1).  ``n`` is the
-    index of the next level to solve.  ``_U0``, ``_U1`` and ``_U2`` hold
-    the sine coefficients of U^0, U^{n-1} and U^{n-2} as (B, J-1) arrays;
-    the velocity history is one preallocated (B, N, J-1) buffer, row p-1
-    of a member storing the coefficients of its dU^p, and ``_records``
-    holds each level's velocity norm, curvature norm, G and iteration
-    count in (B, 4, N+1) columns.  ``_block`` caches, for the block of
+    index of the next level to solve.  ``_U0`` and ``_U1`` hold the sine
+    coefficients of U^0 and U^{n-1} as (B, J-1) arrays; the velocity
+    history is one preallocated (B, N, J-1) buffer, row p-1 of a member
+    storing the coefficients of its dU^p, and ``_records`` holds each
+    level's velocity norm, curvature norm, G, iteration count and forcing
+    norm sqrt(h) ||f^n|| in (B, 5, N+1) columns; the forcing norms are
+    written a block of levels ahead.  ``_block`` caches, for the block of
     levels first..end-1, the tables it was made from, first and end, the
-    transformed forcing and the history's far part as (B, end-first, J-1)
-    arrays, lambda^2, w[0]/dt and the step system's diagonal d;
-    :func:`dataclasses.replace` leaves it empty.  The properties return
-    grid values, without the member axis when B = 1.  Confine a state to
-    one thread; the shared tables are read-only.
+    part of each level's right-hand side fixed before the block as a
+    (B, end-first, J-1) array, lambda^2, mu0 lambda^2 and the velocity
+    system's diagonal D; :func:`dataclasses.replace` leaves it empty.  The
+    properties return grid values, without the member axis when B = 1.
+    Confine a state to one thread; the shared tables are read-only.
     """
 
     problems: tuple[ProblemSpec, ...]
@@ -144,7 +150,6 @@ class SolverState:
     tables: KernelTables
     _U0: np.ndarray = field(repr=False)
     _U1: np.ndarray = field(repr=False)
-    _U2: np.ndarray = field(repr=False)
     _history: np.ndarray = field(repr=False)
     _records: np.ndarray = field(repr=False)
     _eigs: np.ndarray = field(repr=False)  # of D2, in sine_transform order
@@ -157,15 +162,20 @@ class SolverState:
     U0 = property(lambda self: self._values(self._U0), doc="The initial level U^0.")
     U_prev = property(lambda self: self._values(self._U1),
                       doc="The newest computed level U^{n-1}.")
-    U_prev2 = property(lambda self: self._values(self._U2),
-                       doc="The level before it, U^{n-2}.")
     velocity_history = property(lambda self: self._values(self._history[:, : self.n - 1]),
                                 doc="Rows dU^1..dU^{n-1}.")
+
+    @property
+    def forcing_norms(self) -> np.ndarray:
+        """sqrt(h) ||f^m|| of the forcing samples at levels 0..n-1, without
+        the member axis when B = 1."""
+        norms = self._records[:, 4, :self.n]
+        return norms[0] if len(norms) == 1 else norms
 
     def series(self) -> TimeSeries:
         """Records of levels 1..n-1 of a one-member state, with the energy
         columns built from them."""
-        vel, curv, damping, iters = self._records[0, :, 1:self.n]
+        vel, curv, damping, iters = self._records[0, :4, 1:self.n]
         n = np.arange(1, self.n)
         return TimeSeries(n, n * self.dt, vel, curv, damping, iters.astype(int),
                           *diagnostics.energy(vel, curv, self.problems[0].damping.g0,
@@ -191,28 +201,32 @@ class TimeSeries:
     total: np.ndarray
 
     def to_csv(self, path) -> None:
-        cols = [f.name for f in fields(self)]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(cols)
-            # Rows go out in blocks: whole columns as Python lists would
-            # raise the peak memory of a long run by about 1 MB.
-            for i in range(0, len(self.n), _CSV_BLOCK_ROWS):
-                block = (getattr(self, c)[i:i + _CSV_BLOCK_ROWS].tolist() for c in cols)
-                writer.writerows(zip(*block))
+        _write_csv(path, {f.name: getattr(self, f.name) for f in fields(self)})
+
+
+def _write_csv(path, columns: dict) -> None:
+    """Write equal-length numeric columns under a header of their names,
+    byte for byte as :func:`csv.writer` does: ``repr`` of each Python int
+    or float, comma separated, CRLF line ends.  Columns are read as Python
+    lists in blocks of rows, since whole columns as lists would raise the
+    peak memory of a long run by about 1 MB, and each row is written on
+    its own: joining a block of 256 rows raised the peak RSS of a
+    J = 64, N = 8192 ``solve`` by 0.125 MB."""
+    arrays = list(columns.values())
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(columns) + "\r\n")
+        for i in range(0, len(arrays[0]), _CSV_BLOCK_ROWS):
+            for row in zip(*(a[i:i + _CSV_BLOCK_ROWS].tolist() for a in arrays)):
+                fh.write(",".join(map(repr, row)) + "\r\n")
 
 
 def write_solution_csv(path, grid: Grid, U: np.ndarray) -> None:
     """Write the solution on all nodes (boundary zeros included) as x,u rows."""
-    xs = np.concatenate([[0.0], grid.x, [1.0]])
-    us = np.concatenate([[0.0], np.asarray(U, dtype=float), [0.0]])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "u"])
-        writer.writerows(zip(xs.tolist(), us.tolist()))
+    _write_csv(path, {"x": np.concatenate([[0.0], grid.x, [1.0]]),
+                      "u": np.concatenate([[0.0], np.asarray(U, dtype=float), [0.0]])})
 
 
-_MEMBER_ARRAYS = ("_U0", "_U1", "_U2", "_history", "_records")
+_MEMBER_ARRAYS = ("_U0", "_U1", "_history", "_records")
 
 
 def _start(problem: ProblemSpec, grid: Grid, dt: float) -> SolverState:
@@ -229,10 +243,10 @@ def _start(problem: ProblemSpec, grid: Grid, dt: float) -> SolverState:
     U1 = U0 + dt * u1
     eigs, dU1 = second_difference_eigenvalues(grid), (U1 - U0) / dt
     records = [[0.0, norm(dU1, grid)], [0.0, math.sqrt(bending_energy(U1, eigs, grid.h))],
-               [0.0, damping_coefficient(problem.damping, U1, grid)], [0.0, 0.0]]
+               [0.0, damping_coefficient(problem.damping, U1, grid)], [0.0, 0.0], [0.0, 0.0]]
     return SolverState((problem,), grid, dt, n_steps, 2,
                        KernelTables.build(problem.kernel, dt, n_steps), U0[None], U1[None],
-                       U0[None], dU1[None, None], np.array([records]), eigs)
+                       dU1[None, None], np.array([records]), eigs)
 
 
 def _stack(states: list[SolverState]) -> SolverState:
@@ -241,14 +255,14 @@ def _stack(states: list[SolverState]) -> SolverState:
     Like every replaced state, it starts with an empty block cache."""
     first, n = states[0], states[0].n
     history = np.zeros((len(states), first.n_steps, first.grid.n_interior))
-    records = np.zeros((len(states), 4, first.n_steps + 1))
+    records = np.zeros((len(states), 5, first.n_steps + 1))
     for k, s in enumerate(states):
         history[k, :n - 1], records[k, :, :n] = s._history[0, :n - 1], s._records[0, :, :n]
     # The levels are joined as they are; history and records got room above.
     return replace(
         first, problems=tuple(s.problems[0] for s in states), _history=history,
         _records=records, tables=KernelTables.stack([s.tables for s in states]),
-        **{a: np.concatenate([getattr(s, a) for s in states]) for a in _MEMBER_ARRAYS[:3]})
+        **{a: np.concatenate([getattr(s, a) for s in states]) for a in _MEMBER_ARRAYS[:2]})
 
 
 def initialize(problem: ProblemSpec, grid: Grid, dt: float) -> SolverState:
@@ -258,9 +272,24 @@ def initialize(problem: ProblemSpec, grid: Grid, dt: float) -> SolverState:
     The first level is the explicit start U^1 = U^0 + dt * u1, which pins
     the discrete initial velocity dU^1 to the samples of u1 up to roundoff.
     The samples of u0 and u1 are the only grid values transformed here.
-    The explicit start's record is read from the modes like every step's.
+    The explicit start's record is read from the modes like every step's;
+    the forcing is sampled at levels 0 and 1 for its norms only.
     """
-    return _stack([_start(problem, grid, dt)])
+    state = _stack([_start(problem, grid, dt)])
+    _sample_forcing(state, 0, 2)
+    return state
+
+
+def _sample_forcing(state: SolverState, first: int, end: int) -> np.ndarray:
+    """The members' forcing samples at levels first..end-1, broadcast over
+    the grid when scalar, as a (B, end-first, J-1) array.  Their norms
+    sqrt(h) ||f^m|| go to the records once every sample is in."""
+    x, f = state.grid.x, np.empty((len(state.problems), end - first, state.grid.n_interior))
+    for level in range(first, end):
+        for i, problem in enumerate(state.problems):
+            f[i, level - first] = problem.forcing(x, level * state.dt)
+    state._records[:, 4, first:end] = np.sqrt(state.grid.h * np.vecdot(f, f))
+    return f
 
 
 def _far_history(state: SolverState, first: int, end: int) -> np.ndarray:
@@ -291,112 +320,121 @@ def _far_history(state: SolverState, first: int, end: int) -> np.ndarray:
     return far
 
 
-def assemble_step_system(state: SolverState) -> tuple[np.ndarray, ...]:
-    """Level n's step system in the sine basis, with G left free.
+def assemble_step_system(state: SolverState) -> tuple[np.ndarray, np.ndarray]:
+    """Level n's velocity system in the sine basis, with G left free.
 
-    Returns sine coefficients ``(b, d, V, U)``, one row per member: for a
-    frozen damping coefficient G the coefficients of U^n solve, mode by
-    mode, (d + G/dt) * U^n = b + (G/dt) * V, where V belongs to U^{n-1}
-    and d = 1/dt^2 + (mu0 + w[0]/dt) * lambda^2 > 0.  ``b`` collects the
-    forcing, the initial-load source, the inertia terms, the w[0] split
-    and the history convolution; ``U`` is the start iterate
-    2 U^{n-1} - U^{n-2}.  The block of level n comes from the state's
-    cache.  When n lies outside it, or ``tables`` was replaced, the whole
-    aligned block of 32 levels from first = 2 + 32k (to N at most) is made
-    again: the members' forcing samples, broadcast over the grid when
-    scalar, are taken level by level and transformed at once, the only
-    transform, and the far part of the history sum is made.  Each level
-    adds its near part, over history rows first..n-1, to the far part.
-    The far part is kept apart from the forcing, so that ``b`` is summed
-    in the order of the direct sum and rounds as it does.  A forcing
-    callable that raises does so at the first level of its block, and the
-    cache is then left as it was.
+    Returns sine coefficients ``(r, D)``, one row per member: for a frozen
+    damping coefficient G the coefficients of v = dU^n solve, mode by
+    mode, (D + G) v = r, and U^n = U^{n-1} + dt v.  Here
+    D = 1/dt + (mu0 dt + w[0]) lambda^2 > 0 and
+
+        r = f^n + dU^{n-1}/dt - lambda^2 (mu0 U^{n-1} + mem + K(t_n) U^0),
+
+    with mem the history sum over the rows before level n.  The block of
+    level n comes from the state's cache.  When n lies outside it, or
+    ``tables`` was replaced, the whole aligned block of 32 levels from
+    first = 2 + 32k (to N at most) is made again: the members' forcing
+    samples, broadcast over the grid when scalar, are taken level by level
+    and transformed at once, the only transform; their norms go to the
+    records; and the far part of the history sum is made and folded, with
+    the initial-load source, into P = f - lambda^2 (far + K U^0) for each
+    level of the block.  Each level then adds dU^{n-1}/dt, the mu0 term
+    and its near part, over history rows first..n-1.  A forcing callable
+    that raises does so at the first level of its block, and the cache
+    and the records are then left as they were.
     """
     n, N, dt, tables = state.n, state.n_steps, state.dt, state.tables
     made_from, first, end = state._block[:3]
     if made_from is not tables or not first <= n < end:
         first = n - (n - 2) % _BLOCK_LEVELS
-        end, x = min(first + _BLOCK_LEVELS, N + 1), state.grid.x
-        f = np.empty((len(state.problems), end - first, state.grid.n_interior))
-        for level in range(first, end):
-            for i, problem in enumerate(state.problems):
-                f[i, level - first] = problem.forcing(x, level * dt)
+        end = min(first + _BLOCK_LEVELS, N + 1)
+        f = _sample_forcing(state, first, end)
         # The old block goes once the samples are in, so that a refill
         # holds one block at a time.
         state._block = _NO_BLOCK
-        lam2, w0_dt = state._eigs[None] ** 2, tables.weights[..., :1] / dt
-        state._block = (tables, first, end, sine_transform(f), _far_history(state, first, end),
-                        lam2, w0_dt, 1.0 / dt**2 + (tables.mu0 + w0_dt) * lam2)
-    _, first, end, f_hat, far, lam2, w0_dt, diag = state._block
-    U1, U2 = state._U1, state._U2
+        # The far part and the initial-load source K(t_m) U^0 of each level.
+        fixed = _far_history(state, first, end)
+        fixed += tables.tail[..., first:end, None] * state._U0[:, None]
+        lam2 = state._eigs[None] ** 2
+        D = 1.0 / dt + (tables.mu0 * dt + tables.weights[..., :1]) * lam2
+        state._block = (tables, first, end, sine_transform(f) - lam2[:, None] * fixed, lam2,
+                        tables.mu0 * lam2, D)
+    _, first, end, P, lam2, mu0_lam2, D = state._block
     # w[n-first:0:-1] of each member, read forward so that each product is
     # a BLAS gemv.
     near = np.matmul(tables.reversed_weights[..., None, N - n + first - 1:N - 1],
                      state._history[:, first - 1:n - 1])[:, 0]
-    U = 2.0 * U1 - U2
-    mem = far[:, n - first] + near
-    b = (f_hat[:, n - first] + U / dt**2
-         + lam2 * (w0_dt * U1 - mem - tables.tail[..., n:n + 1] * state._U0))
-    return b, diag, U1, U
+    r = P[:, n - first] + state._history[:, n - 2] / dt - (mu0_lam2 * state._U1 + lam2 * near)
+    return r, D
 
 
 def step(state: SolverState, config: SolverConfig) -> None:
     """Advance every member by one level via fixed-point iteration.
 
-    The G-free step system is assembled once, in the sine basis.  Starting
-    from the linear extrapolation of the last two levels, each iterate
-    freezes a member's G at its previous iterate and divides mode by mode;
-    a member stops iterating when its iterate moves by at most
+    The G-free velocity system is assembled once, in the sine basis.  The
+    start iterate v_0 is solved with G_0 = max(2 G_{n-1} - G_{n-2}, 0),
+    extrapolated from the G recorded at the last two levels (G_1 at
+    n = 2).  Each iteration k >= 1 freezes a member's G at the level
+    U^{n-1} + dt v_{k-1} of its previous iterate and divides mode by mode;
+    a member stops iterating when its level moves by at most
     ``fp_tol * max(1, ||U^n||)`` in the discrete L2 norm, which the
-    orthonormal transform preserves.  A non-finite G or iterate raises
-    :class:`NumericalError` at once, with the failing member's index as
-    ``member``.  Any error leaves the state unchanged; that includes an
-    exception from a forcing callable, which is sampled for a block of
-    levels ahead (see :func:`assemble_step_system`) and so raises at the
-    first level of the block that reaches its bad time.
+    orthonormal transform preserves.  So v_0 itself is never accepted, and
+    the G recorded is the one the accepted iterate was solved with.  A
+    non-finite G or iterate raises :class:`NumericalError` at once, with
+    the failing member's index as ``member``.  Any error leaves the state
+    unchanged; that includes an exception from a forcing callable, which
+    is sampled for a block of levels ahead (see
+    :func:`assemble_step_system`) and so raises at the first level of the
+    block that reaches its bad time.
     """
     if state.n > state.n_steps:
         raise ValueError(f"run is complete (n={state.n} > N={state.n_steps})")
     n, dt, h, lam = state.n, state.dt, state.grid.h, state._eigs[None]
-    b, diag, V, U = assemble_step_system(state)
-    # Each member's G/dt fills its row, so that the division runs on equal
+    r, D = assemble_step_system(state)
+    G_before, G = state._records[:, 2, n - 2:n].T.tolist()
+    if n > 2:
+        G = [max(2.0 * g - g_before, 0.0) for g, g_before in zip(G, G_before)]
+    # Each member's G fills its row, so that the division runs on equal
     # shapes.  A member that has converged keeps its G, so its row of every
-    # later iterate repeats its final one bit for bit.  ``pair`` stacks the
-    # iterate's increment over the iterate, so that one vecdot gives both
-    # squared norms of every member.
-    G_dt, G, iters = np.empty(U.shape), [0.0] * len(U), [0] * len(U)
-    pair = np.empty((2,) + U.shape)
-    active = list(range(len(U)))
-    for it in range(1, config.fp_max_iters + 1):
-        energies = np.vecdot(c := lam * U, c).tolist()
+    # later iterate repeats its final one bit for bit.  ``stack`` holds the
+    # iterate's increment, the iterate, its level U^{n-1} + dt v and lambda
+    # times that level, so that one vecdot gives all four squared norms of
+    # every member.  The start's increment is v_0 itself, checked only for
+    # being finite.
+    G_row, iters = np.empty(r.shape), [0] * len(r)
+    stack = np.zeros((4,) + r.shape)
+    active = range(len(r))
+    for it in range(config.fp_max_iters + 1):
         for i in active:
-            G[i] = state.problems[i].damping(h * energies[i])
+            if it:
+                G[i] = state.problems[i].damping(h * energies[i])
             if not math.isfinite(G[i]):
                 raise NumericalError(
                     n, f"damping coefficient G = {G[i]!r} at step {n} is not finite", i)
-            G_dt[i] = G[i] / dt
-        U_next = (b + G_dt * V) / (diag + G_dt)
-        np.subtract(U_next, U, out=pair[0])
-        pair[1] = U = U_next
-        increments, sizes = np.vecdot(pair, pair).tolist()
+            G_row[i] = G[i]
+        v = r / (D + G_row)
+        np.subtract(v, stack[1], out=stack[0])
+        stack[1] = v
+        np.multiply(lam, np.add(state._U1, dt * v, out=stack[2]), out=stack[3])
+        increments, _, sizes, energies = (squares := np.vecdot(stack, stack)).tolist()
         for i in active:
-            if not math.isfinite(increment := math.sqrt(h * increments[i])):
+            if not math.isfinite(increment := dt * math.sqrt(h * increments[i])):
                 raise NumericalError(n, f"non-finite iterate at step {n}", i)
-            if increment <= config.fp_tol * max(1.0, math.sqrt(h * sizes[i])):
+            if it and increment <= config.fp_tol * max(1.0, math.sqrt(h * sizes[i])):
                 iters[i] = it
-        if not (active := [i for i in active if not iters[i]]):
+        if it and not (active := [i for i in active if not iters[i]]):
             break
     else:
-        raise NonConvergenceError(n, math.sqrt(h * increments[active[0]]),
+        raise NonConvergenceError(n, dt * math.sqrt(h * increments[active[0]]),
                                   config.fp_max_iters, active[0])
 
-    # The history row is written in place and stacked over lam * U^n for
-    # the velocity and curvature norms.
-    row, records = state._history[:, n - 1], state._records[:, :, n]
-    pair[0], pair[1] = np.divide(np.subtract(U, state._U1, out=row), dt, out=row), lam * U
-    records[:, :2] = np.sqrt(h * np.vecdot(pair, pair)).T
+    # The history row is the accepted iterate; the velocity and curvature
+    # norms come from the last vecdot.
+    records = state._records[:, :, n]
+    state._history[:, n - 1] = stack[1]
+    records[:, :2] = np.sqrt(h * squares[1::2]).T
     records[:, 2], records[:, 3] = G, iters
-    state._U2, state._U1 = state._U1, U
+    state._U1 = stack[2]
     state.n = n + 1
 
 
@@ -410,8 +448,9 @@ def run_batch(problems, grid: Grid, N: int, config: SolverConfig | None = None
     the rest of its batch goes on from the level it reached.  Any other
     error in a step, say a forcing or damping callable that raises rather
     than returning a non-finite value, ends its whole batch.  The forcing
-    is sampled up to 31 levels ahead, so a forcing that raises does so at
-    the first level of the block that reaches its bad time.  Each final
+    is sampled at levels 0 and 1, for its norms, before the first step and
+    then up to 31 levels ahead, so a forcing that raises does so at the
+    first level of the block that reaches its bad time.  Each final
     state views its member's rows of the batch.
     """
     config = config or SolverConfig()
@@ -428,6 +467,8 @@ def run_batch(problems, grid: Grid, N: int, config: SolverConfig | None = None
         group = [i for i in live if results[i].dt == results[live[0]].dt]
         batch, failure = _stack([results[i] for i in group]), None
         try:
+            if batch.n == 2:
+                _sample_forcing(batch, 0, 2)
             while batch.n <= N:
                 step(batch, config)
         except Exception as exc:

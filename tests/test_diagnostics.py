@@ -8,7 +8,6 @@ from viscobeam import (
     SolverConfig,
     data_functional,
     energy,
-    forcing_l1_norm,
     initialize,
     norm,
     run,
@@ -17,7 +16,7 @@ from viscobeam import (
 )
 from viscobeam.presets import example1_problem, example2_problem
 
-from conftest import second_difference
+from conftest import forcing_l1_norm, forcing_norms, second_difference, trapezoid
 
 
 class TestEnergyRecord:
@@ -66,8 +65,14 @@ class TestEnergyRecord:
 
 
 class TestForcingNorm:
+    """A run records the forcing's norm at every level, so the data
+    functional needs no second pass over the forcing; the oracle samples
+    it afresh."""
+
     def test_zero_forcing(self):
         p = example2_problem()
+        state, _ = run(p, Grid(16), 32)
+        assert np.all(state.forcing_norms == 0.0)
         assert forcing_l1_norm(p, Grid(16), 1.0 / 32, 32) == 0.0
 
     def test_trapezoid_matches_analytic_factorization(self):
@@ -85,6 +90,19 @@ class TestForcingNorm:
                                + 0.5 * scalar[-1])
             expected = norm(np.sin(np.pi * g.x), g) * scalar_int
             assert got == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("N", [1, 64, 300])
+    def test_recorded_norms_match_fresh_samples(self, N):
+        # Levels 0 and 1 are sampled at the start, the rest a block of 32
+        # levels at a time; N = 1 runs the start only.
+        p = example1_problem(sigma=1.2, gamma=0.0, alpha=0.5)
+        g, dt = Grid(16), 1.0 / N
+        state, _ = run(p, g, N)
+        expected = forcing_norms(p, g, dt, N)
+        assert state.forcing_norms.shape == (N + 1,)
+        assert np.allclose(state.forcing_norms, expected, rtol=1e-14, atol=0.0)
+        assert trapezoid(state.forcing_norms, dt) == pytest.approx(
+            forcing_l1_norm(p, g, dt, N), rel=1e-14)
 
 
 class TestStabilityMonitor:
@@ -109,27 +127,29 @@ class TestStabilityMonitor:
         g = Grid(16)
         N = 200
         state, series = run(p, g, N)
-        functional = data_functional(p, g, state.dt, N,
+        functional = data_functional(p, g, state.dt, state.forcing_norms,
                                      C0=state.tables.K0, mu0=state.tables.mu0)
         verdict = stability_monitor(series.n, series.total, functional)
         assert verdict.passed
 
     @pytest.mark.parametrize("problem", [example1_problem, example2_problem])
     def test_data_functional_matches_grid_oracle(self, problem):
-        # The bending terms come from the sine modes; rebuild the functional
-        # from the stencil oracle on the grid samples.
+        # The bending terms come from the sine modes and the forcing term
+        # from the norms a run records; rebuild the functional from the
+        # stencil oracle on the grid samples and fresh forcing samples.
         p = problem()
         g = Grid(32)
         N = 64
         dt = p.T / N
         C0, mu0 = 0.3, 0.7
+        state, _ = run(p, g, N)
         u0s, u1s = p.u0(g.x), p.u1(g.x)
         expected = (norm(u1s, g) ** 2
                     + (1.0 + 2.0 * C0 + 2.0 * C0**2 / mu0)
                     * norm(second_difference(u0s, g), g) ** 2
                     + dt**2 * norm(second_difference(u1s, g), g) ** 2
                     + forcing_l1_norm(p, g, dt, N) ** 2)
-        got = data_functional(p, g, dt, N, C0=C0, mu0=mu0)
+        got = data_functional(p, g, dt, state.forcing_norms, C0=C0, mu0=mu0)
         assert got == pytest.approx(expected, rel=1e-13)
 
     def test_negated_weights_trip_the_monitor(self):
@@ -153,8 +173,8 @@ class TestStabilityMonitor:
         except NonConvergenceError:
             pass
         series = state.series()
-        functional = data_functional(p, g, state.dt, N, C0=state.tables.K0,
-                                     mu0=state.tables.mu0)
+        functional = data_functional(p, g, state.dt, state.forcing_norms,
+                                     C0=state.tables.K0, mu0=state.tables.mu0)
         verdict = stability_monitor(series.n, series.total, functional,
                                     safety=1e3)
         assert not verdict.passed

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import math
 import time
@@ -30,7 +31,7 @@ from viscobeam.stepper import run_batch
 from viscobeam.presets import example1_problem, example2_problem
 
 from conftest import (assemble_per_level, dense_fourth_difference, fourth_difference,
-                      max_norm, second_difference, solve_levels)
+                      long_double_solution, max_norm, second_difference, solve_levels)
 
 
 def _zero(x):
@@ -75,43 +76,44 @@ class TestInitialize:
 
 
 def dense_step_matrix(state, G_val):
-    """(1/dt^2 + G/dt) I + (mu0 + w[0]/dt) D4 from the dense stencil oracle."""
+    """(1/dt + G) I + (mu0 dt + w[0]) D4 from the dense stencil oracle."""
     dt, m = state.dt, state.grid.n_interior
-    return ((1.0 / dt**2 + G_val / dt) * np.eye(m)
-            + (state.tables.mu0 + state.tables.weights[0] / dt)
+    return ((1.0 / dt + G_val) * np.eye(m)
+            + (state.tables.mu0 * dt + state.tables.weights[0])
             * dense_fourth_difference(state.grid))
 
 
 class TestAssembleStepSystem:
-    """The step system as assembled in the sine basis, against the dense
-    stencil oracle."""
+    """The velocity system as assembled in the sine basis, against the
+    dense stencil oracle."""
 
     def test_zero_state_gives_zero_solution(self):
         state = initialize(zero_problem(), Grid(8), 0.25)
-        b, d, V, U = assemble_step_system(state)
-        assert np.all(b == 0.0) and np.all(V == 0.0) and np.all(U == 0.0)
-        assert np.all((b + V) / (d + 1.0) == 0.0)
+        r, D = assemble_step_system(state)
+        assert np.all(r == 0.0) and np.all(state._U1 == 0.0)
+        assert np.all(state._history[:, 0] == 0.0)
+        assert np.all(r / (D + 1.0) == 0.0)
         step(state, SolverConfig())
         assert np.all(state.U_prev == 0.0)
         assert state.series().fp_iters[-1] == 1
 
     def test_matrix_positive_definite_dense_oracle(self):
         state = initialize(example1_problem(), Grid(8), 1.0 / 16)
-        _, d, _, _ = assemble_step_system(state)
+        _, D = assemble_step_system(state)
         G_val = 1.3
-        modal = d + G_val / state.dt
+        modal = D + G_val
         eigs = np.linalg.eigvalsh(dense_step_matrix(state, G_val))
         assert eigs.min() > 0.0 and modal.min() > 0.0
         assert np.allclose(eigs, np.sort(modal), rtol=0, atol=1e-12 * modal.max())
 
     def test_matrix_symmetric(self):
         state = initialize(example2_problem(), Grid(8), 1.0 / 16)
-        _, d, _, _ = assemble_step_system(state)
+        _, D = assemble_step_system(state)
         G_val = 2.0
         dense = dense_step_matrix(state, G_val)
         assert np.array_equal(dense, dense.T)
         S = sine_transform(np.eye(state.grid.n_interior))
-        modal = S @ np.diag(d[0] + G_val / state.dt) @ S
+        modal = S @ np.diag(D[0] + G_val) @ S
         scale = np.abs(dense).max()
         assert np.max(np.abs(modal - modal.T)) <= 1e-14 * scale
         assert np.max(np.abs(modal - dense)) <= 1e-13 * scale
@@ -124,21 +126,23 @@ class TestAssembleStepSystem:
         g = Grid(8)
         dt = 1.0 / 16
         state = initialize(p, g, dt)
+        before = state.U0
         while state.n < n:
+            before = state.U_prev
             step(state, SolverConfig())
-        b, _, V, U = assemble_step_system(state)
-        w = state.tables.weights
-        mem = w[n - 1:0:-1] @ state.velocity_history
+        r, _ = assemble_step_system(state)
+        w, dU = state.tables.weights, state.velocity_history
+        mem = w[n - 1:0:-1] @ dU
         expected = (p.forcing(g.x, n * dt)
-                    + (2.0 * state.U_prev - state.U_prev2) / dt**2
-                    + (w[0] / dt) * fourth_difference(state.U_prev, g)
+                    + dU[-1] / dt
+                    - state.tables.mu0 * fourth_difference(state.U_prev, g)
                     - fourth_difference(mem, g)
                     - state.tables.tail[n] * fourth_difference(state.U0, g))
         scale = np.abs(expected).max()
-        assert np.allclose(sine_transform(b), expected, rtol=0, atol=1e-12 * scale)
-        assert np.allclose(sine_transform(V), state.U_prev, rtol=0, atol=1e-15)
-        assert np.allclose(sine_transform(U), 2.0 * state.U_prev - state.U_prev2,
-                           rtol=0, atol=1e-15)
+        assert np.allclose(sine_transform(r), expected, rtol=0, atol=1e-12 * scale)
+        # The history's newest row is the velocity of the newest level.
+        assert np.allclose(dU[-1], (state.U_prev - before) / dt,
+                           rtol=0, atol=1e-12 * np.abs(dU[-1]).max())
 
     def test_history_contribution_linear(self, rng):
         p = example2_problem()
@@ -330,29 +334,33 @@ class TestForcingBlocks:
                 step(oracle, cfg)
             assert blocked.n == oracle.n
             assert np.array_equal(blocked._U1, oracle._U1)
-            assert np.array_equal(blocked._records, oracle._records)
+            # The forcing norms of a block's later levels are recorded when
+            # the block is filled, the oracle's one level at a time.
+            assert np.array_equal(blocked._records[:, :, :blocked.n],
+                                  oracle._records[:, :, :oracle.n])
+        assert np.array_equal(blocked._records, oracle._records)
         assert blocked._block[1:3] == (98, 101)
         assert np.array_equal(blocked.series().fp_iters, oracle.series().fp_iters)
 
     @staticmethod
     def assert_within_summation_bound(state, problem):
-        # b against the per-level step system on the same state, mode by
-        # mode: at most 4 n eps times the sum of the magnitudes of b's
+        # r against the per-level step system on the same state, mode by
+        # mode: at most 4 n eps times the sum of the magnitudes of r's
         # terms, the history term as sum |w| |dU|.
         n, N, dt, tables = state.n, state.n_steps, state.dt, state.tables
-        b, b_ref = assemble_step_system(state)[0], assemble_per_level(state)[0]
-        U0, U1, U2 = state._U0, state._U1, state._U2
+        r, r_ref = assemble_step_system(state)[0], assemble_per_level(state)[0]
+        U0, U1, dU1 = state._U0, state._U1, state._history[:, n - 2]
         history = (np.abs(tables.reversed_weights[N - n:N - 1])
                    @ np.abs(state._history[0, :n - 1]))
         scale = (np.abs(sine_transform(problem.forcing(state.grid.x, n * dt)))
-                 + np.abs(2 * U1 - U2) / dt**2
-                 + state._eigs**2 * (np.abs(tables.weights[0] * U1) / dt + history
+                 + np.abs(dU1) / dt
+                 + state._eigs**2 * (np.abs(tables.mu0 * U1) + history
                                      + np.abs(tables.tail[n] * U0)))
-        assert np.all(np.abs(b - b_ref) <= 4 * n * np.finfo(float).eps * scale), n
+        assert np.all(np.abs(r - r_ref) <= 4 * n * np.finfo(float).eps * scale), n
 
     def test_history_sum_within_summation_bound(self, monkeypatch):
         # With the real tables the far and near parts sum the history in
-        # another order than the direct sum, by design, so b may differ in
+        # another order than the direct sum, by design, so r may differ in
         # its last bits, within the summation bound at every level of the
         # run.  Both runs take the same number of fixed-point iterations
         # at every level.
@@ -370,7 +378,7 @@ class TestForcingBlocks:
     def test_far_panels_within_summation_bound(self, rng, J):
         # Far parts over several panels: 256 history rows per panel up to
         # J = 64, 128 at J = 128 and 64 at J = 256.  With a random history,
-        # b keeps within the summation bound at levels around the panel
+        # r keeps within the summation bound at levels around the panel
         # and block edges.
         p, N = example1_problem(), 600
         state = initialize(p, Grid(J), p.T / N)
@@ -399,7 +407,7 @@ class TestForcingBlocks:
 
     def test_replaced_tables_refill_the_block(self):
         # Tables swapped at level 40, inside the block of levels 34..65,
-        # refill that block from level 34 with the new weights: b has the
+        # refill that block from level 34 with the new weights: r has the
         # bits of a replaced copy of the state, whose cache starts empty.
         p, g, N = example1_problem(), Grid(16), 100
         state = initialize(p, g, p.T / N)
@@ -409,9 +417,9 @@ class TestForcingBlocks:
         state.tables = dataclasses.replace(state.tables, weights=0.5 * state.tables.weights)
         fresh = dataclasses.replace(state)
         assert fresh._block[0] is None
-        b = assemble_step_system(state)[0]
-        assert np.array_equal(b, assemble_step_system(fresh)[0])
-        assert not np.array_equal(b, stale)
+        r = assemble_step_system(state)[0]
+        assert np.array_equal(r, assemble_step_system(fresh)[0])
+        assert not np.array_equal(r, stale)
         assert state._block[1:3] == (34, 66)
 
     def test_far_block_fill_peak_memory_bounded(self, rng):
@@ -505,12 +513,12 @@ class TestForcingBlocks:
         state = initialize(dataclasses.replace(base, forcing=forcing), Grid(16), 0.01)
         while state.n < 34:
             step(state, cfg)
-        before = [a.copy() for a in (state._U1, state._U2, state._history, state._records)]
+        before = [a.copy() for a in (state._U1, state._history, state._records)]
         for _ in range(2):
             with pytest.raises(RuntimeError, match="forcing broke"):
                 step(state, cfg)
             assert state.n == 34
-            after = (state._U1, state._U2, state._history, state._records)
+            after = (state._U1, state._history, state._records)
             assert all(np.array_equal(a, b) for a, b in zip(after, before))
 
     def test_step_peak_memory_bounded(self):
@@ -555,6 +563,51 @@ class TestSineModeOracle:
             a[n] = ((2.0 + g0 * dt) * a[n - 1] - a[n - 2]) \
                 / (1.0 + g0 * dt + dt**2 * lam4)
         assert max_norm(state.U_prev - a[N] * np.sin(np.pi * g.x)) <= 1e-10
+
+
+class TestVelocitySolve:
+    """Each step solves for its velocity, starting the fixed point from G
+    extrapolated from the last two levels."""
+
+    def test_roundoff_flat_in_N(self):
+        # Against the same scheme stepped in long double.  A system with
+        # U/dt^2 terms (about 1e7 here) loses accuracy like N^2 and read
+        # 7.1e-11 relative here; the velocity form has none and reads
+        # 1.2e-12.
+        p, g, N = example1_problem(), Grid(16), 4096
+        state, _ = run(p, g, N)
+        U = state._U1[0]
+        ref = long_double_solution(p, g, N)
+        assert float(np.linalg.norm(U - ref) / np.linalg.norm(ref)) <= 5e-12
+
+    def test_one_iteration_per_step_on_fine_grids(self):
+        # The extrapolated G is O(dt^2) off, so at J = 64, N = 8192 one
+        # iteration meets fp_tol on nearly every step (99.8 %).
+        _, series = run(example1_problem(), Grid(64), 8192)
+        assert np.mean(series.fp_iters[1:] == 1) >= 0.99
+
+    def test_start_changes_only_iteration_counts(self):
+        # Scaling the recorded G of the last two levels before each step
+        # starts the fixed point from 100 G_0.  The run takes more
+        # iterations, but every level is accepted within 10 fp_tol of the
+        # run started from G_0, and v_0 itself is never accepted.
+        p, g, N, cfg = example1_problem(), Grid(16), 64, SolverConfig()
+        plain, far = initialize(p, g, p.T / N), initialize(p, g, p.T / N)
+        while plain.n <= N:
+            n = plain.n
+            step(plain, cfg)
+            recorded = far._records[:, 2, n - 2:n].copy()
+            far._records[:, 2, n - 2:n] *= 100.0
+            step(far, cfg)
+            far._records[:, 2, n - 2:n] = recorded
+            scale = max(1.0, norm(plain.U_prev, g))
+            assert norm(far.U_prev - plain.U_prev, g) <= 10 * cfg.fp_tol * scale, n
+        fast, slow = plain.series(), far.series()
+        assert np.all(slow.fp_iters[1:] >= fast.fp_iters[1:])
+        assert slow.fp_iters.sum() > fast.fp_iters.sum()
+        # G follows the bending energy, which D2 (about 1e3 at J = 16) makes
+        # more sensitive than the level: 1.1e-11 relative at most here.
+        assert np.allclose(slow.damping, fast.damping, rtol=1e-10, atol=0.0)
 
 
 class TestRun:
@@ -690,6 +743,30 @@ class TestSerialization:
                 parse = int if name in ("n", "fp_iters") else float
                 back = np.array([parse(c[j]) for c in cells])
                 assert np.array_equal(back, getattr(series, name)), name
+
+    def test_csv_bytes_match_csv_writer(self, tmp_path):
+        # The writers join repr()s themselves, in blocks of 256 rows; the
+        # bytes must be csv.writer's, on ints and on floats at the edges.
+        # 600 rows span three blocks.
+        values = np.array([0.0, -0.0, 1e-300, 1e300, np.inf, -np.inf, np.nan, 0.1, 1 / 3])
+        cols = {f.name: np.resize(np.roll(values, k), 600)
+                for k, f in enumerate(dataclasses.fields(viscobeam.stepper.TimeSeries))}
+        cols["n"] = cols["fp_iters"] = np.arange(-300, 300)
+        series = viscobeam.stepper.TimeSeries(**cols)
+        series.to_csv(tmp_path / "ts.csv")
+        with open(tmp_path / "want.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(list(cols))
+            writer.writerows(zip(*(c.tolist() for c in cols.values())))
+        assert (tmp_path / "ts.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+        g, U = Grid(8), np.array([-0.0, 1e-300, 1e300, np.inf, np.nan, 0.1, -2.5])
+        write_solution_csv(tmp_path / "sol.csv", g, U)
+        with open(tmp_path / "want.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x", "u"])
+            writer.writerows(zip([0.0, *g.x.tolist(), 1.0], [0.0, *U.tolist(), 0.0]))
+        assert (tmp_path / "sol.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_solution_csv_includes_boundaries(self, tmp_path):
         g = Grid(8)
