@@ -15,7 +15,6 @@ from viscobeam import (
     NON_OSCILLATORY,
     OSCILLATORY,
     beta_eval,
-    kernel_tail,
 )
 
 # ----------------------------------------------------------------------
@@ -38,8 +37,8 @@ for t in ts:
 # ----------------------------------------------------------------------
 print("\ntail mass and elastic coefficient:")
 for spec in (osc, non):
-    print(f"  {spec.family:<16} K(0) = {kernel_tail(spec, 0.0):.6f}   "
-          f"mu0 = {1.0 - kernel_tail(spec, 0.0):.6f}")
+    tables = KernelTables.build(spec, dt=1.0, n_steps=1)
+    print(f"  {spec.family:<16} K(0) = {tables.K0:.6f}   mu0 = {tables.mu0:.6f}")
 
 # ----------------------------------------------------------------------
 # 3. Weights.  The averaged product-integration rule reduces to second
@@ -53,12 +52,13 @@ print(f"  omega_0 = {w[0]:.6e} (half panel), omega_1 = {w[1]:.6e}, "
       f"min = {w.min():.6e} > 0")
 
 strong = KernelSpec(family=OSCILLATORY, sigma=2.0, gamma=2.0, alpha=1.0)
-w2 = KernelTables.build(strong, 1.0 / n, n).weights
+strong_tables = KernelTables.build(strong, 1.0 / n, n)
+w2 = strong_tables.weights
 t_cross = np.pi / 8
 print(f"\nstrongly oscillatory kernel (sigma = gamma = 2, alpha = 1):")
 print(f"  closed-form tail exp(-2t)(cos 2t - sin 2t)/4 crosses zero at "
       f"t = pi/8 ~ {t_cross:.3f}")
-print(f"  K(0.5) = {kernel_tail(strong, 0.5):.6f} < 0  ->  "
+print(f"  K(0.5) = {strong_tables.tail[n // 2]:.6f} < 0  ->  "
       f"{np.sum(w2 < 0)} of {n} weights negative, min = {w2.min():.3e}")
 print("  (the solver is unaffected; only the positivity-based energy bound "
       "loses its hypothesis)")

@@ -11,8 +11,6 @@ from .kernel import (
     NON_OSCILLATORY,
     OSCILLATORY,
     beta_eval,
-    kernel_tail,
-    tail_antiderivatives,
 )
 from .grid_ops import (
     Grid,
@@ -52,8 +50,6 @@ from .studies import (
     StudySpec,
     rate,
     run_study,
-    spatial_error,
-    temporal_error,
 )
 from .presets import example1_problem, example2_problem, preset_config
 
@@ -64,10 +60,8 @@ __all__ = [
     "ProblemSpec", "SolverConfig", "SolverState", "StabilityVerdict",
     "StudyCell", "StudySpec", "TimeSeries", "assemble_step_system",
     "bending_energy", "beta_eval", "damping_coefficient", "data_functional",
-    "energy", "example1_problem", "example2_problem",
-    "initialize", "kernel_tail", "norm", "preset_config",
-    "rate", "require_valid", "run", "run_study",
-    "second_difference_eigenvalues", "sine_transform", "spatial_error",
-    "stability_monitor", "step", "tail_antiderivatives", "temporal_error",
-    "validate", "write_solution_csv",
+    "energy", "example1_problem", "example2_problem", "initialize", "norm",
+    "preset_config", "rate", "require_valid", "run", "run_study",
+    "second_difference_eigenvalues", "sine_transform", "stability_monitor",
+    "step", "validate", "write_solution_csv",
 ]

@@ -21,7 +21,7 @@ from .diagnostics import data_functional, stability_monitor
 from .kernel import ConfigurationError, KernelTables
 from .model import require_valid
 from .presets import preset_config
-from .stepper import NumericalError, run, write_solution_csv
+from .stepper import NumericalError, _write_csv, run, write_solution_csv
 from .studies import run_study
 
 EXIT_OK = 0
@@ -112,10 +112,8 @@ def _cmd_weights(args) -> int:
     tables = KernelTables.build(problem.kernel, dt, N)
     out = _outdir(args)
     path = out / "weights.csv"
-    with open(path, "w") as fh:
-        fh.write("k,t,omega\n")
-        for k, w in enumerate(tables.weights):
-            fh.write(f"{k},{k * dt!r},{w!r}\n")
+    k = np.arange(N)
+    _write_csv(path, {"k": k, "t": k * dt, "omega": tables.weights})
     print(f"K0 = {tables.K0:.12g}  mu0 = {tables.mu0:.12g}  "
           f"min omega = {tables.weights.min():.6e}")
     print(f"wrote {path}")

@@ -39,9 +39,7 @@ scratch memory does not grow with the grid.  ``KernelTables.build`` uses
 it on the time grid and is the only path to the weights; the tables
 derive mu0 = 1 - K(0) from their K0, and the check that the tail never
 exceeds K(0) runs once per kernel spec.  ``KernelTables.stack`` joins
-several runs' tables for a lockstep batch.  The scalar ``kernel_tail``
-and ``tail_antiderivatives`` read its last entry on a short grid, uniform
-in u, ending at the requested time.
+several runs' tables for a lockstep batch.
 """
 
 from __future__ import annotations
@@ -61,8 +59,7 @@ _FAMILIES = (OSCILLATORY, NON_OSCILLATORY, NO_MEMORY)
 #: The 24-point Gauss-Legendre rule on [-1, 1] for the per-panel moment
 #: quadratures in u = s**alpha: its positive nodes (first row) and their
 #: weights, as numpy.polynomial.legendre.leggauss(24) gives them; the rule
-#: is exactly symmetric.  Panels are at most one time step wide on the
-#: tables' grid and at most _U_PANEL wide in u for a single time.  The
+#: is exactly symmetric.  Each panel spans one step of the time grid.  The
 #: first panel is split into _GRADED_LEVELS + 1 pieces whose ends shrink by
 #: _GRADING_RATIO toward u = 0, so every piece is far inside the regime
 #: where the rule is exact to roundoff.
@@ -75,7 +72,6 @@ _GL_HALF_RULE = np.array([
      0.05929858491543636, 0.04427743881741941, 0.02853138862893356, 0.01234122979998869]])
 _GL_NODES, _GL_WEIGHTS = np.concatenate(
     [_GL_HALF_RULE[:, ::-1] * [[-1.0], [1.0]], _GL_HALF_RULE], axis=1)
-_U_PANEL = 0.25
 _GRADED_LEVELS = 8
 _GRADING_RATIO = 0.25
 #: Panels per block of the moment sums, which bounds their scratch memory.
@@ -169,39 +165,6 @@ def beta_eval(spec: KernelSpec, t):
         out = out * np.cos(spec.gamma * t_arr)
     out = out / math.gamma(spec.alpha)
     return float(out) if np.isscalar(t) else out
-
-
-def _moments_at(spec: KernelSpec, t: float):
-    """(K, M1, M2) at one time t >= 0: the last entry of _grid_moments on a
-    grid uniform in u = s**alpha with panels at most _U_PANEL wide there."""
-    u = t ** spec.alpha
-    ts = np.linspace(0.0, u, max(1, math.ceil(u / _U_PANEL)) + 1) ** (1.0 / spec.alpha)
-    ts[-1] = t
-    return [m[-1] for m in _grid_moments(spec, ts)]
-
-
-def kernel_tail(spec: KernelSpec, t: float) -> float:
-    """Integrated tail K(t) of the memory kernel."""
-    spec.require_valid()
-    if t < 0.0:
-        raise ValueError("kernel tail is defined for t >= 0")
-    return float(_moments_at(spec, t)[0])
-
-
-def tail_antiderivatives(spec: KernelSpec, t: float) -> tuple[float, float]:
-    """First and second antiderivatives (J1, J2) of the tail at time ``t``.
-
-    Both vanish at zero.  J1' = K and J2'' = K, so whenever the tail stays
-    non-negative J1 is non-decreasing and J2 convex; strongly oscillatory
-    tails may dip below zero, but J1 stays positive and J2 non-decreasing.
-    """
-    spec.require_valid()
-    if t < 0.0:
-        raise ValueError("antiderivatives are defined for t >= 0")
-    tail, m1, m2 = _moments_at(spec, t)
-    j1 = m1 + t * tail
-    j2 = t * m1 - 0.5 * m2 + 0.5 * t * t * tail
-    return float(j1), float(j2)
 
 
 def _grid_moments(spec: KernelSpec, ts: np.ndarray):

@@ -162,8 +162,6 @@ class SolverState:
     U0 = property(lambda self: self._values(self._U0), doc="The initial level U^0.")
     U_prev = property(lambda self: self._values(self._U1),
                       doc="The newest computed level U^{n-1}.")
-    velocity_history = property(lambda self: self._values(self._history[:, : self.n - 1]),
-                                doc="Rows dU^1..dU^{n-1}.")
 
     @property
     def forcing_norms(self) -> np.ndarray:

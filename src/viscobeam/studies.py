@@ -1,18 +1,12 @@
 """Self-convergence studies: error ladders, observed rates, reports.
 
 No exact solutions exist for these problems, so errors are estimated by
-comparing a run against the same scheme on a refined mesh.  Two layouts
-are used:
-
-* the standalone metrics :func:`temporal_error` / :func:`spatial_error`
-  compare a run at (dt, h) against (dt/2, h) resp. (dt, h/2), measured in
-  the coarse grid's norm;
-
-* :func:`run_study` builds the table layout, where each displayed level
-  reports its distance to the *previous* (coarser) level and spatial rows
-  measure in the row's own (finer) grid norm, i.e.
-  ``spatial_error(J/2, N) / sqrt(2)`` on the row labeled J.  Temporal rows
-  likewise equal ``temporal_error(N/2)`` on the row labeled N.
+comparing a run against the same scheme on a refined mesh.  In a ladder
+each displayed level reports its distance at t = T to the *previous*
+(coarser) level.  Temporal rows measure in the fixed grid's norm; spatial
+rows compare coarse node j against fine node 2j (the grids nest exactly)
+and measure in the row's own (finer) grid norm, that is the coarse grid's
+norm divided by sqrt(2).
 
 A ladder of L levels costs L + 1 runs per cell: the half-coarse anchor
 and one per displayed level, each row differencing consecutive final
@@ -28,42 +22,16 @@ import datetime
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import __version__
 from .grid_ops import Grid, norm
 from .model import ProblemSpec
-from .stepper import SolverConfig, run, run_batch
+from .stepper import SolverConfig, run_batch
 
 TEMPORAL = "temporal"
 SPATIAL = "spatial"
-
-
-def _final_solution(problem: ProblemSpec, J: int, N: int,
-                    config: SolverConfig | None) -> np.ndarray:
-    state, _ = run(problem, Grid(J), N, config)
-    return state.U_prev
-
-
-def temporal_error(problem: ProblemSpec, grid: Grid, N: int,
-                   config: SolverConfig | None = None) -> float:
-    """Discrete L2 distance at t = T between the runs with N and 2N steps."""
-    coarse = _final_solution(problem, grid.J, N, config)
-    return norm(coarse - _final_solution(problem, grid.J, 2 * N, config), grid)
-
-
-def spatial_error(problem: ProblemSpec, J: int, N: int,
-                  config: SolverConfig | None = None) -> float:
-    """Distance at t = T between grids J and 2J at fixed step count.
-
-    Compares coarse node j against fine node 2j (the grids nest exactly)
-    and measures in the coarse grid's norm.
-    """
-    coarse = _final_solution(problem, J, N, config)
-    fine = _final_solution(problem, 2 * J, N, config)
-    return norm(coarse - fine[1::2], Grid(J))
 
 
 def rate(coarse_error: float, fine_error: float) -> float | None:

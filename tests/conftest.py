@@ -14,7 +14,11 @@ over all rows, so blocked forcing can be checked bit for bit against it
 and the blocked history sum against a summation bound.  The forcing's L1
 norm is integrated from samples taken afresh, and the long-double oracle
 runs the scheme in its displacement form, with direct history sums, to
-check the solver's roundoff.
+check the solver's roundoff.  The error metrics difference the final
+solutions of single runs, one pair per call, so the study's lockstep
+batches can be checked against them bit for bit.  The scalar tail
+antiderivatives read the library's moment evaluator on a grid uniform in
+u = s**alpha rather than the tables' uniform time grid.
 """
 
 import math
@@ -25,8 +29,9 @@ import pytest
 from scipy.integrate import IntegrationWarning, dblquad, quad
 from scipy.special import gamma as gamma_fn
 
-from viscobeam import (KernelSpec, NO_MEMORY, OSCILLATORY, SolverConfig,
-                       initialize, sine_transform, step)
+from viscobeam import (Grid, KernelSpec, NO_MEMORY, OSCILLATORY, SolverConfig,
+                       initialize, norm, run, sine_transform, step)
+from viscobeam.kernel import _grid_moments
 
 
 @pytest.fixture
@@ -90,6 +95,31 @@ def solve_levels(problem, grid, N, config=None):
         step(state, config)
         levels.append(state.U_prev)
     return state, levels
+
+
+def velocity_history(state) -> np.ndarray:
+    """Grid values of the history rows dU^1..dU^{n-1}, without the member
+    axis when B = 1."""
+    V = sine_transform(state._history[:, : state.n - 1])
+    return V[0] if len(V) == 1 else V
+
+
+def _final_solution(problem, J: int, N: int, config) -> np.ndarray:
+    return run(problem, Grid(J), N, config)[0].U_prev
+
+
+def temporal_error(problem, grid, N: int, config=None) -> float:
+    """Discrete L2 distance at t = T between the runs with N and 2N steps."""
+    coarse = _final_solution(problem, grid.J, N, config)
+    return norm(coarse - _final_solution(problem, grid.J, 2 * N, config), grid)
+
+
+def spatial_error(problem, J: int, N: int, config=None) -> float:
+    """Distance at t = T between grids J and 2J at fixed step count,
+    coarse node j against fine node 2j, in the coarse grid's norm."""
+    coarse = _final_solution(problem, J, N, config)
+    fine = _final_solution(problem, 2 * J, N, config)
+    return norm(coarse - fine[1::2], Grid(J))
 
 
 def assemble_per_level(state):
@@ -206,6 +236,18 @@ def oracle_tail(spec: KernelSpec, t: float) -> float:
         val, _ = quad(lambda s: oracle_beta(spec, s), t, upper,
                       epsabs=1e-13, epsrel=1e-13, limit=400)
     return val
+
+
+def tail_antiderivatives(spec: KernelSpec, t: float) -> tuple[float, float]:
+    """(J1, J2) at one time t >= 0 from the last entry of
+    ``kernel._grid_moments`` on a grid uniform in u = s**alpha, with panels
+    at most 0.25 wide there, through J1 = M1 + t K and
+    J2 = t M1 - M2/2 + t^2 K/2."""
+    u = t ** spec.alpha
+    ts = np.linspace(0.0, u, max(1, math.ceil(u / 0.25)) + 1) ** (1.0 / spec.alpha)
+    ts[-1] = t
+    tail, m1, m2 = (m[-1] for m in _grid_moments(spec, ts))
+    return float(m1 + t * tail), float(t * m1 - 0.5 * m2 + 0.5 * t * t * tail)
 
 
 def oracle_tail_antiderivatives(spec: KernelSpec, t: float) -> tuple[float, float]:

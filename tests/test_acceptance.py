@@ -31,20 +31,19 @@ from viscobeam import (
     DampingFunction,
     ProblemSpec,
     data_functional,
-    kernel_tail,
     norm,
     run,
     second_difference_eigenvalues,
     sine_transform,
     stability_monitor,
-    tail_antiderivatives,
 )
 from viscobeam.config import build_study
 from viscobeam.presets import example2_problem, preset_config
 from viscobeam.studies import run_study
 
 from conftest import (dense_fourth_difference, fourth_difference, inner, max_norm,
-                      oracle_tail, second_difference, solve_levels)
+                      oracle_tail, second_difference, solve_levels,
+                      tail_antiderivatives)
 from reference_tables import TABLE1, TABLE2, TABLE3, TABLE4
 
 ERROR_BAND = 0.10
@@ -145,16 +144,17 @@ def test_criterion5_kernel_properties():
     # Tail vs direct quadrature of the density, alpha = 1.
     for sigma, gamma in [(2.0, 0.0), (2.0, 1.0), (2.0, 2.0), (1.2, 1.0)]:
         spec = KernelSpec(OSCILLATORY, sigma, gamma, 1.0)
-        for t in np.linspace(0.0, 20.0, 81):
-            assert abs(kernel_tail(spec, t) - oracle_tail(spec, t)) <= 1e-10
+        tail = KernelTables.build(spec, 0.25, 80).tail
+        for k, t in enumerate(np.linspace(0.0, 20.0, 81)):
+            assert abs(tail[k] - oracle_tail(spec, t)) <= 1e-10
 
     # Tail mass below one for every table configuration.
     for spec, _ in ALL_TABLE_SPECS:
-        k0 = kernel_tail(spec, 0.0)
+        k0 = KernelTables.build(spec, 1.0, 1).K0
         assert 0.0 < k0 < 1.0, spec
 
-    # Row-sum identity against the second antiderivative integrated on the
-    # scalar path's own panels.
+    # Row-sum identity against the second antiderivative integrated on
+    # panels uniform in t**alpha, not the weights' own time grid.
     rng = np.random.default_rng(7)
     for spec in (KernelSpec(OSCILLATORY, 1.2, 0.5, 0.5),
                  KernelSpec(NON_OSCILLATORY, 1.5, 0.0, 0.5)):

@@ -5,8 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from viscobeam import NumericalError, cli
+from viscobeam import KernelTables, NumericalError, cli
 from viscobeam.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from viscobeam.presets import example1_problem
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -279,6 +280,23 @@ class TestWeightsCommand:
         assert len(rows) == 1 + 8
         out = capsys.readouterr().out
         assert "K0" in out and "mu0" in out
+
+    def test_weights_cells_parse_as_floats(self, tmp_path):
+        # Each cell is plain repr text (numpy 2 once leaked np.float64(...)
+        # into the omega column), lines end with CRLF like the other CSVs,
+        # and omega is the tables' weights bit for bit.
+        N = 64
+        assert main(["weights", "--preset", "example1", "--set", f"time.N={N}",
+                     "-o", str(tmp_path)]) == EXIT_OK
+        raw = (tmp_path / "weights.csv").read_bytes()
+        assert raw.count(b"\r\n") == raw.count(b"\n") == 1 + N
+        rows = [line.split(",") for line in raw.decode().splitlines()[1:]]
+        cells = np.array([[float(c) for c in row] for row in rows])
+        problem = example1_problem()
+        tables = KernelTables.build(problem.kernel, problem.T / N, N)
+        assert np.array_equal(cells[:, 0], np.arange(N))
+        assert np.array_equal(cells[:, 1], np.arange(N) * (problem.T / N))
+        assert np.array_equal(cells[:, 2], tables.weights)
 
 
 class TestSubprocessEntry:

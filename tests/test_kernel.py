@@ -12,13 +12,14 @@ from viscobeam import (
     NON_OSCILLATORY,
     OSCILLATORY,
     beta_eval,
-    kernel_tail,
-    tail_antiderivatives,
 )
 from viscobeam import kernel
+from viscobeam.config import build_problem, build_steps
 from viscobeam.kernel import weights_from_second_antiderivative
+from viscobeam.presets import preset_config
 
-from conftest import oracle_tail, oracle_tail_antiderivatives, oracle_weight
+from conftest import (oracle_tail, oracle_tail_antiderivatives, oracle_weight,
+                      tail_antiderivatives)
 
 OSC = lambda s, g, a: KernelSpec(family=OSCILLATORY, sigma=s, gamma=g, alpha=a)
 NONOSC = lambda s, a: KernelSpec(family=NON_OSCILLATORY, sigma=s, alpha=a)
@@ -31,6 +32,15 @@ def weights(spec, dt, n):
 
 def mu0(spec):
     return KernelTables.build(spec, 1.0, 1).mu0
+
+
+def k0(spec):
+    return KernelTables.build(spec, 1.0, 1).K0
+
+
+def tails(spec, t_end, n):
+    """K at the n + 1 times k * t_end / n, from the tables."""
+    return KernelTables.build(spec, t_end / n, n).tail
 
 
 # Valid parameter combinations spanning the benchmark tables.
@@ -83,7 +93,7 @@ class TestSpecValidation:
     def test_invalid_specs_raise(self, spec):
         assert spec.violations()
         with pytest.raises(ConfigurationError):
-            kernel_tail(spec, 0.5)
+            KernelTables.build(spec, 0.5, 1)
 
     def test_sigma_message_names_the_constraint(self):
         msgs = OSC(0.9, 0.0, 1.0).violations()
@@ -96,28 +106,29 @@ class TestSpecValidation:
 
 class TestKernelTail:
     def test_closed_form_exponential(self):
-        assert kernel_tail(OSC(2.0, 0.0, 1.0), 0.0) == pytest.approx(0.5, abs=1e-14)
+        assert k0(OSC(2.0, 0.0, 1.0)) == pytest.approx(0.5, abs=1e-14)
 
     def test_closed_form_oscillatory(self):
         # sigma / (sigma^2 + gamma^2) at t = 0
-        got = kernel_tail(OSC(1.2, 1.0, 1.0), 0.0)
+        got = k0(OSC(1.2, 1.0, 1.0))
         assert got == pytest.approx(1.2 / 2.44, rel=1e-14)
 
     # alpha = 0.95 pins the graded first panel: without it the rule in
     # u = s**alpha misses this oracle by about 2e-9.
     @pytest.mark.parametrize("spec", TABLE_SPECS + [NONOSC(1.5, 0.95)])
     def test_matches_quadrature_oracle(self, spec):
-        for t in (0.0, 0.13, 0.5, 1.0, 3.7):
-            assert kernel_tail(spec, t) == pytest.approx(
-                oracle_tail(spec, t), abs=1e-11)
+        dt = 0.01
+        tail = KernelTables.build(spec, dt, 370).tail
+        for k in (0, 13, 50, 100, 370):
+            assert tail[k] == pytest.approx(oracle_tail(spec, k * dt), abs=1e-11)
 
     @pytest.mark.parametrize("spec", TABLE_SPECS)
     def test_tail_negligible_far_out(self, spec):
-        assert abs(kernel_tail(spec, 50.0 / spec.sigma)) <= 1e-12
+        assert abs(tails(spec, 50.0 / spec.sigma, 256)[-1]) <= 1e-12
 
     @pytest.mark.parametrize("spec", TABLE_SPECS)
     def test_tail_mass_below_one(self, spec):
-        assert 0.0 < kernel_tail(spec, 0.0) < 1.0
+        assert 0.0 < k0(spec) < 1.0
 
     @pytest.mark.parametrize(
         "spec", [OSC(1.2, 0.0, 0.5), OSC(2.0, 0.0, 1.0)]
@@ -125,8 +136,7 @@ class TestKernelTail:
     def test_monotone_families_non_increasing(self, spec):
         # Without oscillation the density is non-negative, so the tail
         # decreases; sampled on a fine grid.
-        ts = np.linspace(0.0, 40.0 / spec.sigma, 1000)
-        vals = np.array([kernel_tail(spec, t) for t in ts])
+        vals = tails(spec, 40.0 / spec.sigma, 999)
         assert np.all(vals >= -1e-15)
         assert np.all(np.diff(vals) <= 1e-12)
 
@@ -135,15 +145,14 @@ class TestKernelTail:
     def test_oscillatory_tail_peaks_at_zero(self, spec):
         # The tail may oscillate (and even dip negative) but never exceeds
         # its value at zero, so the running maximum C0 equals K(0).
-        ts = np.linspace(0.0, 40.0 / spec.sigma, 1000)
-        vals = np.array([kernel_tail(spec, t) for t in ts])
+        vals = tails(spec, 40.0 / spec.sigma, 999)
         assert np.max(vals) <= vals[0] + 1e-10
 
     def test_oscillatory_tail_does_cross_zero(self):
         # gamma = sigma = 2: closed form exp(-2t)(cos 2t - sin 2t)/4 is
         # negative at t = 1/2.  Pins down why weight positivity cannot hold
         # for every oscillatory configuration.
-        assert kernel_tail(OSC(2.0, 2.0, 1.0), 0.5) < -0.02
+        assert tails(OSC(2.0, 2.0, 1.0), 0.5, 32)[-1] < -0.02
 
 
 class TestAntiderivatives:
@@ -219,7 +228,7 @@ class TestQuadratureWeights:
     def test_row_sum_identity(self, n):
         # Row sums telescope to the difference quotient of the second
         # antiderivative over the last panel; the antiderivative here comes
-        # from the scalar path, whose panels are uniform in t**alpha (here
+        # from the conftest helper, whose panels are uniform in t**alpha (here
         # sqrt(t)) rather than the weights' uniform time grid.
         spec = OSC(1.2, 0.5, 0.5)
         dt = 1.0 / 64.0
@@ -259,6 +268,17 @@ class TestQuadratureWeights:
         w = weights(OSC(2.0, 2.0, 1.0), 1.0 / 64, 64)
         assert w.min() < -1e-4
         assert w[0] > 0.0
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 2: the weights are second differences of one global "
+        "J2 and keep its absolute roundoff, so on a long horizon far weights "
+        "that fall to 1e-36 come out negative (1,385 of 5,000, min -1.5e-12)"))
+    def test_long_horizon_weights_positive(self):
+        # The non-oscillatory tail of example2-longtime is positive, so every
+        # true weight is; accurate far weights will turn this into a pass.
+        cfg = preset_config("example2-longtime")
+        problem, N = build_problem(cfg), build_steps(cfg)
+        assert weights(problem.kernel, problem.T / N, N).min() > 0.0
 
 
 class TestKernelTables:

@@ -19,7 +19,6 @@ from viscobeam import (
     SolverState,
     assemble_step_system,
     initialize,
-    kernel_tail,
     norm,
     run,
     sine_transform,
@@ -31,7 +30,8 @@ from viscobeam.stepper import run_batch
 from viscobeam.presets import example1_problem, example2_problem
 
 from conftest import (assemble_per_level, dense_fourth_difference, fourth_difference,
-                      long_double_solution, max_norm, second_difference, solve_levels)
+                      long_double_solution, max_norm, second_difference, solve_levels,
+                      velocity_history)
 
 
 def _zero(x):
@@ -50,7 +50,7 @@ class TestInitialize:
         assert np.all(state.U0 == 0.0)
         assert np.all(state.U_prev == 0.0)
         assert state.n == 2
-        assert state.velocity_history.shape == (1, 7)
+        assert velocity_history(state).shape == (1, 7)
 
     def test_explicit_start_levels(self):
         p = example1_problem()
@@ -61,7 +61,7 @@ class TestInitialize:
         expected_u1 = np.sin(np.pi * g.x) + dt * np.sin(2 * np.pi * g.x)
         assert np.allclose(state.U_prev, expected_u1, rtol=1e-15)
         # discrete initial velocity equals the u1 samples exactly
-        assert np.allclose(state.velocity_history[0], np.sin(2 * np.pi * g.x),
+        assert np.allclose(velocity_history(state)[0], np.sin(2 * np.pi * g.x),
                            atol=1e-13)
 
     def test_polynomial_start(self):
@@ -131,7 +131,7 @@ class TestAssembleStepSystem:
             before = state.U_prev
             step(state, SolverConfig())
         r, _ = assemble_step_system(state)
-        w, dU = state.tables.weights, state.velocity_history
+        w, dU = state.tables.weights, velocity_history(state)
         mem = w[n - 1:0:-1] @ dU
         expected = (p.forcing(g.x, n * dt)
                     + dU[-1] / dt
@@ -166,7 +166,7 @@ class TestStep:
         for _ in range(8 - 1):
             step(state, cfg)
         assert np.all(state.U_prev == 0.0)
-        assert np.all(state.velocity_history == 0.0)
+        assert np.all(velocity_history(state) == 0.0)
 
     def test_nonconvergence_raises_with_step_index(self):
         p = example1_problem()
@@ -274,7 +274,7 @@ class TestRunBatch:
         while batch.n <= N:
             step(batch, SolverConfig())
         assert batch.U_prev.shape == (2, 7)
-        assert batch.velocity_history.shape == (2, N, 7)
+        assert velocity_history(batch).shape == (2, N, 7)
         for row, p in zip(batch.U_prev, problems):
             assert np.array_equal(row, run(p, g, N)[0].U_prev)
 
@@ -671,7 +671,7 @@ class TestRun:
                    + state.tables.mu0 * fourth_difference(U[n], g)
                    + fourth_difference(mem, g)
                    - p.forcing(g.x, n * dt)
-                   + kernel_tail(p.kernel, n * dt) * fourth_difference(U[0], g))
+                   + state.tables.tail[n] * fourth_difference(U[0], g))
             assert max_norm(res) <= bound
 
     @pytest.mark.parametrize("problem", [example1_problem, example2_problem])

@@ -15,13 +15,13 @@ from viscobeam import (
     rate,
     run,
     run_study,
-    spatial_error,
-    temporal_error,
 )
 from viscobeam.config import apply_overrides, build_study
 from viscobeam.presets import example2_problem, preset_config
 from viscobeam.studies import (SPATIAL, TEMPORAL, CellResult, StudyCell, StudyRow,
                                StudySpec)
+
+from conftest import spatial_error, temporal_error
 
 
 def _zero(x):
@@ -100,7 +100,7 @@ class TestRunStudy:
         assert rows[1].rate is not None
 
     def test_rows_match_standalone_metrics_bitwise(self):
-        # The ladder reuses its runs but must produce exactly the standalone
+        # The ladder reuses its runs but must produce exactly the single-run
         # metric values: temporal rows are temporal_error at half the row
         # level; spatial rows carry the row grid's norm (1/sqrt(2) factor).
         p = example2_problem()
@@ -181,7 +181,7 @@ class TestRunStudy:
 
 
 def single_run_rows(study, cell):
-    """One cell's rows from single runs, through the standalone metrics."""
+    """One cell's rows from single runs, through the single-run metrics."""
     rows, previous = [], None
     for level in study.display_levels():
         if study.axis == TEMPORAL:
