@@ -20,7 +20,7 @@ import numpy as np
 
 from .grid_ops import Grid
 from .kernel import ConfigurationError, KernelSpec
-from .model import DampingFunction, ProblemSpec
+from .model import DampingFunction, ProblemSpec, require_valid
 from .stepper import SolverConfig
 from .studies import TEMPORAL, StudyCell, StudySpec
 
@@ -48,13 +48,15 @@ def _tempered_sin(*, sigma, alpha, amplitude=1.0, mode=1):
 
 #: Initial data u(x) and forcing f(x, t) by config name.  Each builder takes
 #: the section's coefficients as keyword parameters and returns the callable.
+#: The zero load is the scalar 0.0, which the stepper broadcasts over the
+#: grid, so an unforced run makes no array for it.
 INITIAL_DATA = {
     "zero": lambda: lambda x: np.zeros_like(np.asarray(x, dtype=float)),
     "sin_mode": _sin_mode,
     "poly_bump": _poly_bump,
 }
 FORCING = {
-    "zero": lambda: lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
+    "zero": lambda: lambda x, t: 0.0,
     "tempered_sin": _tempered_sin,
 }
 _DAMPING = {
@@ -228,9 +230,14 @@ def build_study(config: dict) -> StudySpec:
     for i, overrides in enumerate(sweep):
         overrides = _mapping(overrides, f"study.sweep[{i}]")
         label = str(overrides.get("label", f"cell{i}"))
-        cell_cfg = apply_overrides(
-            config, {k: v for k, v in overrides.items() if k != "label"})
-        cells.append(StudyCell(label=label, problem=build_problem(cell_cfg)))
+        # A cell's bad input, an invalid model included, is a config error
+        # that names the cell, found before any run: not a failed cell.
+        try:
+            problem = require_valid(build_problem(apply_overrides(
+                config, {k: v for k, v in overrides.items() if k != "label"})))
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"study.sweep[{i}] ({label}): {exc}")
+        cells.append(StudyCell(label=label, problem=problem))
     J = build_grid(config).J
     N = build_steps(config)
     # A temporal ladder refines N at fixed J, a spatial one J at fixed N.

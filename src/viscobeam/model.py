@@ -71,14 +71,15 @@ class ProblemSpec:
     """Initial data, forcing, damping law, kernel and horizon of one problem.
 
     ``u0``/``u1`` map node positions to initial displacement/velocity,
-    ``forcing`` maps (x, t) to the load.  Both initial fields must vanish at
-    the ends to be compatible with the hinged boundary.  Immutable once
-    validated; safe to share across concurrent runs.
+    ``forcing`` maps (x, t) to the load, which may be a scalar: it is then
+    broadcast over the grid.  Both initial fields must vanish at the ends
+    to be compatible with the hinged boundary.  Immutable once validated;
+    safe to share across concurrent runs.
     """
 
     u0: Callable[[np.ndarray], np.ndarray]
     u1: Callable[[np.ndarray], np.ndarray]
-    forcing: Callable[[np.ndarray, float], np.ndarray]
+    forcing: Callable[[np.ndarray, float], np.ndarray | float]
     damping: DampingFunction
     kernel: KernelSpec
     T: float = 1.0

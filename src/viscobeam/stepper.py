@@ -392,29 +392,30 @@ def step(state: SolverState, config: SolverConfig) -> None:
     G_before, G = state._records[:, 2, n - 2:n].T.tolist()
     if n > 2:
         G = [max(2.0 * g - g_before, 0.0) for g, g_before in zip(G, G_before)]
-    # Each member's G fills its row, so that the division runs on equal
-    # shapes.  A member that has converged keeps its G, so its row of every
-    # later iterate repeats its final one bit for bit.  ``stack`` holds the
+    # The members' G fill one column, written whole each iteration.  A
+    # member that has converged keeps its G, so its row of every later
+    # iterate repeats its final one bit for bit.  ``stack`` holds the
     # iterate's increment, the iterate, its level U^{n-1} + dt v and lambda
     # times that level, so that one vecdot gives all four squared norms of
     # every member.  The start's increment is v_0 itself, checked only for
     # being finite.
-    G_row, iters = np.empty(r.shape), [0] * len(r)
+    laws = [problem.damping for problem in state.problems]
+    G_col, iters = np.empty((len(r), 1)), [0] * len(r)
     stack = np.zeros((4,) + r.shape)
     active = range(len(r))
     for it in range(config.fp_max_iters + 1):
         for i in active:
             if it:
-                G[i] = state.problems[i].damping(h * energies[i])
+                G[i] = laws[i](h * energies[i])
             if not math.isfinite(G[i]):
                 raise NumericalError(
                     n, f"damping coefficient G = {G[i]!r} at step {n} is not finite", i)
-            G_row[i] = G[i]
-        v = r / (D + G_row)
+        G_col[:, 0] = G
+        v = r / (D + G_col)
         np.subtract(v, stack[1], out=stack[0])
         stack[1] = v
         np.multiply(lam, np.add(state._U1, dt * v, out=stack[2]), out=stack[3])
-        increments, _, sizes, energies = (squares := np.vecdot(stack, stack)).tolist()
+        increments, speeds, sizes, energies = np.vecdot(stack, stack).tolist()
         for i in active:
             if not math.isfinite(increment := dt * math.sqrt(h * increments[i])):
                 raise NumericalError(n, f"non-finite iterate at step {n}", i)
@@ -427,11 +428,12 @@ def step(state: SolverState, config: SolverConfig) -> None:
                                   config.fp_max_iters, active[0])
 
     # The history row is the accepted iterate; the velocity and curvature
-    # norms come from the last vecdot.
-    records = state._records[:, :, n]
+    # norms come from the last vecdot's floats, and math.sqrt rounds as
+    # np.sqrt does.
     state._history[:, n - 1] = stack[1]
-    records[:, :2] = np.sqrt(h * squares[1::2]).T
-    records[:, 2], records[:, 3] = G, iters
+    state._records[:, :4, n] = [
+        (math.sqrt(h * speed), math.sqrt(h * energy), g, k)
+        for speed, energy, g, k in zip(speeds, energies, G, iters)]
     state._U1 = stack[2]
     state.n = n + 1
 

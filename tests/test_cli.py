@@ -88,6 +88,14 @@ class TestErrorPaths:
         assert err["category"] == "config"
         assert "sigma" in err["message"]
 
+    def test_invalid_damping_is_config_error(self, tmp_path, capsys):
+        code = main(["solve", "--preset", "example2", "--set", "damping.a=-1",
+                     "-o", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["category"] == "config"
+        assert "damping lower bound g0 must be positive" in err["message"]
+
     def test_nonconvergence_is_numerical_error(self, tmp_path, capsys):
         code = main(["solve", "--preset", "example1", "--set", "time.N=16",
                      "--set", "solver.fp_max_iters=1", "-o", str(tmp_path)])
@@ -231,14 +239,42 @@ class TestStudy:
         assert all(c["failure"] is None for c in report["cells"])
 
     def test_failed_cell_returns_numerical_exit(self, tmp_path, capsys):
+        # A valid model whose bending energy overflows: G turns infinite at
+        # the first step, so the cell fails numerically and the other runs.
         doc = dict(ZERO_CONFIG)
         doc["time"] = {"T": 1.0, "N": 8}
         doc["study"] = {"axis": "temporal", "levels": 2,
-                        "sweep": [{"label": "bad", "kernel.family": "oscillatory",
-                                   "kernel.sigma": 0.5}]}
+                        "sweep": [{"label": "bad", "initial.u0.name": "sin_mode",
+                                   "initial.u0.amplitude": 1e300},
+                                  {"label": "ok"}]}
         cfg = write_config(tmp_path, doc)
         code = main(["study", "--config", cfg, "-o", str(tmp_path)])
         assert code == EXIT_NUMERICAL
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"category": "numerical", "message": "study cells failed: ['bad']"}
+
+    @pytest.mark.parametrize("override, label", [
+        ('study.sweep=[{"label": "bad", "damping.a": -1}, {"label": "ok"}]',
+         "study.sweep[0] (bad): "),
+        ("damping.a=-1", "study.sweep[0] (sigma=1.5): "),
+    ])
+    def test_invalid_cell_is_config_error(self, override, label, tmp_path, capsys):
+        # An invalid model is bad input, as it is for solve, not a cell
+        # that failed numerically; the message names the cell.
+        code = main(["study", "--preset", "example2-temporal", "--set", override,
+                     "-o", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["category"] == "config"
+        assert err["message"].startswith(label)
+        assert "damping lower bound g0 must be positive" in err["message"]
+        assert not (tmp_path / "report.json").exists()
+
+    def test_plain_preset_study_exits_ok(self, tmp_path, capsys):
+        code = main(["study", "--preset", "example2-temporal", "-o", str(tmp_path)])
+        assert code == EXIT_OK
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert all(c["failure"] is None for c in report["cells"])
 
     def test_sweep_override_crossing_a_leaf_is_config_error(self, tmp_path,
                                                              capsys):
@@ -251,6 +287,7 @@ class TestStudy:
         assert code == EXIT_CONFIG
         err = json.loads(capsys.readouterr().err.strip())
         assert err["category"] == "config"
+        assert err["message"].startswith("study.sweep[0] (bad): ")
         assert "kernel.sigma.foo" in err["message"]
 
 

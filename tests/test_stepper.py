@@ -26,6 +26,7 @@ from viscobeam import (
     write_solution_csv,
 )
 import viscobeam.stepper
+from viscobeam.config import FORCING
 from viscobeam.stepper import run_batch
 from viscobeam.presets import example1_problem, example2_problem
 
@@ -246,6 +247,24 @@ class TestStep:
         assert exc.value.step_index == 2
 
 
+class TestZeroLoad:
+    def test_registry_zero_load_is_scalar(self):
+        zero = FORCING["zero"]()
+        for x, t in ((0.25, 0.0), (np.linspace(0.0, 1.0, 9), 2.5)):
+            load = zero(x, t)
+            assert type(load) is float and load == 0.0
+
+    def test_scalar_zero_load_changes_nothing(self):
+        # J = 16, N = 100 crosses four blocks of forcing samples: the
+        # scalar load gives every level, history row and record, forcing
+        # norms included, of an array of zeros.
+        p, g, N = example2_problem(), Grid(16), 100
+        scalar, _ = run(p, g, N)
+        array, _ = run(dataclasses.replace(p, forcing=lambda x, t: np.zeros_like(x)), g, N)
+        for name in ("_U1", "_history", "_records"):
+            assert getattr(scalar, name).tobytes() == getattr(array, name).tobytes(), name
+
+
 class TestRunBatch:
     def test_members_match_single_runs(self):
         # Every member of a batch gets the bits of its run alone: the final
@@ -277,6 +296,26 @@ class TestRunBatch:
         assert velocity_history(batch).shape == (2, N, 7)
         for row, p in zip(batch.U_prev, problems):
             assert np.array_equal(row, run(p, g, N)[0].U_prev)
+
+    @pytest.mark.parametrize("steps", [5, 32])
+    def test_failed_step_leaves_state_unchanged(self, steps):
+        # A step that runs out of iterations raises before it writes: the
+        # level index, newest level, history and records keep their bytes.
+        # After 32 steps the failing level 34 starts a block, whose fill
+        # writes the next 32 forcing norms (records row 4) ahead.
+        g, dt = Grid(32), 1.0 / 256
+        batch = viscobeam.stepper._stack([viscobeam.stepper._start(p, g, dt) for p in (
+            example1_problem(), example1_problem(sigma=1.5))])
+        for _ in range(steps):
+            step(batch, SolverConfig())
+        rows = 4 if (batch.n - 2) % 32 == 0 else 5
+        before = (batch._U1.tobytes(), batch._history.tobytes(),
+                  batch._records[:, :rows].tobytes())
+        with pytest.raises(NonConvergenceError) as exc:
+            step(batch, SolverConfig(fp_max_iters=1))
+        assert exc.value.step_index == batch.n == steps + 2
+        assert (batch._U1.tobytes(), batch._history.tobytes(),
+                batch._records[:, :rows].tobytes()) == before
 
     def test_member_error_names_the_member(self):
         # The second member's G turns NaN: the batch step raises before it
@@ -686,6 +725,21 @@ class TestRun:
         assert series.n[0] == 1
         assert series.curv_norm[0] == pytest.approx(curv, rel=1e-13)
         assert series.damping[0] == pytest.approx(p.damping(curv**2), rel=1e-13)
+
+    @pytest.mark.parametrize("problem", [example1_problem, example2_problem])
+    def test_step_records_match_grid_oracle(self, problem):
+        # Every later level records the norms of its own velocity and
+        # curvature, and a G that the accepted level's bending energy gives
+        # up to the fixed-point tolerance; N = 40 crosses a block.
+        p, g, N = problem(), Grid(16), 40
+        state, U = solve_levels(p, g, N)
+        series = state.series()
+        for n in range(2, N + 1):
+            curv = norm(second_difference(U[n], g), g)
+            assert series.vel_norm[n - 1] == pytest.approx(
+                norm((U[n] - U[n - 1]) / state.dt, g), rel=1e-12), n
+            assert series.curv_norm[n - 1] == pytest.approx(curv, rel=1e-12), n
+            assert series.damping[n - 1] == pytest.approx(p.damping(curv**2), rel=1e-9), n
 
     def test_energy_columns_present_when_recorded(self):
         p = example2_problem()
