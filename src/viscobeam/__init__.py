@@ -23,8 +23,6 @@ from .model import (
     DampingFunction,
     ProblemSpec,
     damping_coefficient,
-    require_valid,
-    validate,
 )
 from .stepper import (
     NonConvergenceError,
@@ -61,7 +59,7 @@ __all__ = [
     "StudyCell", "StudySpec", "TimeSeries", "assemble_step_system",
     "bending_energy", "beta_eval", "damping_coefficient", "data_functional",
     "energy", "example1_problem", "example2_problem", "initialize", "norm",
-    "preset_config", "rate", "require_valid", "run", "run_study",
+    "preset_config", "rate", "run", "run_study",
     "second_difference_eigenvalues", "sine_transform", "stability_monitor",
-    "step", "validate", "write_solution_csv",
+    "step", "write_solution_csv",
 ]

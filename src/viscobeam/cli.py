@@ -19,7 +19,6 @@ from .config import (apply_overrides, build_grid, build_problem, build_solver_co
                      build_steps, build_study, load_config)
 from .diagnostics import data_functional, stability_monitor
 from .kernel import ConfigurationError, KernelTables
-from .model import require_valid
 from .presets import preset_config
 from .stepper import NumericalError, _write_csv, run, write_solution_csv
 from .studies import run_study
@@ -46,10 +45,9 @@ def _outdir(args) -> Path:
 
 
 def _setup(args):
-    """The loaded config and the validated problem, grid and step count it sets."""
+    """The loaded config and the problem, grid and step count it sets."""
     cfg = _load(args)
-    problem = require_valid(build_problem(cfg))
-    return cfg, problem, build_grid(cfg), build_steps(cfg)
+    return cfg, build_problem(cfg), build_grid(cfg), build_steps(cfg)
 
 
 def _cmd_solve(args) -> int:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .grid_ops import Grid
 from .kernel import ConfigurationError, KernelSpec
-from .model import DampingFunction, ProblemSpec, require_valid
+from .model import DampingFunction, ProblemSpec
 from .stepper import SolverConfig
 from .studies import TEMPORAL, StudyCell, StudySpec
 
@@ -233,8 +233,8 @@ def build_study(config: dict) -> StudySpec:
         # A cell's bad input, an invalid model included, is a config error
         # that names the cell, found before any run: not a failed cell.
         try:
-            problem = require_valid(build_problem(apply_overrides(
-                config, {k: v for k, v in overrides.items() if k != "label"})))
+            problem = build_problem(apply_overrides(
+                config, {k: v for k, v in overrides.items() if k != "label"}))
         except ConfigurationError as exc:
             raise ConfigurationError(f"study.sweep[{i}] ({label}): {exc}")
         cells.append(StudyCell(label=label, problem=problem))

@@ -94,6 +94,7 @@ class KernelSpec:
     exponent and ``gamma`` the oscillation frequency (oscillatory family
     only).  ``family="none"`` encodes the degenerate memory-free kernel
     beta = 0, useful for testing against exact memory-free dynamics.
+    A spec outside these ranges cannot be built.
     """
 
     family: str = NO_MEMORY
@@ -101,15 +102,13 @@ class KernelSpec:
     gamma: float = 0.0
     alpha: float = 1.0
 
-    def violations(self) -> list[str]:
-        """Return human-readable descriptions of violated parameter ranges."""
-        errs = []
+    def __post_init__(self):
+        """Raise a ConfigurationError that lists every violated range."""
         if self.family not in _FAMILIES:
-            return [f"unknown kernel family {self.family!r}; "
-                    f"expected one of {_FAMILIES}"]
-        if self.family == NO_MEMORY:
-            return errs
-        if not self.sigma > 1.0:
+            raise ConfigurationError(f"unknown kernel family {self.family!r}; "
+                                     f"expected one of {_FAMILIES}")
+        errs = []
+        if self.has_memory and not self.sigma > 1.0:
             errs.append(
                 f"kernel tempering rate sigma must be > 1 (got {self.sigma}); "
                 "otherwise the tail mass K(0) is not below 1")
@@ -122,7 +121,7 @@ class KernelSpec:
                 errs.append(
                     f"oscillatory kernel supports alpha in {{1/2, 1}} only "
                     f"(got {self.alpha})")
-        else:
+        elif self.family == NON_OSCILLATORY:
             if not 0.0 < self.alpha <= 1.0:
                 errs.append(
                     f"non-oscillatory kernel needs alpha in (0, 1] "
@@ -132,13 +131,8 @@ class KernelSpec:
                     f"gamma={self.gamma} is meaningless for the "
                     "non-oscillatory family; use the oscillatory family or "
                     "set gamma to 0")
-        return errs
-
-    def require_valid(self) -> "KernelSpec":
-        errs = self.violations()
         if errs:
             raise ConfigurationError("; ".join(errs))
-        return self
 
     @property
     def has_memory(self) -> bool:
@@ -151,7 +145,6 @@ def beta_eval(spec: KernelSpec, t):
     Raises for non-positive times when ``alpha < 1`` (the power law is
     singular at zero).  Accepts scalars or arrays.
     """
-    spec.require_valid()
     t_arr = np.asarray(t, dtype=float)
     if spec.family == NO_MEMORY:
         out = np.zeros_like(t_arr)
@@ -258,7 +251,6 @@ class KernelTables:
 
     @classmethod
     def build(cls, spec: KernelSpec, dt: float, n_steps: int) -> "KernelTables":
-        spec.require_valid()
         if dt <= 0.0:
             raise ValueError("dt must be positive")
         if n_steps < 1:

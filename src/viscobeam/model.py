@@ -24,6 +24,11 @@ from .kernel import ConfigurationError, KernelSpec
 #: visits, so this is a pragmatic stand-in.
 _V_MAX = 1.0e4
 
+#: Slack of the sampled damping checks, relative to the values compared:
+#: a + b*v rounds by about eps * (a + b*v), so an absolute slack rejects
+#: valid laws once b*v is large.
+_ROUNDOFF = 4.0 * math.ulp(1.0)
+
 #: End values of the initial data may not exceed this times max(1, max|u|)
 #: on a probe grid: roundoff of a field that vanishes there scales with it.
 _BOUNDARY_TOL = 1e-12
@@ -34,8 +39,8 @@ class DampingFunction:
     """Damping coefficient G with declared lower bound and Lipschitz constant.
 
     Use the constructors :meth:`affine`, :meth:`sqrt_affine` and
-    :meth:`constant`, or pass any callable with the bounds it claims;
-    :func:`validate` checks those claims only by sampling.
+    :meth:`constant`, or pass any callable with the bounds it claims; the
+    :class:`ProblemSpec` that holds it checks those claims, by sampling.
     """
 
     fn: Callable[[float], float] = field(repr=False)
@@ -56,7 +61,7 @@ class DampingFunction:
         g0 = math.sqrt(a) if a >= 0.0 else math.nan
         lip = b / (2.0 * g0) if g0 > 0 else np.inf
         # math.sqrt costs a fraction of numpy's scalar call; a negative
-        # argument (only with a < 0, which validate rejects) gives NaN as
+        # argument (only with a < 0, which ProblemSpec rejects) gives NaN as
         # numpy does, rather than raising or warning.
         return cls(lambda v: math.sqrt(s) if (s := a + b * v) >= 0.0 else math.nan,
                    g0=g0, lipschitz=lip)
@@ -73,8 +78,9 @@ class ProblemSpec:
     ``u0``/``u1`` map node positions to initial displacement/velocity,
     ``forcing`` maps (x, t) to the load, which may be a scalar: it is then
     broadcast over the grid.  Both initial fields must vanish at the ends
-    to be compatible with the hinged boundary.  Immutable once validated;
-    safe to share across concurrent runs.
+    to be compatible with the hinged boundary.  A problem that breaks the
+    scheme's assumptions cannot be built.  Immutable; safe to share across
+    concurrent runs.
     """
 
     u0: Callable[[np.ndarray], np.ndarray]
@@ -84,78 +90,70 @@ class ProblemSpec:
     kernel: KernelSpec
     T: float = 1.0
 
+    def __post_init__(self):
+        """Raise a ConfigurationError that lists every broken assumption.
+
+        Checks the damping lower bound and Lipschitz property on sampled
+        arguments (and that it stays finite there), the horizon, and that
+        the initial data are finite on a probe grid and vanish at its ends
+        relative to their scale (hinged-boundary compatibility).  The
+        kernel checked its own ranges when it was built.
+        """
+        errs = []
+        d = self.damping
+        if not d.g0 > 0.0:
+            errs.append(f"damping lower bound g0 must be positive (got {d.g0}); "
+                        "the velocity term must stay dissipative")
+        if d.lipschitz < 0.0:
+            errs.append(f"Lipschitz constant must be non-negative (got {d.lipschitz})")
+        else:
+            vs = np.concatenate([[0.0], np.geomspace(1e-6, _V_MAX, 25)])
+            try:
+                gv = np.array([d(v) for v in vs])
+            except Exception as exc:  # pragma: no cover - caller-supplied callables only
+                errs.append(f"damping function raised on sampled input: {exc!r}")
+            else:
+                nonfinite = vs[~np.isfinite(gv)]
+                if nonfinite.size:
+                    errs.append(
+                        f"damping returns a non-finite value at {nonfinite.size} "
+                        f"sampled arguments (first v = {nonfinite[0]:.6g})")
+                else:
+                    if d.g0 > 0.0 and np.min(gv) < d.g0 * (1.0 - _ROUNDOFF):
+                        errs.append(
+                            f"damping drops to {np.min(gv):.6g} below its declared "
+                            f"lower bound g0={d.g0} on sampled arguments")
+                    slack = _ROUNDOFF * (np.abs(gv[1:]) + np.abs(gv[:-1]))
+                    if np.any(np.abs(np.diff(gv)) > d.lipschitz * np.diff(vs) + slack):
+                        errs.append(
+                            "damping violates its declared Lipschitz constant "
+                            f"L={d.lipschitz} on sampled argument pairs")
+
+        if not self.T > 0.0:
+            errs.append(f"time horizon T must be positive (got {self.T})")
+
+        probe = np.linspace(0.0, 1.0, 65)
+        for name, f in (("u0", self.u0), ("u1", self.u1)):
+            try:
+                values = np.abs(np.asarray(f(probe), dtype=float))
+            except Exception as exc:
+                errs.append(f"initial data {name} raised on the probe grid: {exc!r}")
+                continue
+            nonfinite = probe[~np.isfinite(values)]
+            if nonfinite.size:
+                errs.append(f"initial data {name} is not finite on the probe grid "
+                            f"(first at x = {nonfinite[0]:.6g})")
+                continue
+            ends = values[[0, -1]]
+            if np.any(ends > _BOUNDARY_TOL * max(1.0, float(np.max(values)))):
+                errs.append(
+                    f"initial data {name} must vanish at x=0 and x=1 for the "
+                    f"hinged boundary (got end values {ends.tolist()} against "
+                    f"max |{name}| = {np.max(values):.6g})")
+        if errs:
+            raise ConfigurationError("; ".join(errs))
+
 
 def damping_coefficient(damping: DampingFunction, U_hat, grid: Grid) -> float:
     """G at the bending energy ||D2 U||^2 of the field with sine coefficients U_hat."""
     return damping(bending_energy(U_hat, second_difference_eigenvalues(grid), grid.h))
-
-
-def validate(spec: ProblemSpec) -> list[str]:
-    """Collect violated model assumptions; an empty list means valid.
-
-    Checks kernel parameter ranges, the damping lower bound and Lipschitz
-    property on sampled arguments (and that it stays finite there), and
-    that the initial data are finite on a probe grid and vanish at its ends
-    relative to their scale (hinged-boundary compatibility).
-    """
-    errs = list(spec.kernel.violations())
-
-    d = spec.damping
-    if not d.g0 > 0.0:
-        errs.append(f"damping lower bound g0 must be positive (got {d.g0}); "
-                    "the velocity term must stay dissipative")
-    if d.lipschitz < 0.0:
-        errs.append(f"Lipschitz constant must be non-negative (got {d.lipschitz})")
-    else:
-        vs = np.concatenate([[0.0], np.geomspace(1e-6, _V_MAX, 25)])
-        try:
-            gv = np.array([d(v) for v in vs])
-        except Exception as exc:  # pragma: no cover - caller-supplied callables only
-            errs.append(f"damping function raised on sampled input: {exc!r}")
-        else:
-            nonfinite = vs[~np.isfinite(gv)]
-            if nonfinite.size:
-                errs.append(
-                    f"damping returns a non-finite value at {nonfinite.size} "
-                    f"sampled arguments (first v = {nonfinite[0]:.6g})")
-            else:
-                if d.g0 > 0.0 and np.min(gv) < d.g0 - 1e-12:
-                    errs.append(
-                        f"damping drops to {np.min(gv):.6g} below its declared "
-                        f"lower bound g0={d.g0} on sampled arguments")
-                bad = np.abs(np.diff(gv)) > d.lipschitz * np.diff(vs) + 1e-12
-                if np.any(bad):
-                    errs.append(
-                        "damping violates its declared Lipschitz constant "
-                        f"L={d.lipschitz} on sampled argument pairs")
-
-    if not spec.T > 0.0:
-        errs.append(f"time horizon T must be positive (got {spec.T})")
-
-    probe = np.linspace(0.0, 1.0, 65)
-    for name, f in (("u0", spec.u0), ("u1", spec.u1)):
-        try:
-            values = np.abs(np.asarray(f(probe), dtype=float))
-        except Exception as exc:
-            errs.append(f"initial data {name} raised on the probe grid: {exc!r}")
-            continue
-        nonfinite = probe[~np.isfinite(values)]
-        if nonfinite.size:
-            errs.append(f"initial data {name} is not finite on the probe grid "
-                        f"(first at x = {nonfinite[0]:.6g})")
-            continue
-        ends = values[[0, -1]]
-        if np.any(ends > _BOUNDARY_TOL * max(1.0, float(np.max(values)))):
-            errs.append(
-                f"initial data {name} must vanish at x=0 and x=1 for the "
-                f"hinged boundary (got end values {ends.tolist()} against "
-                f"max |{name}| = {np.max(values):.6g})")
-    return errs
-
-
-def require_valid(spec: ProblemSpec) -> ProblemSpec:
-    """Return the problem unchanged or raise with every violation listed."""
-    errs = validate(spec)
-    if errs:
-        raise ConfigurationError("; ".join(errs))
-    return spec

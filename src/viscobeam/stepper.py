@@ -58,7 +58,7 @@ from . import diagnostics
 from .grid_ops import (Grid, bending_energy, norm, second_difference_eigenvalues,
                        sine_transform)
 from .kernel import ConfigurationError, KernelTables
-from .model import ProblemSpec, damping_coefficient, require_valid
+from .model import ProblemSpec, damping_coefficient
 
 _CSV_BLOCK_ROWS = 256
 #: Levels per block: the forcing is sampled and transformed, and the far
@@ -230,8 +230,8 @@ _MEMBER_ARRAYS = ("_U0", "_U1", "_history", "_records")
 def _start(problem: ProblemSpec, grid: Grid, dt: float) -> SolverState:
     """The one-member state of :func:`initialize` before :func:`_stack`
     makes room for later levels: its history holds dU^1 only and its
-    records stop at level 1."""
-    require_valid(problem)
+    records stop at level 1, the forcing norms at levels 0 and 1
+    included."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     n_steps = int(round(problem.T / dt))
@@ -242,9 +242,11 @@ def _start(problem: ProblemSpec, grid: Grid, dt: float) -> SolverState:
     eigs, dU1 = second_difference_eigenvalues(grid), (U1 - U0) / dt
     records = [[0.0, norm(dU1, grid)], [0.0, math.sqrt(bending_energy(U1, eigs, grid.h))],
                [0.0, damping_coefficient(problem.damping, U1, grid)], [0.0, 0.0], [0.0, 0.0]]
-    return SolverState((problem,), grid, dt, n_steps, 2,
-                       KernelTables.build(problem.kernel, dt, n_steps), U0[None], U1[None],
-                       dU1[None, None], np.array([records]), eigs)
+    state = SolverState((problem,), grid, dt, n_steps, 2,
+                        KernelTables.build(problem.kernel, dt, n_steps), U0[None], U1[None],
+                        dU1[None, None], np.array([records]), eigs)
+    _sample_forcing(state, 0, 2)
+    return state
 
 
 def _stack(states: list[SolverState]) -> SolverState:
@@ -273,9 +275,7 @@ def initialize(problem: ProblemSpec, grid: Grid, dt: float) -> SolverState:
     The explicit start's record is read from the modes like every step's;
     the forcing is sampled at levels 0 and 1 for its norms only.
     """
-    state = _stack([_start(problem, grid, dt)])
-    _sample_forcing(state, 0, 2)
-    return state
+    return _stack([_start(problem, grid, dt)])
 
 
 def _sample_forcing(state: SolverState, first: int, end: int) -> np.ndarray:
@@ -443,15 +443,15 @@ def run_batch(problems, grid: Grid, N: int, config: SolverConfig | None = None
     """Solve levels 2..N of every problem; return each one's final state.
 
     Problems with the same step size T/N go through :func:`step` as one
-    batch.  A member whose set-up fails, or whose step raises a
-    :class:`NumericalError`, gets the exception in place of its state, and
-    the rest of its batch goes on from the level it reached.  Any other
-    error in a step, say a forcing or damping callable that raises rather
-    than returning a non-finite value, ends its whole batch.  The forcing
-    is sampled at levels 0 and 1, for its norms, before the first step and
-    then up to 31 levels ahead, so a forcing that raises does so at the
-    first level of the block that reaches its bad time.  Each final
-    state views its member's rows of the batch.
+    batch.  A member whose set-up fails, a forcing that raises at level 0
+    or 1 included, or whose step raises a :class:`NumericalError`, gets
+    the exception in place of its state, and the rest of its batch goes on
+    from the level it reached.  Any other error in a step, say a forcing
+    or damping callable that raises rather than returning a non-finite
+    value, ends its whole batch.  In the steps the forcing is sampled up
+    to 31 levels ahead, so a forcing that raises does so at the first
+    level of the block that reaches its bad time.  Each final state views
+    its member's rows of the batch.
     """
     config = config or SolverConfig()
     if N < 1:
@@ -467,8 +467,6 @@ def run_batch(problems, grid: Grid, N: int, config: SolverConfig | None = None
         group = [i for i in live if results[i].dt == results[live[0]].dt]
         batch, failure = _stack([results[i] for i in group]), None
         try:
-            if batch.n == 2:
-                _sample_forcing(batch, 0, 2)
             while batch.n <= N:
                 step(batch, config)
         except Exception as exc:

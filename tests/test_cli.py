@@ -63,6 +63,16 @@ class TestSolve:
         assert code == EXIT_OK
         assert "solved 16 steps" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("b", ["300", "1e4"])
+    def test_steep_affine_damping_solves(self, b, tmp_path, capsys):
+        # a + b*v rounds by about eps*b*v at the sampled v <= 1e4, so an
+        # absolute slack of 1e-12 on the sampled slopes once rejected these
+        # valid laws as breaking their Lipschitz constant.
+        code = main(["solve", "--preset", "example1", "--set", f"damping.b={b}",
+                     "-o", str(tmp_path)])
+        assert code == EXIT_OK, capsys.readouterr().err
+        assert "solved 256 steps" in capsys.readouterr().out
+
     def test_set_override_changes_grid(self, tmp_path, capsys):
         cfg = write_config(tmp_path, ZERO_CONFIG)
         code = main(["solve", "--config", cfg, "--set", "grid.J=16",

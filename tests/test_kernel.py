@@ -83,25 +83,34 @@ class TestBetaEval:
 
 class TestSpecValidation:
     @pytest.mark.parametrize("spec", [
-        OSC(0.9, 0.0, 1.0),          # tempering too weak
-        OSC(2.0, 3.0, 1.0),          # gamma above sigma
-        OSC(2.0, 1.0, 0.3),          # unsupported oscillatory exponent
-        NONOSC(2.0, 1.5),            # exponent above 1
-        NONOSC(2.0, 0.0),            # exponent must be positive
-        KernelSpec(NON_OSCILLATORY, 2.0, 0.7, 0.5),  # stray gamma
+        (OSCILLATORY, 0.9, 0.0, 1.0),        # tempering too weak
+        (OSCILLATORY, 2.0, 3.0, 1.0),        # gamma above sigma
+        (OSCILLATORY, 2.0, 1.0, 0.3),        # unsupported oscillatory exponent
+        (NON_OSCILLATORY, 2.0, 0.0, 1.5),    # exponent above 1
+        (NON_OSCILLATORY, 2.0, 0.0, 0.0),    # exponent must be positive
+        (NON_OSCILLATORY, 2.0, 0.7, 0.5),    # stray gamma
+        ("exotic", 2.0, 0.0, 1.0),           # unknown family
     ])
     def test_invalid_specs_raise(self, spec):
-        assert spec.violations()
+        # (family, sigma, gamma, alpha)
         with pytest.raises(ConfigurationError):
-            KernelTables.build(spec, 0.5, 1)
+            KernelSpec(*spec)
 
     def test_sigma_message_names_the_constraint(self):
-        msgs = OSC(0.9, 0.0, 1.0).violations()
-        assert any("sigma" in m and "> 1" in m for m in msgs)
+        with pytest.raises(ConfigurationError, match=r"sigma must be > 1 \(got 0\.9\)"):
+            OSC(0.9, 0.0, 1.0)
+
+    def test_every_violation_listed(self):
+        message = ("kernel tempering rate sigma must be > 1 (got 0.9); otherwise the "
+                   "tail mass K(0) is not below 1; oscillatory kernel supports alpha "
+                   "in {1/2, 1} only (got 0.3)")
+        with pytest.raises(ConfigurationError) as exc:
+            OSC(0.9, 0.0, 0.3)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("spec", TABLE_SPECS + [NONE])
     def test_table_specs_valid(self, spec):
-        assert spec.violations() == []
+        assert KernelTables.build(spec, 0.5, 1).K0 < 1.0
 
 
 class TestKernelTail:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -13,9 +14,7 @@ from viscobeam import (
     ProblemSpec,
     damping_coefficient,
     norm,
-    require_valid,
     sine_transform,
-    validate,
 )
 from viscobeam.config import INITIAL_DATA, build_problem
 from viscobeam.presets import example1_problem, example2_problem
@@ -60,21 +59,22 @@ class TestDampingFunction:
 
     def test_sqrt_affine_negative_argument_is_nan(self):
         # Only a < 0 reaches a negative argument; as with numpy's sqrt the
-        # law returns NaN there, so validate reports it as non-finite.
+        # law returns NaN there, so a problem holding it reports it as
+        # non-finite.
         d = DampingFunction.sqrt_affine(-1.0, 1.0)
         assert math.isnan(d.g0)
         assert math.isnan(d(0.0)) and d(3.0) == math.sqrt(2.0)
-        errs = validate(_problem(damping=d))
-        assert any("non-finite value" in e for e in errs)
+        with pytest.raises(ConfigurationError, match="non-finite value"):
+            _problem(damping=d)
 
     def test_sqrt_affine_negative_a_is_config_error_without_warnings(self):
         # g0 = sqrt(a) is NaN for a < 0 without a numpy RuntimeWarning, so a
-        # caller that turns warnings into errors still gets validate's g0
+        # caller that turns warnings into errors still gets the problem's g0
         # message rather than an exception from the constructor.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConfigurationError, match="g0 must be positive"):
-                require_valid(_problem(damping=DampingFunction.sqrt_affine(-1.0, 1.0)))
+                _problem(damping=DampingFunction.sqrt_affine(-1.0, 1.0))
 
     def test_constant(self):
         d = DampingFunction.constant(2.0)
@@ -83,15 +83,26 @@ class TestDampingFunction:
     def test_custom_bounds_sampled(self):
         good = DampingFunction(lambda v: 2.0 + np.tanh(v), g0=2.0,
                                lipschitz=1.0)
-        assert validate(_problem(damping=good)) == []
+        assert _problem(damping=good).damping is good
         lying = DampingFunction(lambda v: 0.5, g0=2.0, lipschitz=1.0)
-        errs = validate(_problem(damping=lying))
-        assert any("lower bound" in e for e in errs)
+        with pytest.raises(ConfigurationError, match="lower bound"):
+            _problem(damping=lying)
 
     def test_custom_lipschitz_violation_detected(self):
         steep = DampingFunction(lambda v: 1.0 + v**2, g0=1.0, lipschitz=1.0)
-        errs = validate(_problem(damping=steep))
-        assert any("Lipschitz" in e for e in errs)
+        with pytest.raises(ConfigurationError, match="Lipschitz"):
+            _problem(damping=steep)
+
+    @pytest.mark.parametrize("b", [1.0, 300.0, 1e4])
+    def test_slight_breaks_of_declared_constants_detected(self, b):
+        # A law one part in a million above its Lipschitz constant, or below
+        # its lower bound, is far beyond roundoff.
+        over = DampingFunction(lambda v: 1.0 + b * (1.0 + 1e-6) * v, g0=1.0, lipschitz=b)
+        with pytest.raises(ConfigurationError, match="Lipschitz"):
+            _problem(damping=over)
+        under = DampingFunction(lambda v: (1.0 - 1e-6) + b * v, g0=1.0, lipschitz=b)
+        with pytest.raises(ConfigurationError, match="lower bound"):
+            _problem(damping=under)
 
 
 class TestDampingCoefficient:
@@ -123,50 +134,55 @@ class TestDampingCoefficient:
 
 
 class TestValidate:
+    """A problem that breaks the scheme's assumptions cannot be built."""
+
     def test_example_presets_valid(self):
-        assert validate(example1_problem()) == []
-        assert validate(example2_problem()) == []
+        assert example1_problem().T == example2_problem().T == 1.0
 
     def test_sigma_below_one_reported(self):
-        bad = _problem(kernel=KernelSpec(family=OSCILLATORY, sigma=0.9,
-                                         gamma=0.0, alpha=1.0))
-        errs = validate(bad)
-        assert any("sigma" in e for e in errs)
-        with pytest.raises(ConfigurationError):
-            require_valid(bad)
+        with pytest.raises(ConfigurationError, match="sigma"):
+            _problem(kernel=KernelSpec(family=OSCILLATORY, sigma=0.9,
+                                       gamma=0.0, alpha=1.0))
 
     def test_zero_damping_reported(self):
-        errs = validate(_problem(damping=DampingFunction.constant(0.0)))
-        assert any("g0" in e for e in errs)
+        with pytest.raises(ConfigurationError, match="g0"):
+            _problem(damping=DampingFunction.constant(0.0))
 
     def test_boundary_compatibility(self):
-        bad = _problem(u0=lambda x: np.cos(np.pi * np.asarray(x)))
-        errs = validate(bad)
-        assert any("u0" in e and "vanish" in e for e in errs)
+        with pytest.raises(ConfigurationError, match="u0 must vanish"):
+            _problem(u0=lambda x: np.cos(np.pi * np.asarray(x)))
 
     def test_boundary_check_relative_to_scale(self):
         # sin(pi) * 1e4 ~ 1.2e-12 is roundoff of a field of size 1e4.
         big = INITIAL_DATA["sin_mode"](mode=1, amplitude=1e4)
-        assert validate(_problem(u0=big, u1=big)) == []
-        shifted = _problem(u0=lambda x: 1e4 * (np.sin(np.pi * np.asarray(x)) + 1e-6))
-        errs = validate(shifted)
-        assert any("u0" in e and "vanish" in e for e in errs)
+        assert _problem(u0=big, u1=big).u0 is big
+        with pytest.raises(ConfigurationError, match="u0 must vanish"):
+            _problem(u0=lambda x: 1e4 * (np.sin(np.pi * np.asarray(x)) + 1e-6))
 
     def test_nonfinite_damping_reported(self):
         d = DampingFunction(lambda v: float("nan") if v < 40.0 else 1.0 + v,
                             g0=1.0, lipschitz=1.0)
-        errs = validate(_problem(damping=d))
-        assert any("non-finite" in e for e in errs)
-        with pytest.raises(ConfigurationError):
-            require_valid(_problem(damping=d))
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            _problem(damping=d)
 
     def test_nonpositive_horizon(self):
-        errs = validate(_problem(T=0.0))
-        assert any("horizon" in e for e in errs)
+        with pytest.raises(ConfigurationError, match="horizon"):
+            _problem(T=0.0)
 
-    def test_require_valid_passes_through(self):
-        p = example2_problem()
-        assert require_valid(p) is p
+    def test_every_violation_listed(self):
+        # The problem's own violations, in order, joined by "; ".
+        with pytest.raises(ConfigurationError) as exc:
+            _problem(damping=DampingFunction.constant(0.0), T=0.0,
+                     u1=lambda x: 1.0 + 0.0 * np.asarray(x))
+        assert str(exc.value) == (
+            "damping lower bound g0 must be positive (got 0.0); the velocity term "
+            "must stay dissipative; time horizon T must be positive (got 0.0); "
+            "initial data u1 must vanish at x=0 and x=1 for the hinged boundary "
+            "(got end values [1.0, 1.0] against max |u1| = 1)")
+
+    def test_replace_checks_again(self):
+        with pytest.raises(ConfigurationError, match="horizon"):
+            dataclasses.replace(example2_problem(), T=-1.0)
 
 
 class TestInitialRegistry:

@@ -186,7 +186,7 @@ class TestStep:
             step(state, cfg)
 
     def test_nonfinite_damping_raises_numerical_error(self):
-        # Finite on every argument validate samples (v <= 1e4), NaN beyond;
+        # Finite where the problem's check samples it (v <= 1e4), NaN beyond;
         # amplitude 100 puts ||D2 U||^2 near 4.9e5.
         def fn(v):
             return 1.0 + v if v <= 1e4 else float("nan")
@@ -339,13 +339,32 @@ class TestRunBatch:
     def test_raising_callable_ends_its_batch(self):
         # An exception other than NumericalError names no member, so every
         # member of that batch gets it; a batch of another horizon goes on.
+        # The forcing raises for t > 0.5, in a step, not at set-up.
         def broken(x, t):
-            raise RuntimeError("forcing broke")
+            if t > 0.5:
+                raise RuntimeError("forcing broke")
+            return 0.0
 
         bad = dataclasses.replace(example2_problem(), forcing=broken)
         states = run_batch([example2_problem(), bad, example2_problem(T=2.0)], Grid(8), 8)
         assert isinstance(states[0], RuntimeError) and states[1] is states[0]
         assert isinstance(states[2], SolverState)
+
+    def test_forcing_raising_at_start_fails_its_member_only(self):
+        # Levels 0 and 1 are sampled at set-up, member by member, so a
+        # forcing that raises at t = 0 is a set-up failure of its member:
+        # the rest of its batch keeps the bits of their own runs.
+        def broken(x, t):
+            raise RuntimeError("forcing broke")
+
+        g, good = Grid(8), [example2_problem(sigma=s) for s in (1.5, 2.0)]
+        bad = dataclasses.replace(example2_problem(), forcing=broken)
+        states = run_batch([good[0], bad, good[1]], g, 8)
+        assert isinstance(states[1], RuntimeError) and str(states[1]) == "forcing broke"
+        with pytest.raises(RuntimeError, match="forcing broke"):
+            initialize(bad, g, 1.0 / 8)
+        for k, p in ((0, good[0]), (2, good[1])):
+            assert np.array_equal(states[k].U_prev, run(p, g, 8)[0].U_prev)
 
 
 class TestForcingBlocks:

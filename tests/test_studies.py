@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from viscobeam import (
+    ConfigurationError,
     Grid,
     KernelSpec,
     NO_MEMORY,
@@ -116,17 +117,37 @@ class TestRunStudy:
             assert row.error == spatial_error(p, row.level // 2, 8) / math.sqrt(2.0)
 
     def test_cell_failure_isolated(self):
+        # An invalid kernel cannot be built, so it can no longer reach a
+        # run; a forcing that raises at t = 0 fails its cell at set-up.
         good = example2_problem()
-        bad = dataclasses.replace(good,
-                                  kernel=dataclasses.replace(good.kernel, sigma=0.5))
+        with pytest.raises(ConfigurationError, match="sigma"):
+            dataclasses.replace(good.kernel, sigma=0.5)
+
+        def broken(x, t):
+            raise RuntimeError("forcing broke at t = 0")
+
+        bad = dataclasses.replace(good, forcing=broken)
         study = StudySpec(axis=TEMPORAL,
                           cells=(StudyCell("bad", bad), StudyCell("good", good)),
                           level0=8, levels=2, J=8)
         report = run_study(study)
         assert report.cells[0].failure is not None
-        assert "sigma" in report.cells[0].failure
+        assert "forcing broke" in report.cells[0].failure
         assert report.cells[1].failure is None
         assert len(report.cells[1].rows) == 2
+
+    def test_each_cell_checked_once(self, monkeypatch):
+        # A problem checks itself when it is built, once per cell: nothing
+        # in the runs of the ladder checks it again.
+        checks = []
+        check = ProblemSpec.__post_init__
+        monkeypatch.setattr(ProblemSpec, "__post_init__",
+                            lambda self: checks.append(self) or check(self))
+        study = build_study(apply_overrides(
+            preset_config("example2-temporal"), ["grid.J=8", "time.N=8", "study.levels=2"]))
+        run_study(study)
+        assert len(study.cells) == 4
+        assert checks == [cell.problem for cell in study.cells]
 
     def test_report_deterministic_modulo_timestamp(self):
         p = example2_problem()

@@ -1,7 +1,7 @@
 """Line counts of the Python sources under src/ and tests/.
 
 Prints, for each directory, the ``wc -l`` count of its ``.py`` files and
-their logical line count: the lines that hold a token other than a
+their logical line count, then both counts of each file: the lines that hold a token other than a
 comment, a newline, an indent, a dedent or the end marker, less the lines
 of module, class and function docstrings.  A string token that spans
 several lines holds each of them.
@@ -46,11 +46,12 @@ def count(source: str) -> tuple[int, int]:
 def main(argv: list[str]) -> int:
     root = Path(__file__).resolve().parent.parent
     for directory in [Path(d) for d in argv] or [root / "src", root / "tests"]:
-        totals = [0, 0]
-        for path in sorted(directory.rglob("*.py")):
-            for k, n in enumerate(count(path.read_text())):
-                totals[k] += n
-        print(f"{directory.name}: {totals[0]:,} lines by wc, {totals[1]:,} logical")
+        files = {path.relative_to(directory): count(path.read_text())
+                 for path in sorted(directory.rglob("*.py"))}
+        wc, logical = (sum(n[k] for n in files.values()) for k in (0, 1))
+        print(f"{directory.name}: {wc:,} lines by wc, {logical:,} logical")
+        for path, (wc, logical) in files.items():
+            print(f"  {path}: {wc:,} lines by wc, {logical:,} logical")
     return 0
 
 
