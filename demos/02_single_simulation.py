@@ -39,7 +39,7 @@ for k in range(0, N, N // 8):
 # Deflection snapshots: drive the stepper level by level and keep every
 # 64th level.  The solver is deterministic, so the last one is bit for bit
 # the final level of the run above.
-snap = initialize(problem, grid, state.dt)
+snap = initialize(problem, grid, N)
 snapshots = {0: snap.U0}
 while snap.n <= N:
     step(snap, SolverConfig())

@@ -48,7 +48,7 @@ print(f"  final-decade spread: max {late.max():.4e}, min {late.min():.4e} "
 bad = example2_problem(T=2.0)
 g8 = Grid(8)
 n_bad = 500
-bad_state = initialize(bad, g8, bad.T / n_bad)
+bad_state = initialize(bad, g8, n_bad)
 bad_state.tables = dataclasses.replace(bad_state.tables,
                                        weights=-bad_state.tables.weights)
 cfg = SolverConfig()

@@ -22,7 +22,6 @@ from .grid_ops import (
 from .model import (
     DampingFunction,
     ProblemSpec,
-    damping_coefficient,
 )
 from .stepper import (
     NonConvergenceError,
@@ -57,7 +56,7 @@ __all__ = [
     "NON_OSCILLATORY", "NonConvergenceError", "NumericalError", "OSCILLATORY",
     "ProblemSpec", "SolverConfig", "SolverState", "StabilityVerdict",
     "StudyCell", "StudySpec", "TimeSeries", "assemble_step_system",
-    "bending_energy", "beta_eval", "damping_coefficient", "data_functional",
+    "bending_energy", "beta_eval", "data_functional",
     "energy", "example1_problem", "example2_problem", "initialize", "norm",
     "preset_config", "rate", "run", "run_study",
     "second_difference_eigenvalues", "sine_transform", "stability_monitor",

@@ -39,8 +39,13 @@ def _load(args) -> dict:
 
 
 def _outdir(args) -> Path:
+    """The output directory, made before the run so that an unusable
+    path is a config error rather than a failure after the run."""
     out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot use output directory {out}: {exc}")
     return out
 
 
@@ -53,8 +58,8 @@ def _setup(args):
 def _cmd_solve(args) -> int:
     cfg, problem, grid, N = _setup(args)
     solver = build_solver_config(cfg)
-    state, series = run(problem, grid, N, solver)
     out = _outdir(args)
+    state, series = run(problem, grid, N, solver)
     series.to_csv(out / "timeseries.csv")
     write_solution_csv(out / "solution.csv", grid, state.U_prev)
     print(f"solved {N} steps on J={grid.J}; final |u|_max = "
@@ -67,8 +72,8 @@ def _cmd_study(args) -> int:
     cfg = _load(args)
     study = build_study(cfg)
     solver = build_solver_config(cfg)
-    report = run_study(study, solver, metadata={"config": cfg})
     out = _outdir(args)
+    report = run_study(study, solver, metadata={"config": cfg})
     report.to_csv(out / "report.csv")
     report.to_json(out / "report.json")
     print(report.format_table())
@@ -88,12 +93,12 @@ def _cmd_stability(args) -> int:
         raise ConfigurationError(f"--safety must be at least 1 (got {args.safety})")
     cfg, problem, grid, N = _setup(args)
     solver = build_solver_config(cfg)
+    out = _outdir(args)
     state, series = run(problem, grid, N, solver)
     functional = data_functional(problem, grid, state.dt, state.forcing_norms,
                                  C0=state.tables.K0, mu0=state.tables.mu0)
     verdict = stability_monitor(series.n, series.total, functional,
                                  safety=args.safety)
-    out = _outdir(args)
     series.to_csv(out / "timeseries.csv")
     print(verdict)
     print(f"wrote {out / 'timeseries.csv'}")
@@ -106,9 +111,9 @@ def _cmd_stability(args) -> int:
 
 def _cmd_weights(args) -> int:
     _, problem, _, N = _setup(args)
+    out = _outdir(args)
     dt = problem.T / N
     tables = KernelTables.build(problem.kernel, dt, N)
-    out = _outdir(args)
     path = out / "weights.csv"
     k = np.arange(N)
     _write_csv(path, {"k": k, "t": k * dt, "omega": tables.weights})

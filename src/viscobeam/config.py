@@ -196,12 +196,8 @@ def build_problem(config: dict) -> ProblemSpec:
 
 
 def build_grid(config: dict) -> Grid:
-    J = _number(_section(config, "grid", ("J",)).get("J", 32), "grid.J",
-                integral=True)
-    try:
-        return Grid(J)
-    except ValueError as exc:
-        raise ConfigurationError(str(exc))
+    return Grid(_number(_section(config, "grid", ("J",)).get("J", 32), "grid.J",
+                        integral=True))
 
 
 def build_steps(config: dict) -> int:
@@ -242,8 +238,5 @@ def build_study(config: dict) -> StudySpec:
     N = build_steps(config)
     # A temporal ladder refines N at fixed J, a spatial one J at fixed N.
     level0, fixed = (N, {"J": J}) if axis == TEMPORAL else (J, {"N": N})
-    try:
-        return StudySpec(axis=axis, cells=tuple(cells), level0=level0,
-                         levels=levels, **fixed)
-    except ValueError as exc:
-        raise ConfigurationError(f"bad study section: {exc}")
+    return StudySpec(axis=axis, cells=tuple(cells), level0=level0,
+                     levels=levels, **fixed)

@@ -23,6 +23,8 @@ import math
 
 import numpy as np
 
+from .kernel import ConfigurationError
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -32,7 +34,7 @@ class Grid:
 
     def __post_init__(self):
         if self.J < 4:
-            raise ValueError(
+            raise ConfigurationError(
                 f"need J >= 4 so the biharmonic stencil has an unclipped row "
                 f"(got J={self.J})")
 

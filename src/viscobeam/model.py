@@ -16,7 +16,6 @@ from typing import Callable
 
 import numpy as np
 
-from .grid_ops import Grid, bending_energy, second_difference_eigenvalues
 from .kernel import ConfigurationError, KernelSpec
 
 #: Upper end of the sampling range used to spot-check damping bounds.  The
@@ -129,8 +128,8 @@ class ProblemSpec:
                             "damping violates its declared Lipschitz constant "
                             f"L={d.lipschitz} on sampled argument pairs")
 
-        if not self.T > 0.0:
-            errs.append(f"time horizon T must be positive (got {self.T})")
+        if not 0.0 < self.T < math.inf:
+            errs.append(f"time horizon T must be positive and finite (got {self.T})")
 
         probe = np.linspace(0.0, 1.0, 65)
         for name, f in (("u0", self.u0), ("u1", self.u1)):
@@ -152,8 +151,3 @@ class ProblemSpec:
                     f"max |{name}| = {np.max(values):.6g})")
         if errs:
             raise ConfigurationError("; ".join(errs))
-
-
-def damping_coefficient(damping: DampingFunction, U_hat, grid: Grid) -> float:
-    """G at the bending energy ||D2 U||^2 of the field with sine coefficients U_hat."""
-    return damping(bending_energy(U_hat, second_difference_eigenvalues(grid), grid.h))

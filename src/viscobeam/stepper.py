@@ -49,6 +49,7 @@ studies use to step all cells of a refinement level together.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -58,7 +59,7 @@ from . import diagnostics
 from .grid_ops import (Grid, bending_energy, norm, second_difference_eigenvalues,
                        sine_transform)
 from .kernel import ConfigurationError, KernelTables
-from .model import ProblemSpec, damping_coefficient
+from .model import ProblemSpec
 
 _CSV_BLOCK_ROWS = 256
 #: Levels per block: the forcing is sampled and transformed, and the far
@@ -75,8 +76,8 @@ _BLOCK_LEVELS = 32
 #: time of ``stability --preset example2-longtime`` in process from 0.34 to
 #: 0.66 s.
 _PANEL_ROWS = 256
-#: The empty block cache of a state: no tables, no levels.
-_NO_BLOCK = (None, 0, 0, None, None, None, None)
+#: The empty block cache of a state: no levels.
+_NO_BLOCK = (0, 0, None, None, None, None)
 
 
 class NumericalError(RuntimeError):
@@ -113,12 +114,13 @@ class SolverConfig:
     fp_max_iters: int = 50
 
     def __post_init__(self):
-        if not self.fp_tol > 0.0:
+        if not 0.0 < self.fp_tol < math.inf:
             raise ConfigurationError(
-                f"solver.fp_tol must be positive (got {self.fp_tol})")
-        if self.fp_max_iters < 1:
+                f"solver.fp_tol must be positive and finite (got {self.fp_tol})")
+        n = self.fp_max_iters
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
             raise ConfigurationError(
-                f"solver.fp_max_iters must be at least 1 (got {self.fp_max_iters})")
+                f"solver.fp_max_iters must be an integer of at least 1 (got {n!r})")
 
 
 @dataclass
@@ -134,12 +136,13 @@ class SolverState:
     level's velocity norm, curvature norm, G, iteration count and forcing
     norm sqrt(h) ||f^n|| in (B, 5, N+1) columns; the forcing norms are
     written a block of levels ahead.  ``_block`` caches, for the block of
-    levels first..end-1, the tables it was made from, first and end, the
-    part of each level's right-hand side fixed before the block as a
-    (B, end-first, J-1) array, lambda^2, mu0 lambda^2 and the velocity
-    system's diagonal D; :func:`dataclasses.replace` leaves it empty.  The
-    properties return grid values, without the member axis when B = 1.
-    Confine a state to one thread; the shared tables are read-only.
+    levels first..end-1, first and end, the part of each level's
+    right-hand side fixed before the block as a (B, end-first, J-1) array,
+    lambda^2, mu0 lambda^2 and the velocity system's diagonal D;
+    :func:`dataclasses.replace` leaves it empty, and a state whose tables
+    are replaced needs that empty cache.  The properties return grid
+    values, without the member axis when B = 1.  Confine a state to one
+    thread; the shared tables are read-only.
     """
 
     problems: tuple[ProblemSpec, ...]
@@ -227,24 +230,22 @@ def write_solution_csv(path, grid: Grid, U: np.ndarray) -> None:
 _MEMBER_ARRAYS = ("_U0", "_U1", "_history", "_records")
 
 
-def _start(problem: ProblemSpec, grid: Grid, dt: float) -> SolverState:
+def _start(problem: ProblemSpec, grid: Grid, N: int) -> SolverState:
     """The one-member state of :func:`initialize` before :func:`_stack`
     makes room for later levels: its history holds dU^1 only and its
     records stop at level 1, the forcing norms at levels 0 and 1
     included."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    n_steps = int(round(problem.T / dt))
-    if n_steps < 1 or abs(n_steps * dt - problem.T) > 1e-9 * max(1.0, problem.T):
-        raise ValueError(f"dt={dt} does not divide the horizon T={problem.T}")
+    if N < 1:
+        raise ValueError("N must be at least 1")
+    dt = problem.T / N
     U0, u1 = sine_transform(np.stack([problem.u0(grid.x), problem.u1(grid.x)]))
     U1 = U0 + dt * u1
     eigs, dU1 = second_difference_eigenvalues(grid), (U1 - U0) / dt
-    records = [[0.0, norm(dU1, grid)], [0.0, math.sqrt(bending_energy(U1, eigs, grid.h))],
-               [0.0, damping_coefficient(problem.damping, U1, grid)], [0.0, 0.0], [0.0, 0.0]]
-    state = SolverState((problem,), grid, dt, n_steps, 2,
-                        KernelTables.build(problem.kernel, dt, n_steps), U0[None], U1[None],
-                        dU1[None, None], np.array([records]), eigs)
+    energy = bending_energy(U1, eigs, grid.h)
+    records = [[0.0, norm(dU1, grid)], [0.0, math.sqrt(energy)],
+               [0.0, problem.damping(energy)], [0.0, 0.0], [0.0, 0.0]]
+    state = SolverState((problem,), grid, dt, N, 2, KernelTables.build(problem.kernel, dt, N),
+                        U0[None], U1[None], dU1[None, None], np.array([records]), eigs)
     _sample_forcing(state, 0, 2)
     return state
 
@@ -265,9 +266,9 @@ def _stack(states: list[SolverState]) -> SolverState:
         **{a: np.concatenate([getattr(s, a) for s in states]) for a in _MEMBER_ARRAYS[:2]})
 
 
-def initialize(problem: ProblemSpec, grid: Grid, dt: float) -> SolverState:
-    """Set up levels 0 and 1 of a one-member state and build its kernel
-    tables, with room for every level.
+def initialize(problem: ProblemSpec, grid: Grid, N: int) -> SolverState:
+    """Set up levels 0 and 1 of a one-member state, with step size T/N, and
+    build its kernel tables, with room for every level.
 
     The first level is the explicit start U^1 = U^0 + dt * u1, which pins
     the discrete initial velocity dU^1 to the samples of u1 up to roundoff.
@@ -275,7 +276,7 @@ def initialize(problem: ProblemSpec, grid: Grid, dt: float) -> SolverState:
     The explicit start's record is read from the modes like every step's;
     the forcing is sampled at levels 0 and 1 for its norms only.
     """
-    return _stack([_start(problem, grid, dt)])
+    return _stack([_start(problem, grid, N)])
 
 
 def _sample_forcing(state: SolverState, first: int, end: int) -> np.ndarray:
@@ -329,21 +330,21 @@ def assemble_step_system(state: SolverState) -> tuple[np.ndarray, np.ndarray]:
         r = f^n + dU^{n-1}/dt - lambda^2 (mu0 U^{n-1} + mem + K(t_n) U^0),
 
     with mem the history sum over the rows before level n.  The block of
-    level n comes from the state's cache.  When n lies outside it, or
-    ``tables`` was replaced, the whole aligned block of 32 levels from
-    first = 2 + 32k (to N at most) is made again: the members' forcing
-    samples, broadcast over the grid when scalar, are taken level by level
-    and transformed at once, the only transform; their norms go to the
-    records; and the far part of the history sum is made and folded, with
-    the initial-load source, into P = f - lambda^2 (far + K U^0) for each
-    level of the block.  Each level then adds dU^{n-1}/dt, the mu0 term
-    and its near part, over history rows first..n-1.  A forcing callable
-    that raises does so at the first level of its block, and the cache
-    and the records are then left as they were.
+    level n comes from the state's cache.  When n lies outside it, the
+    whole aligned block of 32 levels from first = 2 + 32k (to N at most)
+    is made again: the members' forcing samples, broadcast over the grid
+    when scalar, are taken level by level and transformed at once, the
+    only transform; their norms go to the records; and the far part of the
+    history sum is made and folded, with the initial-load source, into
+    P = f - lambda^2 (far + K U^0) for each level of the block.  Each
+    level then adds dU^{n-1}/dt, the mu0 term and its near part, over
+    history rows first..n-1.  A forcing callable that raises does so at
+    the first level of its block, and the cache and the records are then
+    left as they were.
     """
     n, N, dt, tables = state.n, state.n_steps, state.dt, state.tables
-    made_from, first, end = state._block[:3]
-    if made_from is not tables or not first <= n < end:
+    first, end = state._block[:2]
+    if not first <= n < end:
         first = n - (n - 2) % _BLOCK_LEVELS
         end = min(first + _BLOCK_LEVELS, N + 1)
         f = _sample_forcing(state, first, end)
@@ -355,9 +356,9 @@ def assemble_step_system(state: SolverState) -> tuple[np.ndarray, np.ndarray]:
         fixed += tables.tail[..., first:end, None] * state._U0[:, None]
         lam2 = state._eigs[None] ** 2
         D = 1.0 / dt + (tables.mu0 * dt + tables.weights[..., :1]) * lam2
-        state._block = (tables, first, end, sine_transform(f) - lam2[:, None] * fixed, lam2,
+        state._block = (first, end, sine_transform(f) - lam2[:, None] * fixed, lam2,
                         tables.mu0 * lam2, D)
-    _, first, end, P, lam2, mu0_lam2, D = state._block
+    first, end, P, lam2, mu0_lam2, D = state._block
     # w[n-first:0:-1] of each member, read forward so that each product is
     # a BLAS gemv.
     near = np.matmul(tables.reversed_weights[..., None, N - n + first - 1:N - 1],
@@ -443,23 +444,21 @@ def run_batch(problems, grid: Grid, N: int, config: SolverConfig | None = None
     """Solve levels 2..N of every problem; return each one's final state.
 
     Problems with the same step size T/N go through :func:`step` as one
-    batch.  A member whose set-up fails, a forcing that raises at level 0
-    or 1 included, or whose step raises a :class:`NumericalError`, gets
-    the exception in place of its state, and the rest of its batch goes on
-    from the level it reached.  Any other error in a step, say a forcing
-    or damping callable that raises rather than returning a non-finite
-    value, ends its whole batch.  In the steps the forcing is sampled up
-    to 31 levels ahead, so a forcing that raises does so at the first
-    level of the block that reaches its bad time.  Each final state views
-    its member's rows of the batch.
+    batch.  A member whose set-up fails, N < 1 or a forcing that raises at
+    level 0 or 1 included, or whose step raises a :class:`NumericalError`,
+    gets the exception in place of its state, and the rest of its batch
+    goes on from the level it reached.  Any other error in a step, say a
+    forcing or damping callable that raises rather than returning a
+    non-finite value, ends its whole batch.  In the steps the forcing is
+    sampled up to 31 levels ahead, so a forcing that raises does so at the
+    first level of the block that reaches its bad time.  Each final state
+    views its member's rows of the batch.
     """
     config = config or SolverConfig()
-    if N < 1:
-        raise ValueError("N must be at least 1")
     results = []
     for problem in problems:
         try:
-            results.append(_start(problem, grid, problem.T / N))
+            results.append(_start(problem, grid, N))
         except Exception as exc:
             results.append(exc)
     live = [i for i, r in enumerate(results) if isinstance(r, SolverState)]

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import __version__
 from .grid_ops import Grid, norm
+from .kernel import ConfigurationError
 from .model import ProblemSpec
 from .stepper import SolverConfig, run_batch
 
@@ -68,21 +69,21 @@ class StudySpec:
 
     def __post_init__(self):
         if self.axis not in (TEMPORAL, SPATIAL):
-            raise ValueError(f"unknown study axis {self.axis!r}")
+            raise ConfigurationError(f"unknown study axis {self.axis!r}")
         if self.levels < 2:
-            raise ValueError("a study needs at least two refinement levels")
+            raise ConfigurationError("a study needs at least two refinement levels")
         if self.axis == TEMPORAL:
             if self.level0 < 2 or self.level0 % 2:
-                raise ValueError("temporal studies need an even base step count")
+                raise ConfigurationError("temporal studies need an even base step count")
             if self.J < 4:
-                raise ValueError("temporal studies need a fixed grid J >= 4")
+                raise ConfigurationError("temporal studies need a fixed grid J >= 4")
         else:
             if self.level0 % 2 or self.level0 // 2 < 4:
-                raise ValueError(
+                raise ConfigurationError(
                     "spatial studies need an even base J with J/2 >= 4 so "
                     "grids nest down to the anchor level")
             if self.N < 1:
-                raise ValueError("spatial studies need a fixed step count N")
+                raise ConfigurationError("spatial studies need a fixed step count N")
 
     def display_levels(self) -> list[int]:
         return [self.level0 * 2**i for i in range(self.levels)]

@@ -89,7 +89,7 @@ def max_norm(W) -> float:
 def solve_levels(problem, grid, N, config=None):
     """Final state and the grid values U^0..U^N of a run, level by level."""
     config = config or SolverConfig()
-    state = initialize(problem, grid, problem.T / N)
+    state = initialize(problem, grid, N)
     levels = [state.U0, state.U_prev]
     while state.n <= N:
         step(state, config)
@@ -176,7 +176,7 @@ def long_double_solution(problem, grid, N: int, tol: float = 1e-16) -> np.ndarra
     worst and far better in practice.
     """
     ld = np.longdouble
-    state = initialize(problem, grid, problem.T / N)
+    state = initialize(problem, grid, N)
     dt, h, tables = ld(state.dt), ld(grid.h), state.tables
     lam2, mu0 = (state._eigs**2).astype(ld), ld(tables.mu0)
     w, tail = tables.weights.astype(ld), tables.tail.astype(ld)

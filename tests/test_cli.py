@@ -211,6 +211,31 @@ class TestErrorPaths:
         # An entry without keys once listed none: "expected one of ".
         assert not message.endswith("one of ")
 
+    @pytest.mark.parametrize("command, preset", [
+        ("solve", "example1"), ("study", "example2-temporal"),
+        ("stability", "example2-longtime"), ("weights", "example2")])
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_unusable_output_dir_is_config_error(self, command, preset, below,
+                                                 tmp_path, monkeypatch, capsys):
+        # A regular file, or a path below one, once raised a raw traceback
+        # after the whole run; now it stops before any run or table build.
+        def unreached(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        for name in ("run", "run_study"):
+            monkeypatch.setattr(cli, name, unreached)
+        monkeypatch.setattr(KernelTables, "build", unreached)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / below if below else blocker
+        code = main([command, "--preset", preset, "-o", str(out)])
+        assert code == EXIT_CONFIG
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["category"] == "config"
+        assert f"cannot use output directory {out}:" in err["message"]
+
     def test_removed_solver_key_is_config_error(self, tmp_path, capsys):
         code = main(["solve", "--preset", "example2", "--set",
                      "solver.snapshot_every=4", "-o", str(tmp_path)])

@@ -163,7 +163,7 @@ class TestStabilityMonitor:
         p = example2_problem(T=2.0)
         g = Grid(8)
         N = 500
-        state = initialize(p, g, p.T / N)
+        state = initialize(p, g, N)
         state.tables = dataclasses.replace(state.tables,
                                            weights=-state.tables.weights)
         cfg = SolverConfig()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from viscobeam import (
+    ConfigurationError,
     Grid,
     bending_energy,
     norm,
@@ -29,7 +30,7 @@ class TestGrid:
         assert np.allclose(g.x, np.arange(1, 8) / 8.0)
 
     def test_rejects_small_grids(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match=r"need J >= 4 .*\(got J=3\)"):
             Grid(3)
 
 

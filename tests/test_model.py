@@ -8,18 +8,12 @@ import pytest
 from viscobeam import (
     ConfigurationError,
     DampingFunction,
-    Grid,
     KernelSpec,
     OSCILLATORY,
     ProblemSpec,
-    damping_coefficient,
-    norm,
-    sine_transform,
 )
 from viscobeam.config import INITIAL_DATA, build_problem
 from viscobeam.presets import example1_problem, example2_problem
-
-from conftest import second_difference
 
 
 def _zero(x):
@@ -105,34 +99,6 @@ class TestDampingFunction:
             _problem(damping=under)
 
 
-class TestDampingCoefficient:
-    """G read from sine coefficients, against the grid-space stencil."""
-
-    def test_affine_at_rest(self):
-        g = Grid(8)
-        d = DampingFunction.affine(1.0, 1.0)
-        assert damping_coefficient(d, np.zeros(7), g) == 1.0
-
-    def test_sqrt_at_rest(self):
-        g = Grid(8)
-        d = DampingFunction.sqrt_affine(1.0, 1.0)
-        assert damping_coefficient(d, np.zeros(7), g) == 1.0
-
-    def test_sine_mode_eigen_identity(self):
-        # For the lowest sine mode the second difference is an exact
-        # eigenvector, so G(1 + lambda^2 ||U||^2); cross-checked against the
-        # brute-force second difference.
-        g = Grid(32)
-        u = np.sin(np.pi * g.x)
-        d = DampingFunction.affine(1.0, 1.0)
-        lam = -4.0 * np.sin(np.pi * g.h / 2.0) ** 2 / g.h**2
-        expected = 1.0 + lam**2 * norm(u, g) ** 2
-        brute = 1.0 + norm(second_difference(u, g), g) ** 2
-        got = damping_coefficient(d, sine_transform(u), g)
-        assert got == pytest.approx(expected, rel=1e-12)
-        assert got == pytest.approx(brute, rel=1e-15)
-
-
 class TestValidate:
     """A problem that breaks the scheme's assumptions cannot be built."""
 
@@ -169,6 +135,14 @@ class TestValidate:
         with pytest.raises(ConfigurationError, match="horizon"):
             _problem(T=0.0)
 
+    @pytest.mark.parametrize("T", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_horizon(self, T):
+        # T = inf once reached the stepper, which stopped with a bare
+        # "cannot convert float NaN to integer".
+        with pytest.raises(ConfigurationError,
+                           match="time horizon T must be positive and finite"):
+            _problem(T=T)
+
     def test_every_violation_listed(self):
         # The problem's own violations, in order, joined by "; ".
         with pytest.raises(ConfigurationError) as exc:
@@ -176,7 +150,8 @@ class TestValidate:
                      u1=lambda x: 1.0 + 0.0 * np.asarray(x))
         assert str(exc.value) == (
             "damping lower bound g0 must be positive (got 0.0); the velocity term "
-            "must stay dissipative; time horizon T must be positive (got 0.0); "
+            "must stay dissipative; time horizon T must be positive and finite "
+            "(got 0.0); "
             "initial data u1 must vanish at x=0 and x=1 for the hinged boundary "
             "(got end values [1.0, 1.0] against max |u1| = 1)")
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from viscobeam import (
+    ConfigurationError,
     DampingFunction,
     Grid,
     KernelSpec,
@@ -39,15 +40,29 @@ def _zero(x):
     return np.zeros_like(np.asarray(x, dtype=float))
 
 
-def zero_problem(T=1.0):
+def zero_problem(T=1.0, damping=DampingFunction.affine(1.0, 1.0)):
     return ProblemSpec(u0=_zero, u1=_zero, forcing=lambda x, t: _zero(x),
-                       damping=DampingFunction.affine(1.0, 1.0),
+                       damping=damping,
                        kernel=KernelSpec(family=NO_MEMORY), T=T)
+
+
+class TestSolverConfig:
+    # Each of these once got through: an infinite fp_tol ran every step on
+    # one unconverged iteration, 2.5 iterations raised a raw TypeError at
+    # the first step and True ran as one iteration.
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"fp_tol": math.inf}, "solver.fp_tol must be positive and finite"),
+        ({"fp_max_iters": 2.5}, "solver.fp_max_iters must be an integer"),
+        ({"fp_max_iters": True}, "solver.fp_max_iters must be an integer"),
+    ], ids=["fp_tol=inf", "fp_max_iters=2.5", "fp_max_iters=True"])
+    def test_rejects_what_the_config_rejects(self, kwargs, message):
+        with pytest.raises(ConfigurationError, match=message):
+            SolverConfig(**kwargs)
 
 
 class TestInitialize:
     def test_zero_data(self):
-        state = initialize(zero_problem(), Grid(8), 0.25)
+        state = initialize(zero_problem(), Grid(8), 4)
         assert np.all(state.U0 == 0.0)
         assert np.all(state.U_prev == 0.0)
         assert state.n == 2
@@ -57,7 +72,7 @@ class TestInitialize:
         p = example1_problem()
         g = Grid(32)
         dt = 1.0 / 16
-        state = initialize(p, g, dt)
+        state = initialize(p, g, 16)
         assert np.allclose(state.U0, np.sin(np.pi * g.x), rtol=1e-15)
         expected_u1 = np.sin(np.pi * g.x) + dt * np.sin(2 * np.pi * g.x)
         assert np.allclose(state.U_prev, expected_u1, rtol=1e-15)
@@ -68,12 +83,13 @@ class TestInitialize:
     def test_polynomial_start(self):
         p = example2_problem()
         g = Grid(16)
-        state = initialize(p, g, 1.0 / 8)
+        state = initialize(p, g, 8)
         assert np.allclose(state.U0, g.x**2 * (1 - g.x) ** 2, rtol=1e-15)
 
-    def test_dt_must_divide_horizon(self):
-        with pytest.raises(ValueError):
-            initialize(zero_problem(T=1.0), Grid(8), 0.3)
+    def test_needs_at_least_one_step(self):
+        for start in (initialize, run):
+            with pytest.raises(ValueError, match="N must be at least 1"):
+                start(zero_problem(), Grid(8), 0)
 
 
 def dense_step_matrix(state, G_val):
@@ -89,7 +105,7 @@ class TestAssembleStepSystem:
     dense stencil oracle."""
 
     def test_zero_state_gives_zero_solution(self):
-        state = initialize(zero_problem(), Grid(8), 0.25)
+        state = initialize(zero_problem(), Grid(8), 4)
         r, D = assemble_step_system(state)
         assert np.all(r == 0.0) and np.all(state._U1 == 0.0)
         assert np.all(state._history[:, 0] == 0.0)
@@ -99,7 +115,7 @@ class TestAssembleStepSystem:
         assert state.series().fp_iters[-1] == 1
 
     def test_matrix_positive_definite_dense_oracle(self):
-        state = initialize(example1_problem(), Grid(8), 1.0 / 16)
+        state = initialize(example1_problem(), Grid(8), 16)
         _, D = assemble_step_system(state)
         G_val = 1.3
         modal = D + G_val
@@ -108,7 +124,7 @@ class TestAssembleStepSystem:
         assert np.allclose(eigs, np.sort(modal), rtol=0, atol=1e-12 * modal.max())
 
     def test_matrix_symmetric(self):
-        state = initialize(example2_problem(), Grid(8), 1.0 / 16)
+        state = initialize(example2_problem(), Grid(8), 16)
         _, D = assemble_step_system(state)
         G_val = 2.0
         dense = dense_step_matrix(state, G_val)
@@ -126,7 +142,7 @@ class TestAssembleStepSystem:
         p = example1_problem()
         g = Grid(8)
         dt = 1.0 / 16
-        state = initialize(p, g, dt)
+        state = initialize(p, g, 16)
         before = state.U0
         while state.n < n:
             before = state.U_prev
@@ -147,7 +163,7 @@ class TestAssembleStepSystem:
 
     def test_history_contribution_linear(self, rng):
         p = example2_problem()
-        state = initialize(p, Grid(8), 1.0 / 16)
+        state = initialize(p, Grid(8), 16)
 
         def rhs_with_history(hist_row):
             state._history[0] = hist_row
@@ -162,7 +178,7 @@ class TestAssembleStepSystem:
 
 class TestStep:
     def test_zero_data_stays_zero(self):
-        state = initialize(zero_problem(), Grid(8), 0.125)
+        state = initialize(zero_problem(), Grid(8), 8)
         cfg = SolverConfig()
         for _ in range(8 - 1):
             step(state, cfg)
@@ -172,14 +188,14 @@ class TestStep:
     def test_nonconvergence_raises_with_step_index(self):
         p = example1_problem()
         cfg = SolverConfig(fp_tol=1e-12, fp_max_iters=1)
-        state = initialize(p, Grid(32), 1.0 / 16)
+        state = initialize(p, Grid(32), 16)
         with pytest.raises(NonConvergenceError) as exc:
             step(state, cfg)
         assert exc.value.step_index == 2
         assert exc.value.last_increment > 1e-12
 
     def test_step_past_end_rejected(self):
-        state = initialize(zero_problem(), Grid(8), 0.5)
+        state = initialize(zero_problem(), Grid(8), 2)
         cfg = SolverConfig()
         step(state, cfg)
         with pytest.raises(ValueError):
@@ -195,7 +211,7 @@ class TestStep:
                         u1=_zero, forcing=lambda x, t: _zero(x),
                         damping=DampingFunction(fn, 1.0, 1.0),
                         kernel=KernelSpec(family=NO_MEMORY))
-        state = initialize(p, Grid(16), 1.0 / 8)
+        state = initialize(p, Grid(16), 8)
         with pytest.raises(NumericalError, match="not finite") as exc:
             step(state, SolverConfig())
         assert not isinstance(exc.value, NonConvergenceError)
@@ -218,7 +234,7 @@ class TestStep:
         # 32 levels at a time: 40 steps from level 2 transform the blocks
         # of levels 2..33 and 34..64 (N = 64) and nothing else, so no level
         # or history row is moved back to grid values between steps.
-        state = initialize(example2_problem(), Grid(16), 1.0 / 64)
+        state = initialize(example2_problem(), Grid(16), 64)
         calls = []
 
         def counting_transform(W):
@@ -289,7 +305,7 @@ class TestRunBatch:
         problems = [example2_problem(sigma=s) for s in (1.5, 3.0)]
         g, N = Grid(8), 8
         batch = viscobeam.stepper._stack(
-            [viscobeam.stepper._start(p, g, 1.0 / N) for p in problems])
+            [viscobeam.stepper._start(p, g, N) for p in problems])
         while batch.n <= N:
             step(batch, SolverConfig())
         assert batch.U_prev.shape == (2, 7)
@@ -303,8 +319,8 @@ class TestRunBatch:
         # level index, newest level, history and records keep their bytes.
         # After 32 steps the failing level 34 starts a block, whose fill
         # writes the next 32 forcing norms (records row 4) ahead.
-        g, dt = Grid(32), 1.0 / 256
-        batch = viscobeam.stepper._stack([viscobeam.stepper._start(p, g, dt) for p in (
+        g = Grid(32)
+        batch = viscobeam.stepper._stack([viscobeam.stepper._start(p, g, 256) for p in (
             example1_problem(), example1_problem(sigma=1.5))])
         for _ in range(steps):
             step(batch, SolverConfig())
@@ -326,7 +342,7 @@ class TestRunBatch:
                           kernel=KernelSpec(family=NO_MEMORY))
         g = Grid(8)
         batch = viscobeam.stepper._stack(
-            [viscobeam.stepper._start(p, g, 1.0 / 8) for p in (example2_problem(), big)])
+            [viscobeam.stepper._start(p, g, 8) for p in (example2_problem(), big)])
         before = batch.U_prev.copy()
         with pytest.raises(NumericalError, match="not finite") as exc:
             step(batch, SolverConfig())
@@ -362,7 +378,7 @@ class TestRunBatch:
         states = run_batch([good[0], bad, good[1]], g, 8)
         assert isinstance(states[1], RuntimeError) and str(states[1]) == "forcing broke"
         with pytest.raises(RuntimeError, match="forcing broke"):
-            initialize(bad, g, 1.0 / 8)
+            initialize(bad, g, 8)
         for k, p in ((0, good[0]), (2, good[1])):
             assert np.array_equal(states[k].U_prev, run(p, g, 8)[0].U_prev)
 
@@ -380,7 +396,7 @@ class TestForcingBlocks:
         # zeroed the history drops out of both, so the forcing path must
         # match bit for bit.
         p, g, N, cfg = example1_problem(), Grid(16), 100, SolverConfig()
-        blocked, oracle = initialize(p, g, p.T / N), initialize(p, g, p.T / N)
+        blocked, oracle = initialize(p, g, N), initialize(p, g, N)
         blocked.tables = oracle.tables = dataclasses.replace(
             blocked.tables, weights=np.zeros(N), tail=np.zeros(N + 1))
         while blocked.n <= N:
@@ -397,7 +413,7 @@ class TestForcingBlocks:
             assert np.array_equal(blocked._records[:, :, :blocked.n],
                                   oracle._records[:, :, :oracle.n])
         assert np.array_equal(blocked._records, oracle._records)
-        assert blocked._block[1:3] == (98, 101)
+        assert blocked._block[:2] == (98, 101)
         assert np.array_equal(blocked.series().fp_iters, oracle.series().fp_iters)
 
     @staticmethod
@@ -423,7 +439,7 @@ class TestForcingBlocks:
         # run.  Both runs take the same number of fixed-point iterations
         # at every level.
         p, g, N, cfg = example1_problem(), Grid(16), 100, SolverConfig()
-        blocked, oracle = initialize(p, g, p.T / N), initialize(p, g, p.T / N)
+        blocked, oracle = initialize(p, g, N), initialize(p, g, N)
         while blocked.n <= N:
             self.assert_within_summation_bound(blocked, p)
             step(blocked, cfg)
@@ -439,7 +455,7 @@ class TestForcingBlocks:
         # r keeps within the summation bound at levels around the panel
         # and block edges.
         p, N = example1_problem(), 600
-        state = initialize(p, Grid(J), p.T / N)
+        state = initialize(p, Grid(J), N)
         state._history[:] = rng.standard_normal(state._history.shape)
         for n in (2, 33, 66, 130, 131, 258, 259, 290, 300, 321, 514, 600):
             state.n = n
@@ -450,7 +466,7 @@ class TestForcingBlocks:
         # its first level, and each level's near product spans the rows
         # made inside the block so far: 0, 1, .., 31.
         p, g, N = example1_problem(), Grid(16), 100
-        state = initialize(p, g, p.T / N)
+        state = initialize(p, g, N)
         while state.n < 66:
             step(state, SolverConfig())
         far, near = [], []
@@ -463,30 +479,13 @@ class TestForcingBlocks:
         assert far == [(66, 66, 98)]
         assert near == list(range(32))
 
-    def test_replaced_tables_refill_the_block(self):
-        # Tables swapped at level 40, inside the block of levels 34..65,
-        # refill that block from level 34 with the new weights: r has the
-        # bits of a replaced copy of the state, whose cache starts empty.
-        p, g, N = example1_problem(), Grid(16), 100
-        state = initialize(p, g, p.T / N)
-        while state.n < 40:
-            step(state, SolverConfig())
-        stale = assemble_step_system(state)[0]
-        state.tables = dataclasses.replace(state.tables, weights=0.5 * state.tables.weights)
-        fresh = dataclasses.replace(state)
-        assert fresh._block[0] is None
-        r = assemble_step_system(state)[0]
-        assert np.array_equal(r, assemble_step_system(fresh)[0])
-        assert not np.array_equal(r, stale)
-        assert state._block[1:3] == (34, 66)
-
     def test_far_block_fill_peak_memory_bounded(self, rng):
         # The block of levels 8162..8192 at J = 64, N = 8192 sums 8161
         # history rows through one 31 x 256 panel buffer, about 0.13 MB at
         # peak with the block's arrays; a 31 x 8161 Toeplitz copy of the
         # weights alone would take 2 MB.
         p, N = example2_problem(), 8192
-        state = initialize(p, Grid(64), p.T / N)
+        state = initialize(p, Grid(64), N)
         state._history[:] = rng.standard_normal(state._history.shape)
         state.n = 8162
         tracemalloc.start()
@@ -495,7 +494,7 @@ class TestForcingBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert state._block[1:3] == (8162, 8193)
+        assert state._block[:2] == (8162, 8193)
         assert peak <= 0.3e6
 
     def test_member_failing_inside_a_block(self):
@@ -527,7 +526,7 @@ class TestForcingBlocks:
         # member keeps the bits of its run alone.
         problems = [example1_problem(sigma=s) for s in (1.2, 2.0)]
         g, N = Grid(16), 64
-        singles = [initialize(p, g, 1.0 / N) for p in problems]
+        singles = [initialize(p, g, N) for p in problems]
         for s in singles:
             while s.n < 10:
                 step(s, SolverConfig())
@@ -545,13 +544,13 @@ class TestForcingBlocks:
         # alone up to N = 600.
         problems = [example1_problem(sigma=s) for s in (1.2, 2.0)]
         g, N = Grid(8), 600
-        singles = [initialize(p, g, 1.0 / N) for p in problems]
+        singles = [initialize(p, g, N) for p in problems]
         for s in singles:
             while s.n < 300:
                 step(s, SolverConfig())
         batch = viscobeam.stepper._stack(singles)
         step(batch, SolverConfig())
-        assert batch._block[1:3] == (290, 322)
+        assert batch._block[:2] == (290, 322)
         while batch.n <= N:
             step(batch, SolverConfig())
         for row, p in zip(batch.U_prev, problems):
@@ -568,7 +567,7 @@ class TestForcingBlocks:
                 raise RuntimeError("forcing broke")
             return base.forcing(x, t)
 
-        state = initialize(dataclasses.replace(base, forcing=forcing), Grid(16), 0.01)
+        state = initialize(dataclasses.replace(base, forcing=forcing), Grid(16), 100)
         while state.n < 34:
             step(state, cfg)
         before = [a.copy() for a in (state._U1, state._history, state._records)]
@@ -586,7 +585,7 @@ class TestForcingBlocks:
         # about 0.5 MB; a longer block would show here.
         problems = [example1_problem(sigma=s) for s in (1.2, 1.5, 2.0, 2.5)]
         batch = viscobeam.stepper._stack(
-            [viscobeam.stepper._start(p, Grid(64), 1.0 / 128) for p in problems])
+            [viscobeam.stepper._start(p, Grid(64), 128) for p in problems])
         tracemalloc.start()
         try:
             for _ in range(64):
@@ -650,7 +649,7 @@ class TestVelocitySolve:
         # iterations, but every level is accepted within 10 fp_tol of the
         # run started from G_0, and v_0 itself is never accepted.
         p, g, N, cfg = example1_problem(), Grid(16), 64, SolverConfig()
-        plain, far = initialize(p, g, p.T / N), initialize(p, g, p.T / N)
+        plain, far = initialize(p, g, N), initialize(p, g, N)
         while plain.n <= N:
             n = plain.n
             step(plain, cfg)
@@ -732,18 +731,24 @@ class TestRun:
                    + state.tables.tail[n] * fourth_difference(U[0], g))
             assert max_norm(res) <= bound
 
-    @pytest.mark.parametrize("problem", [example1_problem, example2_problem])
+    @pytest.mark.parametrize("problem", [
+        example1_problem, example2_problem,
+        pytest.param(zero_problem, id="at_rest_affine"),
+        pytest.param(lambda: zero_problem(damping=DampingFunction.sqrt_affine(1.0, 1.0)),
+                     id="at_rest_sqrt_affine")])
     def test_level_one_record_matches_grid_oracle(self, problem):
         # The explicit start's curvature norm and damping are read from the
         # modes like every later step's; check them against the stencil.
+        # At rest G is exactly the law's lower bound g0.
         p = problem()
         g = Grid(32)
-        state = initialize(p, g, p.T / 16)
+        state = initialize(p, g, 16)
         _, series = run(p, g, 16)
         curv = norm(second_difference(state.U_prev, g), g)
         assert series.n[0] == 1
         assert series.curv_norm[0] == pytest.approx(curv, rel=1e-13)
         assert series.damping[0] == pytest.approx(p.damping(curv**2), rel=1e-13)
+        assert curv > 0.0 or series.damping[0] == p.damping.g0
 
     @pytest.mark.parametrize("problem", [example1_problem, example2_problem])
     def test_step_records_match_grid_oracle(self, problem):
@@ -778,13 +783,13 @@ class TestRun:
         # scheduler noise drops out.  The fill also samples and transforms
         # the (zero) forcing of its 32 levels, one to two gemvs' worth.
         p, N, n0 = example2_problem(), 8192, 4098
-        state = initialize(p, Grid(64), p.T / N)
+        state = initialize(p, Grid(64), N)
         state._history[:] = rng.standard_normal(state._history.shape)
         state.n = n0
         w, rows = rng.standard_normal(n0 - 1), state._history[0, :n0 - 1]
 
         def fill():
-            state._block = (None, *state._block[1:])
+            state._block = viscobeam.stepper._NO_BLOCK
             assemble_step_system(state)
 
         calls = {"fill": fill, "cached": lambda: assemble_step_system(state),
@@ -795,7 +800,7 @@ class TestRun:
                 t0 = time.perf_counter()
                 call()
                 best[key] = min(best[key], time.perf_counter() - t0)
-        assert state._block[1:3] == (n0, n0 + 32)
+        assert state._block[:2] == (n0, n0 + 32)
         assert best["fill"] - best["cached"] <= 16.0 * best["gemv"]
 
 

@@ -80,11 +80,11 @@ class TestStudySpec:
 
     def test_rejects_bad_axis_and_levels(self):
         cells = (StudyCell("c", zero_problem()),)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="unknown study axis 'sideways'"):
             StudySpec(axis="sideways", cells=cells, level0=8, levels=3, J=8)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="at least two refinement levels"):
             StudySpec(axis=TEMPORAL, cells=cells, level0=8, levels=1, J=8)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="J/2 >= 4"):
             # anchor grid would be J = 3, too small for the stencil
             StudySpec(axis=SPATIAL, cells=cells, level0=6, levels=2, N=8)
 
