@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import math
+import numbers
 
 import numpy as np
 
@@ -33,10 +34,13 @@ class Grid:
     J: int
 
     def __post_init__(self):
-        if self.J < 4:
+        J = self.J
+        if isinstance(J, bool) or not isinstance(J, numbers.Integral):
+            raise ConfigurationError(f"grid J must be an integer (got J={J!r})")
+        if J < 4:
             raise ConfigurationError(
                 f"need J >= 4 so the biharmonic stencil has an unclipped row "
-                f"(got J={self.J})")
+                f"(got J={J})")
 
     @property
     def h(self) -> float:

@@ -74,17 +74,19 @@ class DampingFunction:
 class ProblemSpec:
     """Initial data, forcing, damping law, kernel and horizon of one problem.
 
-    ``u0``/``u1`` map node positions to initial displacement/velocity,
-    ``forcing`` maps (x, t) to the load, which may be a scalar: it is then
-    broadcast over the grid.  Both initial fields must vanish at the ends
-    to be compatible with the hinged boundary.  A problem that breaks the
-    scheme's assumptions cannot be built.  Immutable; safe to share across
-    concurrent runs.
+    ``u0``/``u1`` map node positions to initial displacement/velocity.
+    ``forcing`` maps (x, t) to the load, for a block of levels at once: it
+    must broadcast over x of shape (1, J-1), the interior nodes, and t of
+    shape (L, 1), the levels' times, and its result is broadcast to
+    (L, J-1), so a scalar load still works.  Both initial fields must
+    vanish at the ends to be compatible with the hinged boundary.  A
+    problem that breaks the scheme's assumptions cannot be built.
+    Immutable; safe to share across concurrent runs.
     """
 
     u0: Callable[[np.ndarray], np.ndarray]
     u1: Callable[[np.ndarray], np.ndarray]
-    forcing: Callable[[np.ndarray, float], np.ndarray | float]
+    forcing: Callable[[np.ndarray, np.ndarray], np.ndarray | float]
     damping: DampingFunction
     kernel: KernelSpec
     T: float = 1.0

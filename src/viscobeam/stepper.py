@@ -22,12 +22,13 @@ The whole state lives in the sine basis: U^0, the newest level and the
 velocity history are stored as coefficients, and grid values are made
 only from the initial data, the forcing samples and on output.  The
 levels fall into blocks of 32, aligned at levels 2 + 32k.  For each block
-the forcing is sampled and transformed at once, and the exact history sum
-is split in two.  Its far part, over the rows before the block, is made
-once for the whole block as products of Toeplitz panels of the weights
-with at most 256 history rows each (fewer on grids finer than J = 64),
-one single-threaded BLAS call per panel, and folded with the forcing and
-the initial-load source into one cached right-hand side per level.  Each
+the forcing is sampled in one call per member and transformed at once,
+and the exact history sum is split in two.  Its far part, over the rows
+before the block, is made once for the whole block as products of at
+most 256 history rows each (fewer on grids finer than J = 64), viewed
+transposed, with transposed Toeplitz panels of the weights, one
+single-threaded BLAS call per panel, and folded with the forcing and the
+initial-load source into one cached right-hand side per level.  Each
 step adds its near part, one matrix-vector product over the at most 31
 rows made inside the block.  The sum still costs O(n * J) per step, but
 most of it now runs as matrix products; only its order of summation
@@ -61,7 +62,7 @@ from .grid_ops import (Grid, bending_energy, norm, second_difference_eigenvalues
 from .kernel import ConfigurationError, KernelTables
 from .model import ProblemSpec
 
-_CSV_BLOCK_ROWS = 256
+_CSV_BLOCK_ROWS = 64
 #: Levels per block: the forcing is sampled and transformed, and the far
 #: part of the history sum is made, once per block.  A block holds 32 (J-1)
 #: floats per member; 128 levels raised the peak RSS of
@@ -69,12 +70,16 @@ _CSV_BLOCK_ROWS = 256
 _BLOCK_LEVELS = 32
 #: History rows per far-part panel product, halved on grids finer than
 #: J = 64 until C (J-1) < 2^14.  On a 2-CPU Haswell host OpenBLAS 0.3.31 ran
-#: every 32 x C by C x (J-1) product with 32 C (J-1) < 2^19 on one thread
-#: (its worker thread took no CPU time); 32 x 200 by 200 x 127 and 32 x 500
-#: by 500 x 63 ran on two, and such threaded products were up to 16 times
-#: slower while the other CPU was busy.  At J = 64, 512 rows raised the CPU
-#: time of ``stability --preset example2-longtime`` in process from 0.34 to
-#: 0.66 s.
+#: every (J-1) x C by C x 32 product with 32 C (J-1) < 2^19 on one thread
+#: (its worker thread took no CPU time); products of 32 x 200 by 200 x 127
+#: and 32 x 500 by 500 x 63 ran on two, and such threaded products were up
+#: to 16 times slower while the other CPU was busy.  At J = 64, 512 rows
+#: raised the CPU time of ``stability --preset example2-longtime`` in
+#: process from 0.34 to 0.66 s.  The history rows enter transposed, as a
+#: view: 63 x 256 by 256 x 32 took 18-24 us there, against 26-37 us for
+#: the same sums as 32 x 256 by 256 x 63.  The two orders give equal bits
+#: when (J-1) mod 8 is 0, 5, 6 or 7, so on every power-of-two grid; on the
+#: other grids OpenBLAS's edge kernels sum in another order.
 _PANEL_ROWS = 256
 #: The empty block cache of a state: no levels.
 _NO_BLOCK = (0, 0, None, None, None, None)
@@ -114,9 +119,11 @@ class SolverConfig:
     fp_max_iters: int = 50
 
     def __post_init__(self):
-        if not 0.0 < self.fp_tol < math.inf:
+        tol = self.fp_tol
+        if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
+                or not 0.0 < tol < math.inf):
             raise ConfigurationError(
-                f"solver.fp_tol must be positive and finite (got {self.fp_tol})")
+                f"solver.fp_tol must be positive and finite (got {tol!r})")
         n = self.fp_max_iters
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
             raise ConfigurationError(
@@ -208,17 +215,19 @@ class TimeSeries:
 def _write_csv(path, columns: dict) -> None:
     """Write equal-length numeric columns under a header of their names,
     byte for byte as :func:`csv.writer` does: ``repr`` of each Python int
-    or float, comma separated, CRLF line ends.  Columns are read as Python
-    lists in blocks of rows, since whole columns as lists would raise the
-    peak memory of a long run by about 1 MB, and each row is written on
-    its own: joining a block of 256 rows raised the peak RSS of a
-    J = 64, N = 8192 ``solve`` by 0.125 MB."""
+    or float, comma separated, CRLF line ends.  The rows go out in blocks
+    of 64: ``repr`` is mapped over each column's block as a Python list,
+    and the block's rows are joined into one write.  Whole columns as
+    lists would raise the peak memory of a long run by about 1 MB; blocks
+    of 256 rows raised the peak RSS of ``stability --preset
+    example2-longtime`` in process by 0.13-0.2 MB, and blocks of 64 kept
+    it within 0.1 MB of writing row by row."""
     arrays = list(columns.values())
     with open(path, "w", newline="") as fh:
         fh.write(",".join(columns) + "\r\n")
         for i in range(0, len(arrays[0]), _CSV_BLOCK_ROWS):
-            for row in zip(*(a[i:i + _CSV_BLOCK_ROWS].tolist() for a in arrays)):
-                fh.write(",".join(map(repr, row)) + "\r\n")
+            cells = (map(repr, a[i:i + _CSV_BLOCK_ROWS].tolist()) for a in arrays)
+            fh.write("".join(",".join(row) + "\r\n" for row in zip(*cells)))
 
 
 def write_solution_csv(path, grid: Grid, U: np.ndarray) -> None:
@@ -280,13 +289,15 @@ def initialize(problem: ProblemSpec, grid: Grid, N: int) -> SolverState:
 
 
 def _sample_forcing(state: SolverState, first: int, end: int) -> np.ndarray:
-    """The members' forcing samples at levels first..end-1, broadcast over
-    the grid when scalar, as a (B, end-first, J-1) array.  Their norms
-    sqrt(h) ||f^m|| go to the records once every sample is in."""
-    x, f = state.grid.x, np.empty((len(state.problems), end - first, state.grid.n_interior))
-    for level in range(first, end):
-        for i, problem in enumerate(state.problems):
-            f[i, level - first] = problem.forcing(x, level * state.dt)
+    """The members' forcing samples at levels first..end-1 as a
+    (B, end-first, J-1) array: one call per member, on the interior nodes
+    as a (1, J-1) row and the levels' times as an (end-first, 1) column,
+    its result broadcast over both.  Their norms sqrt(h) ||f^m|| go to the
+    records once every sample is in."""
+    x, t = state.grid.x[None], np.arange(first, end)[:, None] * state.dt
+    f = np.empty((len(state.problems), end - first, state.grid.n_interior))
+    for i, problem in enumerate(state.problems):
+        f[i] = problem.forcing(x, t)
     state._records[:, 4, first:end] = np.sqrt(state.grid.h * np.vecdot(f, f))
     return f
 
@@ -297,11 +308,13 @@ def _far_history(state: SolverState, first: int, end: int) -> np.ndarray:
 
     Row q of the history (dU^{q+1}) is weighted by rev[N - first - i + q]
     of the reversed weights, so the weights form a Toeplitz matrix, read
-    here as a window view.  Member by member, it is copied one panel of at
-    most C history rows at a time into one buffer, and each panel is one
-    matrix product, summed in panel order.  Panels start at multiples of
-    C, which depends on J only (see _PANEL_ROWS), so a member's sum does
-    not depend on its batch.
+    here as a window view.  Member by member, it is copied transposed, one
+    panel of at most C history rows at a time, into one (C, end-first)
+    buffer, and each panel is one matrix product of the panel's history
+    rows, viewed transposed, with it, summed in panel order into a
+    (J-1, end-first) array.  Panels start at multiples of C, which depends
+    on J only (see _PANEL_ROWS), so a member's sum does not depend on its
+    batch.  The far part is returned as a (B, end-first, J-1) view.
     """
     history, N, rows = state._history, state.n_steps, first - 1
     width = _PANEL_ROWS
@@ -309,14 +322,14 @@ def _far_history(state: SolverState, first: int, end: int) -> np.ndarray:
         width //= 2
     rev = np.broadcast_to(state.tables.reversed_weights, history.shape[:2])
     toeplitz = sliding_window_view(rev[:, N - end + 1:N - 1], rows, axis=-1)[:, ::-1]
-    buffer = np.empty((end - first, min(rows, width)))
-    far = np.zeros((len(history), end - first, history.shape[-1]))
+    buffer = np.empty((min(rows, width), end - first))
+    far = np.zeros((len(history), history.shape[-1], end - first))
     for k in range(len(history)):
         for q in range(0, rows, width):
-            panel = buffer[:, :min(rows - q, width)]
-            np.copyto(panel, toeplitz[k, :, q:q + panel.shape[-1]])
-            far[k] += panel @ history[k, q:q + panel.shape[-1]]
-    return far
+            panel = buffer[:min(rows - q, width)]
+            np.copyto(panel, toeplitz[k, :, q:q + len(panel)].T)
+            far[k] += history[k, q:q + len(panel)].T @ panel
+    return far.transpose(0, 2, 1)
 
 
 def assemble_step_system(state: SolverState) -> tuple[np.ndarray, np.ndarray]:
@@ -332,9 +345,9 @@ def assemble_step_system(state: SolverState) -> tuple[np.ndarray, np.ndarray]:
     with mem the history sum over the rows before level n.  The block of
     level n comes from the state's cache.  When n lies outside it, the
     whole aligned block of 32 levels from first = 2 + 32k (to N at most)
-    is made again: the members' forcing samples, broadcast over the grid
-    when scalar, are taken level by level and transformed at once, the
-    only transform; their norms go to the records; and the far part of the
+    is made again: the members' forcing samples are taken in one call per
+    member (see :func:`_sample_forcing`) and transformed at once, the only
+    transform; their norms go to the records; and the far part of the
     history sum is made and folded, with the initial-load source, into
     P = f - lambda^2 (far + K U^0) for each level of the block.  Each
     level then adds dU^{n-1}/dt, the mu0 term and its near part, over
@@ -398,8 +411,9 @@ def step(state: SolverState, config: SolverConfig) -> None:
     # iterate repeats its final one bit for bit.  ``stack`` holds the
     # iterate's increment, the iterate, its level U^{n-1} + dt v and lambda
     # times that level, so that one vecdot gives all four squared norms of
-    # every member.  The start's increment is v_0 itself, checked only for
-    # being finite.
+    # every member.  The start v_0 is solved straight into the iterate row;
+    # its increment is v_0 itself, so its own squared norm is what is
+    # checked for being finite.
     laws = [problem.damping for problem in state.problems]
     G_col, iters = np.empty((len(r), 1)), [0] * len(r)
     stack = np.zeros((4,) + r.shape)
@@ -412,13 +426,17 @@ def step(state: SolverState, config: SolverConfig) -> None:
                 raise NumericalError(
                     n, f"damping coefficient G = {G[i]!r} at step {n} is not finite", i)
         G_col[:, 0] = G
-        v = r / (D + G_col)
-        np.subtract(v, stack[1], out=stack[0])
-        stack[1] = v
-        np.multiply(lam, np.add(state._U1, dt * v, out=stack[2]), out=stack[3])
+        if it:
+            v = r / (D + G_col)
+            np.subtract(v, stack[1], out=stack[0])
+            stack[1] = v
+        else:
+            np.divide(r, D + G_col, out=stack[1])
+        np.multiply(lam, np.add(state._U1, dt * stack[1], out=stack[2]), out=stack[3])
         increments, speeds, sizes, energies = np.vecdot(stack, stack).tolist()
         for i in active:
-            if not math.isfinite(increment := dt * math.sqrt(h * increments[i])):
+            squared = increments[i] if it else speeds[i]
+            if not math.isfinite(increment := dt * math.sqrt(h * squared)):
                 raise NumericalError(n, f"non-finite iterate at step {n}", i)
             if it and increment <= config.fp_tol * max(1.0, math.sqrt(h * sizes[i])):
                 iters[i] = it

@@ -33,6 +33,13 @@ class TestGrid:
         with pytest.raises(ConfigurationError, match=r"need J >= 4 .*\(got J=3\)"):
             Grid(3)
 
+    @pytest.mark.parametrize("J", [8.5, "8", True])
+    def test_rejects_non_integer_J(self, J):
+        # 8.5 once built a grid whose first run stopped with a bare
+        # ValueError about a (7.5,) shape; "8" raised a raw TypeError.
+        with pytest.raises(ConfigurationError, match=r"grid J must be an integer"):
+            Grid(J)
+
 
 class TestSecondDifference:
     def test_zero(self):

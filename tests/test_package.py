@@ -46,3 +46,36 @@ lines"""  # trailing comment
     for k in (1, 2):
         assert sum(int(c[k].replace(",", "")) for c in counts[1:]) \
             == int(counts[0][k].replace(",", ""))
+
+
+def test_bench_pairs_summary():
+    # tools/bench_pairs.py: a gain needs wins in at least nine tenths of the
+    # pairs and a median gap wider than the parent's interquartile range,
+    # in the metric's better direction; ties count for neither side.
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    summarize = bench_pairs.summarize
+
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+    change = [p - 0.1 for p in parent]
+    s = summarize(parent, change, "lower")
+    assert s["parent"] == (0.98, 1.0, 1.02)
+    assert s["change_wins"] == 10 and s["parent_wins"] == 0 and s["gain"]
+    assert abs(s["gap"] + 0.1) < 1e-12
+    # The same numbers for a metric where higher is better: a loss.
+    s = summarize(parent, change, "higher")
+    assert s["change_wins"] == 0 and s["parent_wins"] == 10 and not s["gain"]
+
+    # Eight wins, one tie and one loss in ten pairs is short of 9/10.
+    change = [p - 0.1 for p in parent[:8]] + [parent[8], parent[9] + 0.1]
+    s = summarize(parent, change, "lower")
+    assert (s["change_wins"], s["parent_wins"]) == (8, 1) and not s["gain"]
+
+    # Ten wins by a gap narrower than the parent's IQR of 0.04: no gain.
+    s = summarize(parent, [p - 0.03 for p in parent], "lower")
+    assert s["change_wins"] == 10 and not s["gain"]

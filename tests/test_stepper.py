@@ -49,12 +49,16 @@ def zero_problem(T=1.0, damping=DampingFunction.affine(1.0, 1.0)):
 class TestSolverConfig:
     # Each of these once got through: an infinite fp_tol ran every step on
     # one unconverged iteration, 2.5 iterations raised a raw TypeError at
-    # the first step and True ran as one iteration.
+    # the first step and True ran as one iteration; fp_tol=True ran every
+    # step on one iteration and "abc" raised a raw TypeError.
     @pytest.mark.parametrize("kwargs, message", [
         ({"fp_tol": math.inf}, "solver.fp_tol must be positive and finite"),
+        ({"fp_tol": True}, "solver.fp_tol must be positive and finite"),
+        ({"fp_tol": "abc"}, "solver.fp_tol must be positive and finite"),
         ({"fp_max_iters": 2.5}, "solver.fp_max_iters must be an integer"),
         ({"fp_max_iters": True}, "solver.fp_max_iters must be an integer"),
-    ], ids=["fp_tol=inf", "fp_max_iters=2.5", "fp_max_iters=True"])
+    ], ids=["fp_tol=inf", "fp_tol=True", "fp_tol=abc", "fp_max_iters=2.5",
+            "fp_max_iters=True"])
     def test_rejects_what_the_config_rejects(self, kwargs, message):
         with pytest.raises(ConfigurationError, match=message):
             SolverConfig(**kwargs)
@@ -223,8 +227,7 @@ class TestStep:
     def test_nonfinite_forcing_raises_numerical_error(self):
         p = dataclasses.replace(
             example2_problem(),
-            forcing=lambda x, t: np.full_like(np.asarray(x, dtype=float),
-                                              np.nan if t > 0.3 else 0.0))
+            forcing=lambda x, t: np.where(t > 0.3, np.nan, 0.0) * np.ones_like(x))
         with pytest.raises(NumericalError, match="non-finite iterate") as exc:
             run(p, Grid(8), 8)
         assert exc.value.step_index == 3
@@ -246,6 +249,28 @@ class TestStep:
             step(state, SolverConfig())
         assert len(calls) == math.ceil(40 / 32)
         assert calls == [(1, 32, 15), (1, 31, 15)]
+
+    def test_one_forcing_call_per_member_and_block(self):
+        # Each member's forcing is called once at set-up, for levels 0 and 1,
+        # and once per block of levels, on the grid as a (1, J-1) row and
+        # the levels' times as an (L, 1) column.
+        g, N = Grid(16), 64
+        calls = []
+
+        def spy(member, f):
+            def forcing(x, t):
+                calls.append((member, np.shape(x), np.shape(t), (t * N).ravel().tolist()))
+                return f(x, t)
+            return forcing
+
+        problems = [example1_problem(sigma=s) for s in (1.2, 2.0)]
+        problems = [dataclasses.replace(p, forcing=spy(k, p.forcing))
+                    for k, p in enumerate(problems)]
+        run_batch(problems, g, N)
+        want = [(k, (1, 15), (2, 1), [0, 1]) for k in (0, 1)]
+        want += [(k, (1, 15), (len(levels), 1), list(levels))
+                 for levels in (range(2, 34), range(34, 65)) for k in (0, 1)]
+        assert calls == want
 
     def test_scalar_forcing_broadcast_over_grid(self):
         def problem(forcing):
@@ -357,7 +382,7 @@ class TestRunBatch:
         # member of that batch gets it; a batch of another horizon goes on.
         # The forcing raises for t > 0.5, in a step, not at set-up.
         def broken(x, t):
-            if t > 0.5:
+            if np.any(t > 0.5):
                 raise RuntimeError("forcing broke")
             return 0.0
 
@@ -505,7 +530,7 @@ class TestForcingBlocks:
         g, N = Grid(16), 100
         bad = example1_problem(sigma=1.5)
         bad = dataclasses.replace(bad, forcing=lambda x, t, f=bad.forcing: (
-            np.full_like(np.asarray(x, dtype=float), np.nan) if t > 0.6 else f(x, t)))
+            np.where(t > 0.6, np.nan, f(x, t))))
         problems = [example1_problem(sigma=1.2), bad, example1_problem(sigma=2.0)]
         states = run_batch(problems, g, N)
         with pytest.raises(NumericalError, match="non-finite iterate") as exc:
@@ -563,7 +588,7 @@ class TestForcingBlocks:
         base, cfg = example1_problem(), SolverConfig()
 
         def forcing(x, t):
-            if t > 0.5:
+            if np.any(t > 0.5):
                 raise RuntimeError("forcing broke")
             return base.forcing(x, t)
 
@@ -823,9 +848,9 @@ class TestSerialization:
                 assert np.array_equal(back, getattr(series, name)), name
 
     def test_csv_bytes_match_csv_writer(self, tmp_path):
-        # The writers join repr()s themselves, in blocks of 256 rows; the
+        # The writers join repr()s themselves, in blocks of 64 rows; the
         # bytes must be csv.writer's, on ints and on floats at the edges.
-        # 600 rows span three blocks.
+        # 600 rows span ten blocks, the last one partial.
         values = np.array([0.0, -0.0, 1e-300, 1e300, np.inf, -np.inf, np.nan, 0.1, 1 / 3])
         cols = {f.name: np.resize(np.roll(values, k), 600)
                 for k, f in enumerate(dataclasses.fields(viscobeam.stepper.TimeSeries))}
@@ -845,6 +870,19 @@ class TestSerialization:
             writer.writerow(["x", "u"])
             writer.writerows(zip([0.0, *g.x.tolist(), 1.0], [0.0, *U.tolist(), 0.0]))
         assert (tmp_path / "sol.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_csv_writer_peak_memory_bounded(self, tmp_path, rng):
+        # 8192 rows of 10 columns take about 45 kB at peak in blocks of 64
+        # rows; blocks of 128 took 82 kB and of 256 took 154 kB.
+        cols = {f"c{k}": rng.standard_normal(8192) for k in range(10)}
+        cols["c0"] = np.arange(8192)
+        tracemalloc.start()
+        try:
+            viscobeam.stepper._write_csv(tmp_path / "big.csv", cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64e3
 
     def test_solution_csv_includes_boundaries(self, tmp_path):
         g = Grid(8)
