@@ -36,16 +36,14 @@ u = 0, where the integrand is only finitely smooth unless 1/alpha is an
 integer.  The rule's nodes and weights are module constants, and the
 panel sums are formed a fixed number of panels at a time, so their
 scratch memory does not grow with the grid.  ``KernelTables.build`` uses
-it on the time grid and is the only path to the weights; the tables
-derive mu0 = 1 - K(0) from their K0, and the check that the tail never
-exceeds K(0) runs once per kernel spec.  ``KernelTables.stack`` joins
-several runs' tables for a lockstep batch.
+it on the time grid and is the only path to the weights, with K(0) from
+the closed form ``KernelSpec.K0``; ``KernelTables.stack`` joins several
+runs' tables for a lockstep batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-import functools
 import math
 
 import numpy as np
@@ -77,10 +75,6 @@ _GRADING_RATIO = 0.25
 #: Panels per block of the moment sums, which bounds their scratch memory.
 _PANEL_BLOCK = 512
 
-#: Points used when certifying that the tail never exceeds its value at
-#: zero (so the running maximum C0 equals K(0)).
-_C0_SAMPLES = 1024
-
 
 class ConfigurationError(ValueError):
     """A kernel/problem specification violates its stated parameter ranges."""
@@ -94,7 +88,24 @@ class KernelSpec:
     exponent and ``gamma`` the oscillation frequency (oscillatory family
     only).  ``family="none"`` encodes the degenerate memory-free kernel
     beta = 0, useful for testing against exact memory-free dynamics.
-    A spec outside these ranges cannot be built.
+    A spec outside these ranges, or whose tail mass ``K0`` = K(0) rounds
+    out of (0, 1), cannot be built.  Every spec that can be built has
+    K(t) <= K0 for t >= 0, so K0 is the running maximum C0 of the
+    stability estimate.  Proof: K(0) - K(t) is the integral I(t) of beta
+    over (0, t), and I >= 0 in each case:
+    - gamma = 0 or the non-oscillatory family: beta >= 0.
+    - alpha = 1: I = [sigma - g(t)] / (sigma**2 + gamma**2), where
+      g = exp(-sigma*t) * (sigma*cos(gamma*t) - gamma*sin(gamma*t)) has
+      g(0) = sigma, g' = -(sigma**2 + gamma**2) exp(-sigma*t) cos(gamma*t)
+      and later local maxima at gamma*t = 3*pi/2 + 2*k*pi, where
+      g = gamma*exp(-sigma*t) <= sigma*exp(-3*pi/2) < sigma.
+    - alpha = 1/2: with x = gamma*s and rho = sigma/gamma >= 1, I is a
+      positive multiple of the integral of x**-0.5 * exp(-rho*x) * cos(x)
+      over (0, gamma*t).  The weight decreases, so the lobes after the
+      first half-lobe alternate in sign and shrink, and the smallest later
+      partial integral is at x = 3*pi/2: 1.375 > 0 at rho = 1 (scipy quad).
+      For rho > 1 the extra factor exp(-(rho - 1)*x) decreases, so by the
+      second mean value theorem no partial integral turns negative.
     """
 
     family: str = NO_MEMORY
@@ -133,10 +144,21 @@ class KernelSpec:
                     "set gamma to 0")
         if errs:
             raise ConfigurationError("; ".join(errs))
+        if self.has_memory and not 0.0 < self.K0 < 1.0:
+            raise ConfigurationError(
+                f"tail mass K(0) = {self.K0} outside (0, 1); "
+                "the transformed elastic coefficient would be non-positive")
 
     @property
     def has_memory(self) -> bool:
         return self.family != NO_MEMORY
+
+    @property
+    def K0(self) -> float:
+        """K(0), the total integral of beta: Re[(sigma - i*gamma)**(-alpha)]."""
+        if not self.has_memory:
+            return 0.0
+        return float(((self.sigma - 1j * self.gamma) ** -self.alpha).real)
 
 
 def beta_eval(spec: KernelSpec, t):
@@ -179,16 +201,7 @@ def _grid_moments(spec: KernelSpec, ts: np.ndarray):
         sums[:, b] = np.stack([base, base * s, base * s * s]) @ _GL_WEIGHTS
     m0, m1, m2 = np.concatenate([np.zeros((3, 1)),
                                  np.cumsum(sums, axis=1)[:, _GRADED_LEVELS:]], axis=1)
-    # K(0), the total integral of beta, is Re[(sigma - i*gamma)**(-alpha)].
-    return ((sigma - 1j * gamma) ** -a).real - m0, m1, m2
-
-
-@functools.cache
-def _probe_max_tail(spec: KernelSpec) -> float:
-    """Largest K on a fixed _C0_SAMPLES-point probe of [0, 40/sigma]; it
-    depends on the spec alone, so it is found once per spec."""
-    probe = np.linspace(0.0, 40.0 / spec.sigma, _C0_SAMPLES)
-    return float(np.max(_grid_moments(spec, probe)[0]))
+    return spec.K0 - m0, m1, m2
 
 
 def weights_from_second_antiderivative(j2: np.ndarray, dt: float) -> np.ndarray:
@@ -220,7 +233,7 @@ class KernelTables:
     omega[n - p].  Where an oscillatory tail crosses zero inside the
     horizon, far weights inherit the sign of the local tail average and may
     be (slightly) negative.  ``K0 = K(0)`` is the tail mass, which
-    :meth:`build` certifies to be the running maximum of the tail (the
+    :class:`KernelSpec` proves to be the running maximum of the tail (the
     constant C0 of the stability estimate), and ``tail`` holds K at the
     time-grid nodes (the transformed equation sources the initial bending
     load through K(t_n)).  Two fields are derived on construction, so
@@ -258,18 +271,4 @@ class KernelTables:
         ts = dt * np.arange(n_steps + 1)
         tail, m1, m2 = _grid_moments(spec, ts)
         j2 = ts * m1 - 0.5 * m2 + 0.5 * ts * ts * tail
-        weights = weights_from_second_antiderivative(j2, dt)
-        k0 = float(tail[0])
-        if spec.has_memory:
-            if not 0.0 < k0 < 1.0:
-                raise ConfigurationError(
-                    f"tail mass K(0) = {k0} outside (0, 1); "
-                    "the transformed elastic coefficient would be non-positive")
-            # Certify C0 = K(0), so callers may pass K0 as C0: the tail may
-            # oscillate but must never exceed its initial value.
-            excess = _probe_max_tail(spec) - k0
-            if excess > 1e-10:
-                raise ConfigurationError(
-                    f"kernel tail exceeds its value at zero by {excess:g}; "
-                    "running maximum C0 = K(0) does not hold")
-        return cls(K0=k0, weights=weights, tail=tail)
+        return cls(spec.K0, weights_from_second_antiderivative(j2, dt), tail)

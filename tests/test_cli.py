@@ -187,6 +187,9 @@ class TestErrorPaths:
         # boundary check because inf > tol * inf is False.
         ["solve", "--preset", "example2", "--set", "initial.u0.power=-1",
          "--set", "time.N=8"],
+        # K(0) = sigma**-alpha rounds to 1 although sigma > 1.
+        ["solve", "--preset", "example2", "--set", "kernel.sigma=1.0000000000000002",
+         "--set", "kernel.alpha=0.01", "--set", "time.N=8"],
     ], ids=lambda argv: " ".join(argv[:1] + argv[3:]))
     def test_bad_value_is_config_error(self, argv, tmp_path, capsys):
         code = main(argv + ["-o", str(tmp_path)])
@@ -288,12 +291,20 @@ class TestStudy:
         err = json.loads(capsys.readouterr().err.strip())
         assert err == {"category": "numerical", "message": "study cells failed: ['bad']"}
 
-    @pytest.mark.parametrize("override, label", [
-        ('study.sweep=[{"label": "bad", "damping.a": -1}, {"label": "ok"}]',
-         "study.sweep[0] (bad): "),
-        ("damping.a=-1", "study.sweep[0] (sigma=1.5): "),
-    ])
-    def test_invalid_cell_is_config_error(self, override, label, tmp_path, capsys):
+    @pytest.mark.parametrize("override, label, fragment", [
+        pytest.param(override, label, fragment, id=f"{override}-{label}")
+        for override, label, fragment in [
+            ('study.sweep=[{"label": "bad", "damping.a": -1}, {"label": "ok"}]',
+             "study.sweep[0] (bad): ", "damping lower bound g0 must be positive"),
+            ("damping.a=-1", "study.sweep[0] (sigma=1.5): ",
+             "damping lower bound g0 must be positive"),
+            # A kernel whose K(0) rounds to 1 once failed as a numerical cell.
+            ('study.sweep=[{"label": "edge", "kernel.sigma": 1.0000000000000002, '
+             '"kernel.alpha": 0.01}, {"label": "ok", "kernel.sigma": 1.5}]',
+             "study.sweep[0] (edge): ", "tail mass K(0) = 1.0 outside (0, 1)"),
+        ]])
+    def test_invalid_cell_is_config_error(self, override, label, fragment,
+                                          tmp_path, capsys):
         # An invalid model is bad input, as it is for solve, not a cell
         # that failed numerically; the message names the cell.
         code = main(["study", "--preset", "example2-temporal", "--set", override,
@@ -302,7 +313,7 @@ class TestStudy:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["category"] == "config"
         assert err["message"].startswith(label)
-        assert "damping lower bound g0 must be positive" in err["message"]
+        assert fragment in err["message"]
         assert not (tmp_path / "report.json").exists()
 
     def test_plain_preset_study_exits_ok(self, tmp_path, capsys):

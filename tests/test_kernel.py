@@ -108,6 +108,13 @@ class TestSpecValidation:
             OSC(0.9, 0.0, 0.3)
         assert str(exc.value) == message
 
+    def test_tail_mass_rounding_to_one_rejected(self):
+        # sigma > 1 holds, but K(0) = sigma**-alpha rounds to 1.
+        message = (r"^tail mass K\(0\) = 1\.0 outside \(0, 1\); the transformed "
+                   r"elastic coefficient would be non-positive$")
+        with pytest.raises(ConfigurationError, match=message):
+            KernelSpec(NON_OSCILLATORY, np.nextafter(1.0, 2.0), 0.0, 0.01)
+
     @pytest.mark.parametrize("spec", TABLE_SPECS + [NONE])
     def test_table_specs_valid(self, spec):
         assert KernelTables.build(spec, 0.5, 1).K0 < 1.0
@@ -300,6 +307,12 @@ class TestKernelTables:
         assert tables.tail.shape == (33,)
         assert tables.tail[0] == pytest.approx(tables.K0, abs=1e-14)
 
+    @pytest.mark.parametrize("spec", TABLE_SPECS + [NONE])
+    def test_k0_is_the_spec_closed_form(self, spec):
+        # Bit for bit: the tables take K0 from the spec, and so does the tail.
+        tables = KernelTables.build(spec, 1.0 / 16, 16)
+        assert spec.K0 == tables.K0 == tables.tail[0]
+
     def test_no_memory_tables(self):
         tables = KernelTables.build(NONE, 0.01, 10)
         assert tables.K0 == 0.0 and tables.mu0 == 1.0
@@ -342,47 +355,32 @@ def test_rule_matches_leggauss():
 
 
 class TestC0Certification:
-    """The check that the tail never exceeds K(0) probes a fixed grid that
-    depends only on the spec, so it runs once per spec."""
+    """KernelSpec's docstring proves that the tail never exceeds K(0): a
+    build evaluates the moments on its own grid only, and direct quadrature
+    checks the tail at its peaks."""
 
     SPEC = NONOSC(1.7, 0.45)
 
-    @pytest.fixture(autouse=True)
-    def fresh_probe_cache(self):
-        kernel._probe_max_tail.cache_clear()
-        yield
-        kernel._probe_max_tail.cache_clear()
-
-    def grid_sizes(self, monkeypatch, lift=0.0):
-        """Record the size of every grid _grid_moments is run on, and lift
-        the probe's tail beyond t = 0 by ``lift``."""
+    def test_one_moment_evaluation_per_build(self, monkeypatch):
         real, sizes = kernel._grid_moments, []
 
         def recorded(spec, ts):
             sizes.append(len(ts))
-            tail, m1, m2 = real(spec, ts)
-            if len(ts) == kernel._C0_SAMPLES:
-                tail = tail + lift * (ts > 0.0)
-            return tail, m1, m2
+            return real(spec, ts)
 
         monkeypatch.setattr(kernel, "_grid_moments", recorded)
-        return sizes
-
-    def test_probe_runs_once_per_spec(self, monkeypatch):
-        sizes = self.grid_sizes(monkeypatch)
         first = KernelTables.build(self.SPEC, 0.1, 10)
         again = KernelTables.build(self.SPEC, 0.1, 10)
         KernelTables.build(self.SPEC, 0.05, 20)
-        assert sizes == [11, kernel._C0_SAMPLES, 11, 21]
+        assert sizes == [11, 11, 21]
         assert np.array_equal(first.weights, again.weights)
 
-    def test_tail_above_k0_raises_on_every_build(self, monkeypatch):
-        # The repeated build reads the cached probe maximum and must fail
-        # with the same message.
-        sizes = self.grid_sizes(monkeypatch, lift=1.0)
-        message = (r"^kernel tail exceeds its value at zero by 0\.795698; "
-                   r"running maximum C0 = K\(0\) does not hold$")
-        for _ in range(2):
-            with pytest.raises(ConfigurationError, match=message):
-                KernelTables.build(self.SPEC, 0.1, 10)
-        assert sizes == [11, kernel._C0_SAMPLES, 11]
+    # Admissible oscillatory specs up to gamma = sigma, down to sigma = 1 + 1e-6.
+    @pytest.mark.parametrize("spec", [OSC(s, r * s, a) for s in (1.0 + 1e-6, 1.2, 2.0, 5.0)
+                                      for r in (0.25, 0.5, 1.0) for a in (0.5, 1.0)])
+    def test_tail_peaks_stay_below_k0(self, spec):
+        # The tail's later local maxima lie at gamma*t = 3*pi/2 + 2*k*pi; direct
+        # quadrature of the density, not the library's moments, bounds them.
+        for k in range(4):
+            t = (2 * k + 1.5) * math.pi / spec.gamma
+            assert oracle_tail(spec, t) <= spec.K0 * (1.0 + 1e-12)

@@ -48,6 +48,24 @@ lines"""  # trailing comment
             == int(counts[0][k].replace(",", ""))
 
 
+def test_line_count_tool_is_quiet_when_its_reader_leaves(tmp_path):
+    # ``python tools/src_lines.py | head -1`` once ended in a BrokenPipeError
+    # traceback.  Some 120 kB of output, more than a pipe holds, keeps the
+    # tool writing after the reader has closed its end.
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "tools" / "src_lines.py"
+    (tmp_path / "d").mkdir()
+    (tmp_path / "d" / "x.py").write_text("x = 1\n")
+    with subprocess.Popen([sys.executable, str(path)] + ["d"] * 2000, cwd=tmp_path,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"d: 1 lines by wc, 1 logical\n"
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+
+
 def test_bench_pairs_summary():
     # tools/bench_pairs.py: a gain needs wins in at least nine tenths of the
     # pairs and a median gap wider than the parent's interquartile range,

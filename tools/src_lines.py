@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import ast
 import io
+import os
 import sys
 import tokenize
 from pathlib import Path
@@ -56,4 +57,12 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (as in ``| head``): send the output still
+        # buffered to devnull, so that exiting does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
