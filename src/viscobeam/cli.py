@@ -88,9 +88,10 @@ def _cmd_study(args) -> int:
 
 
 def _cmd_stability(args) -> int:
-    # Checked before the run: a bound below the data functional is no bound.
-    if not args.safety >= 1.0:
-        raise ConfigurationError(f"--safety must be at least 1 (got {args.safety})")
+    # Checked before the run: a bound below the data functional is no bound,
+    # and an infinite or NaN one passes whatever the energy does.
+    if not 1.0 <= args.safety < np.inf:
+        raise ConfigurationError(f"--safety must be at least 1 and finite (got {args.safety})")
     cfg, problem, grid, N = _setup(args)
     solver = build_solver_config(cfg)
     out = _outdir(args)

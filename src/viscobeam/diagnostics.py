@@ -81,10 +81,12 @@ def stability_monitor(steps, total, data_functional: float,
     ``steps`` labels the entries of ``total``; the first violating one is
     reported otherwise.  ``safety`` stands in for the uncomputable constant
     of the underlying estimate; the default 1e3 is deliberately loose so
-    that only genuine blow-ups trip it.
+    that only genuine blow-ups trip it.  A factor below 1, infinite or NaN
+    raises ``ValueError``: it would make the bound no bound, or a PASS
+    that nothing could fail.
     """
-    if safety < 1.0:
-        raise ValueError("safety factor must be at least 1")
+    if not 1.0 <= safety < np.inf:
+        raise ValueError(f"safety factor must be at least 1 and finite (got {safety!r})")
     bound = safety * data_functional
     total = np.asarray(total, dtype=float)
     over = np.flatnonzero(total > bound)

@@ -45,6 +45,15 @@ called member by member.  Each member follows exactly the iterates of its
 own run, so a batch gives every member the bits of its run alone.
 :func:`run` is the B = 1 case of :func:`run_batch`, which the convergence
 studies use to step all cells of a refinement level together.
+
+One loop advances a state from its level n up to a stop level:
+:func:`run_batch` makes one call of it per batch, and :func:`step` is its
+one-level case.  What every level shares is read once per call (dt, h,
+lambda, the damping laws, the solver knobs), the last two G are carried
+from level to level as floats, the levels alternate between two iterate
+stacks so that level n never writes U^{n-1}, and the Toeplitz window of
+the weights is made once per state.  The arithmetic of a level is the
+same whichever way it is reached, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -145,11 +154,15 @@ class SolverState:
     written a block of levels ahead.  ``_block`` caches, for the block of
     levels first..end-1, first and end, the part of each level's
     right-hand side fixed before the block as a (B, end-first, J-1) array,
-    lambda^2, mu0 lambda^2 and the velocity system's diagonal D;
-    :func:`dataclasses.replace` leaves it empty, and a state whose tables
-    are replaced needs that empty cache.  The properties return grid
-    values, without the member axis when B = 1.  Confine a state to one
-    thread; the shared tables are read-only.
+    lambda^2, mu0 lambda^2 and the velocity system's diagonal D, and
+    ``_window`` the Toeplitz window of the reversed weights that every
+    block's far part reads; :func:`dataclasses.replace` leaves both empty,
+    and a state whose tables are replaced needs them empty.  Nothing else
+    is carried across levels: the stepping loop reads the last two G from
+    the records when it is called and carries them itself, and ``_U1``
+    views the iterate stack of the level that made it.  The properties
+    return grid values, without the member axis when B = 1.  Confine a
+    state to one thread; the shared tables are read-only.
     """
 
     problems: tuple[ProblemSpec, ...]
@@ -164,6 +177,7 @@ class SolverState:
     _records: np.ndarray = field(repr=False)
     _eigs: np.ndarray = field(repr=False)  # of D2, in sine_transform order
     _block: tuple = field(default=_NO_BLOCK, init=False, repr=False)
+    _window: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def _values(self, W: np.ndarray) -> np.ndarray:
         V = sine_transform(W)
@@ -308,26 +322,30 @@ def _far_history(state: SolverState, first: int, end: int) -> np.ndarray:
 
     Row q of the history (dU^{q+1}) is weighted by rev[N - first - i + q]
     of the reversed weights, so the weights form a Toeplitz matrix, read
-    here as a window view.  Member by member, it is copied transposed, one
-    panel of at most C history rows at a time, into one (C, end-first)
-    buffer, and each panel is one matrix product of the panel's history
-    rows, viewed transposed, with it, summed in panel order into a
-    (J-1, end-first) array.  Panels start at multiples of C, which depends
-    on J only (see _PANEL_ROWS), so a member's sum does not depend on its
-    batch.  The far part is returned as a (B, end-first, J-1) view.
+    from the state's window view (made on the first far part of the
+    state), whose row j holds rev[j - i] at column i, zero for j < i.
+    Member by member, it is copied transposed, one panel of at most C
+    history rows at a time, into one (C, end-first) buffer, and each panel
+    is one matrix product of the panel's history rows, viewed transposed,
+    with it, summed in panel order into a (J-1, end-first) array.  Panels
+    start at multiples of C, which depends on J only (see _PANEL_ROWS), so
+    a member's sum does not depend on its batch.  The far part is returned
+    as a (B, end-first, J-1) view.
     """
-    history, N, rows = state._history, state.n_steps, first - 1
+    history, N, rows, L = state._history, state.n_steps, first - 1, end - first
+    if state._window is None:
+        rev = np.zeros((len(history), N + _BLOCK_LEVELS - 1))
+        rev[:, _BLOCK_LEVELS - 1:] = state.tables.reversed_weights
+        state._window = sliding_window_view(rev, _BLOCK_LEVELS, axis=-1)[..., ::-1]
     width = _PANEL_ROWS
     while width > 1 and width * history.shape[-1] >= 2**14:
         width //= 2
-    rev = np.broadcast_to(state.tables.reversed_weights, history.shape[:2])
-    toeplitz = sliding_window_view(rev[:, N - end + 1:N - 1], rows, axis=-1)[:, ::-1]
-    buffer = np.empty((min(rows, width), end - first))
-    far = np.zeros((len(history), history.shape[-1], end - first))
+    buffer = np.empty((min(rows, width), L))
+    far = np.zeros((len(history), history.shape[-1], L))
     for k in range(len(history)):
         for q in range(0, rows, width):
             panel = buffer[:min(rows - q, width)]
-            np.copyto(panel, toeplitz[k, :, q:q + len(panel)].T)
+            np.copyto(panel, state._window[k, N - first + q:N - first + q + len(panel), :L])
             far[k] += history[k, q:q + len(panel)].T @ panel
     return far.transpose(0, 2, 1)
 
@@ -381,91 +399,108 @@ def assemble_step_system(state: SolverState) -> tuple[np.ndarray, np.ndarray]:
 
 
 def step(state: SolverState, config: SolverConfig) -> None:
-    """Advance every member by one level via fixed-point iteration.
+    """Solve level n of every member via fixed-point iteration: the
+    one-level case of the stepping loop :func:`_advance`, which describes
+    the iteration and its errors.  Past level N it raises ``ValueError``."""
+    if state.n > state.n_steps:
+        raise ValueError(f"run is complete (n={state.n} > N={state.n_steps})")
+    _advance(state, config, state.n + 1)
 
-    The G-free velocity system is assembled once, in the sine basis.  The
-    start iterate v_0 is solved with G_0 = max(2 G_{n-1} - G_{n-2}, 0),
-    extrapolated from the G recorded at the last two levels (G_1 at
-    n = 2).  Each iteration k >= 1 freezes a member's G at the level
-    U^{n-1} + dt v_{k-1} of its previous iterate and divides mode by mode;
-    a member stops iterating when its level moves by at most
+
+def _advance(state: SolverState, config: SolverConfig, stop: int) -> None:
+    """Solve levels n..stop-1 of every member, one level at a time, via
+    fixed-point iteration.
+
+    Each level's G-free velocity system is assembled once, in the sine
+    basis.  The start iterate v_0 is solved with
+    G_0 = max(2 G_{n-1} - G_{n-2}, 0), extrapolated from the G of the last
+    two levels (G_1 at n = 2).  Each iteration k >= 1 freezes a member's G
+    at the level U^{n-1} + dt v_{k-1} of its previous iterate and divides
+    mode by mode; a member stops iterating when its level moves by at most
     ``fp_tol * max(1, ||U^n||)`` in the discrete L2 norm, which the
     orthonormal transform preserves.  So v_0 itself is never accepted, and
     the G recorded is the one the accepted iterate was solved with.  A
     non-finite G or iterate raises :class:`NumericalError` at once, with
-    the failing member's index as ``member``.  Any error leaves the state
-    unchanged; that includes an exception from a forcing callable, which
-    is sampled for a block of levels ahead (see
-    :func:`assemble_step_system`) and so raises at the first level of the
-    block that reaches its bad time.
+    the failing member's index as ``member``.  An error at level n leaves
+    the state at level n - 1, as the last good level left it; that
+    includes an exception from a forcing callable, which is sampled for a
+    block of levels ahead (see :func:`assemble_step_system`) and so raises
+    at the first level of the block that reaches its bad time.
+
+    The last two G are carried from level to level as floats, equal to
+    the recorded ones.  Levels alternate between two iterate stacks, so
+    that U^{n-1} lives in the stack that level n does not write.
     """
-    if state.n > state.n_steps:
-        raise ValueError(f"run is complete (n={state.n} > N={state.n_steps})")
-    n, dt, h, lam = state.n, state.dt, state.grid.h, state._eigs[None]
-    r, D = assemble_step_system(state)
-    G_before, G = state._records[:, 2, n - 2:n].T.tolist()
-    if n > 2:
-        G = [max(2.0 * g - g_before, 0.0) for g, g_before in zip(G, G_before)]
+    dt, h, lam = state.dt, state.grid.h, state._eigs[None]
+    laws = [problem.damping for problem in state.problems]
+    tol, max_iters = config.fp_tol, config.fp_max_iters
     # The members' G fill one column, written whole each iteration.  A
     # member that has converged keeps its G, so its row of every later
-    # iterate repeats its final one bit for bit.  ``stack`` holds the
+    # iterate repeats its final one bit for bit.  A stack holds the
     # iterate's increment, the iterate, its level U^{n-1} + dt v and lambda
     # times that level, so that one vecdot gives all four squared norms of
     # every member.  The start v_0 is solved straight into the iterate row;
     # its increment is v_0 itself, so its own squared norm is what is
-    # checked for being finite.
-    laws = [problem.damping for problem in state.problems]
-    G_col, iters = np.empty((len(r), 1)), [0] * len(r)
-    stack = np.zeros((4,) + r.shape)
-    active = range(len(r))
-    for it in range(config.fp_max_iters + 1):
-        for i in active:
+    # checked for being finite, and the increment row, left from an earlier
+    # level, is not read.
+    G_col, members = np.empty((len(laws), 1)), range(len(laws))
+    stacks = np.zeros((2, 4) + state._U1.shape)
+    G_before, G_last = state._records[:, 2, state.n - 2:state.n].T.tolist()
+    for n in range(state.n, stop):
+        r, D = assemble_step_system(state)
+        G = ([max(2.0 * g - g_before, 0.0) for g, g_before in zip(G_last, G_before)]
+             if n > 2 else G_last[:])
+        stack, iters, active = stacks[n % 2], [0] * len(laws), members
+        for it in range(max_iters + 1):
+            for i in active:
+                if it:
+                    G[i] = laws[i](h * energies[i])
+                if not math.isfinite(G[i]):
+                    raise NumericalError(
+                        n, f"damping coefficient G = {G[i]!r} at step {n} is not finite", i)
+            G_col[:, 0] = G
             if it:
-                G[i] = laws[i](h * energies[i])
-            if not math.isfinite(G[i]):
-                raise NumericalError(
-                    n, f"damping coefficient G = {G[i]!r} at step {n} is not finite", i)
-        G_col[:, 0] = G
-        if it:
-            v = r / (D + G_col)
-            np.subtract(v, stack[1], out=stack[0])
-            stack[1] = v
+                v = r / (D + G_col)
+                np.subtract(v, stack[1], out=stack[0])
+                stack[1] = v
+            else:
+                np.divide(r, D + G_col, out=stack[1])
+            np.multiply(lam, np.add(state._U1, dt * stack[1], out=stack[2]), out=stack[3])
+            increments, speeds, sizes, energies = np.vecdot(stack, stack).tolist()
+            for i in active:
+                squared = increments[i] if it else speeds[i]
+                if not math.isfinite(increment := dt * math.sqrt(h * squared)):
+                    raise NumericalError(n, f"non-finite iterate at step {n}", i)
+                if it and increment <= tol * max(1.0, math.sqrt(h * sizes[i])):
+                    iters[i] = it
+            if it and not (active := [i for i in active if not iters[i]]):
+                break
         else:
-            np.divide(r, D + G_col, out=stack[1])
-        np.multiply(lam, np.add(state._U1, dt * stack[1], out=stack[2]), out=stack[3])
-        increments, speeds, sizes, energies = np.vecdot(stack, stack).tolist()
-        for i in active:
-            squared = increments[i] if it else speeds[i]
-            if not math.isfinite(increment := dt * math.sqrt(h * squared)):
-                raise NumericalError(n, f"non-finite iterate at step {n}", i)
-            if it and increment <= config.fp_tol * max(1.0, math.sqrt(h * sizes[i])):
-                iters[i] = it
-        if it and not (active := [i for i in active if not iters[i]]):
-            break
-    else:
-        raise NonConvergenceError(n, dt * math.sqrt(h * increments[active[0]]),
-                                  config.fp_max_iters, active[0])
+            raise NonConvergenceError(n, dt * math.sqrt(h * increments[active[0]]),
+                                      max_iters, active[0])
 
-    # The history row is the accepted iterate; the velocity and curvature
-    # norms come from the last vecdot's floats, and math.sqrt rounds as
-    # np.sqrt does.
-    state._history[:, n - 1] = stack[1]
-    state._records[:, :4, n] = [
-        (math.sqrt(h * speed), math.sqrt(h * energy), g, k)
-        for speed, energy, g, k in zip(speeds, energies, G, iters)]
-    state._U1 = stack[2]
-    state.n = n + 1
+        # The history row is the accepted iterate; the velocity and
+        # curvature norms come from the last vecdot's floats, and math.sqrt
+        # rounds as np.sqrt does.
+        state._history[:, n - 1] = stack[1]
+        state._records[:, :4, n] = [
+            (math.sqrt(h * speed), math.sqrt(h * energy), g, k)
+            for speed, energy, g, k in zip(speeds, energies, G, iters)]
+        state._U1 = stack[2]
+        state.n = n + 1
+        G_before, G_last = G_last, G
 
 
 def run_batch(problems, grid: Grid, N: int, config: SolverConfig | None = None
               ) -> list[SolverState | Exception]:
     """Solve levels 2..N of every problem; return each one's final state.
 
-    Problems with the same step size T/N go through :func:`step` as one
-    batch.  A member whose set-up fails, N < 1 or a forcing that raises at
-    level 0 or 1 included, or whose step raises a :class:`NumericalError`,
-    gets the exception in place of its state, and the rest of its batch
-    goes on from the level it reached.  Any other error in a step, say a
+    Problems with the same step size T/N go through levels 2..N as one
+    batch, in one call of the stepping loop.  A member whose set-up fails,
+    N < 1 or a forcing that raises at level 0 or 1 included, or whose step
+    raises a :class:`NumericalError`, gets the exception in place of its
+    state, and the rest of its batch goes on, in a new call, from the level
+    it reached.  Any other error in a step, say a
     forcing or damping callable that raises rather than returning a
     non-finite value, ends its whole batch.  In the steps the forcing is
     sampled up to 31 levels ahead, so a forcing that raises does so at the
@@ -484,8 +519,7 @@ def run_batch(problems, grid: Grid, N: int, config: SolverConfig | None = None
         group = [i for i in live if results[i].dt == results[live[0]].dt]
         batch, failure = _stack([results[i] for i in group]), None
         try:
-            while batch.n <= N:
-                step(batch, config)
+            _advance(batch, config, N + 1)
         except Exception as exc:
             failure = exc
         for k, i in enumerate(group):

@@ -154,6 +154,9 @@ class TestErrorPaths:
         ["study", "--preset", "example2-temporal", "--set", "study.axis=spatial",
          "--set", "grid.J=6"],
         ["stability", "--preset", "example2-longtime", "--safety", "0.5"],
+        # An infinite factor once gave a PASS "within bound inf".
+        ["stability", "--preset", "example2", "--set", "time.N=8", "--safety", "inf"],
+        ["stability", "--preset", "example2", "--set", "time.N=8", "--safety", "nan"],
         # Non-integral counts once truncated silently (2.7 steps ran 2).
         ["solve", "--preset", "example1", "--set", "time.N=2.7"],
         ["solve", "--preset", "example1", "--set", "grid.J=64.5"],

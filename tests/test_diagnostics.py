@@ -122,6 +122,13 @@ class TestStabilityMonitor:
         with pytest.raises(ValueError):
             stability_monitor([], [], 1.0, safety=0.5)
 
+    @pytest.mark.parametrize("safety", [float("nan"), float("inf")])
+    def test_safety_factor_must_be_finite(self, safety):
+        # A NaN factor once returned "PASS: ... within bound nan", and an
+        # infinite one a PASS that no energy could fail.
+        with pytest.raises(ValueError, match="at least 1 and finite"):
+            stability_monitor([1, 2], [1.0, 2.0], 1.0, safety=safety)
+
     def test_healthy_long_run_passes(self):
         p = example2_problem(T=2.0)
         g = Grid(16)

@@ -97,3 +97,14 @@ def test_bench_pairs_summary():
     # Ten wins by a gap narrower than the parent's IQR of 0.04: no gain.
     s = summarize(parent, [p - 0.03 for p in parent], "lower")
     assert s["change_wins"] == 10 and not s["gain"]
+
+    # No regression: worse when the change's median is worse by more than
+    # the bound's share of the parent's median, unresolved when the
+    # parent's IQR is wider than that share.  Without a bound, always ok.
+    assert s["verdict"] == "ok"
+    assert summarize(parent, [p + 0.03 for p in parent], "lower", 0.05)["verdict"] == "ok"
+    assert summarize(parent, [p + 0.06 for p in parent], "lower", 0.05)["verdict"] == "worse"
+    assert summarize(parent, [p - 0.06 for p in parent], "higher", 0.05)["verdict"] == "worse"
+    assert summarize(parent, [p - 0.06 for p in parent], "lower", 0.05)["verdict"] == "ok"
+    assert summarize(parent, parent, "lower", 0.03)["verdict"] == "unresolved"
+    assert summarize(parent, [p + 0.06 for p in parent], "lower", 0.03)["verdict"] == "worse"

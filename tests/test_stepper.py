@@ -391,6 +391,46 @@ class TestRunBatch:
         assert isinstance(states[0], RuntimeError) and states[1] is states[0]
         assert isinstance(states[2], SolverState)
 
+    @pytest.mark.parametrize("sigmas", [(1.5,), (1.2, 1.5, 2.0)])
+    def test_level_by_level_matches_whole_run(self, sigmas):
+        # One step at a time reads the last two G from the records; one
+        # whole-run call carries them from level to level.  Both give the
+        # same bits across the level-2 start and the block boundary at
+        # level 34: history, every record and U^N.
+        problems = [example1_problem(sigma=s) for s in sigmas]
+        g, N = Grid(16), 40
+        whole = run_batch(problems, g, N)
+        stepped = viscobeam.stepper._stack(
+            [viscobeam.stepper._start(p, g, N) for p in problems])
+        while stepped.n <= N:
+            step(stepped, SolverConfig())
+        for k, state in enumerate(whole):
+            assert state.n == stepped.n == N + 1
+            for name in ("_U1", "_history", "_records"):
+                assert getattr(state, name).tobytes() == getattr(stepped, name)[k].tobytes()
+
+    def test_failure_inside_a_whole_run_call_keeps_the_last_level(self):
+        # The second member's forcing turns NaN for t > 0.6: inside one
+        # call from level 2 to N = 64, level 39 fails, past the block
+        # boundary at 34.  The state is then at level 38, with the bits of
+        # a state stepped there one level at a time: no level's buffer was
+        # written over by the failing one.
+        base = example1_problem(sigma=1.5)
+        bad = dataclasses.replace(base, forcing=lambda x, t, f=base.forcing: (
+            np.where(t > 0.6, np.nan, f(x, t))))
+        g, N, cfg = Grid(16), 64, SolverConfig()
+        states = [viscobeam.stepper._stack([viscobeam.stepper._start(p, g, N)
+                                            for p in (base, bad)]) for _ in range(2)]
+        with pytest.raises(NumericalError, match="non-finite iterate") as exc:
+            viscobeam.stepper._advance(states[0], cfg, N + 1)
+        assert (exc.value.step_index, exc.value.member) == (39, 1)
+        while states[1].n < 39:
+            step(states[1], cfg)
+        assert states[0].n == states[1].n == 39
+        for name in ("_U1", "_history", "_records"):
+            a, b = (getattr(s, name) for s in states)
+            assert a.tobytes() == b.tobytes(), name
+
     def test_forcing_raising_at_start_fails_its_member_only(self):
         # Levels 0 and 1 are sampled at set-up, member by member, so a
         # forcing that raises at t = 0 is a set-up failure of its member:

@@ -11,14 +11,20 @@ end-to-end metric of the parent's ``BENCHMARK.json`` it prints both sides'
 medians and quartiles over the pairs, how many pairs each side won (ties
 count for neither) and whether a gain holds: the change won at least nine
 tenths of the pairs, and the medians differ, in the metric's better
-direction, by more than the parent's interquartile range.  A run that
-fails, or that reports a failed operation, stops the tool with its output.
+direction, by more than the parent's interquartile range.  Its
+no-regression verdict reads "worse" when the change's median is worse than
+the parent's by more than the metric's ``bound`` in ``BENCHMARK.json``, a
+share of the parent's median; else "unresolved" when the parent's
+interquartile range is wider than that bound, so the runs spread too widely
+to tell; else "ok".  A run that fails, or that reports a failed operation,
+stops the tool with its output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -34,20 +40,25 @@ def quartiles(values) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(parent: list[float], change: list[float], better: str) -> dict:
+def summarize(parent: list[float], change: list[float], better: str,
+              bound: float = math.inf) -> dict:
     """One metric's paired values, pair i being (parent[i], change[i]).
 
-    ``better`` is "lower" or "higher".  Returns both sides' quartiles, the
-    pairs each side won, the median gap (change minus parent) and whether
-    the gain rule holds.
+    ``better`` is "lower" or "higher" and ``bound`` the share of the
+    parent's median a no-regression check allows.  Returns both sides'
+    quartiles, the pairs each side won, the median gap (change minus
+    parent), whether the gain rule holds and the no-regression verdict.
     """
     sign = 1.0 if better == "lower" else -1.0
     p, c = quartiles(parent), quartiles(change)
     wins = sum(sign * (b - a) < 0 for a, b in zip(parent, change))
     losses = sum(sign * (b - a) > 0 for a, b in zip(parent, change))
-    gap = c[1] - p[1]
+    gap, allowed = c[1] - p[1], bound * abs(p[1])
+    verdict = ("worse" if sign * gap > allowed
+               else "unresolved" if p[2] - p[0] > allowed else "ok")
     return {"parent": p, "change": c, "change_wins": wins, "parent_wins": losses,
-            "gap": gap, "gain": 10 * wins >= 9 * len(parent) and -sign * gap > p[2] - p[0]}
+            "gap": gap, "gain": 10 * wins >= 9 * len(parent) and -sign * gap > p[2] - p[0],
+            "verdict": verdict}
 
 
 def bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -85,16 +96,16 @@ def main(argv=None) -> int:
     print(f"{args.workload}, {args.pairs} pairs of {args.seconds:g} s, "
           f"seeds {args.seed_base}..{args.seed_base + args.pairs - 1}")
     print(f"{'metric':12s} {'parent q1 / median / q3':>28s} {'change q1 / median / q3':>28s}"
-          f" {'wins c:p':>8s}  median gap         gain")
+          f" {'wins c:p':>8s}  median gap         gain  no-regression")
     for metric in spec["end_to_end"]:
         name = metric["name"]
         s = summarize([r[name] for r in runs["parent"]], [r[name] for r in runs["change"]],
-                      metric["better"])
+                      metric["better"], metric["bound"])
         p, c = ("{:.4g} / {:.4g} / {:.4g}".format(*s[k]) for k in ("parent", "change"))
         rel = s["gap"] / s["parent"][1] if s["parent"][1] else float("nan")
         wins = f"{s['change_wins']}:{s['parent_wins']}"
         print(f"{name:12s} {p:>28s} {c:>28s} {wins:>8s}  {s['gap']:+.4g} ({rel:+.1%})"
-              f"  {'yes' if s['gain'] else 'no'}")
+              f"  {'yes' if s['gain'] else 'no':4s}  {s['verdict']}")
     return 0
 
 
