@@ -18,12 +18,13 @@ scalar is nonlinear; it is resolved by fixed-point iteration on the
 modal coefficients, with G evaluated from the modes and started from G
 extrapolated from the last two levels.
 
-The whole state lives in the sine basis: U^0, the newest level and the
-velocity history are stored as coefficients, and grid values are made
-only from the initial data, the forcing samples and on output.  The
-levels fall into blocks of 32, aligned at levels 2 + 32k.  For each block
-the forcing is sampled in one call per member and transformed at once,
-and the exact history sum is split in two.  Its far part, over the rows
+The whole state lives in the sine basis: U^0, the newest level (as its
+curvature coefficients lambda U^{n-1}) and the velocity history are
+stored as coefficients, and grid values are made only from the initial
+data, the forcing samples and on output.  The levels fall into blocks of
+32, aligned at levels 2 + 32k.  For each block the forcing is sampled in
+one call per member and transformed at once, and the exact history sum
+is split in two.  Its far part, over the rows
 before the block, is made once for the whole block as products of at
 most 256 history rows each (fewer on grids finer than J = 64), viewed
 transposed, with transposed Toeplitz panels of the weights, one
@@ -50,10 +51,12 @@ One loop advances a state from its level n up to a stop level:
 :func:`run_batch` makes one call of it per batch, and :func:`step` is its
 one-level case.  What every level shares is read once per call (dt, h,
 lambda, the damping laws, the solver knobs), the last two G are carried
-from level to level as floats, the levels alternate between two iterate
-stacks so that level n never writes U^{n-1}, and the Toeplitz window of
-the weights is made once per state.  The arithmetic of a level is the
-same whichever way it is reached, so both give the same bits.
+from level to level as floats, and the Toeplitz window of the weights is
+made once per state.  A level is a few divisions over J-1 modes, so it is
+written for few array calls (see :func:`_advance`); the state carries
+U^{n-1} as its curvature coefficients C = lambda U^{n-1}, all that a
+level reads of it.  The arithmetic of a level is the same whichever way
+it is reached, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -66,8 +69,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import diagnostics
-from .grid_ops import (Grid, bending_energy, norm, second_difference_eigenvalues,
-                       sine_transform)
+from .grid_ops import Grid, norm, second_difference_eigenvalues, sine_transform
 from .kernel import ConfigurationError, KernelTables
 from .model import ProblemSpec
 
@@ -145,22 +147,25 @@ class SolverState:
 
     ``problems`` holds the members' problems and ``tables`` their kernel
     tables (:meth:`KernelTables.stack` of them when B > 1).  ``n`` is the
-    index of the next level to solve.  ``_U0`` and ``_U1`` hold the sine
-    coefficients of U^0 and U^{n-1} as (B, J-1) arrays; the velocity
-    history is one preallocated (B, N, J-1) buffer, row p-1 of a member
-    storing the coefficients of its dU^p, and ``_records`` holds each
-    level's velocity norm, curvature norm, G, iteration count and forcing
-    norm sqrt(h) ||f^n|| in (B, 5, N+1) columns; the forcing norms are
-    written a block of levels ahead.  ``_block`` caches, for the block of
-    levels first..end-1, first and end, the part of each level's
-    right-hand side fixed before the block as a (B, end-first, J-1) array,
-    lambda^2, mu0 lambda^2 and the velocity system's diagonal D, and
-    ``_window`` the Toeplitz window of the reversed weights that every
-    block's far part reads; :func:`dataclasses.replace` leaves both empty,
+    index of the next level to solve.  ``_U0`` holds the sine
+    coefficients of U^0 and ``_C`` the curvature coefficients
+    C = lambda U^{n-1} of the newest level, as (B, J-1) arrays; C is all
+    that a step reads of U^{n-1}, whose own coefficients ``_U1`` are made
+    as C / lambda when read.  The velocity history is one preallocated
+    (B, N, J-1) buffer, row p-1 of a member storing the coefficients of
+    its dU^p, and ``_records`` holds each level's velocity norm, curvature
+    norm, G, iteration count and forcing norm sqrt(h) ||f^n|| in
+    (B, 5, N+1) columns; the forcing norms are written a block of levels
+    ahead.  ``_block`` caches, for the block of levels first..end-1, first
+    and end, the part of each level's right-hand side fixed before the
+    block as an (end-first, B, J-1) array, level-major so that each
+    level's rows are contiguous, lambda^2, mu0 lambda and the velocity
+    system's diagonal D, and ``_window`` the Toeplitz window of the
+    reversed weights that every block's far part reads; :func:`dataclasses.replace` leaves both empty,
     and a state whose tables are replaced needs them empty.  Nothing else
     is carried across levels: the stepping loop reads the last two G from
-    the records when it is called and carries them itself, and ``_U1``
-    views the iterate stack of the level that made it.  The properties
+    the records when it is called and carries them itself, and ``_C``
+    views the curvature row of the level that made it.  The properties
     return grid values, without the member axis when B = 1.  Confine a
     state to one thread; the shared tables are read-only.
     """
@@ -172,7 +177,7 @@ class SolverState:
     n: int
     tables: KernelTables
     _U0: np.ndarray = field(repr=False)
-    _U1: np.ndarray = field(repr=False)
+    _C: np.ndarray = field(repr=False)  # lambda U^{n-1}
     _history: np.ndarray = field(repr=False)
     _records: np.ndarray = field(repr=False)
     _eigs: np.ndarray = field(repr=False)  # of D2, in sine_transform order
@@ -183,6 +188,8 @@ class SolverState:
         V = sine_transform(W)
         return V[0] if len(V) == 1 else V
 
+    _U1 = property(lambda self: self._C / self._eigs,
+                   doc="Sine coefficients of U^{n-1}, made from C.")
     U0 = property(lambda self: self._values(self._U0), doc="The initial level U^0.")
     U_prev = property(lambda self: self._values(self._U1),
                       doc="The newest computed level U^{n-1}.")
@@ -250,7 +257,7 @@ def write_solution_csv(path, grid: Grid, U: np.ndarray) -> None:
                       "u": np.concatenate([[0.0], np.asarray(U, dtype=float), [0.0]])})
 
 
-_MEMBER_ARRAYS = ("_U0", "_U1", "_history", "_records")
+_MEMBER_ARRAYS = ("_U0", "_C", "_history", "_records")
 
 
 def _start(problem: ProblemSpec, grid: Grid, N: int) -> SolverState:
@@ -264,11 +271,12 @@ def _start(problem: ProblemSpec, grid: Grid, N: int) -> SolverState:
     U0, u1 = sine_transform(np.stack([problem.u0(grid.x), problem.u1(grid.x)]))
     U1 = U0 + dt * u1
     eigs, dU1 = second_difference_eigenvalues(grid), (U1 - U0) / dt
-    energy = bending_energy(U1, eigs, grid.h)
+    C = eigs * U1
+    energy = grid.h * (C @ C)
     records = [[0.0, norm(dU1, grid)], [0.0, math.sqrt(energy)],
                [0.0, problem.damping(energy)], [0.0, 0.0], [0.0, 0.0]]
     state = SolverState((problem,), grid, dt, N, 2, KernelTables.build(problem.kernel, dt, N),
-                        U0[None], U1[None], dU1[None, None], np.array([records]), eigs)
+                        U0[None], C[None], dU1[None, None], np.array([records]), eigs)
     _sample_forcing(state, 0, 2)
     return state
 
@@ -303,16 +311,16 @@ def initialize(problem: ProblemSpec, grid: Grid, N: int) -> SolverState:
 
 
 def _sample_forcing(state: SolverState, first: int, end: int) -> np.ndarray:
-    """The members' forcing samples at levels first..end-1 as a
-    (B, end-first, J-1) array: one call per member, on the interior nodes
+    """The members' forcing samples at levels first..end-1 as an
+    (end-first, B, J-1) array: one call per member, on the interior nodes
     as a (1, J-1) row and the levels' times as an (end-first, 1) column,
     its result broadcast over both.  Their norms sqrt(h) ||f^m|| go to the
     records once every sample is in."""
     x, t = state.grid.x[None], np.arange(first, end)[:, None] * state.dt
-    f = np.empty((len(state.problems), end - first, state.grid.n_interior))
+    f = np.empty((end - first, len(state.problems), state.grid.n_interior))
     for i, problem in enumerate(state.problems):
-        f[i] = problem.forcing(x, t)
-    state._records[:, 4, first:end] = np.sqrt(state.grid.h * np.vecdot(f, f))
+        f[:, i] = problem.forcing(x, t)
+    state._records[:, 4, first:end] = np.sqrt(state.grid.h * np.vecdot(f, f)).T
     return f
 
 
@@ -330,7 +338,7 @@ def _far_history(state: SolverState, first: int, end: int) -> np.ndarray:
     with it, summed in panel order into a (J-1, end-first) array.  Panels
     start at multiples of C, which depends on J only (see _PANEL_ROWS), so
     a member's sum does not depend on its batch.  The far part is returned
-    as a (B, end-first, J-1) view.
+    as an (end-first, B, J-1) view.
     """
     history, N, rows, L = state._history, state.n_steps, first - 1, end - first
     if state._window is None:
@@ -347,7 +355,7 @@ def _far_history(state: SolverState, first: int, end: int) -> np.ndarray:
             panel = buffer[:min(rows - q, width)]
             np.copyto(panel, state._window[k, N - first + q:N - first + q + len(panel), :L])
             far[k] += history[k, q:q + len(panel)].T @ panel
-    return far.transpose(0, 2, 1)
+    return far.transpose(2, 0, 1)
 
 
 def assemble_step_system(state: SolverState) -> tuple[np.ndarray, np.ndarray]:
@@ -355,23 +363,24 @@ def assemble_step_system(state: SolverState) -> tuple[np.ndarray, np.ndarray]:
 
     Returns sine coefficients ``(r, D)``, one row per member: for a frozen
     damping coefficient G the coefficients of v = dU^n solve, mode by
-    mode, (D + G) v = r, and U^n = U^{n-1} + dt v.  Here
+    mode, (D + G) v = r, and the new level's curvature coefficients are
+    C^n = C + (lambda dt) v, with C = lambda U^{n-1} the state's.  Here
     D = 1/dt + (mu0 dt + w[0]) lambda^2 > 0 and
 
-        r = f^n + dU^{n-1}/dt - lambda^2 (mu0 U^{n-1} + mem + K(t_n) U^0),
+        r = f^n + dU^{n-1}/dt - mu0 lambda C - lambda^2 (mem + K(t_n) U^0),
 
     with mem the history sum over the rows before level n.  The block of
     level n comes from the state's cache.  When n lies outside it, the
     whole aligned block of 32 levels from first = 2 + 32k (to N at most)
-    is made again: the members' forcing samples are taken in one call per
-    member (see :func:`_sample_forcing`) and transformed at once, the only
-    transform; their norms go to the records; and the far part of the
-    history sum is made and folded, with the initial-load source, into
-    P = f - lambda^2 (far + K U^0) for each level of the block.  Each
-    level then adds dU^{n-1}/dt, the mu0 term and its near part, over
-    history rows first..n-1.  A forcing callable that raises does so at
-    the first level of its block, and the cache and the records are then
-    left as they were.
+    is made again: the members' forcing samples are taken
+    in one call per member (see :func:`_sample_forcing`) and transformed
+    at once, the only transform; their norms go to the records; and the
+    far part of the history sum is made and folded, with the initial-load
+    source, into P = f - lambda^2 (far + K U^0) for each level of the
+    block, stored level-major.  Each level then adds dU^{n-1}/dt, the mu0
+    term and its near part, over history rows first..n-1.  A forcing
+    callable that raises does so at the first level of its block, and the
+    cache and the records are then left as they were.
     """
     n, N, dt, tables = state.n, state.n_steps, state.dt, state.tables
     first, end = state._block[:2]
@@ -384,18 +393,45 @@ def assemble_step_system(state: SolverState) -> tuple[np.ndarray, np.ndarray]:
         state._block = _NO_BLOCK
         # The far part and the initial-load source K(t_m) U^0 of each level.
         fixed = _far_history(state, first, end)
-        fixed += tables.tail[..., first:end, None] * state._U0[:, None]
-        lam2 = state._eigs[None] ** 2
+        fixed += (tables.tail[..., first:end, None] * state._U0[:, None]).swapaxes(0, 1)
+        lam = state._eigs[None]
+        lam2 = lam ** 2
+        P = sine_transform(f)
+        P -= lam2 * fixed
         D = 1.0 / dt + (tables.mu0 * dt + tables.weights[..., :1]) * lam2
-        state._block = (first, end, sine_transform(f) - lam2[:, None] * fixed, lam2,
-                        tables.mu0 * lam2, D)
-    first, end, P, lam2, mu0_lam2, D = state._block
+        state._block = (first, end, P, lam2, tables.mu0 * lam, D)
+    first, end, P, lam2, mu0_lam, D = state._block
     # w[n-first:0:-1] of each member, read forward so that each product is
     # a BLAS gemv.
     near = np.matmul(tables.reversed_weights[..., None, N - n + first - 1:N - 1],
                      state._history[:, first - 1:n - 1])[:, 0]
-    r = P[:, n - first] + state._history[:, n - 2] / dt - (mu0_lam2 * state._U1 + lam2 * near)
+    r = P[n - first] + state._history[:, n - 2] / dt - (mu0_lam * state._C + lam2 * near)
     return r, D
+
+
+def _unit_size_bound(eigs: np.ndarray) -> float:
+    """The bound lambda_1^2 on h ||C||^2 up to which ||U|| <= 1 is sure.
+
+    lambda_1 is the D2 eigenvalue of smallest magnitude, so
+    ||U|| = sqrt(h) ||C / lambda|| <= sqrt(h) ||C|| / |lambda_1|."""
+    return float(np.min(eigs * eigs))
+
+
+def _first_nonfinite(values: list) -> int | None:
+    """The index of the first non-finite value, None if there is none."""
+    return next((i for i, x in enumerate(values) if not math.isfinite(x)), None)
+
+
+def _flush_records(state: SolverState, pending: list) -> None:
+    """Write the records of the last ``len(pending)`` levels, before
+    ``state.n``, and empty ``pending``.  Each entry holds a level's
+    squared velocity and curvature norms (without the factor h), G and
+    iteration count, one float per member; the norms take one vectorized
+    sqrt, which rounds as math.sqrt does."""
+    records = np.array(pending).transpose(2, 1, 0)
+    records[:, :2] = np.sqrt(state.grid.h * records[:, :2])
+    state._records[:, :4, state.n - len(pending):state.n] = records
+    pending.clear()
 
 
 def step(state: SolverState, config: SolverConfig) -> None:
@@ -415,80 +451,102 @@ def _advance(state: SolverState, config: SolverConfig, stop: int) -> None:
     basis.  The start iterate v_0 is solved with
     G_0 = max(2 G_{n-1} - G_{n-2}, 0), extrapolated from the G of the last
     two levels (G_1 at n = 2).  Each iteration k >= 1 freezes a member's G
-    at the level U^{n-1} + dt v_{k-1} of its previous iterate and divides
-    mode by mode; a member stops iterating when its level moves by at most
-    ``fp_tol * max(1, ||U^n||)`` in the discrete L2 norm, which the
-    orthonormal transform preserves.  So v_0 itself is never accepted, and
-    the G recorded is the one the accepted iterate was solved with.  A
-    non-finite G or iterate raises :class:`NumericalError` at once, with
-    the failing member's index as ``member``.  An error at level n leaves
-    the state at level n - 1, as the last good level left it; that
+    at the trial level C + (lambda dt) v_{k-1} of its previous iterate and
+    divides mode by mode; a member stops iterating when its level moves by
+    at most ``fp_tol * max(1, ||U^n||)`` in the discrete L2 norm, which
+    the orthonormal transform preserves.  A member's scale is 1 while
+    sqrt(h) ||C|| / |lambda_1| <= 1, which bounds ||U^n|| (see
+    :func:`_unit_size_bound`); ||U^n|| = sqrt(h) ||C / lambda|| is formed
+    only in a pass where some member's bound exceeds 1.  So v_0 itself is
+    never accepted, and the G recorded is the one the accepted iterate was
+    solved with.  A non-finite G or iterate raises :class:`NumericalError`,
+    with the failing member's index as ``member``.  An error at level n
+    leaves the state at level n - 1, as the last good level left it; that
     includes an exception from a forcing callable, which is sampled for a
     block of levels ahead (see :func:`assemble_step_system`) and so raises
     at the first level of the block that reaches its bad time.
 
-    The last two G are carried from level to level as floats, equal to
-    the recorded ones.  Levels alternate between two iterate stacks, so
-    that U^{n-1} lives in the stack that level n does not write.
+    The last two G are carried as floats, equal to the recorded ones.
+    The passes alternate between two iterate rows, so that only the
+    history copies the accepted one, and the levels between two curvature
+    rows, so that level n never writes C^{n-1}; each pass forms its trial
+    level in two calls.  The records wait in a list for a block of levels
+    at most and are written before an error propagates.
     """
     dt, h, lam = state.dt, state.grid.h, state._eigs[None]
+    lam_dt, unit = lam * dt, _unit_size_bound(state._eigs)
     laws = [problem.damping for problem in state.problems]
     tol, max_iters = config.fp_tol, config.fp_max_iters
-    # The members' G fill one column, written whole each iteration.  A
-    # member that has converged keeps its G, so its row of every later
-    # iterate repeats its final one bit for bit.  A stack holds the
-    # iterate's increment, the iterate, its level U^{n-1} + dt v and lambda
-    # times that level, so that one vecdot gives all four squared norms of
-    # every member.  The start v_0 is solved straight into the iterate row;
-    # its increment is v_0 itself, so its own squared norm is what is
-    # checked for being finite, and the increment row, left from an earlier
-    # level, is not read.
-    G_col, members = np.empty((len(laws), 1)), range(len(laws))
-    stacks = np.zeros((2, 4) + state._U1.shape)
+    # With one member G is a scalar; with more the members' G fill one
+    # column, written whole each pass.  A member that has converged keeps
+    # its G, so its row of every later iterate repeats its final one bit
+    # for bit.  One vecdot of the rows gives the squared norms of the
+    # increment, of both iterates and of both curvature rows of every
+    # member.  The start v_0 is its own increment, so its squared norm is
+    # what is checked for being finite, and the increment row, left from
+    # an earlier level, is not read.
+    G_col, members, single = np.empty((len(laws), 1)), range(len(laws)), len(laws) == 1
+    rows = np.zeros((5,) + state._C.shape)
+    row = list(rows)  # the rows as views, indexed without numpy
     G_before, G_last = state._records[:, 2, state.n - 2:state.n].T.tolist()
-    for n in range(state.n, stop):
-        r, D = assemble_step_system(state)
-        G = ([max(2.0 * g - g_before, 0.0) for g, g_before in zip(G_last, G_before)]
-             if n > 2 else G_last[:])
-        stack, iters, active = stacks[n % 2], [0] * len(laws), members
-        for it in range(max_iters + 1):
-            for i in active:
+    pending = []
+    try:
+        for n in range(state.n, stop):
+            if pending and (n - 2) % _BLOCK_LEVELS == 0:
+                _flush_records(state, pending)
+            r, D = assemble_step_system(state)
+            G = ([max(2.0 * g - g_before, 0.0) for g, g_before in zip(G_last, G_before)]
+                 if n > 2 else G_last[:])
+            C, curvature = state._C, 3 + n % 2
+            trial, iters, active = row[curvature], [0] * len(laws), members
+            for it in range(max_iters + 1):
                 if it:
-                    G[i] = laws[i](h * energies[i])
-                if not math.isfinite(G[i]):
+                    for i in active:
+                        G[i] = laws[i](h * energies[i])
+                # One sum checks every G; it is inf or NaN also when finite
+                # values overflow or inf - inf cancels, so the scan decides.
+                if not math.isfinite(sum(G)) and (i := _first_nonfinite(G)) is not None:
                     raise NumericalError(
                         n, f"damping coefficient G = {G[i]!r} at step {n} is not finite", i)
-            G_col[:, 0] = G
-            if it:
-                v = r / (D + G_col)
-                np.subtract(v, stack[1], out=stack[0])
-                stack[1] = v
-            else:
-                np.divide(r, D + G_col, out=stack[1])
-            np.multiply(lam, np.add(state._U1, dt * stack[1], out=stack[2]), out=stack[3])
-            increments, speeds, sizes, energies = np.vecdot(stack, stack).tolist()
-            for i in active:
-                squared = increments[i] if it else speeds[i]
-                if not math.isfinite(increment := dt * math.sqrt(h * squared)):
+                iterate = 1 + it % 2
+                v = row[iterate]
+                if single:
+                    np.divide(r, D + G[0], v)
+                else:
+                    G_col[:, 0] = G
+                    np.divide(r, D + G_col, v)
+                if it:
+                    np.subtract(v, row[3 - iterate], row[0])
+                np.add(C, np.multiply(lam_dt, v, trial), trial)
+                norms = np.vecdot(rows, rows).tolist()
+                squared, energies = norms[0] if it else norms[iterate], norms[curvature]
+                if (not math.isfinite(sum(squared))
+                        and (i := _first_nonfinite(squared)) is not None):
                     raise NumericalError(n, f"non-finite iterate at step {n}", i)
-                if it and increment <= tol * max(1.0, math.sqrt(h * sizes[i])):
-                    iters[i] = it
-            if it and not (active := [i for i in active if not iters[i]]):
-                break
-        else:
-            raise NonConvergenceError(n, dt * math.sqrt(h * increments[active[0]]),
-                                      max_iters, active[0])
+                if not it:
+                    continue
+                if h * max(energies) > unit:
+                    U = np.divide(trial, lam)
+                    sizes = np.vecdot(U, U).tolist()
+                for i in active:
+                    scale = max(1.0, math.sqrt(h * sizes[i])) if h * energies[i] > unit else 1.0
+                    if dt * math.sqrt(h * squared[i]) <= tol * scale:
+                        iters[i] = it
+                if not (active := [i for i in active if not iters[i]]):
+                    break
+            else:
+                raise NonConvergenceError(n, dt * math.sqrt(h * squared[active[0]]),
+                                          max_iters, active[0])
 
-        # The history row is the accepted iterate; the velocity and
-        # curvature norms come from the last vecdot's floats, and math.sqrt
-        # rounds as np.sqrt does.
-        state._history[:, n - 1] = stack[1]
-        state._records[:, :4, n] = [
-            (math.sqrt(h * speed), math.sqrt(h * energy), g, k)
-            for speed, energy, g, k in zip(speeds, energies, G, iters)]
-        state._U1 = stack[2]
-        state.n = n + 1
-        G_before, G_last = G_last, G
+            # The history row is the accepted iterate, the one copy a level
+            # makes; its record waits for the next flush.
+            state._history[:, n - 1] = v
+            pending.append((norms[iterate], energies, G, iters))
+            state._C, state.n = trial, n + 1
+            G_before, G_last = G_last, G
+    finally:
+        if pending:
+            _flush_records(state, pending)
 
 
 def run_batch(problems, grid: Grid, N: int, config: SolverConfig | None = None

@@ -125,17 +125,20 @@ def spatial_error(problem, J: int, N: int, config=None) -> float:
 def assemble_per_level(state):
     """``assemble_step_system`` with one forcing sample and one transform
     per level and the history sum as one gemv over all rows: with the
-    weights and tail zeroed, the same (r, D) bit for bit.  It records the
-    level's forcing norm as the stepper does for a block."""
+    weights and tail zeroed, the same (r, D) bit for bit.  The elastic
+    term is the stepper's mu0 lambda C, on the carried curvature
+    coefficients.  It records the level's forcing norm as the stepper
+    does for a block."""
     n, N, dt, tables = state.n, state.n_steps, state.dt, state.tables
-    lam2, f = state._eigs[None] ** 2, np.empty(state._U1.shape)
+    lam, f = state._eigs[None], np.empty(state._C.shape)
+    lam2 = lam ** 2
     for i, problem in enumerate(state.problems):
         f[i] = problem.forcing(state.grid.x, n * dt)
     state._records[:, 4, n] = np.sqrt(state.grid.h * np.vecdot(f, f))
     mem = np.matmul(tables.reversed_weights[..., None, N - n:N - 1],
                     state._history[:, : n - 1])[:, 0]
     r = (sine_transform(f) + state._history[:, n - 2] / dt
-         - (tables.mu0 * lam2 * state._U1
+         - (tables.mu0 * lam * state._C
             + lam2 * (mem + tables.tail[..., n:n + 1] * state._U0)))
     return r, 1.0 / dt + (tables.mu0 * dt + tables.weights[..., :1]) * lam2
 

@@ -108,3 +108,30 @@ def test_bench_pairs_summary():
     assert summarize(parent, [p - 0.06 for p in parent], "lower", 0.05)["verdict"] == "ok"
     assert summarize(parent, parent, "lower", 0.03)["verdict"] == "unresolved"
     assert summarize(parent, [p + 0.06 for p in parent], "lower", 0.03)["verdict"] == "worse"
+
+
+def test_step_pairs_smoke():
+    # tools/step_pairs.py with this checkout on both sides, at each
+    # workload's small size: both sides import under their own module
+    # names, step (run_batch, or run_study for the study) and get
+    # summarized per level.  One run takes an extra override.
+    import re
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    for workload in ("long-history", "study-ladder", "long-horizon"):
+        proc = subprocess.run(
+            [sys.executable, str(root / "tools" / "step_pairs.py"), str(root), str(root),
+             "--workload", workload, "--pairs", "2", "--tiny"]
+            + (["--set", "initial.u0.amplitude=30"] if workload == "long-history" else []),
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0].startswith(f"{workload}, 2 pairs, seeds 0..1, ")
+        for side, line in zip(("parent", "change"), lines[1:3]):
+            assert re.fullmatch(rf"{side}\s+us/level q1 / median / q3: [\d.e+]+ / [\d.e+]+ / [\d.e+]+",
+                                line), line
+        assert lines[3].startswith("ratio change/parent q1 / median / q3: ")
+        assert re.fullmatch(r"wins change:parent \d:\d, gain (yes|no)", lines[4])

@@ -236,7 +236,8 @@ class TestStep:
         # The state stays in the sine basis and the forcing is transformed
         # 32 levels at a time: 40 steps from level 2 transform the blocks
         # of levels 2..33 and 34..64 (N = 64) and nothing else, so no level
-        # or history row is moved back to grid values between steps.
+        # or history row is moved back to grid values between steps.  The
+        # blocks are level-major: (levels, members, J-1).
         state = initialize(example2_problem(), Grid(16), 64)
         calls = []
 
@@ -248,7 +249,7 @@ class TestStep:
         for _ in range(40):
             step(state, SolverConfig())
         assert len(calls) == math.ceil(40 / 32)
-        assert calls == [(1, 32, 15), (1, 31, 15)]
+        assert calls == [(32, 1, 15), (31, 1, 15)]
 
     def test_one_forcing_call_per_member_and_block(self):
         # Each member's forcing is called once at set-up, for levels 0 and 1,
@@ -393,43 +394,80 @@ class TestRunBatch:
 
     @pytest.mark.parametrize("sigmas", [(1.5,), (1.2, 1.5, 2.0)])
     def test_level_by_level_matches_whole_run(self, sigmas):
-        # One step at a time reads the last two G from the records; one
-        # whole-run call carries them from level to level.  Both give the
-        # same bits across the level-2 start and the block boundary at
-        # level 34: history, every record and U^N.
+        # One step at a time reads the last two G from the records and
+        # writes its record at once; one whole-run call carries the G from
+        # level to level and writes the records a block at a time.  Both
+        # give the same bits, at the level-2 start and around the first
+        # block boundary (level 34): history, every record and C^N.
         problems = [example1_problem(sigma=s) for s in sigmas]
-        g, N = Grid(16), 40
-        whole = run_batch(problems, g, N)
-        stepped = viscobeam.stepper._stack(
-            [viscobeam.stepper._start(p, g, N) for p in problems])
-        while stepped.n <= N:
-            step(stepped, SolverConfig())
-        for k, state in enumerate(whole):
-            assert state.n == stepped.n == N + 1
-            for name in ("_U1", "_history", "_records"):
-                assert getattr(state, name).tobytes() == getattr(stepped, name)[k].tobytes()
+        g = Grid(16)
+        for N in (2, 3, 33, 34, 40, 65):
+            whole = run_batch(problems, g, N)
+            stepped = viscobeam.stepper._stack(
+                [viscobeam.stepper._start(p, g, N) for p in problems])
+            while stepped.n <= N:
+                step(stepped, SolverConfig())
+            for k, state in enumerate(whole):
+                assert state.n == stepped.n == N + 1
+                for name in ("_C", "_history", "_records"):
+                    assert (getattr(state, name).tobytes()
+                            == getattr(stepped, name)[k].tobytes()), (N, name)
 
     def test_failure_inside_a_whole_run_call_keeps_the_last_level(self):
-        # The second member's forcing turns NaN for t > 0.6: inside one
-        # call from level 2 to N = 64, level 39 fails, past the block
-        # boundary at 34.  The state is then at level 38, with the bits of
-        # a state stepped there one level at a time: no level's buffer was
-        # written over by the failing one.
+        # The second member's forcing turns NaN for t > 0.6, or for
+        # t > 0.52: inside one call from level 2 to N = 64, level 39 fails,
+        # past the block boundary at 34, or level 34 itself, the first of
+        # its block, right after the records of levels 2..33 went out.  The
+        # state is then at the level before, with the bits of a state
+        # stepped there one level at a time without failing: no level's
+        # buffer was written over by the failing one, and every waiting
+        # record was written.  The forcing norms (record column 4) are
+        # written a block ahead, so at level 34 only the failed state has
+        # those of levels 34..64.
         base = example1_problem(sigma=1.5)
-        bad = dataclasses.replace(base, forcing=lambda x, t, f=base.forcing: (
-            np.where(t > 0.6, np.nan, f(x, t))))
         g, N, cfg = Grid(16), 64, SolverConfig()
-        states = [viscobeam.stepper._stack([viscobeam.stepper._start(p, g, N)
-                                            for p in (base, bad)]) for _ in range(2)]
-        with pytest.raises(NumericalError, match="non-finite iterate") as exc:
-            viscobeam.stepper._advance(states[0], cfg, N + 1)
-        assert (exc.value.step_index, exc.value.member) == (39, 1)
-        while states[1].n < 39:
-            step(states[1], cfg)
-        assert states[0].n == states[1].n == 39
-        for name in ("_U1", "_history", "_records"):
-            a, b = (getattr(s, name) for s in states)
-            assert a.tobytes() == b.tobytes(), name
+        for after, failing in ((0.6, 39), (0.52, 34)):
+            bad = dataclasses.replace(base, forcing=lambda x, t, f=base.forcing, c=after: (
+                np.where(t > c, np.nan, f(x, t))))
+            states = [viscobeam.stepper._stack([viscobeam.stepper._start(p, g, N)
+                                                for p in (base, bad)]) for _ in range(2)]
+            with pytest.raises(NumericalError, match="non-finite iterate") as exc:
+                viscobeam.stepper._advance(states[0], cfg, N + 1)
+            assert (exc.value.step_index, exc.value.member) == (failing, 1)
+            while states[1].n < failing:
+                step(states[1], cfg)
+            assert states[0].n == states[1].n == failing
+            written = N + 1 if failing == 39 else failing
+            for name, part in (("_C", ...), ("_history", ...),
+                               ("_records", np.s_[:, :4]),
+                               ("_records", np.s_[:, 4, :written])):
+                a, b = (getattr(s, name)[part] for s in states)
+                assert a.tobytes() == b.tobytes(), (failing, name, part)
+
+    def test_one_finiteness_check_per_pass_scans_an_overflowing_sum(self):
+        # One sum of the members' G checks them all each pass.  Two finite
+        # G of 1e308 overflow it: the scan then finds no non-finite member,
+        # and every member keeps the bits of its run alone.  An infinite G
+        # among them is found and named.  The laws are 1 where the problem
+        # samples them (v <= 1e4); amplitude 100 puts ||D2 U||^2 near 4.9e5.
+        def beyond(value):
+            return ProblemSpec(
+                u0=lambda x: 100.0 * np.sin(np.pi * np.asarray(x)), u1=_zero,
+                forcing=lambda x, t: _zero(x), kernel=KernelSpec(family=NO_MEMORY),
+                damping=DampingFunction(lambda v: 1.0 if v <= 1e4 else value, 1.0, 0.0))
+
+        g, N, huge = Grid(8), 2, beyond(1e308)
+        problems = [example2_problem(), huge, huge]
+        for state, p in zip(run_batch(problems, g, N), problems):
+            assert isinstance(state, SolverState)
+            single, series = run(p, g, N)
+            assert state._C.tobytes() == single._C.tobytes()
+            assert np.array_equal(state.series().damping, series.damping)
+        assert run(huge, g, N)[1].damping[-1] == 1e308
+        states = run_batch([huge, beyond(math.inf), huge], g, N)
+        assert isinstance(states[0], SolverState) and isinstance(states[2], SolverState)
+        assert isinstance(states[1], NumericalError) and states[1].member == 1
+        assert "G = inf" in str(states[1])
 
     def test_forcing_raising_at_start_fails_its_member_only(self):
         # Levels 0 and 1 are sampled at set-up, member by member, so a
@@ -643,6 +681,33 @@ class TestForcingBlocks:
             after = (state._U1, state._history, state._records)
             assert all(np.array_equal(a, b) for a, b in zip(after, before))
 
+    def test_stepping_memory_does_not_grow_with_N(self):
+        # The records of a whole-run call wait in a list for one block of
+        # levels at most.  So the traced peak of run_batch at J = 16, less
+        # the arrays of about N entries it holds (history, records, the
+        # kernel tables and the Toeplitz window's weights), is the same
+        # within 16 kB at N = 1024 and N = 8192; records held for the whole
+        # call would add about 0.4 kB per level.  The problem has no memory,
+        # so the kernel tables take no quadrature scratch, which would set
+        # the peak at N = 1024.
+        # A first run, untraced, makes what is made once per process.
+        free = dataclasses.replace(example1_problem(), kernel=KernelSpec(family=NO_MEMORY))
+        run_batch([free], Grid(16), 64)
+        peaks = {}
+        for N in (1024, 8192):
+            tracemalloc.start()
+            try:
+                state, = run_batch([free], Grid(16), N)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            tables = state.tables
+            held = sum(a.nbytes for a in (state._history, state._records, tables.weights,
+                                          tables.tail, tables.reversed_weights))
+            window = 8 * (N + viscobeam.stepper._BLOCK_LEVELS - 1)
+            peaks[N] = peak - held - window
+        assert abs(peaks[8192] - peaks[1024]) <= 16e3, peaks
+
     def test_step_peak_memory_bounded(self):
         # 64 steps of a 4-member batch at J = 64 hold one block of
         # 4 x 32 x 63 floats of forcing and one of the history's far part,
@@ -707,6 +772,29 @@ class TestVelocitySolve:
         # iteration meets fp_tol on nearly every step (99.8 %).
         _, series = run(example1_problem(), Grid(64), 8192)
         assert np.mean(series.fp_iters[1:] == 1) >= 0.99
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--preset", "example1"],
+        ["solve", "--preset", "example2"],
+        ["solve", "--preset", "example1", "--set", "initial.u0.amplitude=30"],
+    ], ids=["example1", "example2", "example1-amplitude30"])
+    def test_unit_scale_shortcut_changes_no_byte(self, argv, tmp_path, monkeypatch):
+        # The tolerance scale max(1, ||U||) is taken as 1 without forming
+        # ||U|| = sqrt(h) ||C / lambda|| while sqrt(h) ||C|| / |lambda_1|,
+        # which bounds it, is at most 1.  With that bound forced off,
+        # ||C / lambda|| is formed at every pass, and the outputs keep
+        # every byte.  At amplitude 30 (||U|| about 21 at the end) the
+        # exact scale decides either way.
+        from viscobeam import cli
+        assert cli.main(argv + ["-o", str(tmp_path / "bound")]) == 0
+        monkeypatch.setattr(viscobeam.stepper, "_unit_size_bound", lambda eigs: -1.0)
+        assert cli.main(argv + ["-o", str(tmp_path / "exact")]) == 0
+        for name in ("timeseries.csv", "solution.csv"):
+            assert ((tmp_path / "bound" / name).read_bytes()
+                    == (tmp_path / "exact" / name).read_bytes()), name
+        with open(tmp_path / "exact" / "solution.csv", newline="") as fh:
+            u = np.array([float(row[1]) for row in list(csv.reader(fh))[1:]])
+        assert (norm(u[1:-1], Grid(len(u) - 1)) > 1.0) == ("amplitude=30" in argv[-1])
 
     def test_start_changes_only_iteration_counts(self):
         # Scaling the recorded G of the last two levels before each step
