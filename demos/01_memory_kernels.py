@@ -2,10 +2,14 @@
 
 The solver never touches the kernel density directly; everything flows
 through the integrated tail K and the product-integration weights derived
-from its second antiderivative.  This script walks through those objects
-for the two kernel families and shows the one surprise of the oscillatory
-family: the tail can cross zero, dragging far weights negative.
+from its second antiderivative, so the package makes only those (and
+K(0), mu0 = 1 - K(0)).  This script prints the density from its formula,
+walks through the tables for the two kernel families and shows the one
+surprise of the oscillatory family: the tail can cross zero, dragging far
+weights negative.
 """
+
+import math
 
 import numpy as np
 
@@ -14,7 +18,6 @@ from viscobeam import (
     KernelTables,
     NON_OSCILLATORY,
     OSCILLATORY,
-    beta_eval,
 )
 
 # ----------------------------------------------------------------------
@@ -24,11 +27,19 @@ from viscobeam import (
 osc = KernelSpec(family=OSCILLATORY, sigma=1.2, gamma=1.0, alpha=0.5)
 non = KernelSpec(family=NON_OSCILLATORY, sigma=1.5, gamma=0.0, alpha=0.5)
 
+
+def beta(spec, t):
+    """exp(-sigma t) t^(alpha-1) cos(gamma t) / Gamma(alpha); gamma is 0
+    for the non-oscillatory family, which leaves no cosine."""
+    return (np.exp(-spec.sigma * t) * t ** (spec.alpha - 1.0)
+            * np.cos(spec.gamma * t) / math.gamma(spec.alpha))
+
+
 ts = np.array([0.05, 0.25, 1.0, 4.0])
 print("density values beta(t):")
 print("  t       oscillatory   non-oscillatory")
 for t in ts:
-    print(f"  {t:<6}  {beta_eval(osc, t):>12.6f}  {beta_eval(non, t):>12.6f}")
+    print(f"  {t:<6}  {beta(osc, t):>12.6f}  {beta(non, t):>12.6f}")
 
 # ----------------------------------------------------------------------
 # 2. Integrated tails.  K(0) is the total memory mass; the scheme's

@@ -31,8 +31,7 @@ grid = Grid(64)
 N = 5000
 
 state, series = run(problem, grid, N)
-functional = data_functional(problem, grid, state.dt, state.forcing_norms,
-                             C0=state.tables.K0, mu0=state.tables.mu0)
+functional = data_functional(state)
 print(f"healthy run, T = {problem.T}, N = {N}:")
 print(" ", stability_monitor(series.n, series.total, functional))
 print(f"  peak total energy {series.total.max():.4e} reached at "
@@ -59,8 +58,6 @@ except NonConvergenceError as exc:
     print(f"\nnegated-weight run: fixed point diverged at step "
           f"{exc.step_index} (expected; the iteration map is no longer "
           "contractive once the state blows up)")
-bad_functional = data_functional(bad, g8, bad_state.dt, bad_state.forcing_norms,
-                                 C0=bad_state.tables.K0,
-                                 mu0=bad_state.tables.mu0)
+bad_functional = data_functional(bad_state)
 bad_series = bad_state.series()
 print(" ", stability_monitor(bad_series.n, bad_series.total, bad_functional))

@@ -10,7 +10,6 @@ from .kernel import (
     NO_MEMORY,
     NON_OSCILLATORY,
     OSCILLATORY,
-    beta_eval,
 )
 from .grid_ops import (
     Grid,
@@ -56,7 +55,7 @@ __all__ = [
     "NON_OSCILLATORY", "NonConvergenceError", "NumericalError", "OSCILLATORY",
     "ProblemSpec", "SolverConfig", "SolverState", "StabilityVerdict",
     "StudyCell", "StudySpec", "TimeSeries", "assemble_step_system",
-    "bending_energy", "beta_eval", "data_functional",
+    "bending_energy", "data_functional",
     "energy", "example1_problem", "example2_problem", "initialize", "norm",
     "preset_config", "rate", "run", "run_study",
     "second_difference_eigenvalues", "sine_transform", "stability_monitor",

@@ -1,8 +1,9 @@
 """Command-line surface: solve, study, stability and weights subcommands.
 
 Exit codes: 0 success, 2 configuration/validation error (also argparse
-usage errors), 3 numerical failure.  Failures print a single-line JSON
-object with an error category to stderr.
+usage errors, and sizes too large to allocate), 3 numerical failure.
+Failures print a single-line JSON object with an error category to
+stderr.
 """
 
 from __future__ import annotations
@@ -96,10 +97,11 @@ def _cmd_stability(args) -> int:
     solver = build_solver_config(cfg)
     out = _outdir(args)
     state, series = run(problem, grid, N, solver)
-    functional = data_functional(problem, grid, state.dt, state.forcing_norms,
-                                 C0=state.tables.K0, mu0=state.tables.mu0)
-    verdict = stability_monitor(series.n, series.total, functional,
-                                 safety=args.safety)
+    try:
+        verdict = stability_monitor(series.n, series.total, data_functional(state),
+                                    safety=args.safety)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"--safety {args.safety}: {exc}") from None
     series.to_csv(out / "timeseries.csv")
     print(verdict)
     print(f"wrote {out / 'timeseries.csv'}")
@@ -160,7 +162,9 @@ def main(argv=None) -> int:
         # so numpy's warnings would only break the one-line stderr.
         with np.errstate(all="ignore"):
             return _HANDLERS[args.command](args)
-    except ConfigurationError as exc:
+    except (ConfigurationError, MemoryError) as exc:
+        # A MemoryError is a size the machine cannot hold, such as a step
+        # count whose tables numpy refuses to allocate.
         print(json.dumps({"category": "config", "message": str(exc)}),
               file=sys.stderr)
         return EXIT_CONFIG

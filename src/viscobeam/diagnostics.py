@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid_ops import (Grid, bending_energy, norm, second_difference_eigenvalues,
-                       sine_transform)
-from .model import ProblemSpec
+from .grid_ops import bending_energy, norm, second_difference_eigenvalues, sine_transform
+from .kernel import ConfigurationError
 
 
 def energy(vel_norm, curv_norm, g0: float, mu0: float, dt: float):
@@ -34,23 +33,25 @@ def energy(vel_norm, curv_norm, g0: float, mu0: float, dt: float):
     return kinetic, dissipated, elastic, kinetic + dissipated + elastic
 
 
-def data_functional(problem: ProblemSpec, grid: Grid, dt: float, forcing_norms,
-                    C0: float, mu0: float) -> float:
-    """Data-dependent bound shape the energy is measured against.
+def data_functional(state) -> float:
+    """Data-dependent bound shape the energy of a one-member run is
+    measured against.
 
     ||u1||^2 + (1 + 2 C0 + 2 C0^2/mu0) ||D2 u0||^2 + dt^2 ||D2 u1||^2
-    + (L1 norm of the forcing)^2, all on the solver's grid; the bending
-    terms are read from one sine transform of the u0 and u1 samples.  The
-    L1 norm is the composite-trapezoid integral of ``forcing_norms``, the
-    norms ||f(., t_m)|| at levels 0..N that a run records
-    (:attr:`SolverState.forcing_norms`), so the forcing is not sampled
-    again.
+    + (L1 norm of the forcing)^2, all on the state's grid, with C0 = K0
+    and mu0 from its kernel tables; the bending terms are read from one
+    sine transform of the u0 and u1 samples.  The L1 norm is the
+    composite-trapezoid integral of the norms ||f(., t_m)|| that the run
+    recorded at its levels (:attr:`SolverState.forcing_norms`), so the
+    forcing is not sampled again.
     """
+    problem, grid, dt = state.problems[0], state.grid, state.dt
+    C0, mu0 = state.tables.K0, state.tables.mu0
     x = grid.x
     u1s = np.asarray(problem.u1(x), dtype=float)
     u0_hat, u1_hat = sine_transform(np.stack([problem.u0(x), u1s]))
     eigs = second_difference_eigenvalues(grid)
-    norms = np.asarray(forcing_norms, dtype=float)
+    norms = state.forcing_norms
     f1 = dt * (0.5 * norms[0] + norms[1:-1].sum() + 0.5 * norms[-1])
     return (norm(u1s, grid) ** 2
             + (1.0 + 2.0 * C0 + 2.0 * C0**2 / mu0)
@@ -83,11 +84,17 @@ def stability_monitor(steps, total, data_functional: float,
     of the underlying estimate; the default 1e3 is deliberately loose so
     that only genuine blow-ups trip it.  A factor below 1, infinite or NaN
     raises ``ValueError``: it would make the bound no bound, or a PASS
-    that nothing could fail.
+    that nothing could fail.  For the same reason a bound
+    ``safety * data_functional`` that overflows or is NaN raises
+    :class:`ConfigurationError`, itself a ``ValueError``.
     """
     if not 1.0 <= safety < np.inf:
         raise ValueError(f"safety factor must be at least 1 and finite (got {safety!r})")
     bound = safety * data_functional
+    if not np.isfinite(bound):
+        raise ConfigurationError(
+            f"stability bound {safety:.6e} * data functional "
+            f"{data_functional:.6e} is not finite")
     total = np.asarray(total, dtype=float)
     over = np.flatnonzero(total > bound)
     return StabilityVerdict(

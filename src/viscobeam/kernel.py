@@ -6,12 +6,17 @@ power-law kernel
     beta(t) = exp(-sigma*t) * t**(alpha-1) * cos(gamma*t) / Gamma(alpha)
 
 (oscillatory family; the non-oscillatory family drops the cosine).  The
-time stepper never uses beta directly: integrating the convolution by
-parts moves it onto the velocity, weighted by the integrated tail
+scheme never uses beta directly: integrating the convolution by parts
+moves it onto the velocity, weighted by the integrated tail
 
-    K(t) = integral of beta over (t, infinity).
+    K(t) = integral of beta over (t, infinity),
 
-Everything the solver needs derives from K and its antiderivatives
+and the fully discrete scheme takes four quantities from the kernel, the
+fields of :class:`KernelTables`: the tail mass K(0), the elastic
+coefficient mu0 = 1 - K(0), the averaged product-integration weights
+omega_k and the tail K(t_n) at the time-grid nodes.  This module makes
+only those four; beta enters them only through its moments below.  The
+weights and the tail derive from K and its antiderivatives
 
     J1(t) = integral of K over (0, t),      J2(t) = integral of J1 over (0, t),
 
@@ -161,27 +166,6 @@ class KernelSpec:
         return float(((self.sigma - 1j * self.gamma) ** -self.alpha).real)
 
 
-def beta_eval(spec: KernelSpec, t):
-    """Evaluate the memory kernel beta at time(s) ``t``.
-
-    Raises for non-positive times when ``alpha < 1`` (the power law is
-    singular at zero).  Accepts scalars or arrays.
-    """
-    t_arr = np.asarray(t, dtype=float)
-    if spec.family == NO_MEMORY:
-        out = np.zeros_like(t_arr)
-        return float(out) if np.isscalar(t) else out
-    if spec.alpha < 1.0 and np.any(t_arr <= 0.0):
-        raise ValueError("beta is singular at t <= 0 for alpha < 1")
-    if np.any(t_arr < 0.0):
-        raise ValueError("beta is defined for t >= 0 only")
-    out = np.exp(-spec.sigma * t_arr) * t_arr ** (spec.alpha - 1.0)
-    if spec.family == OSCILLATORY:
-        out = out * np.cos(spec.gamma * t_arr)
-    out = out / math.gamma(spec.alpha)
-    return float(out) if np.isscalar(t) else out
-
-
 def _grid_moments(spec: KernelSpec, ts: np.ndarray):
     """(K, M1, M2) on an increasing time grid starting at ts[0] = 0."""
     if spec.family == NO_MEMORY:
@@ -236,23 +220,20 @@ class KernelTables:
     :class:`KernelSpec` proves to be the running maximum of the tail (the
     constant C0 of the stability estimate), and ``tail`` holds K at the
     time-grid nodes (the transformed equation sources the initial bending
-    load through K(t_n)).  Two fields are derived on construction, so
-    ``dataclasses.replace`` keeps them in step: ``mu0 = 1 - K0``, the
-    elastic coefficient left after the memory transformation, and
-    ``reversed_weights``, a contiguous copy of ``weights[..., ::-1]``.
-    Immutable after construction; safe to share between runs.
+    load through K(t_n)).  ``mu0 = 1 - K0``, the elastic coefficient left
+    after the memory transformation, is derived on construction, so
+    ``dataclasses.replace`` keeps it in step.  These four are all that the
+    scheme takes from the kernel.  Immutable after construction; safe to
+    share between runs.
     """
 
     K0: float
     weights: np.ndarray
     tail: np.ndarray
     mu0: float = field(init=False)
-    reversed_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "mu0", 1.0 - self.K0)
-        object.__setattr__(self, "reversed_weights",
-                           np.ascontiguousarray(self.weights[..., ::-1]))
 
     @classmethod
     def stack(cls, tables: list["KernelTables"]) -> "KernelTables":

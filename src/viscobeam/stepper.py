@@ -93,7 +93,7 @@ _BLOCK_LEVELS = 32
 #: other grids OpenBLAS's edge kernels sum in another order.
 _PANEL_ROWS = 256
 #: The empty block cache of a state: no levels.
-_NO_BLOCK = (0, 0, None, None, None, None)
+_NO_BLOCK = (0, 0, None, None, None, None, None)
 
 
 class NumericalError(RuntimeError):
@@ -156,18 +156,20 @@ class SolverState:
     its dU^p, and ``_records`` holds each level's velocity norm, curvature
     norm, G, iteration count and forcing norm sqrt(h) ||f^n|| in
     (B, 5, N+1) columns; the forcing norms are written a block of levels
-    ahead.  ``_block`` caches, for the block of levels first..end-1, first
-    and end, the part of each level's right-hand side fixed before the
-    block as an (end-first, B, J-1) array, level-major so that each
-    level's rows are contiguous, lambda^2, mu0 lambda and the velocity
-    system's diagonal D, and ``_window`` the Toeplitz window of the
-    reversed weights that every block's far part reads; :func:`dataclasses.replace` leaves both empty,
-    and a state whose tables are replaced needs them empty.  Nothing else
-    is carried across levels: the stepping loop reads the last two G from
-    the records when it is called and carries them itself, and ``_C``
-    views the curvature row of the level that made it.  The properties
-    return grid values, without the member axis when B = 1.  Confine a
-    state to one thread; the shared tables are read-only.
+    ahead.  ``_window`` is the Toeplitz window of the reversed weights,
+    the state's one reversed copy of them, which both parts of the history
+    sum read.  ``_block`` caches, for the block of levels first..end-1,
+    first and end, the part of each level's right-hand side fixed before
+    the block as an (end-first, B, J-1) array, level-major so that each
+    level's rows are contiguous, lambda^2, mu0 lambda, the velocity
+    system's diagonal D and the near part's weights, a view of the window.
+    :func:`dataclasses.replace` leaves both empty, and a state whose
+    tables are replaced needs them empty.  Nothing else is carried across
+    levels: the stepping loop reads the last two G from the records when
+    it is called and carries them itself, and ``_C`` views the curvature
+    row of the level that made it.  The properties return grid values,
+    without the member axis when B = 1.  Confine a state to one thread;
+    the shared tables are read-only.
     """
 
     problems: tuple[ProblemSpec, ...]
@@ -329,9 +331,10 @@ def _far_history(state: SolverState, first: int, end: int) -> np.ndarray:
     block: row i of each member is sum_{p<first} w[first+i-p] dU^p.
 
     Row q of the history (dU^{q+1}) is weighted by rev[N - first - i + q]
-    of the reversed weights, so the weights form a Toeplitz matrix, read
-    from the state's window view (made on the first far part of the
-    state), whose row j holds rev[j - i] at column i, zero for j < i.
+    of the reversed weights rev = w[N-1::-1], so the weights form a
+    Toeplitz matrix, read from the state's window view, whose row j holds
+    rev[j - i] at column i, zero for j < i.  The first far part of a state
+    makes the window from the tables' weights, reversed and zero-padded.
     Member by member, it is copied transposed, one panel of at most C
     history rows at a time, into one (C, end-first) buffer, and each panel
     is one matrix product of the panel's history rows, viewed transposed,
@@ -343,7 +346,7 @@ def _far_history(state: SolverState, first: int, end: int) -> np.ndarray:
     history, N, rows, L = state._history, state.n_steps, first - 1, end - first
     if state._window is None:
         rev = np.zeros((len(history), N + _BLOCK_LEVELS - 1))
-        rev[:, _BLOCK_LEVELS - 1:] = state.tables.reversed_weights
+        rev[:, _BLOCK_LEVELS - 1:] = state.tables.weights[..., ::-1]
         state._window = sliding_window_view(rev, _BLOCK_LEVELS, axis=-1)[..., ::-1]
     width = _PANEL_ROWS
     while width > 1 and width * history.shape[-1] >= 2**14:
@@ -378,7 +381,8 @@ def assemble_step_system(state: SolverState) -> tuple[np.ndarray, np.ndarray]:
     far part of the history sum is made and folded, with the initial-load
     source, into P = f - lambda^2 (far + K U^0) for each level of the
     block, stored level-major.  Each level then adds dU^{n-1}/dt, the mu0
-    term and its near part, over history rows first..n-1.  A forcing
+    term and its near part, over history rows first..n-1, with weights
+    read from the same Toeplitz window as the far part's.  A forcing
     callable that raises does so at the first level of its block, and the
     cache and the records are then left as they were.
     """
@@ -399,11 +403,13 @@ def assemble_step_system(state: SolverState) -> tuple[np.ndarray, np.ndarray]:
         P = sine_transform(f)
         P -= lam2 * fixed
         D = 1.0 / dt + (tables.mu0 * dt + tables.weights[..., :1]) * lam2
-        state._block = (first, end, P, lam2, tables.mu0 * lam, D)
-    first, end, P, lam2, mu0_lam, D = state._block
+        # Window row N-2 read forward: its last m entries are w[m:0:-1].
+        near_w = state._window[:, None, N - 2, ::-1]
+        state._block = (first, end, P, lam2, tables.mu0 * lam, D, near_w)
+    first, end, P, lam2, mu0_lam, D, near_w = state._block
     # w[n-first:0:-1] of each member, read forward so that each product is
     # a BLAS gemv.
-    near = np.matmul(tables.reversed_weights[..., None, N - n + first - 1:N - 1],
+    near = np.matmul(near_w[..., _BLOCK_LEVELS - n + first:],
                      state._history[:, first - 1:n - 1])[:, 0]
     r = P[n - first] + state._history[:, n - 2] / dt - (mu0_lam * state._C + lam2 * near)
     return r, D

@@ -135,7 +135,7 @@ def assemble_per_level(state):
     for i, problem in enumerate(state.problems):
         f[i] = problem.forcing(state.grid.x, n * dt)
     state._records[:, 4, n] = np.sqrt(state.grid.h * np.vecdot(f, f))
-    mem = np.matmul(tables.reversed_weights[..., None, N - n:N - 1],
+    mem = np.matmul(np.ascontiguousarray(tables.weights[..., ::-1])[..., None, N - n:N - 1],
                     state._history[:, : n - 1])[:, 0]
     r = (sine_transform(f) + state._history[:, n - 2] / dt
          - (tables.mu0 * lam * state._C

@@ -268,9 +268,7 @@ def test_criterion9_long_time_stability():
     g = Grid(64)
     N = 5000
     state, series = run(p, g, N)
-    functional = data_functional(p, g, state.dt, state.forcing_norms,
-                                 C0=state.tables.K0, mu0=state.tables.mu0)
-    verdict = stability_monitor(series.n, series.total, functional, safety=1e3)
+    verdict = stability_monitor(series.n, series.total, data_functional(state), safety=1e3)
     assert verdict.passed, str(verdict)
 
     # No late growth: over the final 10% of steps the total never exceeds

@@ -242,6 +242,32 @@ class TestErrorPaths:
         assert err["category"] == "config"
         assert f"cannot use output directory {out}:" in err["message"]
 
+    def test_overflowing_stability_bound_is_config_error(self, tmp_path, capsys):
+        # safety * data functional once overflowed, and the run printed
+        # "PASS: max energy ... within bound inf" and exited 0.
+        code = main(["stability", "--preset", "example2", "--set", "time.N=8",
+                     "--set", "grid.J=8", "--safety", "1e308", "-o", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["category"] == "config"
+        assert "--safety" in err["message"] and "not finite" in err["message"]
+
+    @pytest.mark.parametrize("command", ["solve", "stability", "weights"])
+    def test_unallocatable_size_is_config_error(self, command, tmp_path, capsys):
+        # N = 10^15 asks for petabytes of kernel tables, which numpy refuses
+        # at once, so nothing is allocated; it once ended in a raw
+        # traceback.  Never test with a size the machine could hold.
+        code = main([command, "--preset", "example1", "--set", f"time.N={10**15}",
+                     "-o", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["category"] == "config"
+        assert err["message"].startswith("Unable to allocate")
+
     def test_removed_solver_key_is_config_error(self, tmp_path, capsys):
         code = main(["solve", "--preset", "example2", "--set",
                      "solver.snapshot_every=4", "-o", str(tmp_path)])

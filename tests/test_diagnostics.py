@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from viscobeam import (
+    ConfigurationError,
     Grid,
     SolverConfig,
     data_functional,
@@ -129,14 +130,18 @@ class TestStabilityMonitor:
         with pytest.raises(ValueError, match="at least 1 and finite"):
             stability_monitor([1, 2], [1.0, 2.0], 1.0, safety=safety)
 
+    def test_overflowing_bound_is_config_error(self):
+        # A finite safety factor times a finite functional can overflow; the
+        # bound inf once gave a PASS that no energy could fail.
+        with pytest.raises(ConfigurationError, match="not finite"):
+            stability_monitor([1, 2], [1.0, 2.0], 2.0, safety=1e308)
+
     def test_healthy_long_run_passes(self):
         p = example2_problem(T=2.0)
         g = Grid(16)
         N = 200
         state, series = run(p, g, N)
-        functional = data_functional(p, g, state.dt, state.forcing_norms,
-                                     C0=state.tables.K0, mu0=state.tables.mu0)
-        verdict = stability_monitor(series.n, series.total, functional)
+        verdict = stability_monitor(series.n, series.total, data_functional(state))
         assert verdict.passed
 
     @pytest.mark.parametrize("problem", [example1_problem, example2_problem])
@@ -148,15 +153,15 @@ class TestStabilityMonitor:
         g = Grid(32)
         N = 64
         dt = p.T / N
-        C0, mu0 = 0.3, 0.7
         state, _ = run(p, g, N)
+        C0, mu0 = state.tables.K0, state.tables.mu0
         u0s, u1s = p.u0(g.x), p.u1(g.x)
         expected = (norm(u1s, g) ** 2
                     + (1.0 + 2.0 * C0 + 2.0 * C0**2 / mu0)
                     * norm(second_difference(u0s, g), g) ** 2
                     + dt**2 * norm(second_difference(u1s, g), g) ** 2
                     + forcing_l1_norm(p, g, dt, N) ** 2)
-        got = data_functional(p, g, dt, state.forcing_norms, C0=C0, mu0=mu0)
+        got = data_functional(state)
         assert got == pytest.approx(expected, rel=1e-13)
 
     def test_negated_weights_trip_the_monitor(self):
@@ -180,9 +185,7 @@ class TestStabilityMonitor:
         except NonConvergenceError:
             pass
         series = state.series()
-        functional = data_functional(p, g, state.dt, state.forcing_norms,
-                                     C0=state.tables.K0, mu0=state.tables.mu0)
-        verdict = stability_monitor(series.n, series.total, functional,
+        verdict = stability_monitor(series.n, series.total, data_functional(state),
                                     safety=1e3)
         assert not verdict.passed
         assert verdict.max_total > verdict.bound

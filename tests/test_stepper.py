@@ -527,7 +527,7 @@ class TestForcingBlocks:
         n, N, dt, tables = state.n, state.n_steps, state.dt, state.tables
         r, r_ref = assemble_step_system(state)[0], assemble_per_level(state)[0]
         U0, U1, dU1 = state._U0, state._U1, state._history[:, n - 2]
-        history = (np.abs(tables.reversed_weights[N - n:N - 1])
+        history = (np.abs(tables.weights[n - 1:0:-1])
                    @ np.abs(state._history[0, :n - 1]))
         scale = (np.abs(sine_transform(problem.forcing(state.grid.x, n * dt)))
                  + np.abs(dU1) / dt
@@ -550,6 +550,28 @@ class TestForcingBlocks:
                 m.setattr(viscobeam.stepper, "assemble_step_system", assemble_per_level)
                 step(oracle, cfg)
         assert np.array_equal(blocked.series().fp_iters, oracle.series().fp_iters)
+
+    @pytest.mark.parametrize("J", [16, 30])
+    def test_near_part_bits(self, J):
+        # At every level of the block 66..97, r is the block's cached P plus
+        # the level's own terms, its near part a gemv against a contiguous
+        # reversed copy of the weights, bit for bit.  J = 30 has
+        # (J - 1) mod 8 = 5, where OpenBLAS's edge kernels come into play.
+        p, N, cfg = example1_problem(), 100, SolverConfig()
+        state = initialize(p, Grid(J), N)
+        rev, history = np.ascontiguousarray(state.tables.weights[..., ::-1]), state._history
+        while state.n < 66:
+            step(state, cfg)
+        for n in range(66, 98):
+            r = assemble_step_system(state)[0]
+            first, end, P, lam2, mu0_lam = state._block[:5]
+            assert (first, end) == (66, 98)
+            near = np.matmul(rev[..., None, N - n + first - 1:N - 1],
+                             history[:, first - 1:n - 1])[:, 0]
+            expected = (P[n - first] + history[:, n - 2] / state.dt
+                        - (mu0_lam * state._C + lam2 * near))
+            assert np.array_equal(r, expected), n
+            step(state, cfg)
 
     @pytest.mark.parametrize("J", [16, 64, 128, 256])
     def test_far_panels_within_summation_bound(self, rng, J):
@@ -685,7 +707,7 @@ class TestForcingBlocks:
         # The records of a whole-run call wait in a list for one block of
         # levels at most.  So the traced peak of run_batch at J = 16, less
         # the arrays of about N entries it holds (history, records, the
-        # kernel tables and the Toeplitz window's weights), is the same
+        # kernel tables and the Toeplitz window's reversed weights), is the same
         # within 16 kB at N = 1024 and N = 8192; records held for the whole
         # call would add about 0.4 kB per level.  The problem has no memory,
         # so the kernel tables take no quadrature scratch, which would set
@@ -703,7 +725,7 @@ class TestForcingBlocks:
                 tracemalloc.stop()
             tables = state.tables
             held = sum(a.nbytes for a in (state._history, state._records, tables.weights,
-                                          tables.tail, tables.reversed_weights))
+                                          tables.tail))
             window = 8 * (N + viscobeam.stepper._BLOCK_LEVELS - 1)
             peaks[N] = peak - held - window
         assert abs(peaks[8192] - peaks[1024]) <= 16e3, peaks
