@@ -13,7 +13,6 @@ from .kernel import (
 )
 from .grid_ops import (
     Grid,
-    bending_energy,
     norm,
     second_difference_eigenvalues,
     sine_transform,
@@ -55,9 +54,8 @@ __all__ = [
     "NON_OSCILLATORY", "NonConvergenceError", "NumericalError", "OSCILLATORY",
     "ProblemSpec", "SolverConfig", "SolverState", "StabilityVerdict",
     "StudyCell", "StudySpec", "TimeSeries", "assemble_step_system",
-    "bending_energy", "data_functional",
-    "energy", "example1_problem", "example2_problem", "initialize", "norm",
-    "preset_config", "rate", "run", "run_study",
+    "data_functional", "energy", "example1_problem", "example2_problem",
+    "initialize", "norm", "preset_config", "rate", "run", "run_study",
     "second_difference_eigenvalues", "sine_transform", "stability_monitor",
     "step", "write_solution_csv",
 ]

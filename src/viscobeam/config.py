@@ -6,7 +6,10 @@ Initial data and forcing are chosen by name from the registries
 ``INITIAL_DATA`` and ``FORCING``, whose builders take their coefficients
 as keyword parameters; no code is ever embedded in configs.  A key that
 no section, builder or kernel parameter knows is a ConfigurationError
-naming its dotted path, so a typo never silently runs a default.
+naming its dotted path, so a typo never silently runs a default.  A study
+sweep cell sets its label and problem only: a key of it outside label,
+time.T and the kernel, damping, initial and forcing sections is a
+ConfigurationError too, and so is a label that an earlier cell has.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ from .studies import TEMPORAL, StudyCell, StudySpec
 _SECTIONS = ("kernel", "damping", "initial", "forcing", "grid", "time",
              "solver", "study")
 _TIME_KEYS = ("T", "N")
+#: The sections a study sweep cell may override, with time.T: the problem's.
+_CELL_SECTIONS = ("kernel", "damping", "initial", "forcing")
 
 
 def _sin_mode(*, amplitude=1.0, mode=1):
@@ -219,16 +224,26 @@ def build_study(config: dict) -> StudySpec:
     _checked(section, ("axis", "levels", "sweep"), "study")
     axis = section.get("axis", TEMPORAL)
     levels = _number(section.get("levels", 2), "study.levels", integral=True)
-    sweep = section.get("sweep") or [{"label": "base"}]
-    if not isinstance(sweep, list):
+    sweep = section.get("sweep")
+    if not isinstance(sweep, (list, type(None))):
         raise ConfigurationError(f"study.sweep must be a list (got {sweep!r})")
     cells = []
-    for i, overrides in enumerate(sweep):
+    for i, overrides in enumerate(sweep or [{"label": "base"}]):
         overrides = _mapping(overrides, f"study.sweep[{i}]")
         label = str(overrides.get("label", f"cell{i}"))
+        labels = [cell.label for cell in cells]
+        outside = [key for key in overrides if key.strip() not in ("label", "time.T")
+                   and key.strip().split(".")[0] not in _CELL_SECTIONS]
         # A cell's bad input, an invalid model included, is a config error
         # that names the cell, found before any run: not a failed cell.
         try:
+            if label in labels:
+                raise ConfigurationError(f"same label as study.sweep[{labels.index(label)}]; "
+                                         "labels must be unique")
+            if outside:
+                raise ConfigurationError(
+                    f"a sweep cell cannot set {outside[0]}; it may set only label, "
+                    f"time.T and keys under {', '.join(_CELL_SECTIONS)}")
             problem = build_problem(apply_overrides(
                 config, {k: v for k, v in overrides.items() if k != "label"}))
         except ConfigurationError as exc:

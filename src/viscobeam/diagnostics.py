@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid_ops import bending_energy, norm, second_difference_eigenvalues, sine_transform
 from .kernel import ConfigurationError
 
 
@@ -37,26 +36,26 @@ def data_functional(state) -> float:
     """Data-dependent bound shape the energy of a one-member run is
     measured against.
 
-    ||u1||^2 + (1 + 2 C0 + 2 C0^2/mu0) ||D2 u0||^2 + dt^2 ||D2 u1||^2
+    ||dU^1||^2 + (1 + 2 C0 + 2 C0^2/mu0) ||D2 U^0||^2 + dt^2 ||D2 dU^1||^2
     + (L1 norm of the forcing)^2, all on the state's grid, with C0 = K0
-    and mu0 from its kernel tables; the bending terms are read from one
-    sine transform of the u0 and u1 samples.  The L1 norm is the
-    composite-trapezoid integral of the norms ||f(., t_m)|| that the run
-    recorded at its levels (:attr:`SolverState.forcing_norms`), so the
-    forcing is not sampled again.
+    and mu0 from its kernel tables.  U^0 and the discrete initial velocity
+    dU^1, the samples of u1 up to roundoff, are read from the state's sine
+    coefficients and the D2 norms from its eigenvalues lambda, as
+    h ||lambda W||^2, so no initial datum is sampled or transformed again.
+    The L1 norm is the composite-trapezoid integral of the norms
+    ||f(., t_m)|| that the run recorded at its levels
+    (:attr:`SolverState.forcing_norms`), so the forcing is not sampled
+    again either.
     """
-    problem, grid, dt = state.problems[0], state.grid, state.dt
+    dt, h, lam = state.dt, state.grid.h, state._eigs
     C0, mu0 = state.tables.K0, state.tables.mu0
-    x = grid.x
-    u1s = np.asarray(problem.u1(x), dtype=float)
-    u0_hat, u1_hat = sine_transform(np.stack([problem.u0(x), u1s]))
-    eigs = second_difference_eigenvalues(grid)
+    dU1, C = state._history[0, 0], lam * state._U0[0]
+    C1 = lam * dU1
     norms = state.forcing_norms
     f1 = dt * (0.5 * norms[0] + norms[1:-1].sum() + 0.5 * norms[-1])
-    return (norm(u1s, grid) ** 2
-            + (1.0 + 2.0 * C0 + 2.0 * C0**2 / mu0)
-            * bending_energy(u0_hat, eigs, grid.h)
-            + dt**2 * bending_energy(u1_hat, eigs, grid.h)
+    return (h * (dU1 @ dU1)
+            + (1.0 + 2.0 * C0 + 2.0 * C0**2 / mu0) * (h * (C @ C))
+            + dt**2 * (h * (C1 @ C1))
             + f1**2)
 
 

@@ -79,17 +79,6 @@ def sine_transform(W) -> np.ndarray:
     return -math.sqrt(2.0 / (n + 1)) * np.fft.rfft(padded).imag[..., 1:n + 1]
 
 
-def bending_energy(W_hat, eigs, h: float) -> float:
-    """Discrete bending energy ||D2 W||^2 = h * ||lambda * W_hat||^2.
-
-    ``W_hat`` holds the sine coefficients of W and ``eigs`` the D2
-    eigenvalues in the same order; the transform is orthonormal, so no
-    grid values are needed.
-    """
-    c = eigs * W_hat
-    return h * (c @ c)
-
-
 def second_difference_eigenvalues(grid: Grid) -> np.ndarray:
     """Eigenvalues lambda_k = -(4/h^2) sin^2(k pi / 2J), k = 1..J-1, of D2.
 

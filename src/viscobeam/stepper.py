@@ -69,7 +69,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import diagnostics
-from .grid_ops import Grid, norm, second_difference_eigenvalues, sine_transform
+from .grid_ops import Grid, second_difference_eigenvalues, sine_transform
 from .kernel import ConfigurationError, KernelTables
 from .model import ProblemSpec
 
@@ -266,7 +266,9 @@ def _start(problem: ProblemSpec, grid: Grid, N: int) -> SolverState:
     """The one-member state of :func:`initialize` before :func:`_stack`
     makes room for later levels: its history holds dU^1 only and its
     records stop at level 1, the forcing norms at levels 0 and 1
-    included."""
+    included.  Level 1's record, made with 0 iterations, goes through
+    :func:`_flush_records` as every later level's does; level 0's stays
+    zero but for its forcing norm."""
     if N < 1:
         raise ValueError("N must be at least 1")
     dt = problem.T / N
@@ -274,11 +276,9 @@ def _start(problem: ProblemSpec, grid: Grid, N: int) -> SolverState:
     U1 = U0 + dt * u1
     eigs, dU1 = second_difference_eigenvalues(grid), (U1 - U0) / dt
     C = eigs * U1
-    energy = grid.h * (C @ C)
-    records = [[0.0, norm(dU1, grid)], [0.0, math.sqrt(energy)],
-               [0.0, problem.damping(energy)], [0.0, 0.0], [0.0, 0.0]]
     state = SolverState((problem,), grid, dt, N, 2, KernelTables.build(problem.kernel, dt, N),
-                        U0[None], C[None], dU1[None, None], np.array([records]), eigs)
+                        U0[None], C[None], dU1[None, None], np.zeros((1, 5, 2)), eigs)
+    _flush_records(state, [([dU1 @ dU1], [C @ C], [problem.damping(grid.h * (C @ C))], [0])])
     _sample_forcing(state, 0, 2)
     return state
 
@@ -305,9 +305,12 @@ def initialize(problem: ProblemSpec, grid: Grid, N: int) -> SolverState:
 
     The first level is the explicit start U^1 = U^0 + dt * u1, which pins
     the discrete initial velocity dU^1 to the samples of u1 up to roundoff.
-    The samples of u0 and u1 are the only grid values transformed here.
-    The explicit start's record is read from the modes like every step's;
-    the forcing is sampled at levels 0 and 1 for its norms only.
+    The samples of u0 and u1 are the only grid values transformed here,
+    and the only samples of them a run takes: the state keeps U^0 and
+    dU^1 as sine coefficients, which :func:`diagnostics.data_functional`
+    reads.  The explicit start's record is read from the modes and written
+    by the same writer as every step's; the forcing is sampled at levels 0
+    and 1 for its norms only.
     """
     return _stack([_start(problem, grid, N)])
 

@@ -113,12 +113,11 @@ class ConvergenceReport:
     metadata: dict
     cells: tuple[CellResult, ...]
 
-    def to_json(self, path=None) -> str:
-        text = json.dumps(asdict(self), indent=2)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        return text
+    def to_json(self, path) -> None:
+        """Write the report to ``path`` as JSON indented by 2, with a final
+        newline."""
+        with open(path, "w") as fh:
+            fh.write(json.dumps(asdict(self), indent=2) + "\n")
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

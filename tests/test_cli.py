@@ -345,6 +345,64 @@ class TestStudy:
         assert fragment in err["message"]
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("grid.J", 8), ("time.N", 64), ("solver.fp_tol", 1e-3), ("grid.j", 8)])
+    def test_cell_key_outside_its_problem_is_config_error(self, key, value,
+                                                          tmp_path, capsys):
+        # Such keys once printed a table with the cell run at the base J, N
+        # and tolerance, and a misspelled one was ignored the same way.
+        sweep = json.dumps([{"label": "a"}, {"label": "b", key: value}])
+        code = main(["study", "--preset", "example2-temporal", "--set", "study.levels=2",
+                     "--set", "time.N=8", "--set", f"study.sweep={sweep}",
+                     "-o", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        message = json.loads(capsys.readouterr().err.strip())["message"]
+        assert message.startswith(f"study.sweep[1] (b): a sweep cell cannot set {key}; ")
+        assert "label, time.T and keys under kernel, damping, initial, forcing" in message
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("sweep", ["0", "false", "{}"])
+    def test_sweep_not_a_list_is_config_error(self, sweep, tmp_path, capsys):
+        # These once ran the one base cell and exited 0.
+        code = main(["study", "--preset", "example2-temporal", "--set", "study.levels=2",
+                     "--set", "time.N=8", "--set", f"study.sweep={sweep}",
+                     "-o", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        message = json.loads(capsys.readouterr().err.strip())["message"]
+        assert message.startswith("study.sweep must be a list")
+
+    def test_repeated_label_is_config_error(self, tmp_path, capsys):
+        # Two "[a]" blocks once ran, which no report could tell apart.
+        code = main(["study", "--preset", "example2-temporal", "--set", "study.levels=2",
+                     "--set", "time.N=8", "--set",
+                     'study.sweep=[{"label": "a"}, {"label": "b"}, {"label": "a"}]',
+                     "-o", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        message = json.loads(capsys.readouterr().err.strip())["message"]
+        assert message == ("study.sweep[2] (a): same label as study.sweep[0]; "
+                           "labels must be unique")
+
+    @pytest.mark.parametrize("sweep", ["null", "[]"])
+    def test_absent_sweep_is_one_base_cell(self, sweep, tmp_path, capsys):
+        code = main(["study", "--preset", "example2-temporal", "--set", "study.levels=2",
+                     "--set", "time.N=8", "--set", f"study.sweep={sweep}",
+                     "-o", str(tmp_path)])
+        assert code == EXIT_OK
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert [c["label"] for c in report["cells"]] == ["base"]
+
+    def test_cell_sets_its_problem_and_horizon(self, tmp_path, capsys):
+        sweep = json.dumps([{"label": "a", "time.T": 0.5, "kernel.sigma": 2.0,
+                             "damping.a": 2.0, "initial.u0.power": 3,
+                             "forcing.name": "zero"}])
+        code = main(["study", "--preset", "example2-temporal", "--set", "study.levels=2",
+                     "--set", "time.N=8", "--set", f"study.sweep={sweep}",
+                     "-o", str(tmp_path)])
+        assert code == EXIT_OK
+        cell, = json.loads((tmp_path / "report.json").read_text())["cells"]
+        assert cell["label"] == "a"
+        assert [r["refinement"] for r in cell["rows"]] == [0.5 / 8, 0.5 / 16]
+
     def test_plain_preset_study_exits_ok(self, tmp_path, capsys):
         code = main(["study", "--preset", "example2-temporal", "-o", str(tmp_path)])
         assert code == EXIT_OK

@@ -164,6 +164,27 @@ class TestStabilityMonitor:
         got = data_functional(state)
         assert got == pytest.approx(expected, rel=1e-13)
 
+    @pytest.mark.parametrize("problem", [example1_problem, example2_problem])
+    def test_data_functional_samples_nothing(self, problem):
+        # U^0, dU^1 and the forcing norms come from the state; the functional
+        # once sampled u0 and u1 again and transformed them a second time.
+        calls = {"u0": 0, "u1": 0, "forcing": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        p = problem()
+        p = dataclasses.replace(p, **{name: counted(name, getattr(p, name))
+                                      for name in calls})
+        state, _ = run(p, Grid(16), 40)
+        before = dict(calls)
+        assert before["u0"] and before["u1"] and before["forcing"]
+        data_functional(state)
+        assert calls == before
+
     def test_negated_weights_trip_the_monitor(self):
         # Fault injection: flipping the sign of the memory weights turns the
         # history term anti-dissipative.  The energy blows past any

@@ -135,3 +135,28 @@ def test_step_pairs_smoke():
                                 line), line
         assert lines[3].startswith("ratio change/parent q1 / median / q3: ")
         assert re.fullmatch(r"wins change:parent \d:\d, gain (yes|no)", lines[4])
+
+
+def test_same_outputs_compare(tmp_path):
+    # tools/same_outputs.py: this checkout against itself gives the same
+    # exit code, stdout (output directory aside) and files; a copy of src/
+    # whose cli prints one extra character differs in stdout only.
+    import importlib.util
+    import shutil
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "same_outputs", root / "tools" / "same_outputs.py")
+    same_outputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(same_outputs)
+    command = ("solve", "--preset", "example1", "--set", "grid.J=8", "--set", "time.N=8")
+    assert same_outputs.compare(root, root, command) == (0, [])
+
+    shutil.copytree(root / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "src" / "viscobeam" / "cli.py"
+    text = cli.read_text()
+    assert text.count('print(f"solved {N} steps') == 1
+    cli.write_text(text.replace('print(f"solved {N} steps', 'print(f"solved  {N} steps'))
+    assert same_outputs.compare(root, tmp_path, command) == (0, ["stdout"])
