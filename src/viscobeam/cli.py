@@ -1,9 +1,14 @@
 """Command-line surface: solve, study, stability and weights subcommands.
 
+solve, stability and weights share one set-up: it builds the problem,
+grid, step count and solver knobs, so every section of the config is
+checked, before it makes the output directory.  study builds its ladder
+and sweep cells instead, and only it checks them.
+
 Exit codes: 0 success, 2 configuration/validation error (also argparse
 usage errors, and sizes too large to allocate), 3 numerical failure.
 Failures print a single-line JSON object with an error category to
-stderr.
+stderr, written by one helper.
 """
 
 from __future__ import annotations
@@ -51,15 +56,22 @@ def _outdir(args) -> Path:
 
 
 def _setup(args):
-    """The loaded config and the problem, grid and step count it sets."""
+    """The problem, grid, step count and solver knobs the config sets,
+    built and so checked in that order, and the output directory."""
     cfg = _load(args)
-    return cfg, build_problem(cfg), build_grid(cfg), build_steps(cfg)
+    built = build_problem(cfg), build_grid(cfg), build_steps(cfg), build_solver_config(cfg)
+    return (*built, _outdir(args))
+
+
+def _error(code: int, message: str) -> int:
+    """Print the one-line JSON error of exit ``code`` to stderr and return it."""
+    category = "config" if code == EXIT_CONFIG else "numerical"
+    print(json.dumps({"category": category, "message": message}), file=sys.stderr)
+    return code
 
 
 def _cmd_solve(args) -> int:
-    cfg, problem, grid, N = _setup(args)
-    solver = build_solver_config(cfg)
-    out = _outdir(args)
+    problem, grid, N, solver, out = _setup(args)
     state, series = run(problem, grid, N, solver)
     series.to_csv(out / "timeseries.csv")
     write_solution_csv(out / "solution.csv", grid, state.U_prev)
@@ -81,10 +93,7 @@ def _cmd_study(args) -> int:
     print(f"wrote {out / 'report.csv'} and {out / 'report.json'}")
     failed = [c.label for c in report.cells if c.failure is not None]
     if failed:
-        print(json.dumps({"category": "numerical",
-                          "message": f"study cells failed: {failed}"}),
-              file=sys.stderr)
-        return EXIT_NUMERICAL
+        return _error(EXIT_NUMERICAL, f"study cells failed: {failed}")
     return EXIT_OK
 
 
@@ -93,9 +102,7 @@ def _cmd_stability(args) -> int:
     # and an infinite or NaN one passes whatever the energy does.
     if not 1.0 <= args.safety < np.inf:
         raise ConfigurationError(f"--safety must be at least 1 and finite (got {args.safety})")
-    cfg, problem, grid, N = _setup(args)
-    solver = build_solver_config(cfg)
-    out = _outdir(args)
+    problem, grid, N, solver, out = _setup(args)
     state, series = run(problem, grid, N, solver)
     try:
         verdict = stability_monitor(series.n, series.total, data_functional(state),
@@ -106,15 +113,12 @@ def _cmd_stability(args) -> int:
     print(verdict)
     print(f"wrote {out / 'timeseries.csv'}")
     if not verdict.passed:
-        print(json.dumps({"category": "numerical",
-                          "message": "stability monitor FAIL"}), file=sys.stderr)
-        return EXIT_NUMERICAL
+        return _error(EXIT_NUMERICAL, "stability monitor FAIL")
     return EXIT_OK
 
 
 def _cmd_weights(args) -> int:
-    _, problem, _, N = _setup(args)
-    out = _outdir(args)
+    problem, _, N, _, out = _setup(args)
     dt = problem.T / N
     tables = KernelTables.build(problem.kernel, dt, N)
     path = out / "weights.csv"
@@ -165,13 +169,9 @@ def main(argv=None) -> int:
     except (ConfigurationError, MemoryError) as exc:
         # A MemoryError is a size the machine cannot hold, such as a step
         # count whose tables numpy refuses to allocate.
-        print(json.dumps({"category": "config", "message": str(exc)}),
-              file=sys.stderr)
-        return EXIT_CONFIG
+        return _error(EXIT_CONFIG, str(exc))
     except NumericalError as exc:
-        print(json.dumps({"category": "numerical", "message": str(exc)}),
-              file=sys.stderr)
-        return EXIT_NUMERICAL
+        return _error(EXIT_NUMERICAL, str(exc))
 
 
 if __name__ == "__main__":

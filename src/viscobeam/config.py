@@ -6,7 +6,9 @@ Initial data and forcing are chosen by name from the registries
 ``INITIAL_DATA`` and ``FORCING``, whose builders take their coefficients
 as keyword parameters; no code is ever embedded in configs.  A key that
 no section, builder or kernel parameter knows is a ConfigurationError
-naming its dotted path, so a typo never silently runs a default.  A study
+naming its dotted path, so a typo never silently runs a default;
+``build_problem`` checks the section names and the study section's keys,
+so a run that reads no study still rejects a study-key typo.  A study
 sweep cell sets its label and problem only: a key of it outside label,
 time.T and the kernel, damping, initial and forcing sections is a
 ConfigurationError too, and so is a label that an earlier cell has.
@@ -30,6 +32,7 @@ from .studies import TEMPORAL, StudyCell, StudySpec
 _SECTIONS = ("kernel", "damping", "initial", "forcing", "grid", "time",
              "solver", "study")
 _TIME_KEYS = ("T", "N")
+_STUDY_KEYS = ("axis", "levels", "sweep")
 #: The sections a study sweep cell may override, with time.T: the problem's.
 _CELL_SECTIONS = ("kernel", "damping", "initial", "forcing")
 
@@ -186,6 +189,7 @@ def _registered(builders: dict, section, name: str, key: str = "name",
 
 def build_problem(config: dict) -> ProblemSpec:
     _checked(config, _SECTIONS, "")
+    _section(config, "study", _STUDY_KEYS)
     initial = _section(config, "initial", ("u0", "u1"))
     zero = {"name": "zero"}
     return ProblemSpec(
@@ -221,7 +225,7 @@ def build_study(config: dict) -> StudySpec:
     section = config.get("study")
     if not section:
         raise ConfigurationError("config has no 'study' section")
-    _checked(section, ("axis", "levels", "sweep"), "study")
+    _checked(section, _STUDY_KEYS, "study")
     axis = section.get("axis", TEMPORAL)
     levels = _number(section.get("levels", 2), "study.levels", integral=True)
     sweep = section.get("sweep")

@@ -207,6 +207,11 @@ class TestErrorPaths:
         ("stability", "kernel.sigmaa"), ("weights", "grid.j"),
         # example2's forcing is "zero", whose builder takes no keys.
         ("solve", "forcing.amplitude"),
+        # Sections a subcommand does not read were once never built, so
+        # their typos ran: weights built no solver, and only study read
+        # the study section.
+        ("weights", "solver.fp_tl"), ("solve", "study.levls"),
+        ("stability", "study.levls"), ("weights", "study.levls"),
     ])
     def test_unknown_key_is_named(self, command, key, tmp_path, capsys):
         code = main([command, "--preset", "example2", "--set", f"{key}=1",
@@ -438,6 +443,17 @@ class TestStabilityCommand:
                      "--set", "grid.J=16", "--safety", "10", "-o",
                      str(tmp_path)])
         assert code == EXIT_OK
+
+    def test_energy_above_bound_fails(self, tmp_path, capsys, monkeypatch):
+        # A data functional of 1e-30 puts the bound below the first energy.
+        monkeypatch.setattr(cli, "data_functional", lambda state: 1e-30)
+        code = main(["stability", "--preset", "example2", "--set", "time.N=8",
+                     "-o", str(tmp_path)])
+        assert code == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out.startswith("FAIL:")
+        assert captured.err.splitlines() == [
+            '{"category": "numerical", "message": "stability monitor FAIL"}']
 
 
 class TestWeightsCommand:

@@ -139,8 +139,10 @@ def test_step_pairs_smoke():
 
 def test_same_outputs_compare(tmp_path):
     # tools/same_outputs.py: this checkout against itself gives the same
-    # exit code, stdout (output directory aside) and files; a copy of src/
-    # whose cli prints one extra character differs in stdout only.
+    # exit code, stdout and stderr (output directory aside) and files; a
+    # copy of src/ whose cli prints one extra character differs in stdout
+    # only, and one whose config error message has one extra character
+    # differs in stderr only.
     import importlib.util
     import shutil
     from pathlib import Path
@@ -160,3 +162,10 @@ def test_same_outputs_compare(tmp_path):
     assert text.count('print(f"solved {N} steps') == 1
     cli.write_text(text.replace('print(f"solved {N} steps', 'print(f"solved  {N} steps'))
     assert same_outputs.compare(root, tmp_path, command) == (0, ["stdout"])
+
+    config = tmp_path / "src" / "viscobeam" / "config.py"
+    text = config.read_text()
+    assert text.count('f"unknown config key ') == 1
+    config.write_text(text.replace('f"unknown config key ', 'f"unknown config  key '))
+    typo = ("solve", "--preset", "example1", "--set", "grid.j=8")
+    assert same_outputs.compare(root, tmp_path, typo) == (2, ["stderr"])

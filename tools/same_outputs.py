@@ -7,11 +7,12 @@ Runs each command of ``COMMANDS`` once per checkout, with that checkout's
 the working directory and the ``-o`` output directory.  A command is a
 ``viscobeam`` CLI argument list, or a path under the checkout's root to a
 Python script (a demo) run with no arguments.  Two runs agree when their
-exit codes and stdout are equal, with the output directory replaced by a
-placeholder, and when they wrote the same files with the same bytes,
-except for the ``created`` field of ``report.json``.  Prints one line
-per command, ``same`` or ``DIFFERS`` with what differs, and the
-parent's exit code, and exits 1 if any command differs.
+exit codes, stdout and stderr are equal, with the output directory
+replaced by a placeholder, and when they wrote the same files with the
+same bytes, except for the ``created`` field of ``report.json``.  So the
+one-line JSON errors of the commands that fail must match byte for byte.
+Prints one line per command, ``same`` or ``DIFFERS`` with what differs,
+and the parent's exit code, and exits 1 if any command differs.
 """
 
 from __future__ import annotations
@@ -35,13 +36,19 @@ COMMANDS = (
     ("stability", "--preset", "example2"),
     ("weights", "--preset", "example1"),
     ("demos/04_long_time_energy.py",),
+    # Error paths: a config error, a step that does not converge and a
+    # study whose every cell fails.
+    ("solve", "--preset", "example1", "--set", "kernel.sigma=0.5"),
+    ("solve", "--preset", "example1", "--set", "time.N=16", "--set", "solver.fp_max_iters=1"),
+    ("study", "--preset", "example2-temporal", "--set", "study.levels=2", "--set", "time.N=8",
+     "--set", "grid.J=8", "--set", "solver.fp_max_iters=1"),
 )
 _CREATED = re.compile(rb'"created": "[^"]*"')
 
 
-def outputs(checkout: Path, command) -> tuple[int, str, dict]:
-    """Exit code, stdout (output directory as ``<OUT>``) and the files
-    written, as {relative path: bytes}, of one run of ``command``."""
+def outputs(checkout: Path, command) -> tuple[int, str, str, dict]:
+    """Exit code, stdout and stderr (output directory as ``<OUT>``) and
+    the files written, as {relative path: bytes}, of one run of ``command``."""
     env = dict(os.environ, PYTHONPATH=str(Path(checkout, "src").resolve()))
     with tempfile.TemporaryDirectory() as out:
         if command[0].endswith(".py"):
@@ -56,19 +63,20 @@ def outputs(checkout: Path, command) -> tuple[int, str, dict]:
                 if path.name == "report.json":
                     data = _CREATED.sub(b'"created": ""', data)
                 files[str(path.relative_to(out))] = data
-        return proc.returncode, proc.stdout.replace(out, "<OUT>"), files
+        return (proc.returncode, proc.stdout.replace(out, "<OUT>"),
+                proc.stderr.replace(out, "<OUT>"), files)
 
 
 def compare(parent: Path, change: Path, command) -> tuple[int, list[str]]:
     """The parent's exit code and what differs between the two checkouts'
     runs of ``command``, an empty list when nothing does."""
-    (p_code, p_out, p_files), (c_code, c_out, c_files) = (
+    (p_code, *p_streams, p_files), (c_code, *c_streams, c_files) = (
         outputs(side, command) for side in (parent, change))
     differences = []
     if p_code != c_code:
         differences.append(f"exit code {p_code} -> {c_code}")
-    if p_out != c_out:
-        differences.append("stdout")
+    differences += [name for name, p, c in zip(("stdout", "stderr"), p_streams, c_streams)
+                    if p != c]
     differences += [name for name in sorted(p_files.keys() | c_files.keys())
                     if p_files.get(name) != c_files.get(name)]
     return p_code, differences
