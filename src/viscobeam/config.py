@@ -121,14 +121,15 @@ def _parse_assignment(item: str) -> tuple[str, object]:
 def _number(value, name: str, integral: bool = False):
     """``value`` as a finite float, or as an int when ``integral``.
 
-    Anything else, a non-integral count or an infinite or NaN value
-    included, is a ConfigurationError naming the entry: truncating 2.7
-    steps to 2 would run a different problem than the one asked for.
+    Anything else, a non-integral count, an infinite or NaN value and an
+    integer too large for a float included, is a ConfigurationError naming
+    the entry: truncating 2.7 steps to 2 would run a different problem than
+    the one asked for.
     """
     if not isinstance(value, bool):
         try:
             number = float(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             pass
         else:
             if integral and number.is_integer():

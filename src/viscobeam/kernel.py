@@ -41,9 +41,9 @@ u = 0, where the integrand is only finitely smooth unless 1/alpha is an
 integer.  The rule's nodes and weights are module constants, and the
 panel sums are formed a fixed number of panels at a time, so their
 scratch memory does not grow with the grid.  ``KernelTables.build`` uses
-it on the time grid and is the only path to the weights, with K(0) from
-the closed form ``KernelSpec.K0``; ``KernelTables.stack`` joins several
-runs' tables for a lockstep batch.
+it on the time grid and forms the weights itself, as the second
+differences of J2 there, with K(0) from the closed form ``KernelSpec.K0``;
+``KernelTables.stack`` joins several runs' tables for a lockstep batch.
 """
 
 from __future__ import annotations
@@ -188,24 +188,6 @@ def _grid_moments(spec: KernelSpec, ts: np.ndarray):
     return spec.K0 - m0, m1, m2
 
 
-def weights_from_second_antiderivative(j2: np.ndarray, dt: float) -> np.ndarray:
-    """Convolution weights omega_k from J2 sampled at k*dt, k = 0..n.
-
-    omega_0 = J2(dt)/dt and omega_k is the scaled second difference of J2
-    at k*dt.  Exposed separately so tests can drive the weight formula with
-    analytically known antiderivatives (e.g. a constant tail).
-    """
-    j2 = np.asarray(j2, dtype=float)
-    n = len(j2) - 1
-    if n < 1:
-        raise ValueError("need J2 at least at t = 0 and t = dt")
-    w = np.empty(n)
-    w[0] = j2[1] / dt
-    if n > 1:
-        w[1:] = (j2[2:] - 2.0 * j2[1:-1] + j2[:-2]) / dt
-    return w
-
-
 @dataclass(frozen=True)
 class KernelTables:
     """Precomputed kernel data shared by every step of one simulation.
@@ -245,11 +227,13 @@ class KernelTables:
 
     @classmethod
     def build(cls, spec: KernelSpec, dt: float, n_steps: int) -> "KernelTables":
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < dt < math.inf:
+            raise ValueError("dt must be positive and finite")
         if n_steps < 1:
             raise ValueError("need at least one step")
         ts = dt * np.arange(n_steps + 1)
         tail, m1, m2 = _grid_moments(spec, ts)
         j2 = ts * m1 - 0.5 * m2 + 0.5 * ts * ts * tail
-        return cls(spec.K0, weights_from_second_antiderivative(j2, dt), tail)
+        # omega_0 = J2(dt)/dt; omega_k is the second difference of J2 at k*dt over dt.
+        return cls(spec.K0, np.concatenate([j2[1:2], j2[2:] - 2.0 * j2[1:-1] + j2[:-2]]) / dt,
+                   tail)

@@ -1,10 +1,11 @@
 """Shared fixtures and independent quadrature oracles.
 
 The oracles deliberately avoid the implementation paths under test: the
-kernel density is re-evaluated from its formula, tails come from direct
-adaptive quadrature of the density (QAGS handles the integrable endpoint
-singularity), antiderivatives from single-fold quadrature of the oracle
-tail, and convolution weights from brute-force double integration.  The
+kernel density is re-evaluated from its formula, the tail K in closed form
+through the incomplete gamma function and the complex erfc (one test
+checks it against adaptive quadrature of the density), antiderivatives
+come from single-fold quadrature of that tail, and convolution weights
+from adaptive double integration of it over each cell.  The
 grid-space difference quotients below are the stencils themselves, never
 the sine eigen-decomposition the solver uses, and the dense
 fourth-difference oracle is built from them column by column.  The
@@ -21,12 +22,13 @@ antiderivatives read the library's moment evaluator on a grid uniform in
 u = s**alpha rather than the tables' uniform time grid.
 """
 
+import cmath
 import math
-import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import IntegrationWarning, dblquad, quad
+from scipy.integrate import dblquad, quad
+from scipy.special import erfc, gammaincc
 from scipy.special import gamma as gamma_fn
 
 from viscobeam import (Grid, KernelSpec, NO_MEMORY, OSCILLATORY, SolverConfig,
@@ -223,22 +225,22 @@ def oracle_beta(spec: KernelSpec, s: float) -> float:
 
 
 def oracle_tail(spec: KernelSpec, t: float) -> float:
-    """K(t) by adaptive quadrature of the density with a truncated tail.
+    """K(t), the integral of beta over (t, infinity), in closed form.
 
-    The exponential tempering bounds the discarded remainder beyond
-    t + 45/sigma far below 1e-15.
+    With z = sigma - i*gamma it is Re[z**-alpha * Gamma(alpha, z*t) / Gamma(alpha)]:
+    sigma**-alpha * Q(alpha, sigma*t) for the non-oscillatory family, with
+    Q the regularized upper incomplete gamma function, and for the
+    oscillatory one Re[exp(-z*t) / z] at alpha = 1 and
+    Re[z**-0.5 * erfc(sqrt(z*t))] at alpha = 1/2.
     """
     if spec.family == NO_MEMORY:
         return 0.0
-    upper = t + 45.0 / spec.sigma
-    with warnings.catch_warnings():
-        # At the weak endpoint singularity QAGS falls back to its epsilon
-        # extrapolation and warns about roundoff; the extrapolated value is
-        # the one wanted here and meets the asserted tolerances.
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = quad(lambda s: oracle_beta(spec, s), t, upper,
-                      epsabs=1e-13, epsrel=1e-13, limit=400)
-    return val
+    if spec.family != OSCILLATORY:
+        return float(spec.sigma ** -spec.alpha * gammaincc(spec.alpha, spec.sigma * t))
+    z = complex(spec.sigma, -spec.gamma)
+    if spec.alpha == 1.0:
+        return (cmath.exp(-z * t) / z).real
+    return float((z ** -0.5 * erfc(cmath.sqrt(z * t))).real)
 
 
 def tail_antiderivatives(spec: KernelSpec, t: float) -> tuple[float, float]:
@@ -264,26 +266,14 @@ def oracle_tail_antiderivatives(spec: KernelSpec, t: float) -> tuple[float, floa
 
 
 def oracle_weight(spec: KernelSpec, dt: float, n: int, p: int) -> float:
-    """w[n, p] by brute-force nested quadrature of the defining double
-    integral of K(t - s) over the (step n) x (history panel p) cell.
-
-    Tolerances are relaxed to ~1e-8 absolute: every inner evaluation is
-    itself an adaptive integral of the (weakly singular) density, and the
-    weights being certified are O(1e-2).
-    """
-    def tail(t):
-        upper = t + 45.0 / spec.sigma
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IntegrationWarning)
-            val, _ = quad(lambda s: oracle_beta(spec, s), t, upper,
-                          epsabs=1e-10, epsrel=1e-10, limit=100)
-        return val
-
+    """w[n, p] by adaptive double integration of the defining integral of
+    K(t - s) over the (step n) x (history panel p) cell, with the
+    closed-form tail as integrand."""
     tn1, tn = (n - 1) * dt, n * dt
     tp1, tp = (p - 1) * dt, p * dt
-    val, _ = dblquad(lambda s, t: tail(t - s),
+    val, _ = dblquad(lambda s, t: oracle_tail(spec, t - s),
                      tn1, tn,
                      lambda t: tp1,
                      (lambda t: min(t, tp)) if p == n else (lambda t: tp),
-                     epsabs=5e-9, epsrel=1e-8)
+                     epsabs=1e-13, epsrel=1e-12)
     return val / dt

@@ -193,6 +193,10 @@ class TestErrorPaths:
         # K(0) = sigma**-alpha rounds to 1 although sigma > 1.
         ["solve", "--preset", "example2", "--set", "kernel.sigma=1.0000000000000002",
          "--set", "kernel.alpha=0.01", "--set", "time.N=8"],
+        # An integer too large for a float once ended in a traceback: the
+        # conversion raised OverflowError.
+        *(["solve", "--preset", "example1", "--set", f"{key}=1{'0' * 400}"]
+          for key in ("time.N", "kernel.sigma", "solver.fp_max_iters")),
     ], ids=lambda argv: " ".join(argv[:1] + argv[3:]))
     def test_bad_value_is_config_error(self, argv, tmp_path, capsys):
         code = main(argv + ["-o", str(tmp_path)])

@@ -16,6 +16,8 @@ incomplete gamma function P:
 
 kappa4 is the square of mode 1's discrete D2 eigenvalue, so the grid holds
 the mode exactly and the error at t = T is the scheme's time error alone.
+The check pins both the first-order rate and the error constant N * e,
+which sees defects that leave the rate alone.
 """
 
 import dataclasses
@@ -25,7 +27,7 @@ import pytest
 from scipy.special import gamma, gammainc
 
 from viscobeam import (NON_OSCILLATORY, DampingFunction, Grid, KernelSpec, KernelTables,
-                       ProblemSpec, norm, rate, run, second_difference_eigenvalues)
+                       ProblemSpec, norm, rate, run, second_difference_eigenvalues, stepper)
 
 ALPHA, SIGMA, A, B, J, T = 0.5, 1.5, 1.0, 1.0, 32, 1.0
 STEPS = [16 * 2**i for i in range(7)]
@@ -65,28 +67,54 @@ def exact_errors() -> list[float]:
     return [norm(run(problem, grid, N)[0].U_prev - exact, grid) for N in STEPS]
 
 
-def check_first_order():
-    """The observed rates of the last two pairs of STEPS lie in [0.95, 1.05]."""
+def check_exact_errors():
+    """The observed rates of the last two pairs of STEPS lie in [0.95, 1.05],
+    and N * e at the last N in [0.3100, 0.3115]."""
     errors = exact_errors()
     observed = [rate(e, f) for e, f in zip(errors, errors[1:])]
     assert all(0.95 <= rate <= 1.05 for rate in observed[-2:]), observed
+    assert 0.3100 <= STEPS[-1] * errors[-1] <= 0.3115, errors
 
 
 def test_exact_error_converges_at_first_order():
     # Measured: errors 1.843e-2 (N = 16) down to 3.034e-4 (N = 1024); rates
-    # 0.958, 0.982, 0.992, 0.996, 0.998, 0.999.
-    check_first_order()
+    # 0.958, 0.982, 0.992, 0.996, 0.998, 0.999; N * e = 0.31072 at N = 1024.
+    check_exact_errors()
 
 
-def test_oracle_catches_weights_off_by_two_percent(monkeypatch):
-    # Self-convergence rates stay near 1 under this defect; the exact
-    # error stalls instead (measured last two rates: 0.793, -1.244).
-    build = KernelTables.build
+def _weights_scaled(scale):
+    def apply(monkeypatch):
+        build = KernelTables.build
 
-    def scaled(spec, dt, n_steps):
-        tables = build(spec, dt, n_steps)
-        return dataclasses.replace(tables, weights=1.02 * tables.weights)
+        def scaled(spec, dt, n_steps):
+            tables = build(spec, dt, n_steps)
+            return dataclasses.replace(tables, weights=scale(tables.weights))
 
-    monkeypatch.setattr(KernelTables, "build", scaled)
+        monkeypatch.setattr(KernelTables, "build", scaled)
+    return apply
+
+
+def _load_one_level_late(monkeypatch):
+    run_batch = stepper.run_batch
+
+    def late(problems, grid, N, config=None):
+        return run_batch([dataclasses.replace(
+            p, forcing=lambda x, t, f=p.forcing, dt=p.T / N: f(x, np.maximum(t - dt, 0.0)))
+            for p in problems], grid, N, config)
+
+    monkeypatch.setattr(stepper, "run_batch", late)
+
+
+# Self-convergence rates stay near 1 under each defect.  Measured: all
+# weights x 1.02 stall the exact error (last two rates 0.793, -1.244);
+# omega_0 x 1.02 gives N * e = 0.3084 and the load one level late 1.6496,
+# both with the rates unchanged.
+@pytest.mark.parametrize("defect", [
+    _weights_scaled(lambda w: 1.02 * w),
+    _weights_scaled(lambda w: np.concatenate([1.02 * w[:1], w[1:]])),
+    _load_one_level_late,
+], ids=["weights-x1.02", "omega0-x1.02", "load-one-level-late"])
+def test_oracle_catches_defect(defect, monkeypatch):
+    defect(monkeypatch)
     with pytest.raises(AssertionError):
-        check_first_order()
+        check_exact_errors()

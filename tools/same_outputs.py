@@ -35,6 +35,9 @@ COMMANDS = (
     ("stability", "--preset", "example1"),
     ("stability", "--preset", "example2"),
     ("weights", "--preset", "example1"),
+    ("weights", "--preset", "example2"),
+    # Its far weights include roundoff-negative ones.
+    ("weights", "--preset", "example2-longtime"),
     ("demos/04_long_time_energy.py",),
     # Error paths: a config error, a step that does not converge and a
     # study whose every cell fails.
