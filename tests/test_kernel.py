@@ -161,14 +161,13 @@ class TestKernelTail:
         # Ties the closed-form oracle to beta's definition: adaptive
         # quadrature of the density over (t, t + 45/sigma), where the
         # tempering leaves a remainder far below 1e-15.
-        upper = 45.0 / (spec.sigma if spec.has_memory else 1.0)
         for t in (0.0, 0.01, 0.3, 1.0, 4.0, 14.0, 40.0):
             with warnings.catch_warnings():
                 # At the weak endpoint singularity QAGS falls back to its
                 # epsilon extrapolation and warns about roundoff; the
                 # extrapolated value is the one wanted here.
                 warnings.simplefilter("ignore", IntegrationWarning)
-                direct, _ = quad(lambda s: oracle_beta(spec, s), t, t + upper,
+                direct, _ = quad(lambda s: oracle_beta(spec, s), t, t + 45.0 / spec.sigma,
                                  epsabs=1e-13, epsrel=1e-13, limit=400)
             assert abs(oracle_tail(spec, t) - direct) <= 1e-14, t
 
