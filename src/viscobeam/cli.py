@@ -138,8 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--preset", help="named preset configuration")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--config", help="JSON config file")
+        source.add_argument("--preset", help="named preset configuration")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config entry, e.g. kernel.sigma=2.0")
         p.add_argument("-o", "--output-dir", default=".",

@@ -162,18 +162,19 @@ def _section(config: dict, key: str, allowed) -> dict:
     return _checked(config.get(key, {}), allowed, key)
 
 
-def _keywords(builder, entries, name: str, keep: str = ""):
-    """``builder(**entries)`` with every entry but ``keep`` a number (``mode``
-    and ``fp_max_iters`` integers).  Each entry must be a keyword parameter
-    of ``builder``, and each parameter without a default must be given."""
+def _keywords(builder, entries, name: str):
+    """``builder(**entries)`` with each entry of the kind its parameter's
+    default declares: a ``str`` default passes the value through, an
+    ``int`` default makes it an integer, and any other default, or none, a
+    finite number.  Each entry must be a keyword parameter of ``builder``,
+    and each parameter without a default must be given."""
     params = inspect.signature(builder).parameters
     _checked(entries, tuple(params), name)
     for key, param in params.items():
         if param.default is param.empty and key not in entries:
             raise ConfigurationError(f"{name}.{key} is required")
-    return builder(**{key: value if key == keep else
-                      _number(value, f"{name}.{key}",
-                              integral=key in ("mode", "fp_max_iters"))
+    return builder(**{key: value if isinstance(params[key].default, str) else
+                      _number(value, f"{name}.{key}", type(params[key].default) is int)
                       for key, value in entries.items()})
 
 
@@ -199,8 +200,7 @@ def build_problem(config: dict) -> ProblemSpec:
         forcing=_registered(FORCING, config.get("forcing", zero), "forcing"),
         damping=_registered(_DAMPING, config.get("damping", {}), "damping",
                             key="kind", default="affine"),
-        kernel=_keywords(KernelSpec, config.get("kernel", {}), "kernel",
-                         keep="family"),
+        kernel=_keywords(KernelSpec, config.get("kernel", {}), "kernel"),
         T=_number(_section(config, "time", _TIME_KEYS).get("T", 1.0), "time.T"),
     )
 

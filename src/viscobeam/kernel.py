@@ -227,10 +227,15 @@ class KernelTables:
 
     @classmethod
     def build(cls, spec: KernelSpec, dt: float, n_steps: int) -> "KernelTables":
+        """The tables of ``spec`` on the time grid k dt, k = 0..n_steps.
+
+        A step dt that is not positive and finite, such as T/N when it
+        rounds to 0, or fewer than one step is a ConfigurationError that
+        names it: bad input, not a failure of the run."""
         if not 0.0 < dt < math.inf:
-            raise ValueError("dt must be positive and finite")
+            raise ConfigurationError(f"time step T/N must be positive and finite (got {dt!r})")
         if n_steps < 1:
-            raise ValueError("need at least one step")
+            raise ConfigurationError(f"step count N must be at least 1 (got {n_steps})")
         ts = dt * np.arange(n_steps + 1)
         tail, m1, m2 = _grid_moments(spec, ts)
         j2 = ts * m1 - 0.5 * m2 + 0.5 * ts * ts * tail

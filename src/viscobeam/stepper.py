@@ -141,6 +141,11 @@ class SolverConfig:
                 f"solver.fp_max_iters must be an integer of at least 1 (got {n!r})")
 
 
+def _unbatched(a: np.ndarray) -> np.ndarray:
+    """``a`` without its leading member axis when it holds one member."""
+    return a[0] if len(a) == 1 else a
+
+
 @dataclass
 class SolverState:
     """Mutable state of B members stepped in lockstep, in the sine basis.
@@ -167,9 +172,11 @@ class SolverState:
     tables are replaced needs them empty.  Nothing else is carried across
     levels: the stepping loop reads the last two G from the records when
     it is called and carries them itself, and ``_C`` views the curvature
-    row of the level that made it.  The properties return grid values,
-    without the member axis when B = 1.  Confine a state to one thread;
-    the shared tables are read-only.
+    row of the level that made it.  The properties ``U0`` and ``U_prev``
+    return grid values and ``forcing_norms`` the recorded forcing norms,
+    each through :func:`_unbatched`, the one rule that drops the member
+    axis when B = 1.  Confine a state to one thread; the shared tables are
+    read-only.
     """
 
     problems: tuple[ProblemSpec, ...]
@@ -186,22 +193,14 @@ class SolverState:
     _block: tuple = field(default=_NO_BLOCK, init=False, repr=False)
     _window: np.ndarray | None = field(default=None, init=False, repr=False)
 
-    def _values(self, W: np.ndarray) -> np.ndarray:
-        V = sine_transform(W)
-        return V[0] if len(V) == 1 else V
-
     _U1 = property(lambda self: self._C / self._eigs,
                    doc="Sine coefficients of U^{n-1}, made from C.")
-    U0 = property(lambda self: self._values(self._U0), doc="The initial level U^0.")
-    U_prev = property(lambda self: self._values(self._U1),
+    U0 = property(lambda self: _unbatched(sine_transform(self._U0)),
+                  doc="The initial level U^0.")
+    U_prev = property(lambda self: _unbatched(sine_transform(self._U1)),
                       doc="The newest computed level U^{n-1}.")
-
-    @property
-    def forcing_norms(self) -> np.ndarray:
-        """sqrt(h) ||f^m|| of the forcing samples at levels 0..n-1, without
-        the member axis when B = 1."""
-        norms = self._records[:, 4, :self.n]
-        return norms[0] if len(norms) == 1 else norms
+    forcing_norms = property(lambda self: _unbatched(self._records[:, 4, :self.n]),
+                             doc="sqrt(h) ||f^m|| of the forcing samples at levels 0..n-1.")
 
     def series(self) -> TimeSeries:
         """Records of levels 1..n-1 of a one-member state, with the energy
@@ -479,8 +478,9 @@ def _advance(state: SolverState, config: SolverConfig, stop: int) -> None:
     The passes alternate between two iterate rows, so that only the
     history copies the accepted one, and the levels between two curvature
     rows, so that level n never writes C^{n-1}; each pass forms its trial
-    level in two calls.  The records wait in a list for a block of levels
-    at most and are written before an error propagates.
+    level in two calls.  The records wait in a list and are written once
+    a block's worth, 32, are waiting, or before an error propagates; only
+    :func:`assemble_step_system` knows where a block starts.
     """
     dt, h, lam = state.dt, state.grid.h, state._eigs[None]
     lam_dt, unit = lam * dt, _unit_size_bound(state._eigs)
@@ -501,7 +501,7 @@ def _advance(state: SolverState, config: SolverConfig, stop: int) -> None:
     pending = []
     try:
         for n in range(state.n, stop):
-            if pending and (n - 2) % _BLOCK_LEVELS == 0:
+            if len(pending) == _BLOCK_LEVELS:
                 _flush_records(state, pending)
             r, D = assemble_step_system(state)
             G = ([max(2.0 * g - g_before, 0.0) for g, g_before in zip(G_last, G_before)]

@@ -5,7 +5,8 @@ kernel density is re-evaluated from its formula, the tail K in closed form
 through the incomplete gamma function and the complex erfc (one test
 checks it against adaptive quadrature of the density), antiderivatives
 come from single-fold quadrature of that tail, and convolution weights
-from adaptive double integration of it over each cell.  The
+from adaptive double integration of it over each cell; the truncated
+moments of the non-oscillatory density are in closed form too.  The
 grid-space difference quotients below are the stencils themselves, never
 the sine eigen-decomposition the solver uses, and the dense
 fourth-difference oracle is built from them column by column.  The
@@ -28,7 +29,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
-from scipy.special import erfc, gammaincc
+from scipy.special import erfc, gammainc, gammaincc
 from scipy.special import gamma as gamma_fn
 
 from viscobeam import (Grid, KernelSpec, NO_MEMORY, OSCILLATORY, SolverConfig,
@@ -241,6 +242,19 @@ def oracle_tail(spec: KernelSpec, t: float) -> float:
     if spec.alpha == 1.0:
         return (cmath.exp(-z * t) / z).real
     return float((z ** -0.5 * erfc(cmath.sqrt(z * t))).real)
+
+
+def oracle_moment(alpha: float, sigma: float, k: int, t):
+    """M_k(t), the integral of s**k * exp(-sigma s) * s**(alpha-1) / Gamma(alpha)
+    over (0, t), in closed form through the regularized lower incomplete
+    gamma function P:
+
+        M_k(t) = Gamma(alpha + k) / Gamma(alpha) * sigma**(-alpha - k) * P(alpha + k, sigma t).
+
+    With sigma the non-oscillatory kernel's rate these are the truncated
+    moments of beta; ``t`` may be an array."""
+    return (gamma_fn(alpha + k) / gamma_fn(alpha) * sigma ** (-alpha - k)
+            * gammainc(alpha + k, sigma * t))
 
 
 def tail_antiderivatives(spec: KernelSpec, t: float) -> tuple[float, float]:

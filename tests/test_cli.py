@@ -143,6 +143,14 @@ class TestErrorPaths:
         code = main(["solve", "-o", str(tmp_path)])
         assert code == EXIT_CONFIG
 
+    def test_config_and_preset_together_is_usage_error(self, tmp_path, capsys):
+        # --config was once ignored silently when --preset was given too.
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--preset", "example1", "--config", str(tmp_path / "missing.json"),
+                  "-o", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["solve", "--preset", "example1", "--set", "time.N=abc"],
         ["solve", "--preset", "example1", "--set", "time.T=abc"],
@@ -186,6 +194,9 @@ class TestErrorPaths:
         ["solve", "--preset", "example1", "--set", "time.T=Infinity"],
         ["solve", "--preset", "example2", "--set", "initial.u0.amplitude=Infinity"],
         ["solve", "--preset", "example1", "--set", "solver.fp_tol=Infinity"],
+        # A horizon whose step T/N rounds to 0 once ended in a traceback.
+        *([command, "--preset", "example1", "--set", "time.T=5e-324"]
+          for command in ("solve", "stability", "weights")),
         # Finite parameters, infinite data: 1/(x(1-x)) once passed the
         # boundary check because inf > tol * inf is False.
         ["solve", "--preset", "example2", "--set", "initial.u0.power=-1",

@@ -45,6 +45,9 @@ COMMANDS = (
     ("solve", "--preset", "example1", "--set", "time.N=16", "--set", "solver.fp_max_iters=1"),
     ("study", "--preset", "example2-temporal", "--set", "study.levels=2", "--set", "time.N=8",
      "--set", "grid.J=8", "--set", "solver.fp_max_iters=1"),
+    # A step T/N that rounds to 0, and both config sources at once.
+    ("solve", "--preset", "example1", "--set", "time.T=5e-324"),
+    ("solve", "--preset", "example1", "--config", "missing.json"),
 )
 _CREATED = re.compile(rb'"created": "[^"]*"')
 
