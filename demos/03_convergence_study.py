@@ -6,20 +6,22 @@ This reduced ladder reproduces the structure of the full benchmark tables
 (run `viscobeam study --preset example1-temporal` etc. for those).
 """
 
+from viscobeam import Grid
 from viscobeam.presets import example2_problem
 from viscobeam.studies import SPATIAL, TEMPORAL, StudyCell, StudySpec, run_study
 
+# A ladder is given by its first displayed run, a grid and a step count.
 # Temporal axis: fix the grid, double the step count.  First order, with
 # visibly pre-asymptotic rates at coarse resolution (the memory quadrature
 # error carries a sizable constant).
 cells = tuple(StudyCell(f"sigma={s}", example2_problem(sigma=s))
               for s in (1.5, 3.0))
-temporal = StudySpec(axis=TEMPORAL, cells=cells, level0=64, levels=4, J=32)
+temporal = StudySpec(axis=TEMPORAL, cells=cells, levels=4, grid=Grid(32), N=64)
 print("temporal refinement (J = 32 fixed):")
 print(run_study(temporal).format_table())
 
 # Spatial axis: fix the step count, double the grid.  Second order.
-spatial = StudySpec(axis=SPATIAL, cells=cells, level0=16, levels=4, N=64)
+spatial = StudySpec(axis=SPATIAL, cells=cells, levels=4, grid=Grid(16), N=64)
 print("\nspatial refinement (N = 64 fixed):")
 print(run_study(spatial).format_table())
 

@@ -254,9 +254,5 @@ def build_study(config: dict) -> StudySpec:
         except ConfigurationError as exc:
             raise ConfigurationError(f"study.sweep[{i}] ({label}): {exc}")
         cells.append(StudyCell(label=label, problem=problem))
-    J = build_grid(config).J
-    N = build_steps(config)
-    # A temporal ladder refines N at fixed J, a spatial one J at fixed N.
-    level0, fixed = (N, {"J": J}) if axis == TEMPORAL else (J, {"N": N})
-    return StudySpec(axis=axis, cells=tuple(cells), level0=level0,
-                     levels=levels, **fixed)
+    return StudySpec(axis=axis, cells=tuple(cells), levels=levels,
+                     grid=build_grid(config), N=build_steps(config))

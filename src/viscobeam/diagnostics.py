@@ -61,10 +61,14 @@ def data_functional(state) -> float:
 
 @dataclass(frozen=True)
 class StabilityVerdict:
-    passed: bool
+    """The largest total energy, the bound it is held to, and the first
+    step whose energy exceeds the bound, None when none does: then, and
+    only then, the verdict passes."""
+
     max_total: float
     bound: float
     first_violation: int | None = None
+    passed = property(lambda self: self.first_violation is None)
 
     def __str__(self) -> str:
         if self.passed:
@@ -97,5 +101,5 @@ def stability_monitor(steps, total, data_functional: float,
     total = np.asarray(total, dtype=float)
     over = np.flatnonzero(total > bound)
     return StabilityVerdict(
-        passed=over.size == 0, max_total=float(np.max(total, initial=0.0)),
-        bound=bound, first_violation=int(steps[over[0]]) if over.size else None)
+        max_total=float(np.max(total, initial=0.0)), bound=bound,
+        first_violation=int(steps[over[0]]) if over.size else None)

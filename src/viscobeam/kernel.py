@@ -12,11 +12,11 @@ moves it onto the velocity, weighted by the integrated tail
     K(t) = integral of beta over (t, infinity),
 
 and the fully discrete scheme takes four quantities from the kernel, the
-fields of :class:`KernelTables`: the tail mass K(0), the elastic
-coefficient mu0 = 1 - K(0), the averaged product-integration weights
-omega_k and the tail K(t_n) at the time-grid nodes.  This module makes
-only those four; beta enters them only through its moments below.  The
-weights and the tail derive from K and its antiderivatives
+fields of :class:`KernelTables` and its property mu0: the tail mass K(0),
+the elastic coefficient mu0 = 1 - K(0), the averaged product-integration
+weights omega_k and the tail K(t_n) at the time-grid nodes.  This module
+makes only those four; beta enters them only through its moments below.
+The weights and the tail derive from K and its antiderivatives
 
     J1(t) = integral of K over (0, t),      J2(t) = integral of J1 over (0, t),
 
@@ -48,7 +48,7 @@ differences of J2 there, with K(0) from the closed form ``KernelSpec.K0``;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -203,8 +203,8 @@ class KernelTables:
     constant C0 of the stability estimate), and ``tail`` holds K at the
     time-grid nodes (the transformed equation sources the initial bending
     load through K(t_n)).  ``mu0 = 1 - K0``, the elastic coefficient left
-    after the memory transformation, is derived on construction, so
-    ``dataclasses.replace`` keeps it in step.  These four are all that the
+    after the memory transformation, is a property computed from K0, not a
+    field, so nothing can set it out of step.  These four are all that the
     scheme takes from the kernel.  Immutable after construction; safe to
     share between runs.
     """
@@ -212,10 +212,7 @@ class KernelTables:
     K0: float
     weights: np.ndarray
     tail: np.ndarray
-    mu0: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "mu0", 1.0 - self.K0)
+    mu0 = property(lambda self: 1.0 - self.K0)
 
     @classmethod
     def stack(cls, tables: list["KernelTables"]) -> "KernelTables":
@@ -230,15 +227,24 @@ class KernelTables:
         """The tables of ``spec`` on the time grid k dt, k = 0..n_steps.
 
         A step dt that is not positive and finite, such as T/N when it
-        rounds to 0, or fewer than one step is a ConfigurationError that
-        names it: bad input, not a failure of the run."""
+        rounds to 0, fewer than one step, or a horizon N dt so long that a
+        weight or a tail value is not finite (J2 grows like t**2, so it
+        overflows past about 1e154) is a ConfigurationError that names it:
+        bad input, not a failure of the run.  numpy warns of none of them."""
         if not 0.0 < dt < math.inf:
             raise ConfigurationError(f"time step T/N must be positive and finite (got {dt!r})")
         if n_steps < 1:
             raise ConfigurationError(f"step count N must be at least 1 (got {n_steps})")
         ts = dt * np.arange(n_steps + 1)
-        tail, m1, m2 = _grid_moments(spec, ts)
-        j2 = ts * m1 - 0.5 * m2 + 0.5 * ts * ts * tail
-        # omega_0 = J2(dt)/dt; omega_k is the second difference of J2 at k*dt over dt.
-        return cls(spec.K0, np.concatenate([j2[1:2], j2[2:] - 2.0 * j2[1:-1] + j2[:-2]]) / dt,
-                   tail)
+        # An overflow is reported below, as the error it is, not as a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            tail, m1, m2 = _grid_moments(spec, ts)
+            j2 = ts * m1 - 0.5 * m2 + 0.5 * ts * ts * tail
+            # omega_0 = J2(dt)/dt; omega_k is the second difference of J2 at k*dt over dt.
+            weights = np.concatenate([j2[1:2], j2[2:] - 2.0 * j2[1:-1] + j2[:-2]]) / dt
+        # J2(t_k) holds K(t_k) for k >= 1 and K(0) = K0 is finite, so a tail
+        # value that is not finite makes a weight so too.
+        if not np.isfinite(weights).all():
+            raise ConfigurationError(f"kernel tables overflow on the horizon N*dt = "
+                                     f"{ts[-1]:.6g}; take a shorter horizon T")
+        return cls(spec.K0, weights, tail)

@@ -111,7 +111,7 @@ class ProblemSpec:
             vs = np.concatenate([[0.0], np.geomspace(1e-6, _V_MAX, 25)])
             try:
                 gv = np.array([d(v) for v in vs])
-            except Exception as exc:  # pragma: no cover - caller-supplied callables only
+            except Exception as exc:
                 errs.append(f"damping function raised on sampled input: {exc!r}")
             else:
                 nonfinite = vs[~np.isfinite(gv)]

@@ -267,9 +267,11 @@ def _start(problem: ProblemSpec, grid: Grid, N: int) -> SolverState:
     records stop at level 1, the forcing norms at levels 0 and 1
     included.  Level 1's record, made with 0 iterations, goes through
     :func:`_flush_records` as every later level's does; level 0's stays
-    zero but for its forcing norm."""
+    zero but for its forcing norm.  Fewer than one step is the
+    ConfigurationError that :meth:`KernelTables.build` would raise, raised
+    here because the step T/N is taken first."""
     if N < 1:
-        raise ValueError("N must be at least 1")
+        raise ConfigurationError(f"step count N must be at least 1 (got {N})")
     dt = problem.T / N
     U0, u1 = sine_transform(np.stack([problem.u0(grid.x), problem.u1(grid.x)]))
     U1 = U0 + dt * u1

@@ -8,11 +8,14 @@ rows compare coarse node j against fine node 2j (the grids nest exactly)
 and measure in the row's own (finer) grid norm, that is the coarse grid's
 norm divided by sqrt(2).
 
-A ladder of L levels costs L + 1 runs per cell: the half-coarse anchor
-and one per displayed level, each row differencing consecutive final
-solutions.  :func:`run_study` steps the runs of one level, one per cell,
-in lockstep as a single batch (:func:`~viscobeam.stepper.run_batch`);
-every cell still gets the bits of its own single runs.
+A :class:`StudySpec` gives a ladder by its first displayed run, a grid
+and a step count: the temporal axis doubles the step count on that grid,
+the spatial axis doubles J at that step count.  A ladder of L levels
+costs L + 1 runs per cell: the half-coarse anchor and one per displayed
+level, each row differencing consecutive final solutions.
+:func:`run_study` steps the runs of one level, one per cell, in lockstep
+as a single batch (:func:`~viscobeam.stepper.run_batch`); every cell
+still gets the bits of its own single runs.
 """
 
 from __future__ import annotations
@@ -52,20 +55,19 @@ class StudyCell:
 
 @dataclass(frozen=True)
 class StudySpec:
-    """Refinement-ladder description.
-
-    ``level0`` is the first displayed level (N for temporal, J for
-    spatial); displayed levels double ``levels`` - 1 times.  The fixed
-    resolution of the other axis is ``J`` (temporal) or ``N`` (spatial).
-    A preceding half-coarse run anchors the first row's error.
+    """Refinement-ladder description: its first displayed run, on ``grid``
+    with ``N`` steps, whose step count (temporal) or J (spatial) doubles
+    ``levels`` - 1 times while the other stays fixed.  A preceding
+    half-coarse run anchors the first row's error, so a temporal base N
+    must be even and a spatial base J even with J/2 >= 4; the grid itself
+    has checked J >= 4.
     """
 
     axis: str
     cells: tuple[StudyCell, ...]
-    level0: int
     levels: int
-    J: int = 0
-    N: int = 0
+    grid: Grid
+    N: int
 
     def __post_init__(self):
         if self.axis not in (TEMPORAL, SPATIAL):
@@ -73,12 +75,10 @@ class StudySpec:
         if self.levels < 2:
             raise ConfigurationError("a study needs at least two refinement levels")
         if self.axis == TEMPORAL:
-            if self.level0 < 2 or self.level0 % 2:
+            if self.N < 2 or self.N % 2:
                 raise ConfigurationError("temporal studies need an even base step count")
-            if self.J < 4:
-                raise ConfigurationError("temporal studies need a fixed grid J >= 4")
         else:
-            if self.level0 % 2 or self.level0 // 2 < 4:
+            if self.grid.J % 2 or self.grid.J // 2 < 4:
                 raise ConfigurationError(
                     "spatial studies need an even base J with J/2 >= 4 so "
                     "grids nest down to the anchor level")
@@ -86,7 +86,8 @@ class StudySpec:
                 raise ConfigurationError("spatial studies need a fixed step count N")
 
     def display_levels(self) -> list[int]:
-        return [self.level0 * 2**i for i in range(self.levels)]
+        base = self.N if self.axis == TEMPORAL else self.grid.J
+        return [base * 2**i for i in range(self.levels)]
 
 
 @dataclass(frozen=True)
@@ -151,8 +152,7 @@ def _cell_rows(study: StudySpec, cell: StudyCell, levels: list[int],
                finals: list[np.ndarray]) -> tuple[StudyRow, ...]:
     # ``finals`` holds the final solution at each level, coarsest first.
     if study.axis == TEMPORAL:
-        grid = Grid(study.J)
-        errors = [norm(c - f, grid) for c, f in zip(finals, finals[1:])]
+        errors = [norm(c - f, study.grid) for c, f in zip(finals, finals[1:])]
         refinements = [cell.problem.T / n for n in levels[1:]]
     else:
         errors = [norm(c - f[1::2], Grid(J)) / math.sqrt(2.0)
@@ -173,15 +173,15 @@ def run_study(study: StudySpec, config: SolverConfig | None = None,
     is captured in the report without aborting the other cells.  Reports
     are deterministic apart from the timestamp.
     """
-    levels = [study.level0 // 2] + study.display_levels()
+    levels = [study.display_levels()[0] // 2] + study.display_levels()
     results = [[] for _ in study.cells]  # final solutions per level, or the failure
     for level in levels:
-        J, N = (study.J, level) if study.axis == TEMPORAL else (level, study.N)
+        grid, N = (study.grid, level) if study.axis == TEMPORAL else (Grid(level), study.N)
         live = [i for i, r in enumerate(results) if isinstance(r, list)]
         # Only the final solutions outlive the batch, so that no two levels'
         # histories are held at once.
         finals = [s if isinstance(s, Exception) else s.U_prev for s in
-                  run_batch([study.cells[i].problem for i in live], Grid(J), N, config)]
+                  run_batch([study.cells[i].problem for i in live], grid, N, config)]
         for i, final in zip(live, finals):
             results[i] = final if isinstance(final, Exception) else results[i] + [final]
     cells = tuple(CellResult(cell.label, failure=str(r)) if isinstance(r, Exception)
@@ -190,7 +190,7 @@ def run_study(study: StudySpec, config: SolverConfig | None = None,
     meta = {
         "axis": study.axis,
         "levels": study.display_levels(),
-        "fixed": {"J": study.J} if study.axis == TEMPORAL else {"N": study.N},
+        "fixed": {"J": study.grid.J} if study.axis == TEMPORAL else {"N": study.N},
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "version": __version__,
     }

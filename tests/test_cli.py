@@ -139,6 +139,37 @@ class TestErrorPaths:
         assert code == EXIT_CONFIG
         assert "must be a mapping" in json.loads(capsys.readouterr().err)["message"]
 
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(argv, message, id=" ".join(argv)) for argv, message in [
+            (["solve", "--preset", "example1", "--set", "grid.J"],
+             "override 'grid.J' is not of the form section.key=value"),
+            (["solve", "--preset", "example1", "--set", 'forcing={"name":"tempered_sin"}'],
+             "forcing.sigma is required"),
+            (["study", "--preset", "example1"], "config has no 'study' section"),
+            (["study", "--preset", "example2-temporal", "--set", "time.N=7"],
+             "temporal studies need an even base step count"),
+        ]])
+    def test_config_error_message(self, argv, message, tmp_path, capsys):
+        code = main(argv + ["-o", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert json.loads(capsys.readouterr().err) == {"category": "config",
+                                                       "message": message}
+
+    def test_config_file_not_json(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("not json")
+        code = main(["solve", "--config", str(path), "-o", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert json.loads(capsys.readouterr().err)["message"] == (
+            f"config file {path} is not valid JSON: Expecting value: line 1 column 1 (char 0)")
+
+    def test_config_file_unreadable(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "config.json"
+        code = main(["solve", "--config", str(path), "-o", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert json.loads(capsys.readouterr().err)["message"] == (
+            f"cannot read config file {path}: [Errno 2] No such file or directory: '{path}'")
+
     def test_missing_config_and_preset(self, tmp_path, capsys):
         code = main(["solve", "-o", str(tmp_path)])
         assert code == EXIT_CONFIG
@@ -196,6 +227,10 @@ class TestErrorPaths:
         ["solve", "--preset", "example1", "--set", "solver.fp_tol=Infinity"],
         # A horizon whose step T/N rounds to 0 once ended in a traceback.
         *([command, "--preset", "example1", "--set", "time.T=5e-324"]
+          for command in ("solve", "stability", "weights")),
+        # A horizon whose kernel tables overflow once wrote inf and NaN
+        # weights, or failed its run at step 2.
+        *([command, "--preset", "example1", "--set", "time.T=1e155", "--set", "time.N=4"]
           for command in ("solve", "stability", "weights")),
         # Finite parameters, infinite data: 1/(x(1-x)) once passed the
         # boundary check because inf > tol * inf is False.
@@ -339,6 +374,21 @@ class TestStudy:
         assert code == EXIT_NUMERICAL
         err = json.loads(capsys.readouterr().err.strip())
         assert err == {"category": "numerical", "message": "study cells failed: ['bad']"}
+
+    def test_overflowing_horizon_fails_its_cell(self, tmp_path, capsys):
+        # The kernel tables are built by the cell's runs, so a horizon
+        # that overflows them fails the cell rather than the config.
+        doc = dict(ZERO_CONFIG)
+        doc["time"] = {"T": 1.0, "N": 8}
+        doc["study"] = {"axis": "temporal", "levels": 2,
+                        "sweep": [{"label": "long", "time.T": 1e155}, {"label": "ok"}]}
+        code = main(["study", "--config", write_config(tmp_path, doc), "-o", str(tmp_path)])
+        assert code == EXIT_NUMERICAL
+        assert json.loads(capsys.readouterr().err)["message"] == "study cells failed: ['long']"
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["cells"][0]["failure"] == (
+            "kernel tables overflow on the horizon N*dt = 1e+155; take a shorter horizon T")
+        assert report["cells"][1]["failure"] is None
 
     @pytest.mark.parametrize("override, label, fragment", [
         pytest.param(override, label, fragment, id=f"{override}-{label}")

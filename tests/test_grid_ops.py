@@ -103,6 +103,11 @@ class TestNorms:
     def test_norm_zero(self):
         assert norm(np.zeros(7), Grid(8)) == 0.0
 
+    def test_norm_rejects_wrong_shape(self):
+        with pytest.raises(ValueError) as exc:
+            norm(np.zeros(8), Grid(8))
+        assert str(exc.value) == "interior vector has shape (8,), expected (7,)"
+
     def test_max_norm(self):
         assert max_norm(np.array([-3.0, 2.0])) == 3.0
 

@@ -332,12 +332,22 @@ class TestKernelTables:
         with pytest.raises(ConfigurationError):
             KernelTables.build(OSC(0.5, 0.0, 1.0), 0.01, 4)
 
-    # A NaN or infinite step once gave NaN weights.
+    # A NaN or infinite step once gave NaN weights, and so did a horizon
+    # N*dt = 1e155, whose J2 overflows, with two RuntimeWarnings.
     @pytest.mark.parametrize("dt, n_steps", [(0.0, 4), (-0.1, 4), (math.nan, 4),
-                                             (math.inf, 4), (0.1, 0)])
+                                             (math.inf, 4), (0.1, 0), (2.5e154, 4)])
     def test_bad_step_rejected(self, dt, n_steps):
         with pytest.raises(ValueError):
             KernelTables.build(NONOSC(1.5, 0.5), dt, n_steps)
+
+    @pytest.mark.parametrize("spec", [NONE, NONOSC(1.5, 0.5), OSC(2.0, 1.0, 0.5)])
+    def test_overflowing_horizon_named(self, spec):
+        with pytest.raises(ConfigurationError) as exc:
+            KernelTables.build(spec, 2.5e154, 4)
+        assert str(exc.value) == (
+            "kernel tables overflow on the horizon N*dt = 1e+155; take a shorter horizon T")
+        tables = KernelTables.build(spec, 2.5e153, 4)
+        assert np.isfinite(tables.weights).all() and np.isfinite(tables.tail).all()
 
     def test_stack_adds_member_axis(self):
         one, two = (KernelTables.build(NONOSC(s, 0.5), 1.0 / 16, 16) for s in (1.5, 3.0))

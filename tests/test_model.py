@@ -131,6 +131,24 @@ class TestValidate:
         with pytest.raises(ConfigurationError, match="non-finite"):
             _problem(damping=d)
 
+    def test_raising_damping_reported(self):
+        def broken(v):
+            raise RuntimeError("no G here")
+
+        with pytest.raises(ConfigurationError) as exc:
+            _problem(damping=DampingFunction(broken, g0=1.0, lipschitz=1.0))
+        assert str(exc.value) == (
+            "damping function raised on sampled input: RuntimeError('no G here')")
+
+    def test_raising_initial_datum_reported(self):
+        def broken(x):
+            raise RuntimeError("no u0 here")
+
+        with pytest.raises(ConfigurationError) as exc:
+            _problem(u0=broken)
+        assert str(exc.value) == (
+            "initial data u0 raised on the probe grid: RuntimeError('no u0 here')")
+
     def test_nonpositive_horizon(self):
         with pytest.raises(ConfigurationError, match="horizon"):
             _problem(T=0.0)

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import math
+import re
 import time
 import tracemalloc
 
@@ -91,9 +92,16 @@ class TestInitialize:
         assert np.allclose(state.U0, g.x**2 * (1 - g.x) ** 2, rtol=1e-15)
 
     def test_needs_at_least_one_step(self):
-        for start in (initialize, run):
-            with pytest.raises(ValueError, match="N must be at least 1"):
-                start(zero_problem(), Grid(8), 0)
+        # The same error type and wording as KernelTables.build's; N = -3
+        # once reached the step T/N.
+        for N in (0, -3):
+            message = f"step count N must be at least 1 (got {N})"
+            for start in (initialize, run):
+                with pytest.raises(ConfigurationError, match=re.escape(message)):
+                    start(zero_problem(), Grid(8), N)
+            failure, = run_batch([zero_problem()], Grid(8), N)
+            assert isinstance(failure, ConfigurationError)
+            assert str(failure) == message
 
 
 def dense_step_matrix(state, G_val):

@@ -75,25 +75,36 @@ class TestErrorMetrics:
 class TestStudySpec:
     def test_display_levels_double(self):
         s = StudySpec(axis=TEMPORAL, cells=(StudyCell("c", zero_problem()),),
-                      level0=8, levels=3, J=8)
+                      levels=3, grid=Grid(8), N=8)
         assert s.display_levels() == [8, 16, 32]
 
     def test_rejects_bad_axis_and_levels(self):
         cells = (StudyCell("c", zero_problem()),)
         with pytest.raises(ConfigurationError, match="unknown study axis 'sideways'"):
-            StudySpec(axis="sideways", cells=cells, level0=8, levels=3, J=8)
+            StudySpec(axis="sideways", cells=cells, levels=3, grid=Grid(8), N=8)
         with pytest.raises(ConfigurationError, match="at least two refinement levels"):
-            StudySpec(axis=TEMPORAL, cells=cells, level0=8, levels=1, J=8)
+            StudySpec(axis=TEMPORAL, cells=cells, levels=1, grid=Grid(8), N=8)
         with pytest.raises(ConfigurationError, match="J/2 >= 4"):
             # anchor grid would be J = 3, too small for the stencil
-            StudySpec(axis=SPATIAL, cells=cells, level0=6, levels=2, N=8)
+            StudySpec(axis=SPATIAL, cells=cells, levels=2, grid=Grid(6), N=8)
+        with pytest.raises(ConfigurationError,
+                           match="^temporal studies need an even base step count$"):
+            StudySpec(axis=TEMPORAL, cells=cells, levels=2, grid=Grid(8), N=7)
+        with pytest.raises(ConfigurationError,
+                           match="^spatial studies need a fixed step count N$"):
+            StudySpec(axis=SPATIAL, cells=cells, levels=2, grid=Grid(8), N=0)
+
+    def test_spatial_levels_double_the_grid(self):
+        s = StudySpec(axis=SPATIAL, cells=(StudyCell("c", zero_problem()),),
+                      levels=3, grid=Grid(8), N=5)
+        assert s.display_levels() == [8, 16, 32]
 
 
 class TestRunStudy:
     def test_two_levels_emit_one_rate(self):
         p = example2_problem()
         study = StudySpec(axis=TEMPORAL, cells=(StudyCell("base", p),),
-                          level0=8, levels=2, J=8)
+                          levels=2, grid=Grid(8), N=8)
         report = run_study(study)
         rows = report.cells[0].rows
         assert len(rows) == 2
@@ -106,12 +117,12 @@ class TestRunStudy:
         # level; spatial rows carry the row grid's norm (1/sqrt(2) factor).
         p = example2_problem()
         study = StudySpec(axis=TEMPORAL, cells=(StudyCell("c", p),),
-                          level0=8, levels=3, J=16)
+                          levels=3, grid=Grid(16), N=8)
         report = run_study(study)
         for row in report.cells[0].rows:
             assert row.error == temporal_error(p, Grid(16), row.level // 2)
         study_x = StudySpec(axis=SPATIAL, cells=(StudyCell("c", p),),
-                            level0=8, levels=2, N=8)
+                            levels=2, grid=Grid(8), N=8)
         report_x = run_study(study_x)
         for row in report_x.cells[0].rows:
             assert row.error == spatial_error(p, row.level // 2, 8) / math.sqrt(2.0)
@@ -129,7 +140,7 @@ class TestRunStudy:
         bad = dataclasses.replace(good, forcing=broken)
         study = StudySpec(axis=TEMPORAL,
                           cells=(StudyCell("bad", bad), StudyCell("good", good)),
-                          level0=8, levels=2, J=8)
+                          levels=2, grid=Grid(8), N=8)
         report = run_study(study)
         assert report.cells[0].failure is not None
         assert "forcing broke" in report.cells[0].failure
@@ -152,7 +163,7 @@ class TestRunStudy:
     def test_report_deterministic_modulo_timestamp(self):
         p = example2_problem()
         study = StudySpec(axis=TEMPORAL, cells=(StudyCell("c", p),),
-                          level0=8, levels=2, J=8)
+                          levels=2, grid=Grid(8), N=8)
         r1 = run_study(study)
         r2 = run_study(study)
         assert r1.cells == r2.cells
@@ -165,7 +176,7 @@ class TestRunStudy:
     def test_csv_and_json_emission(self, tmp_path):
         p = example2_problem()
         study = StudySpec(axis=TEMPORAL, cells=(StudyCell("c", p),),
-                          level0=8, levels=2, J=8)
+                          levels=2, grid=Grid(8), N=8)
         report = run_study(study)
         report.to_csv(tmp_path / "report.csv")
         report.to_json(tmp_path / "report.json")
@@ -192,11 +203,11 @@ class TestRunStudy:
         # drift toward 1, spatial toward 2, by the last displayed level.
         p = example2_problem()
         t_study = StudySpec(axis=TEMPORAL, cells=(StudyCell("c", p),),
-                            level0=128, levels=3, J=16)
+                            levels=3, grid=Grid(16), N=128)
         last = run_study(t_study).cells[0].rows[-1].rate
         assert 0.85 <= last <= 1.10
         x_study = StudySpec(axis=SPATIAL, cells=(StudyCell("c", p),),
-                            level0=16, levels=3, N=64)
+                            levels=3, grid=Grid(16), N=64)
         last = run_study(x_study).cells[0].rows[-1].rate
         assert 1.90 <= last <= 2.15
 
@@ -206,7 +217,7 @@ def single_run_rows(study, cell):
     rows, previous = [], None
     for level in study.display_levels():
         if study.axis == TEMPORAL:
-            error = temporal_error(cell.problem, Grid(study.J), level // 2)
+            error = temporal_error(cell.problem, study.grid, level // 2)
             refinement = cell.problem.T / level
         else:
             error = spatial_error(cell.problem, level // 2, study.N) / math.sqrt(2.0)
@@ -243,7 +254,7 @@ class TestLockstep:
         good = [StudyCell(f"sigma={s}", example2_problem(sigma=s)) for s in (1.5, 2.0)]
 
         def study(cells):
-            return StudySpec(axis=TEMPORAL, cells=tuple(cells), level0=16, levels=2, J=8)
+            return StudySpec(axis=TEMPORAL, cells=tuple(cells), levels=2, grid=Grid(8), N=16)
 
         with pytest.raises(NumericalError) as exc:
             run(bad, Grid(8), 8)

@@ -31,6 +31,9 @@ COMMANDS = (
     ("solve", "--preset", "example1", "--set", "initial.u0.amplitude=30"),
     ("solve", "--preset", "example2", "--set", "grid.J=30", "--set", "time.N=300"),
     ("study", "--preset", "example2-temporal"),
+    ("study", "--preset", "example1-temporal"),
+    ("study", "--preset", "example1-spatial"),
+    ("study", "--preset", "example2-spatial"),
     ("stability", "--preset", "example2-longtime"),
     ("stability", "--preset", "example1"),
     ("stability", "--preset", "example2"),
@@ -38,6 +41,7 @@ COMMANDS = (
     ("weights", "--preset", "example2"),
     # Its far weights include roundoff-negative ones.
     ("weights", "--preset", "example2-longtime"),
+    ("demos/03_convergence_study.py",),
     ("demos/04_long_time_energy.py",),
     # Error paths: a config error, a step that does not converge and a
     # study whose every cell fails.
@@ -48,6 +52,11 @@ COMMANDS = (
     # A step T/N that rounds to 0, and both config sources at once.
     ("solve", "--preset", "example1", "--set", "time.T=5e-324"),
     ("solve", "--preset", "example1", "--config", "missing.json"),
+    # Ladders that cannot run: an odd temporal base and a spatial one too
+    # coarse to nest; and a horizon whose kernel tables overflow.
+    ("study", "--preset", "example2-temporal", "--set", "time.N=7"),
+    ("study", "--preset", "example2-spatial", "--set", "grid.J=6"),
+    ("weights", "--preset", "example1", "--set", "time.T=1e155", "--set", "time.N=4"),
 )
 _CREATED = re.compile(rb'"created": "[^"]*"')
 
