@@ -104,9 +104,15 @@ def _cmd_stability(args) -> int:
         raise ConfigurationError(f"--safety must be at least 1 and finite (got {args.safety})")
     problem, grid, N, solver, out = _setup(args)
     state, series = run(problem, grid, N, solver)
+    # A data functional that is not finite is the data's fault, not --safety's:
+    # say a forcing singular at t = 0, a level the run samples for its norm alone.
+    functional = data_functional(state)
+    if not np.isfinite(functional):
+        raise ConfigurationError(f"stability data functional {functional:.6e} is not finite; it "
+                                 "sums norms of the initial data and of the forcing at every "
+                                 "level, t = 0 included")
     try:
-        verdict = stability_monitor(series.n, series.total, data_functional(state),
-                                    safety=args.safety)
+        verdict = stability_monitor(series.n, series.total, functional, safety=args.safety)
     except ConfigurationError as exc:
         raise ConfigurationError(f"--safety {args.safety}: {exc}") from None
     series.to_csv(out / "timeseries.csv")

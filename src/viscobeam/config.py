@@ -89,7 +89,8 @@ def apply_overrides(config: dict, assignments) -> dict:
 
     ``assignments`` is either a sequence of ``section.key=value`` strings,
     whose values parse as JSON when possible, or a mapping of dotted paths
-    to values (a study sweep entry).
+    to values (a study sweep entry, or a preset's overrides).  The copy
+    shares no value with ``config`` or ``assignments``.
     """
     if isinstance(assignments, dict):
         items = assignments.items()
@@ -103,7 +104,7 @@ def apply_overrides(config: dict, assignments) -> dict:
             node = node.setdefault(key, {})
             if not isinstance(node, dict):
                 raise ConfigurationError(f"override path {path!r} crosses a leaf")
-        node[keys[-1]] = value
+        node[keys[-1]] = copy.deepcopy(value)
     return out
 
 
@@ -206,15 +207,14 @@ def build_problem(config: dict) -> ProblemSpec:
 
 
 def build_grid(config: dict) -> Grid:
-    return Grid(_number(_section(config, "grid", ("J",)).get("J", 32), "grid.J",
-                        integral=True))
+    return _keywords(lambda *, J=32: Grid(J), config.get("grid", {}), "grid")
 
 
 def build_steps(config: dict) -> int:
     n = _number(_section(config, "time", _TIME_KEYS).get("N", 128), "time.N",
                 integral=True)
     if n < 1:
-        raise ConfigurationError(f"step count N must be positive (got {n})")
+        raise ConfigurationError(f"step count N must be at least 1 (got {n})")
     return n
 
 

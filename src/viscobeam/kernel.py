@@ -36,9 +36,9 @@ One vectorized evaluator, ``_grid_moments``, produces (K, M_1, M_2) on a
 whole time grid for every memory family.  It substitutes u = s**alpha,
 which turns beta(s) ds into exp(-sigma*s) * cos(gamma*s) du / Gamma(alpha+1)
 and so removes the endpoint singularity, and sums Gauss-Legendre panel
-integrals cumulatively; the first panel is split geometrically toward
-u = 0, where the integrand is only finitely smooth unless 1/alpha is an
-integer.  The rule's nodes and weights are module constants, and the
+integrals cumulatively; the first panel is split geometrically in s toward
+s = 0, where the integrand is only finitely smooth in u unless 1/alpha is
+an integer.  The rule's nodes and weights are module constants, and the
 panel sums are formed a fixed number of panels at a time, so their
 scratch memory does not grow with the grid.  ``KernelTables.build`` uses
 it on the time grid and forms the weights itself, as the second
@@ -64,8 +64,12 @@ _FAMILIES = (OSCILLATORY, NON_OSCILLATORY, NO_MEMORY)
 #: weights, as numpy.polynomial.legendre.leggauss(24) gives them; the rule
 #: is exactly symmetric.  Each panel spans one step of the time grid.  The
 #: first panel is split into _GRADED_LEVELS + 1 pieces whose ends shrink by
-#: _GRADING_RATIO toward u = 0, so every piece is far inside the regime
-#: where the rule is exact to roundoff.
+#: _GRADING_RATIO in s toward s = 0, so s grows by at most 1/_GRADING_RATIO
+#: across every piece but the innermost, whatever alpha is; graded in u,
+#: one piece would hold the integrand's steep drop near u = sigma**-alpha
+#: for small alpha.  No bound is proved: against the closed form, at the
+#: alphas sampled from 0.01 to 1, the tail is within 1e-14 for steps up to
+#: 10; the worst case seen is 6.9e-11, at alpha = 0.01 and dt = 1000.
 _GL_HALF_RULE = np.array([
     [0.06405689286260563, 0.1911188674736163, 0.3150426796961634, 0.4337935076260451,
      0.5454214713888396, 0.6480936519369755, 0.7401241915785544, 0.820001985973903,
@@ -172,9 +176,8 @@ def _grid_moments(spec: KernelSpec, ts: np.ndarray):
         z = np.zeros_like(ts)
         return z, z.copy(), z.copy()
     a, sigma, gamma = spec.alpha, spec.sigma, spec.gamma
-    us = ts ** a
-    grading = us[1] * _GRADING_RATIO ** np.arange(_GRADED_LEVELS, 0, -1)
-    edges = np.concatenate([[0.0], grading, us[1:]])
+    grading = (ts[1] * _GRADING_RATIO ** np.arange(_GRADED_LEVELS, 0, -1)) ** a
+    edges = np.concatenate([[0.0], grading, ts[1:] ** a])
     half = 0.5 * np.diff(edges)
     mid, scale = edges[:-1] + half, half / math.gamma(a + 1.0)
     sums = np.empty((3, len(half)))

@@ -148,6 +148,14 @@ class TestErrorPaths:
             (["study", "--preset", "example1"], "config has no 'study' section"),
             (["study", "--preset", "example2-temporal", "--set", "time.N=7"],
              "temporal studies need an even base step count"),
+            # The config once said "must be positive", the tables "at least 1".
+            *((["solve", "--preset", "example1", "--set", f"time.N={n}"],
+               f"step count N must be at least 1 (got {n})") for n in (0, -2)),
+            # The forcing t**-0.5 is infinite at t = 0 alone, which solve
+            # never loads; the message once blamed --safety for it.
+            (["stability", "--preset", "example1", "--set", "forcing.alpha=-0.5"],
+             "stability data functional inf is not finite; it sums norms of the "
+             "initial data and of the forcing at every level, t = 0 included"),
         ]])
     def test_config_error_message(self, argv, message, tmp_path, capsys):
         code = main(argv + ["-o", str(tmp_path)])

@@ -128,6 +128,16 @@ class TestKernelTail:
         for k in (0, 13, 50, 100, 370):
             assert tail[k] == pytest.approx(oracle_tail(spec, k * dt), abs=1e-11)
 
+    # The first panel was once graded in u = s**alpha, which at alpha =
+    # 0.01 left the tail's drop near u = sigma**-alpha inside one piece:
+    # off by 3.5e-13, 1.4e-7 and 3.4e-5 at these steps.
+    @pytest.mark.parametrize("dt", [1.0 / 64.0, 1.0, 10.0])
+    def test_small_alpha_on_coarse_steps(self, dt):
+        spec = NONOSC(1.5, 0.01)
+        tail = KernelTables.build(spec, dt, 50).tail
+        for k in range(51):
+            assert abs(tail[k] - oracle_tail(spec, k * dt)) <= 1e-14, k
+
     @pytest.mark.parametrize("spec", TABLE_SPECS)
     def test_tail_negligible_far_out(self, spec):
         assert abs(tails(spec, 50.0 / spec.sigma, 256)[-1]) <= 1e-12
@@ -273,6 +283,14 @@ class TestQuadratureWeights:
         for n, p in [(1, 1), (3, 1), (5, 2)]:
             assert w[n - p] == pytest.approx(oracle_weight(spec, dt, n, p),
                                              abs=1e-14)
+
+    def test_small_alpha_weights_on_a_unit_step(self):
+        # Graded in u, the first panel once put these off by 9.2e-5, 3.1e-5
+        # and 7.5e-4 relative.
+        spec = NONOSC(1.5, 0.01)
+        w = weights(spec, 1.0, 3)
+        for n in (1, 2, 3):
+            assert abs(w[n - 1] - oracle_weight(spec, 1.0, n, 1)) <= 1e-14, n - 1
 
     def test_positive_for_monotone_tail_configs(self):
         # Strict positivity is guaranteed whenever the tail stays positive

@@ -198,6 +198,23 @@ class TestRunStudy:
         assert len(study.cells) == 4
         assert study.display_levels() == [16, 32, 64, 128]
 
+    @pytest.mark.parametrize("name", ["example1", "example2", "example1-temporal",
+                                      "example1-spatial", "example2-temporal",
+                                      "example2-spatial", "example2-longtime"])
+    def test_preset_configs_share_nothing(self, name):
+        # A preset is its example with overrides; a config that shared a
+        # dict or the sweep list with them once gave the next call the
+        # caller's edits (a fifth example2-temporal cell).
+        def mutate(node):
+            for child in node.values() if isinstance(node, dict) else node:
+                if isinstance(child, (dict, list)):
+                    mutate(child)
+            node.append("edited") if isinstance(node, list) else node.update(edited=1)
+
+        before = json.dumps(preset_config(name))
+        mutate(preset_config(name))
+        assert json.dumps(preset_config(name)) == before
+
     def test_observed_orders_in_band(self):
         # Small ladder version of the headline property: temporal rates
         # drift toward 1, spatial toward 2, by the last displayed level.

@@ -57,6 +57,13 @@ COMMANDS = (
     ("study", "--preset", "example2-temporal", "--set", "time.N=7"),
     ("study", "--preset", "example2-spatial", "--set", "grid.J=6"),
     ("weights", "--preset", "example1", "--set", "time.T=1e155", "--set", "time.N=4"),
+    # A step count below 1, data whose functional is not finite (a forcing
+    # singular at t = 0), a grid key typo, and a small alpha on coarse steps.
+    ("solve", "--preset", "example1", "--set", "time.N=0"),
+    ("stability", "--preset", "example1", "--set", "forcing.alpha=-0.5"),
+    ("solve", "--preset", "example1", "--set", "grid.j=8"),
+    ("weights", "--preset", "example2", "--set", "kernel.alpha=0.01", "--set", "time.T=10",
+     "--set", "time.N=10"),
 )
 _CREATED = re.compile(rb'"created": "[^"]*"')
 
