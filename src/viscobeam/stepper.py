@@ -24,17 +24,15 @@ stored as coefficients, and grid values are made only from the initial
 data, the forcing samples and on output.  The levels fall into blocks of
 32, aligned at levels 2 + 32k.  For each block the forcing is sampled in
 one call per member and transformed at once, and the exact history sum
-is split in two.  Its far part, over the rows
-before the block, is made once for the whole block as products of at
-most 256 history rows each (fewer on grids finer than J = 64), viewed
-transposed, with transposed Toeplitz panels of the weights, one
-single-threaded BLAS call per panel, and folded with the forcing and the
-initial-load source into one cached right-hand side per level.  Each
-step adds its near part, one matrix-vector product over the at most 31
-rows made inside the block.  The sum still costs O(n * J) per step, but
-most of it now runs as matrix products; only its order of summation
-differs from the direct sum.  Each step also costs O(J) per inner
-iteration.  A run records per-level norms, the forcing's included, in
+is split in two.  Its far part, over the rows before the block, is made
+once for the whole block as panel products of history rows with Toeplitz
+panels of the weights (see :func:`_far_history`), and folded with the
+forcing and the initial-load source into one cached right-hand side per
+level.  Each step adds its near part, one matrix-vector product over the
+at most 31 rows made inside the block.  The sum still costs O(n * J) per
+step, but most of it runs as matrix products; only its order of
+summation differs from the direct sum.  Each step also costs O(J) per
+inner iteration.  A run records per-level norms, the forcing's included, in
 preallocated columns and builds its energy columns from them once, at
 the end.
 
@@ -52,8 +50,8 @@ One loop advances a state from its level n up to a stop level:
 one-level case.  What every level shares is read once per call (dt, h,
 lambda, the damping laws, the solver knobs), the last two G are carried
 from level to level as floats, and the Toeplitz window of the weights is
-made once per state.  A level is a few divisions over J-1 modes, so it is
-written for few array calls (see :func:`_advance`); the state carries
+cached with the block.  A level is a few divisions over J-1 modes, so it
+is written for few array calls (see :func:`_advance`); the state carries
 U^{n-1} as its curvature coefficients C = lambda U^{n-1}, all that a
 level reads of it.  The arithmetic of a level is the same whichever way
 it is reached, so both give the same bits.
@@ -92,8 +90,8 @@ _BLOCK_LEVELS = 32
 #: when (J-1) mod 8 is 0, 5, 6 or 7, so on every power-of-two grid; on the
 #: other grids OpenBLAS's edge kernels sum in another order.
 _PANEL_ROWS = 256
-#: The empty block cache of a state: no levels.
-_NO_BLOCK = (0, 0, None, None, None, None, None)
+#: The empty block cache of a state: no levels, made from no tables.
+_NO_BLOCK = (0, 0, None, None, None, None, None, None, None)
 
 
 class NumericalError(RuntimeError):
@@ -161,21 +159,20 @@ class SolverState:
     its dU^p, and ``_records`` holds each level's velocity norm, curvature
     norm, G, iteration count and forcing norm sqrt(h) ||f^n|| in
     (B, 5, N+1) columns; the forcing norms are written a block of levels
-    ahead.  ``_window`` is the Toeplitz window of the reversed weights,
-    the state's one reversed copy of them, which both parts of the history
-    sum read.  ``_block`` caches, for the block of levels first..end-1,
-    first and end, the part of each level's right-hand side fixed before
-    the block as an (end-first, B, J-1) array, level-major so that each
-    level's rows are contiguous, lambda^2, mu0 lambda, the velocity
-    system's diagonal D and the near part's weights, a view of the window.
-    :func:`dataclasses.replace` leaves both empty, and a state whose
-    tables are replaced needs them empty.  Nothing else is carried across
-    levels: the stepping loop reads the last two G from the records when
-    it is called and carries them itself, and ``_C`` views the curvature
-    row of the level that made it.  The properties ``U0`` and ``U_prev``
-    return grid values and ``forcing_norms`` the recorded forcing norms,
-    each through :func:`_unbatched`, the one rule that drops the member
-    axis when B = 1.  Confine a state to one thread; the shared tables are
+    ahead.  ``_block``, the one cache, holds the block of levels
+    first..end-1: first and end, the part of each level's right-hand side
+    fixed before the block as an (end-first, B, J-1) array, level-major,
+    lambda^2, mu0 lambda, the velocity system's diagonal D, the near
+    weights, and the tables it was made from with their Toeplitz window
+    of the reversed weights.  :func:`dataclasses.replace` empties it, and
+    a step refills it for other tables, so ``tables`` may be assigned or
+    replaced at any level.  Nothing else is carried across levels: the
+    stepping loop reads the last two G from the records when it is called
+    and carries them itself, and ``_C`` views the curvature row of the
+    level that made it.  The properties ``U0`` and ``U_prev`` return grid
+    values and ``forcing_norms`` the recorded forcing norms, each through
+    :func:`_unbatched`, the one rule that drops the member axis when
+    B = 1.  Confine a state to one thread; the shared tables are
     read-only.
     """
 
@@ -191,7 +188,6 @@ class SolverState:
     _records: np.ndarray = field(repr=False)
     _eigs: np.ndarray = field(repr=False)  # of D2, in sine_transform order
     _block: tuple = field(default=_NO_BLOCK, init=False, repr=False)
-    _window: np.ndarray | None = field(default=None, init=False, repr=False)
 
     _U1 = property(lambda self: self._C / self._eigs,
                    doc="Sine coefficients of U^{n-1}, made from C.")
@@ -330,28 +326,24 @@ def _sample_forcing(state: SolverState, first: int, end: int) -> np.ndarray:
     return f
 
 
-def _far_history(state: SolverState, first: int, end: int) -> np.ndarray:
+def _far_history(state: SolverState, window: np.ndarray, first: int, end: int) -> np.ndarray:
     """The far part of the history sum at the levels first..end-1 of a
     block: row i of each member is sum_{p<first} w[first+i-p] dU^p.
 
     Row q of the history (dU^{q+1}) is weighted by rev[N - first - i + q]
     of the reversed weights rev = w[N-1::-1], so the weights form a
-    Toeplitz matrix, read from the state's window view, whose row j holds
-    rev[j - i] at column i, zero for j < i.  The first far part of a state
-    makes the window from the tables' weights, reversed and zero-padded.
-    Member by member, it is copied transposed, one panel of at most C
-    history rows at a time, into one (C, end-first) buffer, and each panel
-    is one matrix product of the panel's history rows, viewed transposed,
-    with it, summed in panel order into a (J-1, end-first) array.  Panels
-    start at multiples of C, which depends on J only (see _PANEL_ROWS), so
-    a member's sum does not depend on its batch.  The far part is returned
+    Toeplitz matrix whose row j holds rev[j - i] at column i, zero for
+    j < i, read from ``window``, made from the state's tables, which may
+    be assigned at any level (see :func:`assemble_step_system`).  Member
+    by member, it is copied transposed, one panel of at most C history
+    rows at a time, into one (C, end-first) buffer, and each panel is one
+    matrix product of the panel's history rows, viewed transposed, with
+    it, summed in panel order into a (J-1, end-first) array.  Panels start
+    at multiples of C, which depends on J only (see _PANEL_ROWS), so a
+    member's sum does not depend on its batch.  The far part is returned
     as an (end-first, B, J-1) view.
     """
     history, N, rows, L = state._history, state.n_steps, first - 1, end - first
-    if state._window is None:
-        rev = np.zeros((len(history), N + _BLOCK_LEVELS - 1))
-        rev[:, _BLOCK_LEVELS - 1:] = state.tables.weights[..., ::-1]
-        state._window = sliding_window_view(rev, _BLOCK_LEVELS, axis=-1)[..., ::-1]
     width = _PANEL_ROWS
     while width > 1 and width * history.shape[-1] >= 2**14:
         width //= 2
@@ -360,7 +352,7 @@ def _far_history(state: SolverState, first: int, end: int) -> np.ndarray:
     for k in range(len(history)):
         for q in range(0, rows, width):
             panel = buffer[:min(rows - q, width)]
-            np.copyto(panel, state._window[k, N - first + q:N - first + q + len(panel), :L])
+            np.copyto(panel, window[k, N - first + q:N - first + q + len(panel), :L])
             far[k] += history[k, q:q + len(panel)].T @ panel
     return far.transpose(2, 0, 1)
 
@@ -377,30 +369,37 @@ def assemble_step_system(state: SolverState) -> tuple[np.ndarray, np.ndarray]:
         r = f^n + dU^{n-1}/dt - mu0 lambda C - lambda^2 (mem + K(t_n) U^0),
 
     with mem the history sum over the rows before level n.  The block of
-    level n comes from the state's cache.  When n lies outside it, the
-    whole aligned block of 32 levels from first = 2 + 32k (to N at most)
-    is made again: the members' forcing samples are taken
-    in one call per member (see :func:`_sample_forcing`) and transformed
-    at once, the only transform; their norms go to the records; and the
-    far part of the history sum is made and folded, with the initial-load
-    source, into P = f - lambda^2 (far + K U^0) for each level of the
-    block, stored level-major.  Each level then adds dU^{n-1}/dt, the mu0
-    term and its near part, over history rows first..n-1, with weights
-    read from the same Toeplitz window as the far part's.  A forcing
-    callable that raises does so at the first level of its block, and the
-    cache and the records are then left as they were.
+    level n comes from the state's cache.  When n lies outside it, or the
+    state's tables, which may be assigned or replaced at any level, are
+    not those it was made from, the whole aligned block of 32 levels from
+    first = 2 + 32k (to N at most) is made again: the members' forcing
+    samples are taken in one call per member (see :func:`_sample_forcing`)
+    and transformed at once, the only transform; their norms go to the
+    records; and the far part of the history sum is made and folded, with
+    the initial-load source, into P = f - lambda^2 (far + K U^0) for each
+    level of the block, stored level-major.  Each level then adds
+    dU^{n-1}/dt, the mu0 term and its near part, over history rows
+    first..n-1, with weights read from the far part's Toeplitz window,
+    made of the weights reversed and zero-padded only for new tables.  A
+    forcing callable that raises does so at the first level of its block,
+    and the cache and the records are then left as they were.
     """
     n, N, dt, tables = state.n, state.n_steps, state.dt, state.tables
-    first, end = state._block[:2]
-    if not first <= n < end:
+    # By index, so that a refill does not hold the old block.
+    (first, end), (made, window) = state._block[:2], state._block[7:]
+    if not first <= n < end or made is not tables:
         first = n - (n - 2) % _BLOCK_LEVELS
         end = min(first + _BLOCK_LEVELS, N + 1)
         f = _sample_forcing(state, first, end)
         # The old block goes once the samples are in, so that a refill
         # holds one block at a time.
         state._block = _NO_BLOCK
+        if made is not tables:
+            rev = np.zeros((len(state._U0), N + _BLOCK_LEVELS - 1))
+            rev[:, _BLOCK_LEVELS - 1:] = tables.weights[..., ::-1]
+            window = sliding_window_view(rev, _BLOCK_LEVELS, axis=-1)[..., ::-1]
         # The far part and the initial-load source K(t_m) U^0 of each level.
-        fixed = _far_history(state, first, end)
+        fixed = _far_history(state, window, first, end)
         fixed += (tables.tail[..., first:end, None] * state._U0[:, None]).swapaxes(0, 1)
         lam = state._eigs[None]
         lam2 = lam ** 2
@@ -408,9 +407,9 @@ def assemble_step_system(state: SolverState) -> tuple[np.ndarray, np.ndarray]:
         P -= lam2 * fixed
         D = 1.0 / dt + (tables.mu0 * dt + tables.weights[..., :1]) * lam2
         # Window row N-2 read forward: its last m entries are w[m:0:-1].
-        near_w = state._window[:, None, N - 2, ::-1]
-        state._block = (first, end, P, lam2, tables.mu0 * lam, D, near_w)
-    first, end, P, lam2, mu0_lam, D, near_w = state._block
+        near_w = window[:, None, N - 2, ::-1]
+        state._block = (first, end, P, lam2, tables.mu0 * lam, D, near_w, tables, window)
+    first, end, P, lam2, mu0_lam, D, near_w = state._block[:7]
     # w[n-first:0:-1] of each member, read forward so that each product is
     # a BLAS gemv.
     near = np.matmul(near_w[..., _BLOCK_LEVELS - n + first:],
@@ -472,9 +471,8 @@ def _advance(state: SolverState, config: SolverConfig, stop: int) -> None:
     solved with.  A non-finite G or iterate raises :class:`NumericalError`,
     with the failing member's index as ``member``.  An error at level n
     leaves the state at level n - 1, as the last good level left it; that
-    includes an exception from a forcing callable, which is sampled for a
-    block of levels ahead (see :func:`assemble_step_system`) and so raises
-    at the first level of the block that reaches its bad time.
+    includes an exception from a forcing callable (see
+    :func:`assemble_step_system`).
 
     The last two G are carried as floats, equal to the recorded ones.
     The passes alternate between two iterate rows, so that only the

@@ -37,13 +37,17 @@ lines"""  # trailing comment
 '''
     assert src_lines.count(source) == (13, 5)
 
-    # Each directory's total line, then one line per file, which sum to it.
-    src_lines.main([str(path.parent.parent / "src")])
+    # Each directory's total line, then one line per file, which sum to it;
+    # the sizes are the files' bytes.
+    src = path.parent.parent / "src"
+    src_lines.main([str(src)])
     lines = capsys.readouterr().out.splitlines()
-    counts = [re.fullmatch(r"\s*(.+): ([\d,]+) lines by wc, ([\d,]+) logical", line)
-              .groups() for line in lines]
+    counts = [re.fullmatch(
+        r"\s*(.+): ([\d,]+) lines by wc, ([\d,]+) logical, ([\d,]+) bytes", line)
+        .groups() for line in lines]
     assert counts[0][0] == "src" and "viscobeam/model.py" in [c[0] for c in counts]
-    for k in (1, 2):
+    assert int(counts[1][3].replace(",", "")) == len((src / counts[1][0]).read_bytes())
+    for k in (1, 2, 3):
         assert sum(int(c[k].replace(",", "")) for c in counts[1:]) \
             == int(counts[0][k].replace(",", ""))
 
@@ -61,7 +65,7 @@ def test_line_count_tool_is_quiet_when_its_reader_leaves(tmp_path):
     (tmp_path / "d" / "x.py").write_text("x = 1\n")
     with subprocess.Popen([sys.executable, str(path)] + ["d"] * 2000, cwd=tmp_path,
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
-        assert proc.stdout.readline() == b"d: 1 lines by wc, 1 logical\n"
+        assert proc.stdout.readline() == b"d: 1 lines by wc, 1 logical, 6 bytes\n"
         proc.stdout.close()
         assert proc.stderr.read() == b""
 

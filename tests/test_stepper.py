@@ -604,13 +604,37 @@ class TestForcingBlocks:
             step(state, SolverConfig())
         far, near = [], []
         far_history, matmul = viscobeam.stepper._far_history, np.matmul
-        monkeypatch.setattr(viscobeam.stepper, "_far_history", lambda s, first, end: (
-            far.append((s.n, first, end)) or far_history(s, first, end)))
+        monkeypatch.setattr(viscobeam.stepper, "_far_history", lambda s, w, first, end: (
+            far.append((s.n, first, end)) or far_history(s, w, first, end)))
         monkeypatch.setattr(np, "matmul", lambda a, b: near.append(b.shape[-2]) or matmul(a, b))
         for _ in range(32):
             step(state, SolverConfig())
         assert far == [(66, 66, 98)]
         assert near == list(range(32))
+
+    @pytest.mark.parametrize("n", [2, 40, 66])
+    def test_assigned_tables_take_effect(self, n):
+        # Halved weights given to a state at level n, by assigning its
+        # tables or by replacing the state, take effect at level n: inside
+        # a cached block (40) and at the first level of a new one (66).
+        # Level n's system matches the per-level one on the new tables,
+        # and both ways of giving them reach the same bits at level N.
+        p, g, N, cfg = example1_problem(), Grid(16), 100, SolverConfig()
+        assigned, replaced = initialize(p, g, N), initialize(p, g, N)
+        while assigned.n < n:
+            step(assigned, cfg)
+            step(replaced, cfg)
+        assigned.tables = dataclasses.replace(
+            assigned.tables, weights=assigned.tables.weights / 2)
+        replaced = dataclasses.replace(replaced, tables=dataclasses.replace(
+            replaced.tables, weights=replaced.tables.weights / 2))
+        (r, D), (r_ref, D_ref) = assemble_step_system(assigned), assemble_per_level(assigned)
+        assert np.max(np.abs(r - r_ref)) <= 1e-12 * np.max(np.abs(r_ref))
+        assert np.array_equal(D, D_ref)
+        for state in (assigned, replaced):
+            while state.n <= N:
+                step(state, cfg)
+        assert np.array_equal(assigned.U_prev, replaced.U_prev)
 
     def test_far_block_fill_peak_memory_bounded(self, rng):
         # The block of levels 8162..8192 at J = 64, N = 8192 sums 8161

@@ -6,19 +6,22 @@ Runs each command of ``COMMANDS`` once per checkout, with that checkout's
 ``src`` on ``PYTHONPATH``, in a fresh temporary directory that is both
 the working directory and the ``-o`` output directory.  A command is a
 ``viscobeam`` CLI argument list, or a path under the checkout's root to a
-Python script (a demo) run with no arguments.  Two runs agree when their
-exit codes, stdout and stderr are equal, with the output directory
-replaced by a placeholder, and when they wrote the same files with the
-same bytes, except for the ``created`` field of ``report.json``.  So the
-one-line JSON errors of the commands that fail must match byte for byte.
-Prints one line per command, ``same`` or ``DIFFERS`` with what differs,
-and the parent's exit code, and exits 1 if any command differs.
+Python script (a demo), copied into the temporary directory and run there
+with no arguments, so that the files it writes next to itself are
+compared too.  Two runs agree when their exit codes, stdout and stderr
+are equal, with the output directory replaced by a placeholder, and when
+they wrote the same files with the same bytes, except for the ``created``
+field of ``report.json``.  So the one-line JSON errors of the commands
+that fail must match byte for byte.  Prints one line per command, ``same``
+or ``DIFFERS`` with what differs, and the parent's exit code, and exits 1
+if any command differs.
 """
 
 from __future__ import annotations
 
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -41,6 +44,9 @@ COMMANDS = (
     ("weights", "--preset", "example2"),
     # Its far weights include roundoff-negative ones.
     ("weights", "--preset", "example2-longtime"),
+    # Demo 02 steps level by level through the block cache and checks its
+    # last level against run's.
+    ("demos/02_single_simulation.py",),
     ("demos/03_convergence_study.py",),
     ("demos/04_long_time_energy.py",),
     # Error paths: a config error, a step that does not converge and a
@@ -74,13 +80,15 @@ def outputs(checkout: Path, command) -> tuple[int, str, str, dict]:
     env = dict(os.environ, PYTHONPATH=str(Path(checkout, "src").resolve()))
     with tempfile.TemporaryDirectory() as out:
         if command[0].endswith(".py"):
-            argv = [sys.executable, str(Path(checkout, command[0]).resolve())]
+            script = Path(out, Path(command[0]).name)
+            shutil.copyfile(Path(checkout, command[0]), script)
+            argv = [sys.executable, script.name]
         else:
-            argv = [sys.executable, "-m", "viscobeam.cli", *command, "-o", out]
+            script, argv = None, [sys.executable, "-m", "viscobeam.cli", *command, "-o", out]
         proc = subprocess.run(argv, cwd=out, env=env, capture_output=True, text=True)
         files = {}
         for path in sorted(Path(out).rglob("*")):
-            if path.is_file():
+            if path.is_file() and path != script:
                 data = path.read_bytes()
                 if path.name == "report.json":
                     data = _CREATED.sub(b'"created": ""', data)

@@ -1,7 +1,8 @@
-"""Line counts of the Python sources under src/ and tests/.
+"""Line counts and sizes of the Python sources under src/ and tests/.
 
-Prints, for each directory, the ``wc -l`` count of its ``.py`` files and
-their logical line count, then both counts of each file: the lines that hold a token other than a
+Prints, for each directory, the ``wc -l`` count of its ``.py`` files,
+their logical line count and their size in bytes, then the three of each
+file.  The logical lines are the lines that hold a token other than a
 comment, a newline, an indent, a dedent or the end marker, less the lines
 of module, class and function docstrings.  A string token that spans
 several lines holds each of them.
@@ -44,15 +45,18 @@ def count(source: str) -> tuple[int, int]:
     return source.count("\n"), len(lines - _docstring_lines(ast.parse(source)))
 
 
+def _line(name, wc: int, logical: int, size: int) -> str:
+    return f"{name}: {wc:,} lines by wc, {logical:,} logical, {size:,} bytes"
+
+
 def main(argv: list[str]) -> int:
     root = Path(__file__).resolve().parent.parent
     for directory in [Path(d) for d in argv] or [root / "src", root / "tests"]:
-        files = {path.relative_to(directory): count(path.read_text())
+        files = {path.relative_to(directory): (*count(path.read_text()), path.stat().st_size)
                  for path in sorted(directory.rglob("*.py"))}
-        wc, logical = (sum(n[k] for n in files.values()) for k in (0, 1))
-        print(f"{directory.name}: {wc:,} lines by wc, {logical:,} logical")
-        for path, (wc, logical) in files.items():
-            print(f"  {path}: {wc:,} lines by wc, {logical:,} logical")
+        print(_line(directory.name, *(sum(n[k] for n in files.values()) for k in range(3))))
+        for path, counts in files.items():
+            print("  " + _line(path, *counts))
     return 0
 
 
