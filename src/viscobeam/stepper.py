@@ -263,9 +263,12 @@ def _start(problem: ProblemSpec, grid: Grid, N: int) -> SolverState:
     records stop at level 1, the forcing norms at levels 0 and 1
     included.  Level 1's record, made with 0 iterations, goes through
     :func:`_flush_records` as every later level's does; level 0's stays
-    zero but for its forcing norm.  Fewer than one step is the
-    ConfigurationError that :meth:`KernelTables.build` would raise, raised
-    here because the step T/N is taken first."""
+    zero but for its forcing norm.  A step count that is not an integer
+    (``bool`` included) is a ConfigurationError, as a grid's J is, and so
+    is fewer than one step, as :meth:`KernelTables.build` would raise it,
+    raised here because the step T/N is taken first."""
+    if isinstance(N, bool) or not isinstance(N, numbers.Integral):
+        raise ConfigurationError(f"step count N must be an integer (got {N!r})")
     if N < 1:
         raise ConfigurationError(f"step count N must be at least 1 (got {N})")
     dt = problem.T / N
@@ -564,10 +567,10 @@ def run_batch(problems, grid: Grid, N: int, config: SolverConfig | None = None
 
     Problems with the same step size T/N go through levels 2..N as one
     batch, in one call of the stepping loop.  A member whose set-up fails,
-    N < 1 or a forcing that raises at level 0 or 1 included, or whose step
-    raises a :class:`NumericalError`, gets the exception in place of its
-    state, and the rest of its batch goes on, in a new call, from the level
-    it reached.  Any other error in a step, say a
+    an N that is not an integer or is below 1, or a forcing that raises at
+    level 0 or 1 included, or whose step raises a :class:`NumericalError`,
+    gets the exception in place of its state, and the rest of its batch
+    goes on, in a new call, from the level it reached.  Any other error in a step, say a
     forcing or damping callable that raises rather than returning a
     non-finite value, ends its whole batch.  In the steps the forcing is
     sampled up to 31 levels ahead, so a forcing that raises does so at the

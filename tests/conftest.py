@@ -21,6 +21,11 @@ solutions of single runs, one pair per call, so the study's lockstep
 batches can be checked against them bit for bit.  The scalar tail
 antiderivatives read the library's moment evaluator on a grid uniform in
 u = s**alpha rather than the tables' uniform time grid.
+
+Two builders serve the tests: ``zero_problem`` is the beam at rest without
+load or memory, with any of its fields replaced, and ``batch`` sets up
+problems member by member and stacks them into the one state that
+``run_batch`` would step, for tests that step a batch by hand.
 """
 
 import cmath
@@ -32,14 +37,34 @@ from scipy.integrate import dblquad, quad
 from scipy.special import erfc, gammainc, gammaincc
 from scipy.special import gamma as gamma_fn
 
-from viscobeam import (Grid, KernelSpec, NO_MEMORY, OSCILLATORY, SolverConfig,
-                       initialize, norm, run, sine_transform, step)
+from viscobeam import (DampingFunction, Grid, KernelSpec, NO_MEMORY, OSCILLATORY,
+                       ProblemSpec, SolverConfig, initialize, norm, run, sine_transform,
+                       step)
 from viscobeam.kernel import _grid_moments
+from viscobeam.stepper import _stack, _start
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def _zero(x):
+    return np.zeros_like(np.asarray(x, dtype=float))
+
+
+def zero_problem(**fields) -> ProblemSpec:
+    """The beam at rest: zero u0, u1 and forcing, damping G = 1 + v, no
+    memory and T = 1, each replaced by its entry in ``fields``."""
+    return ProblemSpec(**{"u0": _zero, "u1": _zero, "forcing": lambda x, t: _zero(x),
+                          "damping": DampingFunction.affine(1.0, 1.0),
+                          "kernel": KernelSpec(family=NO_MEMORY), "T": 1.0, **fields})
+
+
+def batch(problems, grid, N: int):
+    """One state of ``problems`` at level 2, set up member by member and
+    stacked as ``run_batch`` does, to be stepped by hand."""
+    return _stack([_start(p, grid, N) for p in problems])
 
 
 def _interior(W, grid) -> np.ndarray:

@@ -25,11 +25,9 @@ from viscobeam import (
     Grid,
     KernelSpec,
     KernelTables,
-    NO_MEMORY,
     NON_OSCILLATORY,
     OSCILLATORY,
     DampingFunction,
-    ProblemSpec,
     data_functional,
     norm,
     run,
@@ -43,7 +41,7 @@ from viscobeam.studies import run_study
 
 from conftest import (dense_fourth_difference, fourth_difference, inner, max_norm,
                       oracle_tail, second_difference, solve_levels,
-                      tail_antiderivatives)
+                      tail_antiderivatives, zero_problem)
 from reference_tables import TABLE1, TABLE2, TABLE3, TABLE4
 
 ERROR_BAND = 0.10
@@ -218,14 +216,8 @@ def test_criterion6_operator_properties():
 def test_criterion7_sine_mode_oracle():
     J, N, g0 = 16, 1000, 2.0
     g = Grid(J)
-    problem = ProblemSpec(
-        u0=lambda x: np.sin(np.pi * np.asarray(x, dtype=float)),
-        u1=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        forcing=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
-        damping=DampingFunction.constant(g0),
-        kernel=KernelSpec(family=NO_MEMORY),
-        T=1.0,
-    )
+    problem = zero_problem(u0=lambda x: np.sin(np.pi * np.asarray(x, dtype=float)),
+                           damping=DampingFunction.constant(g0))
     state, _ = run(problem, g, N)
     dt = 1.0 / N
     lam4 = (4.0 * np.sin(np.pi * g.h / 2.0) ** 2 / g.h**2) ** 2
@@ -245,12 +237,7 @@ def test_criterion8_structural_invariants():
     assert worst <= 1e-12
 
     # Zero data produce the exactly zero solution.
-    def zero(x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-    zero_p = ProblemSpec(u0=zero, u1=zero, forcing=lambda x, t: zero(x),
-                         damping=DampingFunction.affine(1.0, 1.0),
-                         kernel=KernelSpec(OSCILLATORY, 1.2, 1.0, 0.5), T=1.0)
-    state, _ = run(zero_p, Grid(16), 32)
+    state, _ = run(zero_problem(kernel=KernelSpec(OSCILLATORY, 1.2, 1.0, 0.5)), Grid(16), 32)
     assert np.all(state.U_prev == 0.0)
 
     # Determinism: bit-identical reruns.

@@ -10,6 +10,18 @@ from viscobeam.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from viscobeam.presets import example1_problem
 
 
+def config_error(capsys, argv) -> str:
+    """The message of the config error that ``main(argv)`` must end in: exit
+    2 and one stderr line, the JSON object {"category": "config",
+    "message": ...}."""
+    assert main(argv) == EXIT_CONFIG
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    err = json.loads(lines[0])
+    assert list(err) == ["category", "message"] and err["category"] == "config", err
+    return err["message"]
+
+
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -84,27 +96,36 @@ class TestSolve:
 
 class TestErrorPaths:
     def test_unknown_preset_is_config_error(self, tmp_path, capsys):
-        code = main(["solve", "--preset", "example99", "-o", str(tmp_path)])
-        assert code == EXIT_CONFIG
-        err = json.loads(capsys.readouterr().err.strip())
-        assert err["category"] == "config"
-        assert "example99" in err["message"]
+        assert config_error(capsys, ["solve", "--preset", "example99", "-o", str(tmp_path)]) == (
+            "unknown preset 'example99'; known presets: example1, example2, "
+            "example1-temporal, example1-spatial, example2-temporal, example2-spatial, "
+            "example2-longtime")
 
     def test_invalid_sigma_is_config_error(self, tmp_path, capsys):
-        code = main(["solve", "--preset", "example1", "--set",
-                     "kernel.sigma=0.9", "-o", str(tmp_path)])
-        assert code == EXIT_CONFIG
-        err = json.loads(capsys.readouterr().err.strip())
-        assert err["category"] == "config"
-        assert "sigma" in err["message"]
+        assert config_error(capsys, ["solve", "--preset", "example1", "--set",
+                                     "kernel.sigma=0.9", "-o", str(tmp_path)]) == (
+            "kernel tempering rate sigma must be > 1 (got 0.9); otherwise the tail mass "
+            "K(0) is not below 1; oscillation frequency gamma must satisfy "
+            "0 <= gamma <= sigma (got gamma=1.0, sigma=0.9)")
+
+    def test_override_crossing_a_leaf_is_config_error(self, tmp_path, capsys):
+        assert config_error(capsys, ["solve", "--preset", "example1", "--set",
+                                     "kernel.sigma.foo=1", "-o", str(tmp_path)]) == (
+            "override path 'kernel.sigma.foo' crosses a leaf")
+
+    def test_missing_config_and_preset(self, tmp_path, capsys):
+        assert config_error(capsys, ["solve", "-o", str(tmp_path)]) == (
+            "provide --config FILE or --preset NAME")
+
+    def test_removed_solver_key_is_config_error(self, tmp_path, capsys):
+        assert config_error(capsys, ["solve", "--preset", "example2", "--set",
+                                     "solver.snapshot_every=4", "-o", str(tmp_path)]) == (
+            "unknown config key solver.snapshot_every; expected one of fp_tol, fp_max_iters")
 
     def test_invalid_damping_is_config_error(self, tmp_path, capsys):
-        code = main(["solve", "--preset", "example2", "--set", "damping.a=-1",
+        assert "damping lower bound g0 must be positive" in config_error(
+            capsys, ["solve", "--preset", "example2", "--set", "damping.a=-1",
                      "-o", str(tmp_path)])
-        assert code == EXIT_CONFIG
-        err = json.loads(capsys.readouterr().err.strip())
-        assert err["category"] == "config"
-        assert "damping lower bound g0 must be positive" in err["message"]
 
     def test_nonconvergence_is_numerical_error(self, tmp_path, capsys):
         code = main(["solve", "--preset", "example1", "--set", "time.N=16",
@@ -125,19 +146,11 @@ class TestErrorPaths:
         assert err == {"category": "numerical",
                        "message": "non-finite iterate at step 5"}
 
-    def test_override_crossing_a_leaf_is_config_error(self, tmp_path, capsys):
-        code = main(["solve", "--preset", "example1", "--set",
-                     "kernel.sigma.foo=1", "-o", str(tmp_path)])
-        assert code == EXIT_CONFIG
-        assert "crosses a leaf" in json.loads(capsys.readouterr().err)["message"]
-
     @pytest.mark.parametrize("command", ["solve", "study"])
     def test_config_not_a_mapping_is_config_error(self, command, tmp_path, capsys):
         cfg = write_config(tmp_path, [1])
-        code = main([command, "--config", cfg, "--set", "grid.J=8",
-                     "-o", str(tmp_path)])
-        assert code == EXIT_CONFIG
-        assert "must be a mapping" in json.loads(capsys.readouterr().err)["message"]
+        assert "must be a mapping" in config_error(
+            capsys, [command, "--config", cfg, "--set", "grid.J=8", "-o", str(tmp_path)])
 
     @pytest.mark.parametrize("argv, message", [
         pytest.param(argv, message, id=" ".join(argv)) for argv, message in [
@@ -158,29 +171,18 @@ class TestErrorPaths:
              "initial data and of the forcing at every level, t = 0 included"),
         ]])
     def test_config_error_message(self, argv, message, tmp_path, capsys):
-        code = main(argv + ["-o", str(tmp_path)])
-        assert code == EXIT_CONFIG
-        assert json.loads(capsys.readouterr().err) == {"category": "config",
-                                                       "message": message}
+        assert config_error(capsys, argv + ["-o", str(tmp_path)]) == message
 
     def test_config_file_not_json(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text("not json")
-        code = main(["solve", "--config", str(path), "-o", str(tmp_path)])
-        assert code == EXIT_CONFIG
-        assert json.loads(capsys.readouterr().err)["message"] == (
+        assert config_error(capsys, ["solve", "--config", str(path), "-o", str(tmp_path)]) == (
             f"config file {path} is not valid JSON: Expecting value: line 1 column 1 (char 0)")
 
     def test_config_file_unreadable(self, tmp_path, capsys):
         path = tmp_path / "missing" / "config.json"
-        code = main(["solve", "--config", str(path), "-o", str(tmp_path)])
-        assert code == EXIT_CONFIG
-        assert json.loads(capsys.readouterr().err)["message"] == (
+        assert config_error(capsys, ["solve", "--config", str(path), "-o", str(tmp_path)]) == (
             f"cannot read config file {path}: [Errno 2] No such file or directory: '{path}'")
-
-    def test_missing_config_and_preset(self, tmp_path, capsys):
-        code = main(["solve", "-o", str(tmp_path)])
-        assert code == EXIT_CONFIG
 
     def test_config_and_preset_together_is_usage_error(self, tmp_path, capsys):
         # --config was once ignored silently when --preset was given too.
@@ -253,11 +255,7 @@ class TestErrorPaths:
           for key in ("time.N", "kernel.sigma", "solver.fp_max_iters")),
     ], ids=lambda argv: " ".join(argv[:1] + argv[3:]))
     def test_bad_value_is_config_error(self, argv, tmp_path, capsys):
-        code = main(argv + ["-o", str(tmp_path)])
-        assert code == EXIT_CONFIG
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert len(lines) == 1
-        assert json.loads(lines[0])["category"] == "config"
+        config_error(capsys, argv + ["-o", str(tmp_path)])
 
     @pytest.mark.parametrize("command, key", [
         ("solve", "grid.j"), ("solve", "time.n"), ("solve", "initial.u0.modee"),
@@ -272,10 +270,8 @@ class TestErrorPaths:
         ("stability", "study.levls"), ("weights", "study.levls"),
     ])
     def test_unknown_key_is_named(self, command, key, tmp_path, capsys):
-        code = main([command, "--preset", "example2", "--set", f"{key}=1",
-                     "-o", str(tmp_path)])
-        assert code == EXIT_CONFIG
-        message = json.loads(capsys.readouterr().err.strip())["message"]
+        message = config_error(capsys, [command, "--preset", "example2", "--set", f"{key}=1",
+                                        "-o", str(tmp_path)])
         assert f"unknown config key {key};" in message
         # An entry without keys once listed none: "expected one of ".
         assert not message.endswith("one of ")
@@ -297,47 +293,25 @@ class TestErrorPaths:
         blocker = tmp_path / "file"
         blocker.write_text("")
         out = blocker / below if below else blocker
-        code = main([command, "--preset", preset, "-o", str(out)])
-        assert code == EXIT_CONFIG
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert len(lines) == 1
-        err = json.loads(lines[0])
-        assert err["category"] == "config"
-        assert f"cannot use output directory {out}:" in err["message"]
+        assert f"cannot use output directory {out}:" in config_error(
+            capsys, [command, "--preset", preset, "-o", str(out)])
 
     def test_overflowing_stability_bound_is_config_error(self, tmp_path, capsys):
         # safety * data functional once overflowed, and the run printed
         # "PASS: max energy ... within bound inf" and exited 0.
-        code = main(["stability", "--preset", "example2", "--set", "time.N=8",
-                     "--set", "grid.J=8", "--safety", "1e308", "-o", str(tmp_path)])
-        assert code == EXIT_CONFIG
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert len(lines) == 1
-        err = json.loads(lines[0])
-        assert err["category"] == "config"
-        assert "--safety" in err["message"] and "not finite" in err["message"]
+        message = config_error(capsys, ["stability", "--preset", "example2", "--set", "time.N=8",
+                                        "--set", "grid.J=8", "--safety", "1e308",
+                                        "-o", str(tmp_path)])
+        assert "--safety" in message and "not finite" in message
 
     @pytest.mark.parametrize("command", ["solve", "stability", "weights"])
     def test_unallocatable_size_is_config_error(self, command, tmp_path, capsys):
         # N = 10^15 asks for petabytes of kernel tables, which numpy refuses
         # at once, so nothing is allocated; it once ended in a raw
         # traceback.  Never test with a size the machine could hold.
-        code = main([command, "--preset", "example1", "--set", f"time.N={10**15}",
-                     "-o", str(tmp_path)])
-        assert code == EXIT_CONFIG
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert len(lines) == 1
-        err = json.loads(lines[0])
-        assert err["category"] == "config"
-        assert err["message"].startswith("Unable to allocate")
-
-    def test_removed_solver_key_is_config_error(self, tmp_path, capsys):
-        code = main(["solve", "--preset", "example2", "--set",
-                     "solver.snapshot_every=4", "-o", str(tmp_path)])
-        assert code == EXIT_CONFIG
-        err = json.loads(capsys.readouterr().err.strip())
-        assert "unknown config key solver.snapshot_every; expected one of " \
-            "fp_tol, fp_max_iters" in err["message"]
+        assert config_error(capsys, [command, "--preset", "example1", "--set",
+                                     f"time.N={10**15}", "-o", str(tmp_path)]
+                            ).startswith("Unable to allocate")
 
 
 class TestStudy:
@@ -414,13 +388,9 @@ class TestStudy:
                                           tmp_path, capsys):
         # An invalid model is bad input, as it is for solve, not a cell
         # that failed numerically; the message names the cell.
-        code = main(["study", "--preset", "example2-temporal", "--set", override,
-                     "-o", str(tmp_path)])
-        assert code == EXIT_CONFIG
-        err = json.loads(capsys.readouterr().err.strip())
-        assert err["category"] == "config"
-        assert err["message"].startswith(label)
-        assert fragment in err["message"]
+        message = config_error(capsys, ["study", "--preset", "example2-temporal", "--set",
+                                        override, "-o", str(tmp_path)])
+        assert message.startswith(label) and fragment in message
         assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("key, value", [
@@ -430,11 +400,9 @@ class TestStudy:
         # Such keys once printed a table with the cell run at the base J, N
         # and tolerance, and a misspelled one was ignored the same way.
         sweep = json.dumps([{"label": "a"}, {"label": "b", key: value}])
-        code = main(["study", "--preset", "example2-temporal", "--set", "study.levels=2",
-                     "--set", "time.N=8", "--set", f"study.sweep={sweep}",
-                     "-o", str(tmp_path)])
-        assert code == EXIT_CONFIG
-        message = json.loads(capsys.readouterr().err.strip())["message"]
+        message = config_error(capsys, ["study", "--preset", "example2-temporal", "--set",
+                                        "study.levels=2", "--set", "time.N=8", "--set",
+                                        f"study.sweep={sweep}", "-o", str(tmp_path)])
         assert message.startswith(f"study.sweep[1] (b): a sweep cell cannot set {key}; ")
         assert "label, time.T and keys under kernel, damping, initial, forcing" in message
         assert not (tmp_path / "report.json").exists()
@@ -442,23 +410,19 @@ class TestStudy:
     @pytest.mark.parametrize("sweep", ["0", "false", "{}"])
     def test_sweep_not_a_list_is_config_error(self, sweep, tmp_path, capsys):
         # These once ran the one base cell and exited 0.
-        code = main(["study", "--preset", "example2-temporal", "--set", "study.levels=2",
-                     "--set", "time.N=8", "--set", f"study.sweep={sweep}",
-                     "-o", str(tmp_path)])
-        assert code == EXIT_CONFIG
-        message = json.loads(capsys.readouterr().err.strip())["message"]
-        assert message.startswith("study.sweep must be a list")
+        assert config_error(capsys, ["study", "--preset", "example2-temporal", "--set",
+                                     "study.levels=2", "--set", "time.N=8", "--set",
+                                     f"study.sweep={sweep}", "-o", str(tmp_path)]
+                            ).startswith("study.sweep must be a list")
 
     def test_repeated_label_is_config_error(self, tmp_path, capsys):
         # Two "[a]" blocks once ran, which no report could tell apart.
-        code = main(["study", "--preset", "example2-temporal", "--set", "study.levels=2",
-                     "--set", "time.N=8", "--set",
-                     'study.sweep=[{"label": "a"}, {"label": "b"}, {"label": "a"}]',
-                     "-o", str(tmp_path)])
-        assert code == EXIT_CONFIG
-        message = json.loads(capsys.readouterr().err.strip())["message"]
-        assert message == ("study.sweep[2] (a): same label as study.sweep[0]; "
-                           "labels must be unique")
+        assert config_error(capsys, [
+            "study", "--preset", "example2-temporal", "--set", "study.levels=2",
+            "--set", "time.N=8", "--set",
+            'study.sweep=[{"label": "a"}, {"label": "b"}, {"label": "a"}]',
+            "-o", str(tmp_path)]) == ("study.sweep[2] (a): same label as study.sweep[0]; "
+                                      "labels must be unique")
 
     @pytest.mark.parametrize("sweep", ["null", "[]"])
     def test_absent_sweep_is_one_base_cell(self, sweep, tmp_path, capsys):
@@ -493,13 +457,9 @@ class TestStudy:
         doc["kernel"] = {"family": "non_oscillatory", "sigma": 1.5, "alpha": 0.5}
         doc["study"] = {"axis": "temporal", "levels": 2,
                         "sweep": [{"label": "bad", "kernel.sigma.foo": 1}]}
-        cfg = write_config(tmp_path, doc)
-        code = main(["study", "--config", cfg, "-o", str(tmp_path)])
-        assert code == EXIT_CONFIG
-        err = json.loads(capsys.readouterr().err.strip())
-        assert err["category"] == "config"
-        assert err["message"].startswith("study.sweep[0] (bad): ")
-        assert "kernel.sigma.foo" in err["message"]
+        message = config_error(capsys, ["study", "--config", write_config(tmp_path, doc),
+                                        "-o", str(tmp_path)])
+        assert message.startswith("study.sweep[0] (bad): ") and "kernel.sigma.foo" in message
 
 
 class TestStabilityCommand:

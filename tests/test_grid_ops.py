@@ -183,25 +183,6 @@ class TestBiharmonicMatrix:
         dense = dense_fourth_difference(Grid(16))
         assert np.array_equal(dense, dense.T)
 
-    @pytest.mark.parametrize("J", [4, 8, 16])
-    def test_positive_definite_dense_oracle(self, J):
-        g = Grid(J)
-        eigs = np.linalg.eigvalsh(dense_fourth_difference(g))
-        assert eigs.min() > 0.0
-        lam2 = np.sort(second_difference_eigenvalues(g) ** 2)
-        assert np.allclose(eigs, lam2, rtol=0, atol=1e-12 * lam2[-1])
-
-    def test_sine_decomposition_matches_dense_oracle(self):
-        for J in range(4, 65):
-            g = Grid(J)
-            dense = dense_fourth_difference(g)
-            lam2 = second_difference_eigenvalues(g) ** 2
-            scale = lam2.max()
-            assert np.max(np.abs(sine_decomposition(g) - dense)) <= 1e-13 * scale
-            assert np.allclose(np.linalg.eigvalsh(dense), np.sort(lam2),
-                               rtol=0, atol=1e-12 * scale)
-            assert lam2.min() > 0.0
-
     def test_apply_matches_fourth_difference(self, rng):
         g = Grid(20)
         lam2 = second_difference_eigenvalues(g) ** 2

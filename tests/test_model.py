@@ -10,22 +10,11 @@ from viscobeam import (
     DampingFunction,
     KernelSpec,
     OSCILLATORY,
-    ProblemSpec,
 )
 from viscobeam.config import INITIAL_DATA, build_problem
 from viscobeam.presets import example1_problem, example2_problem
 
-
-def _zero(x):
-    return np.zeros_like(np.asarray(x, dtype=float))
-
-
-def _problem(**kw):
-    defaults = dict(u0=_zero, u1=_zero, forcing=lambda x, t: _zero(x),
-                    damping=DampingFunction.affine(1.0, 1.0),
-                    kernel=KernelSpec(), T=1.0)
-    defaults.update(kw)
-    return ProblemSpec(**defaults)
+from conftest import zero_problem
 
 
 class TestDampingFunction:
@@ -59,7 +48,7 @@ class TestDampingFunction:
         assert math.isnan(d.g0)
         assert math.isnan(d(0.0)) and d(3.0) == math.sqrt(2.0)
         with pytest.raises(ConfigurationError, match="non-finite value"):
-            _problem(damping=d)
+            zero_problem(damping=d)
 
     def test_sqrt_affine_negative_a_is_config_error_without_warnings(self):
         # g0 = sqrt(a) is NaN for a < 0 without a numpy RuntimeWarning, so a
@@ -68,7 +57,7 @@ class TestDampingFunction:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConfigurationError, match="g0 must be positive"):
-                _problem(damping=DampingFunction.sqrt_affine(-1.0, 1.0))
+                zero_problem(damping=DampingFunction.sqrt_affine(-1.0, 1.0))
 
     def test_constant(self):
         d = DampingFunction.constant(2.0)
@@ -77,15 +66,15 @@ class TestDampingFunction:
     def test_custom_bounds_sampled(self):
         good = DampingFunction(lambda v: 2.0 + np.tanh(v), g0=2.0,
                                lipschitz=1.0)
-        assert _problem(damping=good).damping is good
+        assert zero_problem(damping=good).damping is good
         lying = DampingFunction(lambda v: 0.5, g0=2.0, lipschitz=1.0)
         with pytest.raises(ConfigurationError, match="lower bound"):
-            _problem(damping=lying)
+            zero_problem(damping=lying)
 
     def test_custom_lipschitz_violation_detected(self):
         steep = DampingFunction(lambda v: 1.0 + v**2, g0=1.0, lipschitz=1.0)
         with pytest.raises(ConfigurationError, match="Lipschitz"):
-            _problem(damping=steep)
+            zero_problem(damping=steep)
 
     @pytest.mark.parametrize("b", [1.0, 300.0, 1e4])
     def test_slight_breaks_of_declared_constants_detected(self, b):
@@ -93,10 +82,10 @@ class TestDampingFunction:
         # its lower bound, is far beyond roundoff.
         over = DampingFunction(lambda v: 1.0 + b * (1.0 + 1e-6) * v, g0=1.0, lipschitz=b)
         with pytest.raises(ConfigurationError, match="Lipschitz"):
-            _problem(damping=over)
+            zero_problem(damping=over)
         under = DampingFunction(lambda v: (1.0 - 1e-6) + b * v, g0=1.0, lipschitz=b)
         with pytest.raises(ConfigurationError, match="lower bound"):
-            _problem(damping=under)
+            zero_problem(damping=under)
 
 
 class TestValidate:
@@ -107,36 +96,36 @@ class TestValidate:
 
     def test_sigma_below_one_reported(self):
         with pytest.raises(ConfigurationError, match="sigma"):
-            _problem(kernel=KernelSpec(family=OSCILLATORY, sigma=0.9,
-                                       gamma=0.0, alpha=1.0))
+            zero_problem(kernel=KernelSpec(family=OSCILLATORY, sigma=0.9,
+                                           gamma=0.0, alpha=1.0))
 
     def test_zero_damping_reported(self):
         with pytest.raises(ConfigurationError, match="g0"):
-            _problem(damping=DampingFunction.constant(0.0))
+            zero_problem(damping=DampingFunction.constant(0.0))
 
     def test_boundary_compatibility(self):
         with pytest.raises(ConfigurationError, match="u0 must vanish"):
-            _problem(u0=lambda x: np.cos(np.pi * np.asarray(x)))
+            zero_problem(u0=lambda x: np.cos(np.pi * np.asarray(x)))
 
     def test_boundary_check_relative_to_scale(self):
         # sin(pi) * 1e4 ~ 1.2e-12 is roundoff of a field of size 1e4.
         big = INITIAL_DATA["sin_mode"](mode=1, amplitude=1e4)
-        assert _problem(u0=big, u1=big).u0 is big
+        assert zero_problem(u0=big, u1=big).u0 is big
         with pytest.raises(ConfigurationError, match="u0 must vanish"):
-            _problem(u0=lambda x: 1e4 * (np.sin(np.pi * np.asarray(x)) + 1e-6))
+            zero_problem(u0=lambda x: 1e4 * (np.sin(np.pi * np.asarray(x)) + 1e-6))
 
     def test_nonfinite_damping_reported(self):
         d = DampingFunction(lambda v: float("nan") if v < 40.0 else 1.0 + v,
                             g0=1.0, lipschitz=1.0)
         with pytest.raises(ConfigurationError, match="non-finite"):
-            _problem(damping=d)
+            zero_problem(damping=d)
 
     def test_raising_damping_reported(self):
         def broken(v):
             raise RuntimeError("no G here")
 
         with pytest.raises(ConfigurationError) as exc:
-            _problem(damping=DampingFunction(broken, g0=1.0, lipschitz=1.0))
+            zero_problem(damping=DampingFunction(broken, g0=1.0, lipschitz=1.0))
         assert str(exc.value) == (
             "damping function raised on sampled input: RuntimeError('no G here')")
 
@@ -145,13 +134,13 @@ class TestValidate:
             raise RuntimeError("no u0 here")
 
         with pytest.raises(ConfigurationError) as exc:
-            _problem(u0=broken)
+            zero_problem(u0=broken)
         assert str(exc.value) == (
             "initial data u0 raised on the probe grid: RuntimeError('no u0 here')")
 
     def test_nonpositive_horizon(self):
         with pytest.raises(ConfigurationError, match="horizon"):
-            _problem(T=0.0)
+            zero_problem(T=0.0)
 
     @pytest.mark.parametrize("T", [math.inf, -math.inf, math.nan])
     def test_nonfinite_horizon(self, T):
@@ -159,13 +148,13 @@ class TestValidate:
         # "cannot convert float NaN to integer".
         with pytest.raises(ConfigurationError,
                            match="time horizon T must be positive and finite"):
-            _problem(T=T)
+            zero_problem(T=T)
 
     def test_every_violation_listed(self):
         # The problem's own violations, in order, joined by "; ".
         with pytest.raises(ConfigurationError) as exc:
-            _problem(damping=DampingFunction.constant(0.0), T=0.0,
-                     u1=lambda x: 1.0 + 0.0 * np.asarray(x))
+            zero_problem(damping=DampingFunction.constant(0.0), T=0.0,
+                         u1=lambda x: 1.0 + 0.0 * np.asarray(x))
         assert str(exc.value) == (
             "damping lower bound g0 must be positive (got 0.0); the velocity term "
             "must stay dissipative; time horizon T must be positive and finite "

@@ -1,4 +1,23 @@
+import importlib.util
+import json
+import re
+import shutil
+import subprocess
+import sys
+import types
+from pathlib import Path
+
 import viscobeam
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_tool(name):
+    """The module ``tools/<name>.py`` of this checkout."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_star_import_and_unique_public_names():
@@ -13,14 +32,7 @@ def test_star_import_and_unique_public_names():
 def test_line_count_rule(capsys):
     # tools/src_lines.py: docstring, comment and blank lines are not
     # logical lines; a string that spans lines counts each of them.
-    import importlib.util
-    import re
-    from pathlib import Path
-
-    path = Path(__file__).resolve().parent.parent / "tools" / "src_lines.py"
-    spec = importlib.util.spec_from_file_location("src_lines", path)
-    src_lines = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(src_lines)
+    src_lines = load_tool("src_lines")
     source = '''"""Module
 docstring."""
 # a comment
@@ -39,7 +51,7 @@ lines"""  # trailing comment
 
     # Each directory's total line, then one line per file, which sum to it;
     # the sizes are the files' bytes.
-    src = path.parent.parent / "src"
+    src = ROOT / "src"
     src_lines.main([str(src)])
     lines = capsys.readouterr().out.splitlines()
     counts = [re.fullmatch(
@@ -56,14 +68,10 @@ def test_line_count_tool_is_quiet_when_its_reader_leaves(tmp_path):
     # ``python tools/src_lines.py | head -1`` once ended in a BrokenPipeError
     # traceback.  Some 120 kB of output, more than a pipe holds, keeps the
     # tool writing after the reader has closed its end.
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    path = Path(__file__).resolve().parent.parent / "tools" / "src_lines.py"
     (tmp_path / "d").mkdir()
     (tmp_path / "d" / "x.py").write_text("x = 1\n")
-    with subprocess.Popen([sys.executable, str(path)] + ["d"] * 2000, cwd=tmp_path,
+    with subprocess.Popen([sys.executable, str(ROOT / "tools" / "src_lines.py")] + ["d"] * 2000,
+                          cwd=tmp_path,
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         assert proc.stdout.readline() == b"d: 1 lines by wc, 1 logical, 6 bytes\n"
         proc.stdout.close()
@@ -74,14 +82,7 @@ def test_bench_pairs_summary():
     # tools/bench_pairs.py: a gain needs wins in at least nine tenths of the
     # pairs and a median gap wider than the parent's interquartile range,
     # in the metric's better direction; ties count for neither side.
-    import importlib.util
-    from pathlib import Path
-
-    path = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
-    spec = importlib.util.spec_from_file_location("bench_pairs", path)
-    bench_pairs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_pairs)
-    summarize = bench_pairs.summarize
+    summarize = load_tool("bench_pairs").summarize
 
     parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
     change = [p - 0.1 for p in parent]
@@ -114,20 +115,39 @@ def test_bench_pairs_summary():
     assert summarize(parent, [p + 0.06 for p in parent], "lower", 0.03)["verdict"] == "worse"
 
 
+def test_bench_pairs_runs_fresh_copies(capsys):
+    # tools/bench_pairs.py runs each side's bench.py in a copy of its
+    # checkout, made before the first pair, without .git, and removed at
+    # exit: a change read from the git checkout once read long-history's
+    # run_s 3 % slower than fresh copies of the same files.
+    bench_pairs = load_tool("bench_pairs")
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    line = json.dumps({"failed": 0, "metrics": {
+        m["name"]: {"value": 1.0} for m in spec["end_to_end"]}})
+    cwds = []
+
+    def run(argv, cwd, **kwargs):
+        cwds.append(Path(cwd))
+        assert (cwds[-1] / "benchmarks" / "bench.py").is_file()
+        assert not (cwds[-1] / ".git").exists()
+        return types.SimpleNamespace(returncode=0, stdout=line + "\n", stderr="")
+
+    bench_pairs.subprocess = types.SimpleNamespace(run=run)
+    assert bench_pairs.main([str(ROOT), str(ROOT), "--workload", "long-history",
+                             "--pairs", "2", "--seed-base", "0"]) == 0
+    assert len(cwds) == 4 and len(set(cwds)) == 2 and ROOT not in cwds
+    assert not any(cwd.exists() for cwd in cwds)
+    assert capsys.readouterr().out.count(" ok\n") == len(spec["end_to_end"])
+
+
 def test_step_pairs_smoke():
     # tools/step_pairs.py with this checkout on both sides, at each
     # workload's small size: both sides import under their own module
     # names, step (run_batch, or run_study for the study) and get
     # summarized per level.  One run takes an extra override.
-    import re
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    root = Path(__file__).resolve().parent.parent
     for workload in ("long-history", "study-ladder", "long-horizon"):
         proc = subprocess.run(
-            [sys.executable, str(root / "tools" / "step_pairs.py"), str(root), str(root),
+            [sys.executable, str(ROOT / "tools" / "step_pairs.py"), str(ROOT), str(ROOT),
              "--workload", workload, "--pairs", "2", "--tiny"]
             + (["--set", "initial.u0.amplitude=30"] if workload == "long-history" else []),
             capture_output=True, text=True, timeout=300)
@@ -147,29 +167,21 @@ def test_same_outputs_compare(tmp_path):
     # copy of src/ whose cli prints one extra character differs in stdout
     # only, and one whose config error message has one extra character
     # differs in stderr only.
-    import importlib.util
-    import shutil
-    from pathlib import Path
-
-    root = Path(__file__).resolve().parent.parent
-    spec = importlib.util.spec_from_file_location(
-        "same_outputs", root / "tools" / "same_outputs.py")
-    same_outputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(same_outputs)
+    same_outputs = load_tool("same_outputs")
     command = ("solve", "--preset", "example1", "--set", "grid.J=8", "--set", "time.N=8")
-    assert same_outputs.compare(root, root, command) == (0, [])
+    assert same_outputs.compare(ROOT, ROOT, command) == (0, [])
 
-    shutil.copytree(root / "src", tmp_path / "src",
+    shutil.copytree(ROOT / "src", tmp_path / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))
     cli = tmp_path / "src" / "viscobeam" / "cli.py"
     text = cli.read_text()
     assert text.count('print(f"solved {N} steps') == 1
     cli.write_text(text.replace('print(f"solved {N} steps', 'print(f"solved  {N} steps'))
-    assert same_outputs.compare(root, tmp_path, command) == (0, ["stdout"])
+    assert same_outputs.compare(ROOT, tmp_path, command) == (0, ["stdout"])
 
     config = tmp_path / "src" / "viscobeam" / "config.py"
     text = config.read_text()
     assert text.count('f"unknown config key ') == 1
     config.write_text(text.replace('f"unknown config key ', 'f"unknown config  key '))
     typo = ("solve", "--preset", "example1", "--set", "grid.j=8")
-    assert same_outputs.compare(root, tmp_path, typo) == (2, ["stderr"])
+    assert same_outputs.compare(ROOT, tmp_path, typo) == (2, ["stderr"])

@@ -16,7 +16,6 @@ from viscobeam import (
     NO_MEMORY,
     NonConvergenceError,
     NumericalError,
-    ProblemSpec,
     SolverConfig,
     SolverState,
     assemble_step_system,
@@ -32,19 +31,9 @@ from viscobeam.config import FORCING
 from viscobeam.stepper import run_batch
 from viscobeam.presets import example1_problem, example2_problem
 
-from conftest import (assemble_per_level, dense_fourth_difference, fourth_difference,
-                      long_double_solution, max_norm, second_difference, solve_levels,
-                      velocity_history)
-
-
-def _zero(x):
-    return np.zeros_like(np.asarray(x, dtype=float))
-
-
-def zero_problem(T=1.0, damping=DampingFunction.affine(1.0, 1.0)):
-    return ProblemSpec(u0=_zero, u1=_zero, forcing=lambda x, t: _zero(x),
-                       damping=damping,
-                       kernel=KernelSpec(family=NO_MEMORY), T=T)
+from conftest import (assemble_per_level, batch, dense_fourth_difference,
+                      fourth_difference, long_double_solution, max_norm, second_difference,
+                      solve_levels, velocity_history, zero_problem)
 
 
 class TestSolverConfig:
@@ -93,15 +82,18 @@ class TestInitialize:
 
     def test_needs_at_least_one_step(self):
         # The same error type and wording as KernelTables.build's; N = -3
-        # once reached the step T/N.
-        for N in (0, -3):
-            message = f"step count N must be at least 1 (got {N})"
+        # once reached the step T/N.  N = 8.0 or True once raised numpy's
+        # TypeError, and out of run_batch as a whole; np.int64(8) runs.
+        for N, rule in ((0, "be at least 1"), (-3, "be at least 1"),
+                        (8.0, "be an integer"), (True, "be an integer")):
+            message = f"step count N must {rule} (got {N})"
             for start in (initialize, run):
                 with pytest.raises(ConfigurationError, match=re.escape(message)):
                     start(zero_problem(), Grid(8), N)
             failure, = run_batch([zero_problem()], Grid(8), N)
             assert isinstance(failure, ConfigurationError)
             assert str(failure) == message
+        assert run(zero_problem(), Grid(8), np.int64(8))[0].n == 9
 
 
 def dense_step_matrix(state, G_val):
@@ -219,10 +211,8 @@ class TestStep:
         def fn(v):
             return 1.0 + v if v <= 1e4 else float("nan")
 
-        p = ProblemSpec(u0=lambda x: 100.0 * np.sin(np.pi * np.asarray(x)),
-                        u1=_zero, forcing=lambda x, t: _zero(x),
-                        damping=DampingFunction(fn, 1.0, 1.0),
-                        kernel=KernelSpec(family=NO_MEMORY))
+        p = zero_problem(u0=lambda x: 100.0 * np.sin(np.pi * np.asarray(x)),
+                         damping=DampingFunction(fn, 1.0, 1.0))
         state = initialize(p, Grid(16), 8)
         with pytest.raises(NumericalError, match="not finite") as exc:
             step(state, SolverConfig())
@@ -338,13 +328,12 @@ class TestRunBatch:
         # member axis, and each row follows that member's own run.
         problems = [example2_problem(sigma=s) for s in (1.5, 3.0)]
         g, N = Grid(8), 8
-        batch = viscobeam.stepper._stack(
-            [viscobeam.stepper._start(p, g, N) for p in problems])
-        while batch.n <= N:
-            step(batch, SolverConfig())
-        assert batch.U_prev.shape == (2, 7)
-        assert velocity_history(batch).shape == (2, N, 7)
-        for row, p in zip(batch.U_prev, problems):
+        state = batch(problems, g, N)
+        while state.n <= N:
+            step(state, SolverConfig())
+        assert state.U_prev.shape == (2, 7)
+        assert velocity_history(state).shape == (2, N, 7)
+        for row, p in zip(state.U_prev, problems):
             assert np.array_equal(row, run(p, g, N)[0].U_prev)
 
     @pytest.mark.parametrize("steps", [5, 32])
@@ -353,35 +342,30 @@ class TestRunBatch:
         # level index, newest level, history and records keep their bytes.
         # After 32 steps the failing level 34 starts a block, whose fill
         # writes the next 32 forcing norms (records row 4) ahead.
-        g = Grid(32)
-        batch = viscobeam.stepper._stack([viscobeam.stepper._start(p, g, 256) for p in (
-            example1_problem(), example1_problem(sigma=1.5))])
+        state = batch([example1_problem(), example1_problem(sigma=1.5)], Grid(32), 256)
         for _ in range(steps):
-            step(batch, SolverConfig())
-        rows = 4 if (batch.n - 2) % 32 == 0 else 5
-        before = (batch._U1.tobytes(), batch._history.tobytes(),
-                  batch._records[:, :rows].tobytes())
+            step(state, SolverConfig())
+        rows = 4 if (state.n - 2) % 32 == 0 else 5
+        before = (state._U1.tobytes(), state._history.tobytes(),
+                  state._records[:, :rows].tobytes())
         with pytest.raises(NonConvergenceError) as exc:
-            step(batch, SolverConfig(fp_max_iters=1))
-        assert exc.value.step_index == batch.n == steps + 2
-        assert (batch._U1.tobytes(), batch._history.tobytes(),
-                batch._records[:, :rows].tobytes()) == before
+            step(state, SolverConfig(fp_max_iters=1))
+        assert exc.value.step_index == state.n == steps + 2
+        assert (state._U1.tobytes(), state._history.tobytes(),
+                state._records[:, :rows].tobytes()) == before
 
     def test_member_error_names_the_member(self):
         # The second member's G turns NaN: the batch step raises before it
         # writes anything, and the error carries the member's index.
         nan_law = DampingFunction(lambda v: 1.0 if v <= 1e4 else float("nan"), 1.0, 0.0)
-        big = ProblemSpec(u0=lambda x: 100.0 * np.sin(np.pi * np.asarray(x)),
-                          u1=_zero, forcing=lambda x, t: _zero(x), damping=nan_law,
-                          kernel=KernelSpec(family=NO_MEMORY))
+        big = zero_problem(u0=lambda x: 100.0 * np.sin(np.pi * np.asarray(x)), damping=nan_law)
         g = Grid(8)
-        batch = viscobeam.stepper._stack(
-            [viscobeam.stepper._start(p, g, 8) for p in (example2_problem(), big)])
-        before = batch.U_prev.copy()
+        state = batch([example2_problem(), big], g, 8)
+        before = state.U_prev.copy()
         with pytest.raises(NumericalError, match="not finite") as exc:
-            step(batch, SolverConfig())
+            step(state, SolverConfig())
         assert (exc.value.step_index, exc.value.member) == (2, 1)
-        assert batch.n == 2 and np.array_equal(batch.U_prev, before)
+        assert state.n == 2 and np.array_equal(state.U_prev, before)
         states = run_batch([example2_problem(), big], g, 8)
         assert isinstance(states[0], SolverState) and states[1].member == 1
         assert str(states[1]) == str(exc.value)
@@ -411,8 +395,7 @@ class TestRunBatch:
         g = Grid(16)
         for N in (2, 3, 33, 34, 40, 65):
             whole = run_batch(problems, g, N)
-            stepped = viscobeam.stepper._stack(
-                [viscobeam.stepper._start(p, g, N) for p in problems])
+            stepped = batch(problems, g, N)
             while stepped.n <= N:
                 step(stepped, SolverConfig())
             for k, state in enumerate(whole):
@@ -437,8 +420,7 @@ class TestRunBatch:
         for after, failing in ((0.6, 39), (0.52, 34)):
             bad = dataclasses.replace(base, forcing=lambda x, t, f=base.forcing, c=after: (
                 np.where(t > c, np.nan, f(x, t))))
-            states = [viscobeam.stepper._stack([viscobeam.stepper._start(p, g, N)
-                                                for p in (base, bad)]) for _ in range(2)]
+            states = [batch((base, bad), g, N) for _ in range(2)]
             with pytest.raises(NumericalError, match="non-finite iterate") as exc:
                 viscobeam.stepper._advance(states[0], cfg, N + 1)
             assert (exc.value.step_index, exc.value.member) == (failing, 1)
@@ -459,9 +441,8 @@ class TestRunBatch:
         # among them is found and named.  The laws are 1 where the problem
         # samples them (v <= 1e4); amplitude 100 puts ||D2 U||^2 near 4.9e5.
         def beyond(value):
-            return ProblemSpec(
-                u0=lambda x: 100.0 * np.sin(np.pi * np.asarray(x)), u1=_zero,
-                forcing=lambda x, t: _zero(x), kernel=KernelSpec(family=NO_MEMORY),
+            return zero_problem(
+                u0=lambda x: 100.0 * np.sin(np.pi * np.asarray(x)),
                 damping=DampingFunction(lambda v: 1.0 if v <= 1e4 else value, 1.0, 0.0))
 
         g, N, huge = Grid(8), 2, beyond(1e308)
@@ -687,10 +668,10 @@ class TestForcingBlocks:
         for s in singles:
             while s.n < 10:
                 step(s, SolverConfig())
-        batch = viscobeam.stepper._stack(singles)
-        while batch.n <= N:
-            step(batch, SolverConfig())
-        for row, p in zip(batch.U_prev, problems):
+        state = viscobeam.stepper._stack(singles)
+        while state.n <= N:
+            step(state, SolverConfig())
+        for row, p in zip(state.U_prev, problems):
             assert np.array_equal(row, run(p, g, N)[0].U_prev)
 
     def test_restacked_long_batch_keeps_single_run_bits(self):
@@ -705,12 +686,12 @@ class TestForcingBlocks:
         for s in singles:
             while s.n < 300:
                 step(s, SolverConfig())
-        batch = viscobeam.stepper._stack(singles)
-        step(batch, SolverConfig())
-        assert batch._block[:2] == (290, 322)
-        while batch.n <= N:
-            step(batch, SolverConfig())
-        for row, p in zip(batch.U_prev, problems):
+        state = viscobeam.stepper._stack(singles)
+        step(state, SolverConfig())
+        assert state._block[:2] == (290, 322)
+        while state.n <= N:
+            step(state, SolverConfig())
+        for row, p in zip(state.U_prev, problems):
             assert np.array_equal(row, run(p, g, N)[0].U_prev)
 
     def test_raising_forcing_leaves_state_unchanged(self):
@@ -767,43 +748,15 @@ class TestForcingBlocks:
         # 4 x 32 x 63 floats of forcing and one of the history's far part,
         # the transform's temporaries and one panel buffer at a time,
         # about 0.5 MB; a longer block would show here.
-        problems = [example1_problem(sigma=s) for s in (1.2, 1.5, 2.0, 2.5)]
-        batch = viscobeam.stepper._stack(
-            [viscobeam.stepper._start(p, Grid(64), 128) for p in problems])
+        state = batch([example1_problem(sigma=s) for s in (1.2, 1.5, 2.0, 2.5)], Grid(64), 128)
         tracemalloc.start()
         try:
             for _ in range(64):
-                step(batch, SolverConfig())
+                step(state, SolverConfig())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 0.6e6
-
-
-class TestSineModeOracle:
-    def test_matches_scalar_recurrence(self):
-        # Memory-free constant damping keeps the lowest sine mode an exact
-        # eigenvector, reducing the scheme to a scalar three-term
-        # recurrence solved independently here.
-        J, N, g0 = 16, 1000, 2.0
-        g = Grid(J)
-        problem = ProblemSpec(
-            u0=lambda x: np.sin(np.pi * np.asarray(x)),
-            u1=_zero,
-            forcing=lambda x, t: _zero(x),
-            damping=DampingFunction.constant(g0),
-            kernel=KernelSpec(family=NO_MEMORY),
-            T=1.0,
-        )
-        state, _ = run(problem, g, N)
-        dt = 1.0 / N
-        lam4 = (4.0 * np.sin(np.pi * g.h / 2.0) ** 2 / g.h**2) ** 2
-        a = np.empty(N + 1)
-        a[0] = a[1] = 1.0
-        for n in range(2, N + 1):
-            a[n] = ((2.0 + g0 * dt) * a[n - 1] - a[n - 2]) \
-                / (1.0 + g0 * dt + dt**2 * lam4)
-        assert max_norm(state.U_prev - a[N] * np.sin(np.pi * g.x)) <= 1e-10
 
 
 class TestVelocitySolve:

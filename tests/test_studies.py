@@ -8,8 +8,6 @@ import pytest
 from viscobeam import (
     ConfigurationError,
     Grid,
-    KernelSpec,
-    NO_MEMORY,
     DampingFunction,
     NumericalError,
     ProblemSpec,
@@ -22,17 +20,8 @@ from viscobeam.presets import example2_problem, preset_config
 from viscobeam.studies import (SPATIAL, TEMPORAL, CellResult, StudyCell, StudyRow,
                                StudySpec)
 
-from conftest import spatial_error, temporal_error
+from conftest import spatial_error, temporal_error, zero_problem
 
-
-def _zero(x):
-    return np.zeros_like(np.asarray(x, dtype=float))
-
-
-def zero_problem():
-    return ProblemSpec(u0=_zero, u1=_zero, forcing=lambda x, t: _zero(x),
-                       damping=DampingFunction.affine(1.0, 1.0),
-                       kernel=KernelSpec(family=NO_MEMORY), T=1.0)
 
 
 class TestRate:

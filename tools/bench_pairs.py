@@ -3,11 +3,15 @@
     python tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --pairs N \\
         --seconds S --seed-base K
 
-Pair i runs each checkout's own ``benchmarks/bench.py --workload W
---seed K+i --seconds S --trace 0``, unmodified, from that checkout's root,
-one process at a time; the parent goes first in even pairs and the change
-in odd ones.  Each run's last output line is its JSON result.  For every
-end-to-end metric of the parent's ``BENCHMARK.json`` it prints both sides'
+Before the first pair each checkout is copied into a temporary directory
+of its own, without ``.git`` and the caches and work directories that
+testing and benchmarking leave behind, so both sides run from fresh files
+as a benchmark of committed files does; the copies are removed at exit.
+Pair i runs each copy's own ``benchmarks/bench.py --workload W --seed K+i
+--seconds S --trace 0``, unmodified, from that copy's root, one process at
+a time; the parent goes first in even pairs and the change in odd ones.
+Each run's last output line is its JSON result.  For every end-to-end
+metric of the parent's ``BENCHMARK.json`` it prints both sides'
 medians and quartiles over the pairs, how many pairs each side won (ties
 count for neither) and whether a gain holds: the change won at least nine
 tenths of the pairs, and the medians differ, in the metric's better
@@ -25,10 +29,16 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+
+# Left out of the copies: version control, and what tests and benchmarks
+# leave behind.
+_NOT_COPIED = (".git", "__pycache__", ".pytest_cache", ".bench_work", ".benchmarks")
 
 
 def quartiles(values) -> tuple[float, float, float]:
@@ -86,13 +96,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     runs = {"parent": [], "change": []}
-    for i in range(args.pairs):
-        seed = args.seed_base + i
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            runs[side].append(bench(getattr(args, side), args.workload, seed, args.seconds))
-        print(f"pair {i} seed {seed}: " + ", ".join(
-            f"{side} run_s {runs[side][-1]['run_s']:.4g}" for side in order), flush=True)
+    with tempfile.TemporaryDirectory() as scratch:
+        copies = {side: Path(scratch) / side for side in runs}
+        for side, copy in copies.items():
+            shutil.copytree(getattr(args, side), copy,
+                            ignore=shutil.ignore_patterns(*_NOT_COPIED))
+        for i in range(args.pairs):
+            seed = args.seed_base + i
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                runs[side].append(bench(copies[side], args.workload, seed, args.seconds))
+            print(f"pair {i} seed {seed}: " + ", ".join(
+                f"{side} run_s {runs[side][-1]['run_s']:.4g}" for side in order), flush=True)
     print(f"{args.workload}, {args.pairs} pairs of {args.seconds:g} s, "
           f"seeds {args.seed_base}..{args.seed_base + args.pairs - 1}")
     print(f"{'metric':12s} {'parent q1 / median / q3':>28s} {'change q1 / median / q3':>28s}"
