@@ -50,6 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import math
+import numbers
 
 import numpy as np
 
@@ -87,6 +88,14 @@ _PANEL_BLOCK = 512
 
 class ConfigurationError(ValueError):
     """A kernel/problem specification violates its stated parameter ranges."""
+
+
+def require_integer(value, name: str) -> None:
+    """The one rule for step counts and ladder levels: a value that is not
+    an integer (``bool`` included; a numpy integer is one) is a
+    ConfigurationError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{name} must be an integer (got {value!r})")
 
 
 @dataclass(frozen=True)
@@ -230,12 +239,14 @@ class KernelTables:
         """The tables of ``spec`` on the time grid k dt, k = 0..n_steps.
 
         A step dt that is not positive and finite, such as T/N when it
-        rounds to 0, fewer than one step, or a horizon N dt so long that a
-        weight or a tail value is not finite (J2 grows like t**2, so it
-        overflows past about 1e154) is a ConfigurationError that names it:
-        bad input, not a failure of the run.  numpy warns of none of them."""
+        rounds to 0, a step count that is not an integer or is below 1,
+        or a horizon N dt so long that a weight or a tail value is not
+        finite (J2 grows like t**2, so it overflows past about 1e154) is a
+        ConfigurationError that names it: bad input, not a failure of the
+        run.  numpy warns of none of them."""
         if not 0.0 < dt < math.inf:
             raise ConfigurationError(f"time step T/N must be positive and finite (got {dt!r})")
+        require_integer(n_steps, "step count N")
         if n_steps < 1:
             raise ConfigurationError(f"step count N must be at least 1 (got {n_steps})")
         ts = dt * np.arange(n_steps + 1)

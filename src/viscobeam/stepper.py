@@ -68,7 +68,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import diagnostics
 from .grid_ops import Grid, second_difference_eigenvalues, sine_transform
-from .kernel import ConfigurationError, KernelTables
+from .kernel import ConfigurationError, KernelTables, require_integer
 from .model import ProblemSpec
 
 _CSV_BLOCK_ROWS = 64
@@ -264,11 +264,11 @@ def _start(problem: ProblemSpec, grid: Grid, N: int) -> SolverState:
     included.  Level 1's record, made with 0 iterations, goes through
     :func:`_flush_records` as every later level's does; level 0's stays
     zero but for its forcing norm.  A step count that is not an integer
-    (``bool`` included) is a ConfigurationError, as a grid's J is, and so
-    is fewer than one step, as :meth:`KernelTables.build` would raise it,
-    raised here because the step T/N is taken first."""
-    if isinstance(N, bool) or not isinstance(N, numbers.Integral):
-        raise ConfigurationError(f"step count N must be an integer (got {N!r})")
+    (``bool`` included) is a ConfigurationError, by the rule that the
+    tables and studies apply too, and so is fewer than one step, as
+    :meth:`KernelTables.build` would raise it, raised here because the
+    step T/N is taken first."""
+    require_integer(N, "step count N")
     if N < 1:
         raise ConfigurationError(f"step count N must be at least 1 (got {N})")
     dt = problem.T / N

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .grid_ops import Grid, norm
-from .kernel import ConfigurationError
+from .kernel import ConfigurationError, require_integer
 from .model import ProblemSpec
 from .stepper import SolverConfig, run_batch
 
@@ -60,7 +60,7 @@ class StudySpec:
     ``levels`` - 1 times while the other stays fixed.  A preceding
     half-coarse run anchors the first row's error, so a temporal base N
     must be even and a spatial base J even with J/2 >= 4; the grid itself
-    has checked J >= 4.
+    has checked J >= 4.  Both counts must be integers.
     """
 
     axis: str
@@ -72,6 +72,8 @@ class StudySpec:
     def __post_init__(self):
         if self.axis not in (TEMPORAL, SPATIAL):
             raise ConfigurationError(f"unknown study axis {self.axis!r}")
+        require_integer(self.levels, "study levels")
+        require_integer(self.N, "step count N")
         if self.levels < 2:
             raise ConfigurationError("a study needs at least two refinement levels")
         if self.axis == TEMPORAL:

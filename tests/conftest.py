@@ -22,13 +22,14 @@ batches can be checked against them bit for bit.  The scalar tail
 antiderivatives read the library's moment evaluator on a grid uniform in
 u = s**alpha rather than the tables' uniform time grid.
 
-Two builders serve the tests: ``zero_problem`` is the beam at rest without
-load or memory, with any of its fields replaced, and ``batch`` sets up
-problems member by member and stacks them into the one state that
-``run_batch`` would step, for tests that step a batch by hand.
+``zero_problem`` builds the beam at rest without load or memory, with
+any of its fields replaced, and ``assert_same_run`` compares two runs by
+everything a state shows: its newest level, its forcing norms and its
+series, bit for bit.
 """
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -37,11 +38,10 @@ from scipy.integrate import dblquad, quad
 from scipy.special import erfc, gammainc, gammaincc
 from scipy.special import gamma as gamma_fn
 
-from viscobeam import (DampingFunction, Grid, KernelSpec, NO_MEMORY, OSCILLATORY,
-                       ProblemSpec, SolverConfig, initialize, norm, run, sine_transform,
-                       step)
+from viscobeam import (DampingFunction, Grid, KernelSpec, KernelTables, NO_MEMORY,
+                       OSCILLATORY, ProblemSpec, SolverConfig, initialize, norm, run,
+                       second_difference_eigenvalues, sine_transform, step)
 from viscobeam.kernel import _grid_moments
-from viscobeam.stepper import _stack, _start
 
 
 @pytest.fixture
@@ -61,10 +61,15 @@ def zero_problem(**fields) -> ProblemSpec:
                           "kernel": KernelSpec(family=NO_MEMORY), "T": 1.0, **fields})
 
 
-def batch(problems, grid, N: int):
-    """One state of ``problems`` at level 2, set up member by member and
-    stacked as ``run_batch`` does, to be stepped by hand."""
-    return _stack([_start(p, grid, N) for p in problems])
+def assert_same_run(a, b) -> None:
+    """Two one-member states at the same level, with the same bits in their
+    newest level, their forcing norms and every column of their series."""
+    assert a.n == b.n
+    assert a.U_prev.tobytes() == b.U_prev.tobytes()
+    assert a.forcing_norms.tobytes() == b.forcing_norms.tobytes()
+    sa, sb = a.series(), b.series()
+    for f in dataclasses.fields(sa):
+        assert getattr(sa, f.name).tobytes() == getattr(sb, f.name).tobytes(), f.name
 
 
 def _interior(W, grid) -> np.ndarray:
@@ -123,13 +128,6 @@ def solve_levels(problem, grid, N, config=None):
         step(state, config)
         levels.append(state.U_prev)
     return state, levels
-
-
-def velocity_history(state) -> np.ndarray:
-    """Grid values of the history rows dU^1..dU^{n-1}, without the member
-    axis when B = 1."""
-    V = sine_transform(state._history[:, : state.n - 1])
-    return V[0] if len(V) == 1 else V
 
 
 def _final_solution(problem, J: int, N: int, config) -> np.ndarray:
@@ -191,8 +189,9 @@ def forcing_l1_norm(problem, grid, dt: float, n_steps: int) -> float:
 def long_double_solution(problem, grid, N: int, tol: float = 1e-16) -> np.ndarray:
     """Sine coefficients of U^N of the scheme, stepped in long double.
 
-    The scheme's inputs are the solver's own float64 values: U^0 and U^1,
-    lambda^2, the weights, the tail, mu0 and each level's transformed
+    The scheme's inputs are float64 values made as the solver makes them:
+    U^0 and U^1 = U^0 + dt u1 from one transform of the samples of u0 and
+    u1, lambda^2, the weights, the tail, mu0 and each level's transformed
     forcing.  Each level solves the displacement form mode by mode,
 
         (1/dt^2 + G/dt + (mu0 + w[0]/dt) lambda^2) U^n
@@ -206,18 +205,19 @@ def long_double_solution(problem, grid, N: int, tol: float = 1e-16) -> np.ndarra
     of relative accuracy, so at N = 4096 it is good to about 1e-12 at
     worst and far better in practice.
     """
-    ld = np.longdouble
-    state = initialize(problem, grid, N)
-    dt, h, tables = ld(state.dt), ld(grid.h), state.tables
-    lam2, mu0 = (state._eigs**2).astype(ld), ld(tables.mu0)
+    ld, step_size = np.longdouble, problem.T / N
+    dt, h = ld(step_size), ld(grid.h)
+    tables = KernelTables.build(problem.kernel, step_size, N)
+    lam2, mu0 = (second_difference_eigenvalues(grid) ** 2).astype(ld), ld(tables.mu0)
     w, tail = tables.weights.astype(ld), tables.tail.astype(ld)
+    U0, u1 = sine_transform(np.stack([problem.u0(grid.x), problem.u1(grid.x)]))
     U = np.zeros((N + 1, grid.n_interior), dtype=ld)
-    U[0], U[1] = state._U0[0], state._U1[0]
+    U[0], U[1] = U0, U0 + step_size * u1
     dU = np.zeros_like(U)
     dU[1] = (U[1] - U[0]) / dt
     for n in range(2, N + 1):
         f_hat = sine_transform(np.broadcast_to(
-            problem.forcing(grid.x, n * state.dt), grid.x.shape)).astype(ld)
+            problem.forcing(grid.x, n * step_size), grid.x.shape)).astype(ld)
         mem = w[n - 1:0:-1] @ dU[1:n]
         fixed = (f_hat + (2 * U[n - 1] - U[n - 2]) / dt**2
                  + lam2 * (w[0] / dt * U[n - 1] - mem - tail[n] * U[0]))

@@ -39,8 +39,8 @@ from viscobeam.config import build_study
 from viscobeam.presets import example2_problem, preset_config
 from viscobeam.studies import run_study
 
-from conftest import (dense_fourth_difference, fourth_difference, inner, max_norm,
-                      oracle_tail, second_difference, solve_levels,
+from conftest import (assert_same_run, dense_fourth_difference, fourth_difference, inner,
+                      max_norm, oracle_tail, second_difference, solve_levels,
                       tail_antiderivatives, zero_problem)
 from reference_tables import TABLE1, TABLE2, TABLE3, TABLE4
 
@@ -241,12 +241,7 @@ def test_criterion8_structural_invariants():
     assert np.all(state.U_prev == 0.0)
 
     # Determinism: bit-identical reruns.
-    s1, t1 = run(p, Grid(32), 64)
-    s2, t2 = run(p, Grid(32), 64)
-    assert np.array_equal(s1.U_prev, s2.U_prev)
-    for name in ("t", "vel_norm", "curv_norm", "damping", "fp_iters",
-                 "kinetic", "dissipated", "elastic", "total"):
-        assert np.array_equal(getattr(t1, name), getattr(t2, name))
+    assert_same_run(*(run(p, Grid(32), 64)[0] for _ in range(2)))
 
 
 @criterion("criterion 9 (long-time stability)", budget=180)

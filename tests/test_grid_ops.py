@@ -202,18 +202,6 @@ class TestBiharmonicMatrix:
         assert np.allclose(got, x, rtol=1e-10)
 
 
-class TestSummationByParts:
-    def test_identity_random_vectors(self, rng):
-        # <W, D4 W> = ||D2 W||^2 under the hinged ghost closure.
-        g = Grid(16)
-        for _ in range(100):
-            w = rng.standard_normal(g.n_interior)
-            lhs = inner(w, fourth_difference(w, g), g)
-            rhs = norm(second_difference(w, g), g) ** 2
-            tol = 1e-12 * (1.0 + norm(w, g) ** 2 * g.h**-4)
-            assert abs(lhs - rhs) <= tol
-
-
 class TestConsistency:
     def test_fourth_difference_second_order(self):
         # For u = sin(pi x) the truncation error scales like h^2: halving h

@@ -233,17 +233,6 @@ class TestMu0:
 
 
 class TestQuadratureWeights:
-    def test_constant_tail_hook(self, monkeypatch):
-        # With K = c the defining double integral gives c*dt/2 on the
-        # diagonal block and c*dt off it; the moments (K, M1, M2) =
-        # (c, 0, 0) give J2(t) = c t^2 / 2.
-        c, dt, n = 0.7, 0.125, 6
-        monkeypatch.setattr(kernel, "_grid_moments",
-                            lambda spec, ts: (np.full_like(ts, c), 0.0 * ts, 0.0 * ts))
-        w = weights(NONOSC(1.5, 0.5), dt, n)
-        assert w[0] == pytest.approx(c * dt / 2, rel=1e-13)
-        assert np.allclose(w[1:], c * dt, rtol=1e-12)
-
     def test_no_memory_weights_are_zero(self):
         assert np.all(weights(NONE, 0.1, 8) == 0.0)
 

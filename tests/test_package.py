@@ -7,6 +7,8 @@ import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import viscobeam
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -185,3 +187,33 @@ def test_same_outputs_compare(tmp_path):
     config.write_text(text.replace('f"unknown config key ', 'f"unknown config  key '))
     typo = ("solve", "--preset", "example1", "--set", "grid.j=8")
     assert same_outputs.compare(ROOT, tmp_path, typo) == (2, ["stderr"])
+
+
+def test_mutants_apply_once_and_compile():
+    # tools/mutants.py: each defect's text occurs once in its file of src/
+    # and the patched module compiles; a text that does not occur is an
+    # error, not a survivor.
+    mutants = load_tool("mutants")
+    for defect in mutants.DEFECTS:
+        path, text = mutants.patched(ROOT / "src", defect)
+        assert text != path.read_text()
+        compile(text, str(path), "exec")
+    mutants.DEFECTS["typo"] = ("kernel.py", "no such text", "")
+    with pytest.raises(mutants.AuditError, match="occurs 0 times"):
+        mutants.patched(ROOT / "src", "typo")
+
+
+def test_mutants_report_no_broken_run(capsys):
+    # With runs faked: a clean run that fails exits 2 and prints no matrix;
+    # the control is an expected survivor unless a solution-level check
+    # fails under it, which exits 1.
+    mutants, runs = load_tool("mutants"), {None: {"tests.test_cli::test_a"}}
+    mutants.run_defect = lambda defect: (9, runs[defect])
+    assert mutants.main([]) == 2 and "defect" not in capsys.readouterr().out
+    runs.update({None: set(), "tail-x1.02": {"tests.test_oracle::test_b", "tests.test_kernel.T::t"},
+                 mutants.CONTROL: {"tests.test_stepper.T::t"}})
+    assert mutants.main(["tail-x1.02", mutants.CONTROL]) == 0
+    out = capsys.readouterr().out
+    assert "caught by a solution-level check" in out and "as expected" in out
+    runs[mutants.CONTROL] = {"tests.test_acceptance::test_c"}
+    assert mutants.main([mutants.CONTROL]) == 1

@@ -1,3 +1,4 @@
+import copy
 import csv
 import dataclasses
 import math
@@ -28,12 +29,12 @@ from viscobeam import (
 )
 import viscobeam.stepper
 from viscobeam.config import FORCING
-from viscobeam.stepper import run_batch
+from viscobeam.stepper import _stack, _start, run_batch
 from viscobeam.presets import example1_problem, example2_problem
 
-from conftest import (assemble_per_level, batch, dense_fourth_difference,
+from conftest import (assemble_per_level, assert_same_run, dense_fourth_difference,
                       fourth_difference, long_double_solution, max_norm, second_difference,
-                      solve_levels, velocity_history, zero_problem)
+                      solve_levels, zero_problem)
 
 
 class TestSolverConfig:
@@ -60,7 +61,7 @@ class TestInitialize:
         assert np.all(state.U0 == 0.0)
         assert np.all(state.U_prev == 0.0)
         assert state.n == 2
-        assert velocity_history(state).shape == (1, 7)
+        assert state.series().vel_norm.tolist() == [0.0]
 
     def test_explicit_start_levels(self):
         p = example1_problem()
@@ -70,8 +71,8 @@ class TestInitialize:
         assert np.allclose(state.U0, np.sin(np.pi * g.x), rtol=1e-15)
         expected_u1 = np.sin(np.pi * g.x) + dt * np.sin(2 * np.pi * g.x)
         assert np.allclose(state.U_prev, expected_u1, rtol=1e-15)
-        # discrete initial velocity equals the u1 samples exactly
-        assert np.allclose(velocity_history(state)[0], np.sin(2 * np.pi * g.x),
+        # discrete initial velocity equals the u1 samples up to roundoff
+        assert np.allclose((state.U_prev - state.U0) / dt, np.sin(2 * np.pi * g.x),
                            atol=1e-13)
 
     def test_polynomial_start(self):
@@ -111,8 +112,7 @@ class TestAssembleStepSystem:
     def test_zero_state_gives_zero_solution(self):
         state = initialize(zero_problem(), Grid(8), 4)
         r, D = assemble_step_system(state)
-        assert np.all(r == 0.0) and np.all(state._U1 == 0.0)
-        assert np.all(state._history[:, 0] == 0.0)
+        assert np.all(r == 0.0) and np.all(state.U_prev == 0.0)
         assert np.all(r / (D + 1.0) == 0.0)
         step(state, SolverConfig())
         assert np.all(state.U_prev == 0.0)
@@ -147,12 +147,12 @@ class TestAssembleStepSystem:
         g = Grid(8)
         dt = 1.0 / 16
         state = initialize(p, g, 16)
-        before = state.U0
+        levels = [state.U0, state.U_prev]
         while state.n < n:
-            before = state.U_prev
             step(state, SolverConfig())
+            levels.append(state.U_prev)
         r, _ = assemble_step_system(state)
-        w, dU = state.tables.weights, velocity_history(state)
+        w, dU = state.tables.weights, np.diff(levels, axis=0) / dt
         mem = w[n - 1:0:-1] @ dU
         expected = (p.forcing(g.x, n * dt)
                     + dU[-1] / dt
@@ -161,23 +161,6 @@ class TestAssembleStepSystem:
                     - state.tables.tail[n] * fourth_difference(state.U0, g))
         scale = np.abs(expected).max()
         assert np.allclose(sine_transform(r), expected, rtol=0, atol=1e-12 * scale)
-        # The history's newest row is the velocity of the newest level.
-        assert np.allclose(dU[-1], (state.U_prev - before) / dt,
-                           rtol=0, atol=1e-12 * np.abs(dU[-1]).max())
-
-    def test_history_contribution_linear(self, rng):
-        p = example2_problem()
-        state = initialize(p, Grid(8), 16)
-
-        def rhs_with_history(hist_row):
-            state._history[0] = hist_row
-            return assemble_step_system(state)[0]
-
-        h0 = rhs_with_history(np.zeros(7))
-        h1_row = rng.standard_normal(7)
-        h1 = rhs_with_history(h1_row)
-        h2 = rhs_with_history(2.0 * h1_row)
-        assert np.allclose(h2 - h0, 2.0 * (h1 - h0), rtol=1e-13, atol=1e-9)
 
 
 class TestStep:
@@ -187,7 +170,7 @@ class TestStep:
         for _ in range(8 - 1):
             step(state, cfg)
         assert np.all(state.U_prev == 0.0)
-        assert np.all(velocity_history(state) == 0.0)
+        assert np.all(state.series().vel_norm == 0.0)
 
     def test_nonconvergence_raises_with_step_index(self):
         p = example1_problem()
@@ -197,6 +180,9 @@ class TestStep:
             step(state, cfg)
         assert exc.value.step_index == 2
         assert exc.value.last_increment > 1e-12
+        with pytest.raises(NonConvergenceError) as exc:
+            run(p, Grid(32), 16, cfg)
+        assert exc.value.step_index == 2
 
     def test_step_past_end_rejected(self):
         state = initialize(zero_problem(), Grid(8), 2)
@@ -276,15 +262,8 @@ class TestStep:
             return dataclasses.replace(example2_problem(), forcing=forcing)
 
         g = Grid(16)
-        s_scalar, _ = run(problem(lambda x, t: 1.0), g, 16)
-        s_array, _ = run(problem(lambda x, t: np.ones_like(x)), g, 16)
-        assert np.array_equal(s_scalar.U_prev, s_array.U_prev)
-
-    def test_run_propagates_failing_step_index(self):
-        p = example1_problem()
-        with pytest.raises(NonConvergenceError) as exc:
-            run(p, Grid(32), 16, SolverConfig(fp_max_iters=1))
-        assert exc.value.step_index == 2
+        assert_same_run(run(problem(lambda x, t: 1.0), g, 16)[0],
+                        run(problem(lambda x, t: np.ones_like(x)), g, 16)[0])
 
 
 class TestZeroLoad:
@@ -296,13 +275,12 @@ class TestZeroLoad:
 
     def test_scalar_zero_load_changes_nothing(self):
         # J = 16, N = 100 crosses four blocks of forcing samples: the
-        # scalar load gives every level, history row and record, forcing
-        # norms included, of an array of zeros.
+        # scalar load gives the final level and every record, forcing norms
+        # included, of an array of zeros.
         p, g, N = example2_problem(), Grid(16), 100
         scalar, _ = run(p, g, N)
         array, _ = run(dataclasses.replace(p, forcing=lambda x, t: np.zeros_like(x)), g, N)
-        for name in ("_U1", "_history", "_records"):
-            assert getattr(scalar, name).tobytes() == getattr(array, name).tobytes(), name
+        assert_same_run(scalar, array)
 
 
 class TestRunBatch:
@@ -313,62 +291,42 @@ class TestRunBatch:
         problems = ([example2_problem(sigma=s) for s in (1.5, 2.0)]
                     + [example1_problem(), example2_problem(T=2.0)])
         g, N = Grid(16), 32
-        states = run_batch(problems, g, N)
-        for p, state in zip(problems, states):
-            single, series = run(p, g, N)
+        for p, state in zip(problems, run_batch(problems, g, N)):
             assert state.n == N + 1
-            assert np.array_equal(state.U_prev, single.U_prev)
-            batch_series = state.series()
-            for f in dataclasses.fields(series):
-                assert np.array_equal(getattr(batch_series, f.name),
-                                      getattr(series, f.name)), f.name
-
-    def test_batch_state_has_member_axis(self):
-        # Two members stepped by hand: the state's grid values keep the
-        # member axis, and each row follows that member's own run.
-        problems = [example2_problem(sigma=s) for s in (1.5, 3.0)]
-        g, N = Grid(8), 8
-        state = batch(problems, g, N)
-        while state.n <= N:
-            step(state, SolverConfig())
-        assert state.U_prev.shape == (2, 7)
-        assert velocity_history(state).shape == (2, N, 7)
-        for row, p in zip(state.U_prev, problems):
-            assert np.array_equal(row, run(p, g, N)[0].U_prev)
+            assert_same_run(state, run(p, g, N)[0])
 
     @pytest.mark.parametrize("steps", [5, 32])
     def test_failed_step_leaves_state_unchanged(self, steps):
         # A step that runs out of iterations raises before it writes: the
-        # level index, newest level, history and records keep their bytes.
-        # After 32 steps the failing level 34 starts a block, whose fill
-        # writes the next 32 forcing norms (records row 4) ahead.
-        state = batch([example1_problem(), example1_problem(sigma=1.5)], Grid(32), 256)
+        # state shows what it showed before, and stepped on it gives the
+        # bits of a run that never failed.  After 32 steps the failing
+        # level 34 starts a block, whose fill is then kept.
+        p, g, N = example1_problem(), Grid(32), 256
+        state = initialize(p, g, N)
         for _ in range(steps):
             step(state, SolverConfig())
-        rows = 4 if (state.n - 2) % 32 == 0 else 5
-        before = (state._U1.tobytes(), state._history.tobytes(),
-                  state._records[:, :rows].tobytes())
+        before = copy.deepcopy(state)
         with pytest.raises(NonConvergenceError) as exc:
             step(state, SolverConfig(fp_max_iters=1))
         assert exc.value.step_index == state.n == steps + 2
-        assert (state._U1.tobytes(), state._history.tobytes(),
-                state._records[:, :rows].tobytes()) == before
+        assert_same_run(state, before)
+        while state.n <= N:
+            step(state, SolverConfig())
+        assert_same_run(state, run(p, g, N)[0])
 
     def test_member_error_names_the_member(self):
-        # The second member's G turns NaN: the batch step raises before it
-        # writes anything, and the error carries the member's index.
+        # The second member's G turns NaN: its error carries the member's
+        # index and the message of its run alone, and the first member
+        # keeps the bits of its own run.
         nan_law = DampingFunction(lambda v: 1.0 if v <= 1e4 else float("nan"), 1.0, 0.0)
         big = zero_problem(u0=lambda x: 100.0 * np.sin(np.pi * np.asarray(x)), damping=nan_law)
         g = Grid(8)
-        state = batch([example2_problem(), big], g, 8)
-        before = state.U_prev.copy()
         with pytest.raises(NumericalError, match="not finite") as exc:
-            step(state, SolverConfig())
-        assert (exc.value.step_index, exc.value.member) == (2, 1)
-        assert state.n == 2 and np.array_equal(state.U_prev, before)
+            run(big, g, 8)
         states = run_batch([example2_problem(), big], g, 8)
-        assert isinstance(states[0], SolverState) and states[1].member == 1
+        assert (states[1].step_index, states[1].member) == (2, 1)
         assert str(states[1]) == str(exc.value)
+        assert_same_run(states[0], run(example2_problem(), g, 8)[0])
 
     def test_raising_callable_ends_its_batch(self):
         # An exception other than NumericalError names no member, so every
@@ -387,52 +345,36 @@ class TestRunBatch:
     @pytest.mark.parametrize("sigmas", [(1.5,), (1.2, 1.5, 2.0)])
     def test_level_by_level_matches_whole_run(self, sigmas):
         # One step at a time reads the last two G from the records and
-        # writes its record at once; one whole-run call carries the G from
-        # level to level and writes the records a block at a time.  Both
-        # give the same bits, at the level-2 start and around the first
-        # block boundary (level 34): history, every record and C^N.
+        # writes its record at once; one whole-run call of a batch carries
+        # the G from level to level and writes the records a block at a
+        # time.  Both give the same bits, at the level-2 start and around
+        # the first block boundary (level 34).
         problems = [example1_problem(sigma=s) for s in sigmas]
         g = Grid(16)
         for N in (2, 3, 33, 34, 40, 65):
-            whole = run_batch(problems, g, N)
-            stepped = batch(problems, g, N)
-            while stepped.n <= N:
-                step(stepped, SolverConfig())
-            for k, state in enumerate(whole):
-                assert state.n == stepped.n == N + 1
-                for name in ("_C", "_history", "_records"):
-                    assert (getattr(state, name).tobytes()
-                            == getattr(stepped, name)[k].tobytes()), (N, name)
+            for p, whole in zip(problems, run_batch(problems, g, N)):
+                stepped = initialize(p, g, N)
+                while stepped.n <= N:
+                    step(stepped, SolverConfig())
+                assert_same_run(whole, stepped)
 
     def test_failure_inside_a_whole_run_call_keeps_the_last_level(self):
         # The second member's forcing turns NaN for t > 0.6, or for
         # t > 0.52: inside one call from level 2 to N = 64, level 39 fails,
         # past the block boundary at 34, or level 34 itself, the first of
         # its block, right after the records of levels 2..33 went out.  The
-        # state is then at the level before, with the bits of a state
-        # stepped there one level at a time without failing: no level's
-        # buffer was written over by the failing one, and every waiting
-        # record was written.  The forcing norms (record column 4) are
-        # written a block ahead, so at level 34 only the failed state has
-        # those of levels 34..64.
+        # first member goes on from the level before in a new call and
+        # keeps the bits of its run alone: no level's buffer was written
+        # over by the failing one, and every waiting record was written.
         base = example1_problem(sigma=1.5)
-        g, N, cfg = Grid(16), 64, SolverConfig()
+        g, N = Grid(16), 64
         for after, failing in ((0.6, 39), (0.52, 34)):
             bad = dataclasses.replace(base, forcing=lambda x, t, f=base.forcing, c=after: (
                 np.where(t > c, np.nan, f(x, t))))
-            states = [batch((base, bad), g, N) for _ in range(2)]
-            with pytest.raises(NumericalError, match="non-finite iterate") as exc:
-                viscobeam.stepper._advance(states[0], cfg, N + 1)
-            assert (exc.value.step_index, exc.value.member) == (failing, 1)
-            while states[1].n < failing:
-                step(states[1], cfg)
-            assert states[0].n == states[1].n == failing
-            written = N + 1 if failing == 39 else failing
-            for name, part in (("_C", ...), ("_history", ...),
-                               ("_records", np.s_[:, :4]),
-                               ("_records", np.s_[:, 4, :written])):
-                a, b = (getattr(s, name)[part] for s in states)
-                assert a.tobytes() == b.tobytes(), (failing, name, part)
+            good, failure = run_batch((base, bad), g, N)
+            assert (failure.step_index, failure.member) == (failing, 1)
+            assert "non-finite iterate" in str(failure)
+            assert_same_run(good, run(base, g, N)[0])
 
     def test_one_finiteness_check_per_pass_scans_an_overflowing_sum(self):
         # One sum of the members' G checks them all each pass.  Two finite
@@ -448,10 +390,7 @@ class TestRunBatch:
         g, N, huge = Grid(8), 2, beyond(1e308)
         problems = [example2_problem(), huge, huge]
         for state, p in zip(run_batch(problems, g, N), problems):
-            assert isinstance(state, SolverState)
-            single, series = run(p, g, N)
-            assert state._C.tobytes() == single._C.tobytes()
-            assert np.array_equal(state.series().damping, series.damping)
+            assert_same_run(state, run(p, g, N)[0])
         assert run(huge, g, N)[1].damping[-1] == 1e308
         states = run_batch([huge, beyond(math.inf), huge], g, N)
         assert isinstance(states[0], SolverState) and isinstance(states[2], SolverState)
@@ -472,7 +411,7 @@ class TestRunBatch:
         with pytest.raises(RuntimeError, match="forcing broke"):
             initialize(bad, g, 8)
         for k, p in ((0, good[0]), (2, good[1])):
-            assert np.array_equal(states[k].U_prev, run(p, g, 8)[0].U_prev)
+            assert_same_run(states[k], run(p, g, 8)[0])
 
 
 class TestForcingBlocks:
@@ -498,15 +437,9 @@ class TestForcingBlocks:
             with monkeypatch.context() as m:
                 m.setattr(viscobeam.stepper, "assemble_step_system", assemble_per_level)
                 step(oracle, cfg)
-            assert blocked.n == oracle.n
-            assert np.array_equal(blocked._U1, oracle._U1)
             # The forcing norms of a block's later levels are recorded when
             # the block is filled, the oracle's one level at a time.
-            assert np.array_equal(blocked._records[:, :, :blocked.n],
-                                  oracle._records[:, :, :oracle.n])
-        assert np.array_equal(blocked._records, oracle._records)
-        assert blocked._block[:2] == (98, 101)
-        assert np.array_equal(blocked.series().fp_iters, oracle.series().fp_iters)
+            assert_same_run(blocked, oracle)
 
     @staticmethod
     def assert_within_summation_bound(state, problem):
@@ -540,28 +473,6 @@ class TestForcingBlocks:
                 step(oracle, cfg)
         assert np.array_equal(blocked.series().fp_iters, oracle.series().fp_iters)
 
-    @pytest.mark.parametrize("J", [16, 30])
-    def test_near_part_bits(self, J):
-        # At every level of the block 66..97, r is the block's cached P plus
-        # the level's own terms, its near part a gemv against a contiguous
-        # reversed copy of the weights, bit for bit.  J = 30 has
-        # (J - 1) mod 8 = 5, where OpenBLAS's edge kernels come into play.
-        p, N, cfg = example1_problem(), 100, SolverConfig()
-        state = initialize(p, Grid(J), N)
-        rev, history = np.ascontiguousarray(state.tables.weights[..., ::-1]), state._history
-        while state.n < 66:
-            step(state, cfg)
-        for n in range(66, 98):
-            r = assemble_step_system(state)[0]
-            first, end, P, lam2, mu0_lam = state._block[:5]
-            assert (first, end) == (66, 98)
-            near = np.matmul(rev[..., None, N - n + first - 1:N - 1],
-                             history[:, first - 1:n - 1])[:, 0]
-            expected = (P[n - first] + history[:, n - 2] / state.dt
-                        - (mu0_lam * state._C + lam2 * near))
-            assert np.array_equal(r, expected), n
-            step(state, cfg)
-
     @pytest.mark.parametrize("J", [16, 64, 128, 256])
     def test_far_panels_within_summation_bound(self, rng, J):
         # Far parts over several panels: 256 history rows per panel up to
@@ -576,21 +487,17 @@ class TestForcingBlocks:
             self.assert_within_summation_bound(state, p)
 
     def test_far_part_once_per_block_near_part_short(self, monkeypatch):
-        # Across the block of levels 66..97 the far part is made once, at
-        # its first level, and each level's near product spans the rows
-        # made inside the block so far: 0, 1, .., 31.
-        p, g, N = example1_problem(), Grid(16), 100
-        state = initialize(p, g, N)
+        # The far part is made once per block, with its forcing samples
+        # (test_one_forcing_call_per_member_and_block).  Across the block of
+        # levels 66..97 each level's near product spans the rows made
+        # inside the block so far: 0, 1, .., 31.
+        state = initialize(example1_problem(), Grid(16), 100)
         while state.n < 66:
             step(state, SolverConfig())
-        far, near = [], []
-        far_history, matmul = viscobeam.stepper._far_history, np.matmul
-        monkeypatch.setattr(viscobeam.stepper, "_far_history", lambda s, w, first, end: (
-            far.append((s.n, first, end)) or far_history(s, w, first, end)))
+        near, matmul = [], np.matmul
         monkeypatch.setattr(np, "matmul", lambda a, b: near.append(b.shape[-2]) or matmul(a, b))
         for _ in range(32):
             step(state, SolverConfig())
-        assert far == [(66, 66, 98)]
         assert near == list(range(32))
 
     @pytest.mark.parametrize("n", [2, 40, 66])
@@ -615,24 +522,24 @@ class TestForcingBlocks:
         for state in (assigned, replaced):
             while state.n <= N:
                 step(state, cfg)
-        assert np.array_equal(assigned.U_prev, replaced.U_prev)
+        assert_same_run(assigned, replaced)
 
-    def test_far_block_fill_peak_memory_bounded(self, rng):
-        # The block of levels 8162..8192 at J = 64, N = 8192 sums 8161
-        # history rows through one 31 x 256 panel buffer, about 0.13 MB at
-        # peak with the block's arrays; a 31 x 8161 Toeplitz copy of the
-        # weights alone would take 2 MB.
+    def test_far_block_fill_peak_memory_bounded(self):
+        # The step to level 8162 at J = 64, N = 8192 makes the block of
+        # levels 8162..8192, which sums 8161 history rows through one
+        # 31 x 256 panel buffer, about 0.13 MB at peak with the block's
+        # arrays; a 31 x 8161 Toeplitz copy of the weights alone would take
+        # 2 MB.
         p, N = example2_problem(), 8192
         state = initialize(p, Grid(64), N)
-        state._history[:] = rng.standard_normal(state._history.shape)
-        state.n = 8162
+        while state.n < 8162:
+            step(state, SolverConfig())
         tracemalloc.start()
         try:
-            assemble_step_system(state)
+            step(state, SolverConfig())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert state._block[:2] == (8162, 8193)
         assert peak <= 0.3e6
 
     def test_member_failing_inside_a_block(self):
@@ -652,47 +559,24 @@ class TestForcingBlocks:
         assert isinstance(states[1], NumericalError) and states[1].member == 1
         assert states[1].step_index == exc.value.step_index
         for k in (0, 2):
-            single, series = run(problems[k], g, N)
-            assert np.array_equal(states[k].U_prev, single.U_prev)
-            for f in dataclasses.fields(series):
-                assert np.array_equal(getattr(states[k].series(), f.name),
-                                      getattr(series, f.name)), f.name
-
-    def test_stack_starts_with_empty_cache(self):
-        # Two one-member states stepped past level 2 hold blocks of their
-        # own; stacked, they sample a two-member block afresh, and each
-        # member keeps the bits of its run alone.
-        problems = [example1_problem(sigma=s) for s in (1.2, 2.0)]
-        g, N = Grid(16), 64
-        singles = [initialize(p, g, N) for p in problems]
-        for s in singles:
-            while s.n < 10:
-                step(s, SolverConfig())
-        state = viscobeam.stepper._stack(singles)
-        while state.n <= N:
-            step(state, SolverConfig())
-        for row, p in zip(state.U_prev, problems):
-            assert np.array_equal(row, run(p, g, N)[0].U_prev)
+            assert_same_run(states[k], run(problems[k], g, N)[0])
 
     def test_restacked_long_batch_keeps_single_run_bits(self):
-        # Histories longer than one far-part panel of 256 rows: two members
-        # stepped alone to level 300, inside the block of levels 290..321,
-        # are stacked and refill that block from level 290.  Panels do not
-        # depend on the batch, so each member keeps the bits of its run
-        # alone up to N = 600.
-        problems = [example1_problem(sigma=s) for s in (1.2, 2.0)]
+        # Histories longer than one far-part panel of 256 rows: the middle
+        # member's forcing turns NaN for t > 0.4975, so it fails at level
+        # 299, inside the block of levels 290..321.  The other two go on
+        # from level 299 as a new batch, which makes that block again at
+        # level 299.  Panels do not depend on the batch, so each keeps the
+        # bits of its run alone up to N = 600.
         g, N = Grid(8), 600
-        singles = [initialize(p, g, N) for p in problems]
-        for s in singles:
-            while s.n < 300:
-                step(s, SolverConfig())
-        state = viscobeam.stepper._stack(singles)
-        step(state, SolverConfig())
-        assert state._block[:2] == (290, 322)
-        while state.n <= N:
-            step(state, SolverConfig())
-        for row, p in zip(state.U_prev, problems):
-            assert np.array_equal(row, run(p, g, N)[0].U_prev)
+        bad = example1_problem(sigma=1.5)
+        bad = dataclasses.replace(bad, forcing=lambda x, t, f=bad.forcing: (
+            np.where(t > 0.4975, np.nan, f(x, t))))
+        problems = [example1_problem(sigma=1.2), bad, example1_problem(sigma=2.0)]
+        states = run_batch(problems, g, N)
+        assert states[1].step_index == 299
+        for k in (0, 2):
+            assert_same_run(states[k], run(problems[k], g, N)[0])
 
     def test_raising_forcing_leaves_state_unchanged(self):
         # A forcing that raises for t > 0.5 raises when the block of levels
@@ -708,21 +592,20 @@ class TestForcingBlocks:
         state = initialize(dataclasses.replace(base, forcing=forcing), Grid(16), 100)
         while state.n < 34:
             step(state, cfg)
-        before = [a.copy() for a in (state._U1, state._history, state._records)]
+        before = copy.deepcopy(state)
         for _ in range(2):
             with pytest.raises(RuntimeError, match="forcing broke"):
                 step(state, cfg)
-            assert state.n == 34
-            after = (state._U1, state._history, state._records)
-            assert all(np.array_equal(a, b) for a, b in zip(after, before))
+            assert_same_run(state, before)
 
     def test_stepping_memory_does_not_grow_with_N(self):
         # The records of a whole-run call wait in a list for one block of
         # levels at most.  So the traced peak of run_batch at J = 16, less
-        # the arrays of about N entries it holds (history, records, the
-        # kernel tables and the Toeplitz window's reversed weights), is the same
-        # within 16 kB at N = 1024 and N = 8192; records held for the whole
-        # call would add about 0.4 kB per level.  The problem has no memory,
+        # the arrays of about N entries it holds (the history, J - 1 floats
+        # a level, five records, the weights, the tail and the Toeplitz
+        # window's reversed weights), is the same within 16 kB at N = 1024
+        # and N = 8192; records held for the whole call would add about
+        # 0.4 kB per level.  The problem has no memory,
         # so the kernel tables take no quadrature scratch, which would set
         # the peak at N = 1024.
         # A first run, untraced, makes what is made once per process.
@@ -736,19 +619,17 @@ class TestForcingBlocks:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            tables = state.tables
-            held = sum(a.nbytes for a in (state._history, state._records, tables.weights,
-                                          tables.tail))
-            window = 8 * (N + viscobeam.stepper._BLOCK_LEVELS - 1)
-            peaks[N] = peak - held - window
+            peaks[N] = peak - 8 * N * (state.grid.n_interior + 8)
         assert abs(peaks[8192] - peaks[1024]) <= 16e3, peaks
 
     def test_step_peak_memory_bounded(self):
         # 64 steps of a 4-member batch at J = 64 hold one block of
         # 4 x 32 x 63 floats of forcing and one of the history's far part,
         # the transform's temporaries and one panel buffer at a time,
-        # about 0.5 MB; a longer block would show here.
-        state = batch([example1_problem(sigma=s) for s in (1.2, 1.5, 2.0, 2.5)], Grid(64), 128)
+        # about 0.5 MB; a longer block would show here.  The batch is made
+        # as run_batch makes it, to be stepped by hand.
+        state = _stack([_start(example1_problem(sigma=s), Grid(64), 128)
+                        for s in (1.2, 1.5, 2.0, 2.5)])
         tracemalloc.start()
         try:
             for _ in range(64):
@@ -769,8 +650,7 @@ class TestVelocitySolve:
         # 7.1e-11 relative here; the velocity form has none and reads
         # 1.2e-12.
         p, g, N = example1_problem(), Grid(16), 4096
-        state, _ = run(p, g, N)
-        U = state._U1[0]
+        U = sine_transform(run(p, g, N)[0].U_prev)
         ref = long_double_solution(p, g, N)
         assert float(np.linalg.norm(U - ref) / np.linalg.norm(ref)) <= 5e-12
 
@@ -843,28 +723,8 @@ class TestRun:
             assert len(series.n) == N
             assert series.t[-1] == pytest.approx(p.T, rel=1e-14)
 
-    def test_example1_within_iteration_budget(self):
-        p = example1_problem(sigma=1.2, gamma=1.0, alpha=0.5)
-        cfg = SolverConfig(fp_max_iters=50)
-        _, series = run(p, Grid(32), 256, cfg)
-        assert series.fp_iters[1:].max() <= 50
-        assert series.fp_iters[1:].min() >= 1
-
     def test_deterministic_reruns_bit_identical(self):
-        p = example1_problem()
-        s1, t1 = run(p, Grid(16), 32)
-        s2, t2 = run(p, Grid(16), 32)
-        assert np.array_equal(s1.U_prev, s2.U_prev)
-        for name in ("t", "vel_norm", "curv_norm", "damping", "fp_iters"):
-            assert np.array_equal(getattr(t1, name), getattr(t2, name))
-
-    def test_mirror_symmetry_preserved(self):
-        # Example 2 data are symmetric about x = 1/2 and every operator in
-        # the scheme commutes with the mirror, up to solver roundoff.
-        p = example2_problem()
-        _, levels = solve_levels(p, Grid(64), 64)
-        worst = max(max_norm(U - U[::-1]) for U in levels)
-        assert worst <= 1e-12
+        assert_same_run(*(run(example1_problem(), Grid(16), 32)[0] for _ in range(2)))
 
     def test_scheme_residual_bound(self, rng):
         # Substituting accepted levels back into the discrete equation,
@@ -936,31 +796,25 @@ class TestRun:
         # The far part of the history sum is made once per block of 32
         # levels as panel products, which BLAS runs as matrix products.  At
         # J = 64, N = 8192 one fill at level 4098 must cost at most 16 bare
-        # gemvs over the same 4097 history rows, where a gemv per step
-        # would cost 32.  The fill is timed as assembly at the block's
-        # first level with the cache emptied minus assembly with the block
-        # cached; each is the fastest of many interleaved calls, so
+        # gemvs over 4097 history rows, where a gemv per step would cost
+        # 32.  The fill is timed as assembly at the block's first level on
+        # a replaced state, whose cache is empty, minus assembly with the
+        # block cached; each is the fastest of many interleaved calls, so
         # scheduler noise drops out.  The fill also samples and transforms
         # the (zero) forcing of its 32 levels, one to two gemvs' worth.
         p, N, n0 = example2_problem(), 8192, 4098
         state = initialize(p, Grid(64), N)
-        state._history[:] = rng.standard_normal(state._history.shape)
-        state.n = n0
-        w, rows = rng.standard_normal(n0 - 1), state._history[0, :n0 - 1]
-
-        def fill():
-            state._block = viscobeam.stepper._NO_BLOCK
-            assemble_step_system(state)
-
-        calls = {"fill": fill, "cached": lambda: assemble_step_system(state),
-                 "gemv": lambda: w @ rows}
+        while state.n < n0:
+            step(state, SolverConfig())
+        w, rows = rng.standard_normal(n0 - 1), rng.standard_normal((n0 - 1, 63))
+        calls = {"fill": lambda: assemble_step_system(dataclasses.replace(state)),
+                 "cached": lambda: assemble_step_system(state), "gemv": lambda: w @ rows}
         best = dict.fromkeys(calls, math.inf)
         for _ in range(100):
             for key, call in calls.items():
                 t0 = time.perf_counter()
                 call()
                 best[key] = min(best[key], time.perf_counter() - t0)
-        assert state._block[:2] == (n0, n0 + 32)
         assert best["fill"] - best["cached"] <= 16.0 * best["gemv"]
 
 
@@ -1009,11 +863,10 @@ class TestSerialization:
     def test_csv_writer_peak_memory_bounded(self, tmp_path, rng):
         # 8192 rows of 10 columns take about 45 kB at peak in blocks of 64
         # rows; blocks of 128 took 82 kB and of 256 took 154 kB.
-        cols = {f"c{k}": rng.standard_normal(8192) for k in range(10)}
-        cols["c0"] = np.arange(8192)
+        series = viscobeam.stepper.TimeSeries(np.arange(8192), *rng.standard_normal((9, 8192)))
         tracemalloc.start()
         try:
-            viscobeam.stepper._write_csv(tmp_path / "big.csv", cols)
+            series.to_csv(tmp_path / "big.csv")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from viscobeam import (
     ConfigurationError,
     Grid,
     DampingFunction,
+    KernelSpec,
+    KernelTables,
     NumericalError,
     ProblemSpec,
     rate,
@@ -82,6 +85,22 @@ class TestStudySpec:
         with pytest.raises(ConfigurationError,
                            match="^spatial studies need a fixed step count N$"):
             StudySpec(axis=SPATIAL, cells=cells, levels=2, grid=Grid(8), N=0)
+
+    # Each once got through: tables of 8.0 steps built 8 weights and of
+    # True steps one, a study of N = 8.0 failed its cell at run time and
+    # one of 2.0 levels raised a raw TypeError from run_study.
+    @pytest.mark.parametrize("make, bad, good, name", [
+        (lambda n: KernelTables.build(KernelSpec("non_oscillatory", 1.5, 0.0, 0.5), 0.125, n),
+         bad, 8, "step count N") for bad in (8.0, True)] + [
+        (lambda n: StudySpec(TEMPORAL, (StudyCell("c", zero_problem()),), 2, Grid(8), n),
+         8.0, 8, "step count N"),
+        (lambda n: StudySpec(TEMPORAL, (StudyCell("c", zero_problem()),), n, Grid(8), 8),
+         2.0, 2, "study levels")], ids=["tables-N-8.0", "tables-N-True", "study-N", "study-levels"])
+    def test_counts_must_be_integers(self, make, bad, good, name):
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"{name} must be an integer (got {bad!r})")):
+            make(bad)
+        make(np.int64(good))
 
     def test_spatial_levels_double_the_grid(self):
         s = StudySpec(axis=SPATIAL, cells=(StudyCell("c", zero_problem()),),
