@@ -180,9 +180,6 @@ class TestStep:
             step(state, cfg)
         assert exc.value.step_index == 2
         assert exc.value.last_increment > 1e-12
-        with pytest.raises(NonConvergenceError) as exc:
-            run(p, Grid(32), 16, cfg)
-        assert exc.value.step_index == 2
 
     def test_step_past_end_rejected(self):
         state = initialize(zero_problem(), Grid(8), 2)
@@ -264,6 +261,12 @@ class TestStep:
         g = Grid(16)
         assert_same_run(run(problem(lambda x, t: 1.0), g, 16)[0],
                         run(problem(lambda x, t: np.ones_like(x)), g, 16)[0])
+
+    def test_run_propagates_failing_step_index(self):
+        p = example1_problem()
+        with pytest.raises(NonConvergenceError) as exc:
+            run(p, Grid(32), 16, SolverConfig(fp_max_iters=1))
+        assert exc.value.step_index == 2
 
 
 class TestZeroLoad:
