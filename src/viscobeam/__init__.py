@@ -39,13 +39,6 @@ from .diagnostics import (
     energy,
     stability_monitor,
 )
-from .studies import (
-    ConvergenceReport,
-    StudyCell,
-    StudySpec,
-    rate,
-    run_study,
-)
 from .presets import example1_problem, example2_problem, preset_config
 
 __all__ = [
@@ -59,3 +52,13 @@ __all__ = [
     "second_difference_eigenvalues", "sine_transform", "stability_monitor",
     "step", "write_solution_csv",
 ]
+
+#: Names of the study harness, which loads on first use of one of them.
+_STUDY_NAMES = ("ConvergenceReport", "StudyCell", "StudySpec", "rate", "run_study")
+
+
+def __getattr__(name):
+    if name in _STUDY_NAMES:
+        from . import studies
+        return getattr(studies, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

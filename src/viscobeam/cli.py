@@ -27,7 +27,6 @@ from .diagnostics import data_functional, stability_monitor
 from .kernel import ConfigurationError, KernelTables
 from .presets import preset_config
 from .stepper import NumericalError, _write_csv, run, write_solution_csv
-from .studies import run_study
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -82,6 +81,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_study(args) -> int:
+    from .studies import run_study  # loaded by the one command that needs it
+
     cfg = _load(args)
     study = build_study(cfg)
     solver = build_solver_config(cfg)

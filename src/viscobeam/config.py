@@ -20,6 +20,7 @@ import copy
 import inspect
 import json
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -27,7 +28,9 @@ from .grid_ops import Grid
 from .kernel import ConfigurationError, KernelSpec
 from .model import DampingFunction, ProblemSpec
 from .stepper import SolverConfig
-from .studies import TEMPORAL, StudyCell, StudySpec
+
+if TYPE_CHECKING:
+    from .studies import StudySpec
 
 _SECTIONS = ("kernel", "damping", "initial", "forcing", "grid", "time",
              "solver", "study")
@@ -223,6 +226,9 @@ def build_solver_config(config: dict) -> SolverConfig:
 
 
 def build_study(config: dict) -> StudySpec:
+    # Imported here, so that a run that builds no study never loads the harness.
+    from .studies import TEMPORAL, StudyCell, StudySpec
+
     section = config.get("study")
     if not section:
         raise ConfigurationError("config has no 'study' section")

@@ -20,11 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import math
-import numbers
 
 import numpy as np
 
-from .kernel import ConfigurationError
+from .kernel import ConfigurationError, require_integer
 
 
 @dataclass(frozen=True)
@@ -35,8 +34,7 @@ class Grid:
 
     def __post_init__(self):
         J = self.J
-        if isinstance(J, bool) or not isinstance(J, numbers.Integral):
-            raise ConfigurationError(f"grid J must be an integer (got J={J!r})")
+        require_integer(J, "grid J")
         if J < 4:
             raise ConfigurationError(
                 f"need J >= 4 so the biharmonic stencil has an unclipped row "

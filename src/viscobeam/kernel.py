@@ -91,9 +91,9 @@ class ConfigurationError(ValueError):
 
 
 def require_integer(value, name: str) -> None:
-    """The one rule for step counts and ladder levels: a value that is not
-    an integer (``bool`` included; a numpy integer is one) is a
-    ConfigurationError naming ``name``."""
+    """The one rule for step counts, ladder levels, grid sizes and iteration
+    caps: a value that is not an integer (``bool`` included; a numpy
+    integer is one) is a ConfigurationError naming ``name``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigurationError(f"{name} must be an integer (got {value!r})")
 

@@ -134,7 +134,8 @@ class SolverConfig:
             raise ConfigurationError(
                 f"solver.fp_tol must be positive and finite (got {tol!r})")
         n = self.fp_max_iters
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        require_integer(n, "solver.fp_max_iters")
+        if n < 1:
             raise ConfigurationError(
                 f"solver.fp_max_iters must be an integer of at least 1 (got {n!r})")
 

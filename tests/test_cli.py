@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from viscobeam import KernelTables, NumericalError, cli
+from viscobeam import KernelTables, NumericalError, cli, studies
 from viscobeam.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from viscobeam.presets import example1_problem
 
@@ -287,8 +287,9 @@ class TestErrorPaths:
         def unreached(*args, **kwargs):
             raise AssertionError("the run started")
 
-        for name in ("run", "run_study"):
-            monkeypatch.setattr(cli, name, unreached)
+        # study loads run_study from viscobeam.studies when it is called.
+        monkeypatch.setattr(cli, "run", unreached)
+        monkeypatch.setattr(studies, "run_study", unreached)
         monkeypatch.setattr(KernelTables, "build", unreached)
         blocker = tmp_path / "file"
         blocker.write_text("")
@@ -560,6 +561,30 @@ from viscobeam.cli import main
 assert main(["study", "--preset", "example2-temporal", "--set", "grid.J=8",
              "--set", "time.N=4", "--set", "study.levels=2", "-o", {str(tmp_path)!r}]) == 0
 assert "numpy.polynomial" not in sys.modules
+"""
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_only_study_loads_the_study_harness(self, tmp_path):
+        # solve, stability and weights once imported viscobeam.studies, and
+        # with it csv, at ``import viscobeam.cli``; now only study loads it.
+        script = f"""
+import sys
+import viscobeam
+from viscobeam.cli import main
+for argv in (
+        ["solve", "--preset", "example1", "--set", "grid.J=8", "--set", "time.N=8"],
+        ["stability", "--preset", "example2-longtime", "--set", "grid.J=8",
+         "--set", "time.N=50", "--set", "time.T=5"],
+        ["weights", "--preset", "example1", "--set", "time.N=8"]):
+    assert main(argv + ["-o", {str(tmp_path)!r}]) == 0, argv
+loaded = [m for m in ("viscobeam.studies", "csv") if m in sys.modules]
+assert not loaded, loaded
+assert main(["study", "--preset", "example2-temporal", "--set", "grid.J=8",
+             "--set", "time.N=4", "--set", "study.levels=2", "-o", {str(tmp_path)!r}]) == 0
+assert "viscobeam.studies" in sys.modules
+assert viscobeam.run_study is sys.modules["viscobeam.studies"].run_study
 """
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True)
