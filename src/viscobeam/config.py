@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .grid_ops import Grid
-from .kernel import ConfigurationError, KernelSpec
+from .kernel import ConfigurationError, KernelSpec, require_integer
 from .model import DampingFunction, ProblemSpec
 from .stepper import SolverConfig
 
@@ -216,8 +216,7 @@ def build_grid(config: dict) -> Grid:
 def build_steps(config: dict) -> int:
     n = _number(_section(config, "time", _TIME_KEYS).get("N", 128), "time.N",
                 integral=True)
-    if n < 1:
-        raise ConfigurationError(f"step count N must be at least 1 (got {n})")
+    require_integer(n, "step count N", 1)
     return n
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import ConfigurationError
+from .kernel import ConfigurationError, require_real
 
 
 def energy(vel_norm, curv_norm, g0: float, mu0: float, dt: float):
@@ -85,14 +85,14 @@ def stability_monitor(steps, total, data_functional: float,
     ``steps`` labels the entries of ``total``; the first violating one is
     reported otherwise.  ``safety`` stands in for the uncomputable constant
     of the underlying estimate; the default 1e3 is deliberately loose so
-    that only genuine blow-ups trip it.  A factor below 1, infinite or NaN
-    raises ``ValueError``: it would make the bound no bound, or a PASS
-    that nothing could fail.  For the same reason a bound
-    ``safety * data_functional`` that overflows or is NaN raises
-    :class:`ConfigurationError`, itself a ``ValueError``.
+    that only genuine blow-ups trip it.  A factor below 1, infinite or
+    NaN, or a bound ``safety * data_functional`` that overflows or is NaN,
+    raises :class:`ConfigurationError`: it would make the bound no bound,
+    or a PASS that nothing could fail.
     """
+    require_real(safety, "safety factor")
     if not 1.0 <= safety < np.inf:
-        raise ValueError(f"safety factor must be at least 1 and finite (got {safety!r})")
+        raise ConfigurationError(f"safety factor must be at least 1 and finite (got {safety!r})")
     bound = safety * data_functional
     if not np.isfinite(bound):
         raise ConfigurationError(

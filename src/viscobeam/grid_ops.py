@@ -23,22 +23,21 @@ import math
 
 import numpy as np
 
-from .kernel import ConfigurationError, require_integer
+from .kernel import require_integer
 
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform grid with J subintervals on [0, 1]; h = 1/J."""
+    """Uniform grid with J subintervals on [0, 1]; h = 1/J.
+
+    J is an integer of at least 4, so the biharmonic stencil has a row
+    that reaches no ghost node.
+    """
 
     J: int
 
     def __post_init__(self):
-        J = self.J
-        require_integer(J, "grid J")
-        if J < 4:
-            raise ConfigurationError(
-                f"need J >= 4 so the biharmonic stencil has an unclipped row "
-                f"(got J={J})")
+        require_integer(self.J, "grid J", 4)
 
     @property
     def h(self) -> float:

@@ -90,12 +90,21 @@ class ConfigurationError(ValueError):
     """A kernel/problem specification violates its stated parameter ranges."""
 
 
-def require_integer(value, name: str) -> None:
+def require_real(value, name: str) -> None:
+    """The one type test of real inputs: a value that is not a real number
+    (``bool`` included) is a ConfigurationError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{name} must be a real number (got {value!r})")
+
+
+def require_integer(value, name: str, least: int) -> None:
     """The one rule for step counts, ladder levels, grid sizes and iteration
     caps: a value that is not an integer (``bool`` included; a numpy
-    integer is one) is a ConfigurationError naming ``name``."""
+    integer is one) or is below ``least`` is a ConfigurationError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigurationError(f"{name} must be an integer (got {value!r})")
+    if value < least:
+        raise ConfigurationError(f"{name} must be at least {least} (got {value!r})")
 
 
 @dataclass(frozen=True)
@@ -136,6 +145,8 @@ class KernelSpec:
         if self.family not in _FAMILIES:
             raise ConfigurationError(f"unknown kernel family {self.family!r}; "
                                      f"expected one of {_FAMILIES}")
+        for name in ("sigma", "gamma", "alpha"):
+            require_real(getattr(self, name), f"kernel {name}")
         errs = []
         if self.has_memory and not self.sigma > 1.0:
             errs.append(
@@ -244,11 +255,10 @@ class KernelTables:
         finite (J2 grows like t**2, so it overflows past about 1e154) is a
         ConfigurationError that names it: bad input, not a failure of the
         run.  numpy warns of none of them."""
+        require_real(dt, "time step T/N")
         if not 0.0 < dt < math.inf:
             raise ConfigurationError(f"time step T/N must be positive and finite (got {dt!r})")
-        require_integer(n_steps, "step count N")
-        if n_steps < 1:
-            raise ConfigurationError(f"step count N must be at least 1 (got {n_steps})")
+        require_integer(n_steps, "step count N", 1)
         ts = dt * np.arange(n_steps + 1)
         # An overflow is reported below, as the error it is, not as a warning.
         with np.errstate(over="ignore", invalid="ignore"):

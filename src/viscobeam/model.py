@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kernel import ConfigurationError, KernelSpec
+from .kernel import ConfigurationError, KernelSpec, require_real
 
 #: Upper end of the sampling range used to spot-check damping bounds.  The
 #: theory only needs them on the (unknowable a priori) range the solution
@@ -45,6 +45,10 @@ class DampingFunction:
     fn: Callable[[float], float] = field(repr=False)
     g0: float
     lipschitz: float
+
+    def __post_init__(self):
+        require_real(self.g0, "damping lower bound g0")
+        require_real(self.lipschitz, "damping Lipschitz constant")
 
     def __call__(self, v: float) -> float:
         return float(self.fn(v))
@@ -100,6 +104,7 @@ class ProblemSpec:
         relative to their scale (hinged-boundary compatibility).  The
         kernel checked its own ranges when it was built.
         """
+        require_real(self.T, "time horizon T")
         errs = []
         d = self.damping
         if not d.g0 > 0.0:

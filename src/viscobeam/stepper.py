@@ -60,7 +60,6 @@ it is reached, so both give the same bits.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -68,7 +67,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import diagnostics
 from .grid_ops import Grid, second_difference_eigenvalues, sine_transform
-from .kernel import ConfigurationError, KernelTables, require_integer
+from .kernel import ConfigurationError, KernelTables, require_integer, require_real
 from .model import ProblemSpec
 
 _CSV_BLOCK_ROWS = 64
@@ -128,16 +127,11 @@ class SolverConfig:
     fp_max_iters: int = 50
 
     def __post_init__(self):
-        tol = self.fp_tol
-        if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
-                or not 0.0 < tol < math.inf):
+        require_real(self.fp_tol, "solver.fp_tol")
+        if not 0.0 < self.fp_tol < math.inf:
             raise ConfigurationError(
-                f"solver.fp_tol must be positive and finite (got {tol!r})")
-        n = self.fp_max_iters
-        require_integer(n, "solver.fp_max_iters")
-        if n < 1:
-            raise ConfigurationError(
-                f"solver.fp_max_iters must be an integer of at least 1 (got {n!r})")
+                f"solver.fp_tol must be positive and finite (got {self.fp_tol!r})")
+        require_integer(self.fp_max_iters, "solver.fp_max_iters", 1)
 
 
 def _unbatched(a: np.ndarray) -> np.ndarray:
@@ -264,14 +258,9 @@ def _start(problem: ProblemSpec, grid: Grid, N: int) -> SolverState:
     records stop at level 1, the forcing norms at levels 0 and 1
     included.  Level 1's record, made with 0 iterations, goes through
     :func:`_flush_records` as every later level's does; level 0's stays
-    zero but for its forcing norm.  A step count that is not an integer
-    (``bool`` included) is a ConfigurationError, by the rule that the
-    tables and studies apply too, and so is fewer than one step, as
-    :meth:`KernelTables.build` would raise it, raised here because the
-    step T/N is taken first."""
-    require_integer(N, "step count N")
-    if N < 1:
-        raise ConfigurationError(f"step count N must be at least 1 (got {N})")
+    zero but for its forcing norm.  A step count is checked here, as
+    the tables check it, because the step T/N is taken first."""
+    require_integer(N, "step count N", 1)
     dt = problem.T / N
     U0, u1 = sine_transform(np.stack([problem.u0(grid.x), problem.u1(grid.x)]))
     U1 = U0 + dt * u1

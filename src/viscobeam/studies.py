@@ -60,7 +60,8 @@ class StudySpec:
     ``levels`` - 1 times while the other stays fixed.  A preceding
     half-coarse run anchors the first row's error, so a temporal base N
     must be even and a spatial base J even with J/2 >= 4; the grid itself
-    has checked J >= 4.  Both counts must be integers.
+    has checked J >= 4.  Both counts are integers, with at least 2 levels
+    and 1 step.
     """
 
     axis: str
@@ -72,20 +73,15 @@ class StudySpec:
     def __post_init__(self):
         if self.axis not in (TEMPORAL, SPATIAL):
             raise ConfigurationError(f"unknown study axis {self.axis!r}")
-        require_integer(self.levels, "study levels")
-        require_integer(self.N, "step count N")
-        if self.levels < 2:
-            raise ConfigurationError("a study needs at least two refinement levels")
+        require_integer(self.levels, "study levels", 2)
+        require_integer(self.N, "step count N", 1)
         if self.axis == TEMPORAL:
-            if self.N < 2 or self.N % 2:
+            if self.N % 2:
                 raise ConfigurationError("temporal studies need an even base step count")
-        else:
-            if self.grid.J % 2 or self.grid.J // 2 < 4:
-                raise ConfigurationError(
-                    "spatial studies need an even base J with J/2 >= 4 so "
-                    "grids nest down to the anchor level")
-            if self.N < 1:
-                raise ConfigurationError("spatial studies need a fixed step count N")
+        elif self.grid.J % 2 or self.grid.J // 2 < 4:
+            raise ConfigurationError(
+                "spatial studies need an even base J with J/2 >= 4 so "
+                "grids nest down to the anchor level")
 
     def display_levels(self) -> list[int]:
         base = self.N if self.axis == TEMPORAL else self.grid.J

@@ -164,6 +164,13 @@ class TestErrorPaths:
             # The config once said "must be positive", the tables "at least 1".
             *((["solve", "--preset", "example1", "--set", f"time.N={n}"],
                f"step count N must be at least 1 (got {n})") for n in (0, -2)),
+            # Each count once stated its own minimum in its own words.
+            (["solve", "--preset", "example1", "--set", "grid.J=3"],
+             "grid J must be at least 4 (got 3)"),
+            (["solve", "--preset", "example1", "--set", "solver.fp_max_iters=0"],
+             "solver.fp_max_iters must be at least 1 (got 0)"),
+            (["study", "--preset", "example2-temporal", "--set", "study.levels=1"],
+             "study levels must be at least 2 (got 1)"),
             # The forcing t**-0.5 is infinite at t = 0 alone, which solve
             # never loads; the message once blamed --safety for it.
             (["stability", "--preset", "example1", "--set", "forcing.alpha=-0.5"],

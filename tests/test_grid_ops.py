@@ -29,7 +29,7 @@ class TestGrid:
         assert np.allclose(g.x, np.arange(1, 8) / 8.0)
 
     def test_rejects_small_grids(self):
-        with pytest.raises(ConfigurationError, match=r"need J >= 4 .*\(got J=3\)"):
+        with pytest.raises(ConfigurationError, match=r"^grid J must be at least 4 \(got 3\)$"):
             Grid(3)
 
     @pytest.mark.parametrize("J", [8.5, "8", True])

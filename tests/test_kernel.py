@@ -14,12 +14,13 @@ from viscobeam import (
     NON_OSCILLATORY,
     OSCILLATORY,
 )
-from viscobeam import kernel
+from viscobeam import DampingFunction, kernel
 from viscobeam.config import build_problem, build_steps
+from viscobeam.diagnostics import stability_monitor
 from viscobeam.presets import preset_config
 
 from conftest import (oracle_beta, oracle_tail, oracle_tail_antiderivatives,
-                      oracle_weight, tail_antiderivatives)
+                      oracle_weight, tail_antiderivatives, zero_problem)
 
 OSC = lambda s, g, a: KernelSpec(family=OSCILLATORY, sigma=s, gamma=g, alpha=a)
 NONOSC = lambda s, a: KernelSpec(family=NON_OSCILLATORY, sigma=s, alpha=a)
@@ -104,6 +105,23 @@ class TestSpecValidation:
                    r"elastic coefficient would be non-positive$")
         with pytest.raises(ConfigurationError, match=message):
             KernelSpec(NON_OSCILLATORY, np.nextafter(1.0, 2.0), 0.0, 0.01)
+
+
+# Each once raised a raw TypeError from a comparison, or, for T = True,
+# built a problem of horizon 1.
+@pytest.mark.parametrize("make, message", [
+    (lambda: KernelSpec(NON_OSCILLATORY, "2", 0.0, 0.5), "kernel sigma"),
+    (lambda: zero_problem(T="1"), "time horizon T"),
+    (lambda: zero_problem(T=True), "time horizon T"),
+    (lambda: KernelTables.build(NONOSC(1.5, 0.5), "0.1", 8), "time step T/N"),
+    (lambda: stability_monitor([1], [1.0], 1.0, safety="5"), "safety factor"),
+    (lambda: DampingFunction(lambda v: 1.0, "1", 0.0), "damping lower bound g0"),
+    (lambda: DampingFunction(lambda v: 1.0, 1.0, "0"), "damping Lipschitz constant"),
+], ids=["kernel-sigma", "T-str", "T-bool", "tables-dt", "safety", "damping-g0",
+        "damping-lipschitz"])
+def test_real_inputs_must_be_real_numbers(make, message):
+    with pytest.raises(ConfigurationError, match=f"^{message} must be a real number"):
+        make()
 
 
 class TestKernelTail:

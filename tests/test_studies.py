@@ -74,7 +74,8 @@ class TestStudySpec:
         cells = (StudyCell("c", zero_problem()),)
         with pytest.raises(ConfigurationError, match="unknown study axis 'sideways'"):
             StudySpec(axis="sideways", cells=cells, levels=3, grid=Grid(8), N=8)
-        with pytest.raises(ConfigurationError, match="at least two refinement levels"):
+        with pytest.raises(ConfigurationError,
+                           match=r"^study levels must be at least 2 \(got 1\)$"):
             StudySpec(axis=TEMPORAL, cells=cells, levels=1, grid=Grid(8), N=8)
         with pytest.raises(ConfigurationError, match="J/2 >= 4"):
             # anchor grid would be J = 3, too small for the stencil
@@ -83,7 +84,7 @@ class TestStudySpec:
                            match="^temporal studies need an even base step count$"):
             StudySpec(axis=TEMPORAL, cells=cells, levels=2, grid=Grid(8), N=7)
         with pytest.raises(ConfigurationError,
-                           match="^spatial studies need a fixed step count N$"):
+                           match=r"^step count N must be at least 1 \(got 0\)$"):
             StudySpec(axis=SPATIAL, cells=cells, levels=2, grid=Grid(8), N=0)
 
     # Each once got through: tables of 8.0 steps built 8 weights and of

@@ -70,6 +70,10 @@ COMMANDS = (
     ("solve", "--preset", "example1", "--set", "grid.j=8"),
     ("weights", "--preset", "example2", "--set", "kernel.alpha=0.01", "--set", "time.T=10",
      "--set", "time.N=10"),
+    # Counts below their least value: a grid, an iteration cap and a ladder.
+    ("solve", "--preset", "example1", "--set", "grid.J=3"),
+    ("solve", "--preset", "example1", "--set", "solver.fp_max_iters=0"),
+    ("study", "--preset", "example2-temporal", "--set", "study.levels=1"),
 )
 _CREATED = re.compile(rb'"created": "[^"]*"')
 
