@@ -3,6 +3,8 @@ tempered power-law memory, plus a self-convergence study harness."""
 
 __version__ = "0.1.0"
 
+import types as _types
+
 from .kernel import (
     ConfigurationError,
     KernelSpec,
@@ -41,20 +43,13 @@ from .diagnostics import (
 )
 from .presets import example1_problem, example2_problem, preset_config
 
-__all__ = [
-    "ConfigurationError", "ConvergenceReport", "DampingFunction",
-    "Grid", "KernelSpec", "KernelTables", "NO_MEMORY",
-    "NON_OSCILLATORY", "NonConvergenceError", "NumericalError", "OSCILLATORY",
-    "ProblemSpec", "SolverConfig", "SolverState", "StabilityVerdict",
-    "StudyCell", "StudySpec", "TimeSeries", "assemble_step_system",
-    "data_functional", "energy", "example1_problem", "example2_problem",
-    "initialize", "norm", "preset_config", "rate", "run", "run_study",
-    "second_difference_eigenvalues", "sine_transform", "stability_monitor",
-    "step", "write_solution_csv",
-]
-
 #: Names of the study harness, which loads on first use of one of them.
 _STUDY_NAMES = ("ConvergenceReport", "StudyCell", "StudySpec", "rate", "run_study")
+#: Every public name the imports above bind, their submodules left out, and
+#: the study harness's.
+__all__ = sorted([name for name, value in globals().items()
+                  if not name.startswith("_") and not isinstance(value, _types.ModuleType)]
+                 + list(_STUDY_NAMES))
 
 
 def __getattr__(name):

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .config import (apply_overrides, build_grid, build_problem, build_solver_config,
                      build_steps, build_study, load_config)
-from .diagnostics import data_functional, stability_monitor
+from .diagnostics import DEFAULT_SAFETY, data_functional, require_safety, stability_monitor
 from .kernel import ConfigurationError, KernelTables
 from .presets import preset_config
 from .stepper import NumericalError, _write_csv, run, write_solution_csv
@@ -73,9 +73,9 @@ def _cmd_solve(args) -> int:
     problem, grid, N, solver, out = _setup(args)
     state, series = run(problem, grid, N, solver)
     series.to_csv(out / "timeseries.csv")
-    write_solution_csv(out / "solution.csv", grid, state.U_prev)
-    print(f"solved {N} steps on J={grid.J}; final |u|_max = "
-          f"{np.max(np.abs(state.U_prev)):.6e}")
+    U = state.U_prev
+    write_solution_csv(out / "solution.csv", grid, U)
+    print(f"solved {N} steps on J={grid.J}; final |u|_max = {np.max(np.abs(U)):.6e}")
     print(f"wrote {out / 'solution.csv'} and {out / 'timeseries.csv'}")
     return EXIT_OK
 
@@ -99,23 +99,10 @@ def _cmd_study(args) -> int:
 
 
 def _cmd_stability(args) -> int:
-    # Checked before the run: a bound below the data functional is no bound,
-    # and an infinite or NaN one passes whatever the energy does.
-    if not 1.0 <= args.safety < np.inf:
-        raise ConfigurationError(f"--safety must be at least 1 and finite (got {args.safety})")
+    require_safety(args.safety)  # before the run, so a bad factor costs none
     problem, grid, N, solver, out = _setup(args)
     state, series = run(problem, grid, N, solver)
-    # A data functional that is not finite is the data's fault, not --safety's:
-    # say a forcing singular at t = 0, a level the run samples for its norm alone.
-    functional = data_functional(state)
-    if not np.isfinite(functional):
-        raise ConfigurationError(f"stability data functional {functional:.6e} is not finite; it "
-                                 "sums norms of the initial data and of the forcing at every "
-                                 "level, t = 0 included")
-    try:
-        verdict = stability_monitor(series.n, series.total, functional, safety=args.safety)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"--safety {args.safety}: {exc}") from None
+    verdict = stability_monitor(series.n, series.total, data_functional(state), args.safety)
     series.to_csv(out / "timeseries.csv")
     print(verdict)
     print(f"wrote {out / 'timeseries.csv'}")
@@ -157,8 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("study", help="convergence ladder; writes report CSV/JSON"))
     p_stab = sub.add_parser("stability", help="long run with energy monitor verdict")
     common(p_stab)
-    p_stab.add_argument("--safety", type=float, default=1e3,
-                        help="stability bound safety factor (default 1e3)")
+    p_stab.add_argument("--safety", type=float, default=DEFAULT_SAFETY,
+                        help="stability bound safety factor (default %(default)g)")
     common(sub.add_parser("weights", help="dump quadrature weights for inspection"))
     return parser
 

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .grid_ops import Grid
-from .kernel import ConfigurationError, KernelSpec, require_integer
+from .kernel import ConfigurationError, KernelSpec, require_integer, require_real
 from .model import DampingFunction, ProblemSpec
 from .stepper import SolverConfig
 
@@ -125,21 +125,21 @@ def _parse_assignment(item: str) -> tuple[str, object]:
 def _number(value, name: str, integral: bool = False):
     """``value`` as a finite float, or as an int when ``integral``.
 
-    Anything else, a non-integral count, an infinite or NaN value and an
-    integer too large for a float included, is a ConfigurationError naming
-    the entry: truncating 2.7 steps to 2 would run a different problem than
-    the one asked for.
+    A value that is not a real number (a ``bool`` or a numeric string
+    included, by :func:`require_real`), a non-integral count, and an
+    infinite or NaN value or an integer too large for a float are each a
+    ConfigurationError naming the entry: truncating 2.7 steps to 2 would
+    run a different problem than the one asked for.
     """
-    if not isinstance(value, bool):
-        try:
-            number = float(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
-        else:
-            if integral and number.is_integer():
-                return int(number)
-            if not integral and math.isfinite(number):
-                return number
+    require_real(value, name)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer too large for a float
+        number = math.inf
+    if integral and number.is_integer():
+        return int(number)
+    if not integral and math.isfinite(number):
+        return number
     kind = "an integer" if integral else "a finite number"
     raise ConfigurationError(f"{name} must be {kind} (got {value!r})")
 

@@ -78,25 +78,43 @@ class StabilityVerdict:
                 f"{self.bound:.6e} first at step {self.first_violation}")
 
 
+#: The default safety factor of :func:`stability_monitor`, deliberately
+#: loose so that only genuine blow-ups trip it.
+DEFAULT_SAFETY = 1e3
+
+
+def require_safety(safety) -> None:
+    """The one rule for a safety factor: a real number (``bool`` excluded)
+    of at least 1 and finite; anything else is a ConfigurationError.  A
+    factor below 1 makes the bound no bound, and an infinite or NaN one a
+    PASS that nothing could fail."""
+    require_real(safety, "safety factor")
+    if not 1.0 <= safety < np.inf:
+        raise ConfigurationError(f"safety factor must be at least 1 and finite (got {safety!r})")
+
+
 def stability_monitor(steps, total, data_functional: float,
-                      safety: float = 1e3) -> StabilityVerdict:
+                      safety: float = DEFAULT_SAFETY) -> StabilityVerdict:
     """PASS iff the total energy never exceeds safety * data_functional.
 
     ``steps`` labels the entries of ``total``; the first violating one is
     reported otherwise.  ``safety`` stands in for the uncomputable constant
-    of the underlying estimate; the default 1e3 is deliberately loose so
-    that only genuine blow-ups trip it.  A factor below 1, infinite or
-    NaN, or a bound ``safety * data_functional`` that overflows or is NaN,
-    raises :class:`ConfigurationError`: it would make the bound no bound,
-    or a PASS that nothing could fail.
+    of the underlying estimate and must pass :func:`require_safety`.  A
+    data functional that is not a real number or not finite, the data's
+    fault, and a bound that overflows raise :class:`ConfigurationError`.
     """
-    require_real(safety, "safety factor")
-    if not 1.0 <= safety < np.inf:
-        raise ConfigurationError(f"safety factor must be at least 1 and finite (got {safety!r})")
+    require_safety(safety)
+    require_real(data_functional, "stability data functional")
+    # Data can make it infinite: say a forcing singular at t = 0, a level a
+    # run samples for its norm alone.
+    if not np.isfinite(data_functional):
+        raise ConfigurationError(
+            f"stability data functional {data_functional:.6e} is not finite; it sums norms "
+            "of the initial data and of the forcing at every level, t = 0 included")
     bound = safety * data_functional
     if not np.isfinite(bound):
         raise ConfigurationError(
-            f"stability bound {safety:.6e} * data functional "
+            f"stability bound: safety factor {safety:.6e} times data functional "
             f"{data_functional:.6e} is not finite")
     total = np.asarray(total, dtype=float)
     over = np.flatnonzero(total > bound)

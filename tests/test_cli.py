@@ -213,6 +213,11 @@ class TestErrorPaths:
         # An infinite factor once gave a PASS "within bound inf".
         ["stability", "--preset", "example2", "--set", "time.N=8", "--safety", "inf"],
         ["stability", "--preset", "example2", "--set", "time.N=8", "--safety", "nan"],
+        # Numeric strings once ran as the numbers they spell.
+        ["solve", "--preset", "example1", "--set", 'kernel.sigma="2"'],
+        ["solve", "--preset", "example1", "--set", 'grid.J="8"'],
+        ["solve", "--preset", "example1", "--set", 'time.N=" 8 "'],
+        ["solve", "--preset", "example1", "--set", 'damping.a="1e0"'],
         # Non-integral counts once truncated silently (2.7 steps ran 2).
         ["solve", "--preset", "example1", "--set", "time.N=2.7"],
         ["solve", "--preset", "example1", "--set", "grid.J=64.5"],
@@ -310,7 +315,20 @@ class TestErrorPaths:
         message = config_error(capsys, ["stability", "--preset", "example2", "--set", "time.N=8",
                                         "--set", "grid.J=8", "--safety", "1e308",
                                         "-o", str(tmp_path)])
-        assert "--safety" in message and "not finite" in message
+        assert message == ("stability bound: safety factor 1.000000e+308 times data "
+                           "functional 4.069381e+00 is not finite")
+
+    @pytest.mark.parametrize("safety", ["0.5", "nan"])
+    def test_bad_safety_factor_fails_before_the_run(self, safety, tmp_path, monkeypatch,
+                                                    capsys):
+        def unreached(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "run", unreached)
+        monkeypatch.setattr(KernelTables, "build", unreached)
+        assert config_error(capsys, ["stability", "--preset", "example2", "--safety", safety,
+                                     "-o", str(tmp_path)]) == (
+            f"safety factor must be at least 1 and finite (got {float(safety)!r})")
 
     @pytest.mark.parametrize("command", ["solve", "stability", "weights"])
     def test_unallocatable_size_is_config_error(self, command, tmp_path, capsys):

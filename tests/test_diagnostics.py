@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -135,6 +136,15 @@ class TestStabilityMonitor:
         # bound inf once gave a PASS that no energy could fail.
         with pytest.raises(ConfigurationError, match="not finite"):
             stability_monitor([1, 2], [1.0, 2.0], 2.0, safety=1e308)
+
+    def test_infinite_functional_is_named(self):
+        # Only the CLI once named the functional; the library blamed the
+        # bound, "stability bound 1.000000e+03 * data functional inf".
+        with pytest.raises(ConfigurationError) as exc:
+            stability_monitor([1], [1.0], math.inf)
+        assert str(exc.value) == (
+            "stability data functional inf is not finite; it sums norms of the initial "
+            "data and of the forcing at every level, t = 0 included")
 
     def test_healthy_long_run_passes(self):
         p = example2_problem(T=2.0)

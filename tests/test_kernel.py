@@ -115,10 +115,13 @@ class TestSpecValidation:
     (lambda: zero_problem(T=True), "time horizon T"),
     (lambda: KernelTables.build(NONOSC(1.5, 0.5), "0.1", 8), "time step T/N"),
     (lambda: stability_monitor([1], [1.0], 1.0, safety="5"), "safety factor"),
+    # A string functional once raised a raw TypeError, and True passed.
+    (lambda: stability_monitor([1], [1.0], "1"), "stability data functional"),
+    (lambda: stability_monitor([1], [1.0], True), "stability data functional"),
     (lambda: DampingFunction(lambda v: 1.0, "1", 0.0), "damping lower bound g0"),
     (lambda: DampingFunction(lambda v: 1.0, 1.0, "0"), "damping Lipschitz constant"),
-], ids=["kernel-sigma", "T-str", "T-bool", "tables-dt", "safety", "damping-g0",
-        "damping-lipschitz"])
+], ids=["kernel-sigma", "T-str", "T-bool", "tables-dt", "safety", "functional-str",
+        "functional-bool", "damping-g0", "damping-lipschitz"])
 def test_real_inputs_must_be_real_numbers(make, message):
     with pytest.raises(ConfigurationError, match=f"^{message} must be a real number"):
         make()

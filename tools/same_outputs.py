@@ -74,6 +74,10 @@ COMMANDS = (
     ("solve", "--preset", "example1", "--set", "grid.J=3"),
     ("solve", "--preset", "example1", "--set", "solver.fp_max_iters=0"),
     ("study", "--preset", "example2-temporal", "--set", "study.levels=1"),
+    # A safety factor below 1, one whose bound overflows, and a numeric string.
+    ("stability", "--preset", "example2", "--set", "time.N=8", "--safety", "0.5"),
+    ("stability", "--preset", "example2", "--set", "time.N=8", "--safety", "1e308"),
+    ("solve", "--preset", "example1", "--set", 'grid.J="8"'),
 )
 _CREATED = re.compile(rb'"created": "[^"]*"')
 
