@@ -98,10 +98,12 @@ def stability_monitor(steps, total, data_functional: float,
     """PASS iff the total energy never exceeds safety * data_functional.
 
     ``steps`` labels the entries of ``total``; the first violating one is
-    reported otherwise.  ``safety`` stands in for the uncomputable constant
-    of the underlying estimate and must pass :func:`require_safety`.  A
-    data functional that is not a real number or not finite, the data's
-    fault, and a bound that overflows raise :class:`ConfigurationError`.
+    reported otherwise; a total that is not finite violates the bound.
+    ``safety`` stands in for the uncomputable constant of the underlying
+    estimate and must pass :func:`require_safety`.  A data functional that
+    is not a real number or not finite, the data's fault, a bound that
+    overflows, and ``steps`` and ``total`` of different lengths raise
+    :class:`ConfigurationError`.
     """
     require_safety(safety)
     require_real(data_functional, "stability data functional")
@@ -117,7 +119,10 @@ def stability_monitor(steps, total, data_functional: float,
             f"stability bound: safety factor {safety:.6e} times data functional "
             f"{data_functional:.6e} is not finite")
     total = np.asarray(total, dtype=float)
-    over = np.flatnonzero(total > bound)
+    if len(steps) != total.size:
+        raise ConfigurationError(f"stability steps and total energies differ in length "
+                                 f"(got {len(steps)} steps and {total.size} energies)")
+    over = np.flatnonzero(~(total <= bound))
     return StabilityVerdict(
         max_total=float(np.max(total, initial=0.0)), bound=bound,
         first_violation=int(steps[over[0]]) if over.size else None)

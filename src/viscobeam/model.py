@@ -145,6 +145,10 @@ class ProblemSpec:
             except Exception as exc:
                 errs.append(f"initial data {name} raised on the probe grid: {exc!r}")
                 continue
+            if values.shape != probe.shape:
+                errs.append(f"initial data {name} must return one value per point of the "
+                            f"probe grid, shape {probe.shape} (got shape {values.shape})")
+                continue
             nonfinite = probe[~np.isfinite(values)]
             if nonfinite.size:
                 errs.append(f"initial data {name} is not finite on the probe grid "

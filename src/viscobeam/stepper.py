@@ -234,8 +234,12 @@ def _write_csv(path, columns: dict) -> None:
     lists would raise the peak memory of a long run by about 1 MB; blocks
     of 256 rows raised the peak RSS of ``stability --preset
     example2-longtime`` in process by 0.13-0.2 MB, and blocks of 64 kept
-    it within 0.1 MB of writing row by row."""
+    it within 0.1 MB of writing row by row.  Columns of different lengths
+    are a ConfigurationError, raised before the file is opened."""
     arrays = list(columns.values())
+    if len({len(a) for a in arrays}) > 1:
+        raise ConfigurationError("CSV columns differ in length (got " + ", ".join(
+            f"{name}: {len(a)}" for name, a in columns.items()) + ")")
     with open(path, "w", newline="") as fh:
         fh.write(",".join(columns) + "\r\n")
         for i in range(0, len(arrays[0]), _CSV_BLOCK_ROWS):

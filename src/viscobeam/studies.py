@@ -39,8 +39,9 @@ SPATIAL = "spatial"
 
 
 def rate(coarse_error: float, fine_error: float) -> float | None:
-    """Observed order log2(coarse/fine); None when degenerate."""
-    if coarse_error <= 0.0 or fine_error <= 0.0:
+    """Observed order log2(coarse/fine); None when degenerate, that is when
+    either error is not positive or not finite."""
+    if not (0.0 < coarse_error < math.inf and 0.0 < fine_error < math.inf):
         return None
     return math.log2(coarse_error / fine_error)
 

@@ -25,12 +25,13 @@ u = s**alpha rather than the tables' uniform time grid.
 ``zero_problem`` builds the beam at rest without load or memory, with
 any of its fields replaced, and ``assert_same_run`` compares two runs by
 everything a state shows: its newest level, its forcing norms and its
-series, bit for bit.
+series, bit for bit.  ``traced_peak`` is the tracemalloc peak of a call.
 """
 
 import cmath
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,6 +48,16 @@ from viscobeam.kernel import _grid_moments
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def traced_peak(call) -> int:
+    """The peak in bytes that tracemalloc traces while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _zero(x):

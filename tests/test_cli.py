@@ -40,18 +40,6 @@ ZERO_CONFIG = {
 
 
 class TestSolve:
-    def test_zero_data_writes_zero_solution(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, ZERO_CONFIG)
-        code = main(["solve", "--config", cfg, "-o", str(tmp_path)])
-        assert code == EXIT_OK
-        rows = (tmp_path / "solution.csv").read_text().strip().splitlines()
-        assert rows[0] == "x,u"
-        values = np.array([float(r.split(",")[1]) for r in rows[1:]])
-        assert np.all(values == 0.0)
-        # Every run records its energy; the columns were once opt-in.
-        header = (tmp_path / "timeseries.csv").read_text().splitlines()[0]
-        assert header.endswith("kinetic,dissipated,elastic,total")
-
     def test_preset_solve(self, tmp_path, capsys):
         code = main(["solve", "--preset", "example2", "--set", "time.N=8",
                      "--set", "grid.J=8", "-o", str(tmp_path)])
@@ -91,37 +79,26 @@ class TestSolve:
                      "-o", str(tmp_path)])
         assert code == EXIT_OK
         rows = (tmp_path / "solution.csv").read_text().strip().splitlines()
-        assert len(rows) == 1 + 17
+        assert len(rows) == 1 + 17 and rows[0] == "x,u"
+        values = np.array([float(r.split(",")[1]) for r in rows[1:]])
+        assert np.all(values == 0.0)
+        # Every run records its energy; the columns were once opt-in.
+        header = (tmp_path / "timeseries.csv").read_text().splitlines()[0]
+        assert header.endswith("kinetic,dissipated,elastic,total")
+
+
+@pytest.fixture
+def no_run(monkeypatch):
+    """Fail the test if a run or a kernel table build starts."""
+    def unreached(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    # study loads run_study from viscobeam.studies when it is called.
+    for owner, name in ((cli, "run"), (studies, "run_study"), (KernelTables, "build")):
+        monkeypatch.setattr(owner, name, unreached)
 
 
 class TestErrorPaths:
-    def test_unknown_preset_is_config_error(self, tmp_path, capsys):
-        assert config_error(capsys, ["solve", "--preset", "example99", "-o", str(tmp_path)]) == (
-            "unknown preset 'example99'; known presets: example1, example2, "
-            "example1-temporal, example1-spatial, example2-temporal, example2-spatial, "
-            "example2-longtime")
-
-    def test_invalid_sigma_is_config_error(self, tmp_path, capsys):
-        assert config_error(capsys, ["solve", "--preset", "example1", "--set",
-                                     "kernel.sigma=0.9", "-o", str(tmp_path)]) == (
-            "kernel tempering rate sigma must be > 1 (got 0.9); otherwise the tail mass "
-            "K(0) is not below 1; oscillation frequency gamma must satisfy "
-            "0 <= gamma <= sigma (got gamma=1.0, sigma=0.9)")
-
-    def test_override_crossing_a_leaf_is_config_error(self, tmp_path, capsys):
-        assert config_error(capsys, ["solve", "--preset", "example1", "--set",
-                                     "kernel.sigma.foo=1", "-o", str(tmp_path)]) == (
-            "override path 'kernel.sigma.foo' crosses a leaf")
-
-    def test_missing_config_and_preset(self, tmp_path, capsys):
-        assert config_error(capsys, ["solve", "-o", str(tmp_path)]) == (
-            "provide --config FILE or --preset NAME")
-
-    def test_removed_solver_key_is_config_error(self, tmp_path, capsys):
-        assert config_error(capsys, ["solve", "--preset", "example2", "--set",
-                                     "solver.snapshot_every=4", "-o", str(tmp_path)]) == (
-            "unknown config key solver.snapshot_every; expected one of fp_tol, fp_max_iters")
-
     def test_invalid_damping_is_config_error(self, tmp_path, capsys):
         assert "damping lower bound g0 must be positive" in config_error(
             capsys, ["solve", "--preset", "example2", "--set", "damping.a=-1",
@@ -154,6 +131,19 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("argv, message", [
         pytest.param(argv, message, id=" ".join(argv)) for argv, message in [
+            (["solve", "--preset", "example99"],
+             "unknown preset 'example99'; known presets: example1, example2, "
+             "example1-temporal, example1-spatial, example2-temporal, example2-spatial, "
+             "example2-longtime"),
+            (["solve", "--preset", "example1", "--set", "kernel.sigma=0.9"],
+             "kernel tempering rate sigma must be > 1 (got 0.9); otherwise the tail mass "
+             "K(0) is not below 1; oscillation frequency gamma must satisfy "
+             "0 <= gamma <= sigma (got gamma=1.0, sigma=0.9)"),
+            (["solve", "--preset", "example1", "--set", "kernel.sigma.foo=1"],
+             "override path 'kernel.sigma.foo' crosses a leaf"),
+            (["solve"], "provide --config FILE or --preset NAME"),
+            (["solve", "--preset", "example2", "--set", "solver.snapshot_every=4"],
+             "unknown config key solver.snapshot_every; expected one of fp_tol, fp_max_iters"),
             (["solve", "--preset", "example1", "--set", "grid.J"],
              "override 'grid.J' is not of the form section.key=value"),
             (["solve", "--preset", "example1", "--set", 'forcing={"name":"tempered_sin"}'],
@@ -176,6 +166,10 @@ class TestErrorPaths:
             (["stability", "--preset", "example1", "--set", "forcing.alpha=-0.5"],
              "stability data functional inf is not finite; it sums norms of the "
              "initial data and of the forcing at every level, t = 0 included"),
+            # The finiteness test of config values is the only guard of the
+            # forcing's coefficients: without it, NaN runs into exit 3.
+            (["solve", "--preset", "example1", "--set", "time.N=8", "--set",
+              "forcing.amplitude=NaN"], "forcing.amplitude must be a finite number (got nan)"),
         ]])
     def test_config_error_message(self, argv, message, tmp_path, capsys):
         assert config_error(capsys, argv + ["-o", str(tmp_path)]) == message
@@ -205,7 +199,6 @@ class TestErrorPaths:
         ["solve", "--preset", "example1", "--set", "kernel.sigma=abc"],
         ["solve", "--preset", "example1", "--set", "damping.a=abc"],
         ["solve", "--preset", "example1", "--set", "initial.u0.amplitude=abc"],
-        ["study", "--preset", "example2-temporal", "--set", "study.levels=1"],
         ["study", "--preset", "example2-temporal", "--set", "study.levels=abc"],
         ["study", "--preset", "example2-temporal", "--set", "study.axis=spatial",
          "--set", "grid.J=6"],
@@ -293,16 +286,9 @@ class TestErrorPaths:
         ("stability", "example2-longtime"), ("weights", "example2")])
     @pytest.mark.parametrize("below", ["", "sub"])
     def test_unusable_output_dir_is_config_error(self, command, preset, below,
-                                                 tmp_path, monkeypatch, capsys):
+                                                 tmp_path, no_run, capsys):
         # A regular file, or a path below one, once raised a raw traceback
         # after the whole run; now it stops before any run or table build.
-        def unreached(*args, **kwargs):
-            raise AssertionError("the run started")
-
-        # study loads run_study from viscobeam.studies when it is called.
-        monkeypatch.setattr(cli, "run", unreached)
-        monkeypatch.setattr(studies, "run_study", unreached)
-        monkeypatch.setattr(KernelTables, "build", unreached)
         blocker = tmp_path / "file"
         blocker.write_text("")
         out = blocker / below if below else blocker
@@ -319,13 +305,7 @@ class TestErrorPaths:
                            "functional 4.069381e+00 is not finite")
 
     @pytest.mark.parametrize("safety", ["0.5", "nan"])
-    def test_bad_safety_factor_fails_before_the_run(self, safety, tmp_path, monkeypatch,
-                                                    capsys):
-        def unreached(*args, **kwargs):
-            raise AssertionError("the run started")
-
-        monkeypatch.setattr(cli, "run", unreached)
-        monkeypatch.setattr(KernelTables, "build", unreached)
+    def test_bad_safety_factor_fails_before_the_run(self, safety, tmp_path, no_run, capsys):
         assert config_error(capsys, ["stability", "--preset", "example2", "--safety", safety,
                                      "-o", str(tmp_path)]) == (
             f"safety factor must be at least 1 and finite (got {float(safety)!r})")

@@ -120,6 +120,18 @@ class TestStabilityMonitor:
         assert verdict.first_violation == 2
         assert "FAIL" in str(verdict)
 
+    def test_non_finite_energy_is_a_violation(self):
+        # A NaN energy once passed: "PASS: max energy nan within bound ...".
+        verdict = stability_monitor([1, 2], [1.0, math.nan], 1.0)
+        assert verdict.first_violation == 2 and str(verdict).startswith("FAIL")
+
+    def test_steps_and_energies_of_different_lengths(self):
+        # A longer total once raised a raw IndexError from steps[over[0]].
+        with pytest.raises(ConfigurationError) as exc:
+            stability_monitor([1], [1.0, 5000.0], 1.0)
+        assert str(exc.value) == ("stability steps and total energies differ in length "
+                                  "(got 1 steps and 2 energies)")
+
     def test_safety_factor_must_not_shrink_the_bound(self):
         with pytest.raises(ValueError):
             stability_monitor([], [], 1.0, safety=0.5)

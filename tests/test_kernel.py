@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,7 +19,7 @@ from viscobeam.diagnostics import stability_monitor
 from viscobeam.presets import preset_config
 
 from conftest import (oracle_beta, oracle_tail, oracle_tail_antiderivatives,
-                      oracle_weight, tail_antiderivatives, zero_problem)
+                      oracle_weight, tail_antiderivatives, traced_peak, zero_problem)
 
 OSC = lambda s, g, a: KernelSpec(family=OSCILLATORY, sigma=s, gamma=g, alpha=a)
 NONOSC = lambda s, a: KernelSpec(family=NON_OSCILLATORY, sigma=s, alpha=a)
@@ -254,9 +253,6 @@ class TestMu0:
 
 
 class TestQuadratureWeights:
-    def test_no_memory_weights_are_zero(self):
-        assert np.all(weights(NONE, 0.1, 8) == 0.0)
-
     @pytest.mark.parametrize("n", [1, 5, 37])
     def test_row_sum_identity(self, n):
         # Row sums telescope to the difference quotient of the second
@@ -349,12 +345,20 @@ class TestKernelTables:
             KernelTables.build(OSC(0.5, 0.0, 1.0), 0.01, 4)
 
     # A NaN or infinite step once gave NaN weights, and so did a horizon
-    # N*dt = 1e155, whose J2 overflows, with two RuntimeWarnings.
-    @pytest.mark.parametrize("dt, n_steps", [(0.0, 4), (-0.1, 4), (math.nan, 4),
-                                             (math.inf, 4), (0.1, 0), (2.5e154, 4)])
-    def test_bad_step_rejected(self, dt, n_steps):
-        with pytest.raises(ValueError):
+    # N*dt = 1e155, whose J2 overflows, with two RuntimeWarnings.  Each is
+    # named by its own check: without the step's, a zero step would be
+    # reported as an overflow.
+    @pytest.mark.parametrize("dt, n_steps, message", [
+        *((dt, 4, f"time step T/N must be positive and finite (got {dt!r})")
+          for dt in (0.0, -0.1, math.nan, math.inf)),
+        (0.1, 0, "step count N must be at least 1 (got 0)"),
+        (2.5e154, 4, "kernel tables overflow on the horizon N*dt = 1e+155; "
+                     "take a shorter horizon T"),
+    ], ids=["0.0-4", "-0.1-4", "nan-4", "inf-4", "0.1-0", "2.5e+154-4"])
+    def test_bad_step_rejected(self, dt, n_steps, message):
+        with pytest.raises(ConfigurationError) as exc:
             KernelTables.build(NONOSC(1.5, 0.5), dt, n_steps)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("spec", [NONE, NONOSC(1.5, 0.5), OSC(2.0, 1.0, 0.5)])
     def test_overflowing_horizon_named(self, spec):
@@ -379,13 +383,7 @@ class TestKernelTables:
         # a build no longer grows with N: a whole (3, N, 24) stack of
         # quadrature values took about 10.8 MB here.
         spec = OSC(1.25, 0.75, 0.5)
-        tracemalloc.start()
-        try:
-            KernelTables.build(spec, 1.0 / 8192, 8192)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3e6
+        assert traced_peak(lambda: KernelTables.build(spec, 1.0 / 8192, 8192)) <= 3e6
 
 
 def test_rule_matches_leggauss():

@@ -138,6 +138,13 @@ class TestValidate:
         assert str(exc.value) == (
             "initial data u0 raised on the probe grid: RuntimeError('no u0 here')")
 
+    def test_initial_datum_of_wrong_shape_reported(self):
+        # A datum of three values once raised a raw IndexError on the probe.
+        with pytest.raises(ConfigurationError) as exc:
+            zero_problem(u1=lambda x: np.ones(3))
+        assert str(exc.value) == ("initial data u1 must return one value per point of the "
+                                  "probe grid, shape (65,) (got shape (3,))")
+
     def test_nonpositive_horizon(self):
         with pytest.raises(ConfigurationError, match="horizon"):
             zero_problem(T=0.0)

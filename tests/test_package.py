@@ -204,16 +204,26 @@ def test_mutants_apply_once_and_compile():
 
 
 def test_mutants_report_no_broken_run(capsys):
-    # With runs faked: a clean run that fails exits 2 and prints no matrix;
-    # the control is an expected survivor unless a solution-level check
-    # fails under it, which exits 1.
+    # With runs faked: a clean run that fails exits 2 and prints no matrix.
+    # Each numeric defect must fail a solution-level check, the control
+    # none, and each contract defect some test; otherwise the audit exits 1.
+    # The per-file lines count the clean run's tests that some defect fails.
     mutants, runs = load_tool("mutants"), {None: {"tests.test_cli::test_a"}}
-    mutants.run_defect = lambda defect: (9, runs[defect])
+    tests = {"tests.test_cli::test_a", "tests.test_cli::test_d", "tests.test_oracle::test_b",
+             "tests.test_kernel.T::t", "tests.test_stepper.T::t"}
+    mutants.run_defect = lambda defect: (tests, runs[defect])
     assert mutants.main([]) == 2 and "defect" not in capsys.readouterr().out
     runs.update({None: set(), "tail-x1.02": {"tests.test_oracle::test_b", "tests.test_kernel.T::t"},
-                 mutants.CONTROL: {"tests.test_stepper.T::t"}})
-    assert mutants.main(["tail-x1.02", mutants.CONTROL]) == 0
+                 mutants.CONTROL: {"tests.test_stepper.T::t"},
+                 "csv-lf-line-ends": {"tests.test_cli::test_a"}})
+    assert mutants.main(["tail-x1.02", mutants.CONTROL, "csv-lf-line-ends"]) == 0
     out = capsys.readouterr().out
     assert "caught by a solution-level check" in out and "as expected" in out
-    runs[mutants.CONTROL] = {"tests.test_acceptance::test_c"}
-    assert mutants.main([mutants.CONTROL]) == 1
+    assert [line.split() for line in out.splitlines()[-4:]] == [
+        ["test_cli.py", "1", "/", "2"], ["test_kernel.py", "1", "/", "1"],
+        ["test_oracle.py", "1", "/", "1"], ["test_stepper.py", "1", "/", "1"]]
+    for defect, killed in [(mutants.CONTROL, {"tests.test_acceptance::test_c"}),
+                           ("tail-x1.02", {"tests.test_kernel.T::t"}),
+                           ("csv-lf-line-ends", set())]:
+        runs[defect] = killed
+        assert mutants.main([defect]) == 1

@@ -34,6 +34,9 @@ class TestRate:
     def test_degenerate_errors_give_none(self):
         assert rate(0.0, 1e-3) is None
         assert rate(1e-3, 0.0) is None
+        # Non-finite errors once gave nan and inf as orders.
+        assert rate(math.nan, 0.5) is None
+        assert rate(math.inf, 1.0) is None
 
 
 class TestErrorMetrics:
