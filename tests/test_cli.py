@@ -40,6 +40,18 @@ ZERO_CONFIG = {
 
 
 class TestSolve:
+    def test_zero_data_writes_zero_solution(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, ZERO_CONFIG)
+        code = main(["solve", "--config", cfg, "-o", str(tmp_path)])
+        assert code == EXIT_OK
+        rows = (tmp_path / "solution.csv").read_text().strip().splitlines()
+        assert rows[0] == "x,u"
+        values = np.array([float(r.split(",")[1]) for r in rows[1:]])
+        assert np.all(values == 0.0)
+        # Every run records its energy; the columns were once opt-in.
+        header = (tmp_path / "timeseries.csv").read_text().splitlines()[0]
+        assert header.endswith("kinetic,dissipated,elastic,total")
+
     def test_preset_solve(self, tmp_path, capsys):
         code = main(["solve", "--preset", "example2", "--set", "time.N=8",
                      "--set", "grid.J=8", "-o", str(tmp_path)])
@@ -79,12 +91,7 @@ class TestSolve:
                      "-o", str(tmp_path)])
         assert code == EXIT_OK
         rows = (tmp_path / "solution.csv").read_text().strip().splitlines()
-        assert len(rows) == 1 + 17 and rows[0] == "x,u"
-        values = np.array([float(r.split(",")[1]) for r in rows[1:]])
-        assert np.all(values == 0.0)
-        # Every run records its energy; the columns were once opt-in.
-        header = (tmp_path / "timeseries.csv").read_text().splitlines()[0]
-        assert header.endswith("kinetic,dissipated,elastic,total")
+        assert len(rows) == 1 + 17
 
 
 @pytest.fixture

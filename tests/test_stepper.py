@@ -55,6 +55,13 @@ class TestSolverConfig:
 
 
 class TestInitialize:
+    def test_zero_data(self):
+        state = initialize(zero_problem(), Grid(8), 4)
+        assert np.all(state.U0 == 0.0)
+        assert np.all(state.U_prev == 0.0)
+        assert state.n == 2
+        assert state.series().vel_norm.tolist() == [0.0]
+
     def test_explicit_start_levels(self):
         p = example1_problem()
         g = Grid(32)
@@ -103,8 +110,6 @@ class TestAssembleStepSystem:
 
     def test_zero_state_gives_zero_solution(self):
         state = initialize(zero_problem(), Grid(8), 4)
-        assert np.all(state.U0 == 0.0) and state.n == 2
-        assert state.series().vel_norm.tolist() == [0.0]
         r, D = assemble_step_system(state)
         assert np.all(r == 0.0) and np.all(state.U_prev == 0.0)
         assert np.all(r / (D + 1.0) == 0.0)
